@@ -10,7 +10,7 @@ the noise levels.
 
 from .data import DatasetTable, LongTailSpec, generate_longtail, load_csv, save_csv
 from .denoiser import DenoiserParams, predict_noise, time_embed
-from .diffusion import SampleResult, forward_sample, reverse_step, sample
+from .diffusion import SampleBatch, SampleResult, forward_sample, reverse_step, sample
 from .errors import (AdpmError, ConfigError, IngestionError,
                      ScheduleInfeasibleError, ShapeError, UsageError)
 from .inference import classify_dataset

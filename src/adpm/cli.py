@@ -300,6 +300,10 @@ def cmd_eval(args) -> int:
     report = classification_metrics(table.labels, output.predictions, table.k)
     payload = report.to_jsonable()
     payload["n"] = table.n
+    payload["prior_macro_f1"] = classification_metrics(
+        table.labels, output.prior_predictions, table.k).macro_f1
+    payload["sampler_prior_agreement"] = float(
+        np.mean(output.predictions == output.prior_predictions))
     payload["steps"] = args.steps if args.steps is not None else ckpt.config.sample_steps
 
     out = _ensure_out(args)

@@ -32,8 +32,8 @@ class DatasetTable:
         if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.size:
             raise ConfigError(
                 f"inconsistent table: features {features.shape}, labels {labels.shape}")
-        if np.isnan(features).any():
-            raise ConfigError("features contain NaN")
+        if not np.isfinite(features).all():
+            raise ConfigError("features contain NaN or inf")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise ConfigError(f"labels must lie in [0, {self.k})")
         object.__setattr__(self, "features", features)
@@ -168,8 +168,8 @@ def load_csv(path, k: int | None = None) -> DatasetTable:
                 feats = [float(cell) for cell in row[:d]]
             except ValueError as exc:
                 raise IngestionError(f"{path}: bad float {exc}", row_no) from None
-            if any(math.isnan(v) for v in feats):
-                raise IngestionError(f"{path}: NaN feature", row_no)
+            if not all(math.isfinite(v) for v in feats):
+                raise IngestionError(f"{path}: non-finite feature", row_no)
             try:
                 label = int(row[d])
             except ValueError:

@@ -8,8 +8,10 @@ weight is exactly 1). A sinusoidal time embedding, passed through a
 learned projection, is injected both after the attention and inside the
 decoder, so the network can identify the noise magnitude at step t.
 
-All layers are tanh-activated linear maps built on the autodiff tape,
-so the full composition is differentiable end to end.
+All layers are tanh-activated linear maps. Training builds them on the
+autodiff tape (DenoiserGraph), so the full composition is differentiable
+end to end; sampling needs no gradients and runs the same network as
+plain numpy (DenoiserParams.apply), with no tape.
 """
 
 from __future__ import annotations
@@ -111,6 +113,27 @@ class DenoiserParams:
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(**{k: v.copy() for k, v in self.blocks().items()})
 
+    def apply(self, cond: np.ndarray, y_noisy: np.ndarray, y_prior: np.ndarray,
+              t: int, T: int) -> np.ndarray:
+        """Forward pass on (n, .) rows that share one step t; builds no tape.
+
+        Computes what DenoiserGraph.predict computes. The q/k projections
+        are dropped: each row attends to its single key, whose softmax
+        weight is exactly 1, so the attention output is exactly
+        (kv @ wv) @ wo. The time embedding is computed once and broadcast
+        over the rows. cond enters only through the dropped query, so it
+        does not change the output; its shape is still checked.
+        """
+        if cond.shape != (y_noisy.shape[0], self.hidden):
+            raise ShapeError(f"cond must have shape ({y_noisy.shape[0]}, {self.hidden}), "
+                             f"got {cond.shape}")
+        fused = np.concatenate([y_noisy, y_prior], axis=1) @ self.fuse_w + self.fuse_b
+        kv = np.tanh(fused @ self.enc_w + self.enc_b)
+        att = (kv @ self.wv) @ self.wo
+        temb = time_embed(t, T, self.t_emb_dim)[None, :] @ self.time_w + self.time_b
+        h1 = np.tanh((att + temb) @ self.dec1_w + self.dec1_b + temb)
+        return h1 @ self.dec2_w + self.dec2_b
+
 
 def cross_attention(tape: Tape, q_src: Var, kv_src: Var, vars: dict[str, Var]) -> Var:
     """Full cross attention: softmax(Q K^T / sqrt(d_att)) V, then W_O.
@@ -179,15 +202,16 @@ class DenoiserGraph:
 
 
 def predict_noise(params: DenoiserParams, cond, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
-    """Single-input noise prediction on a throwaway tape."""
-    tape = Tape()
-    graph = DenoiserGraph(tape, params)
-    out = graph.predict(
-        tape.const(np.atleast_2d(cond)),
-        tape.const(np.atleast_2d(y_noisy)),
-        tape.const(np.atleast_2d(y_prior)),
-        np.array([t]), T)
-    return out.value[0]
+    """Noise prediction at step t, without a tape.
+
+    One input as 1-D arrays gives a 1-D result; (n, .) arrays give one
+    row per input.
+    """
+    y_noisy = np.asarray(y_noisy, dtype=np.float64)
+    out = params.apply(np.atleast_2d(np.asarray(cond, dtype=np.float64)),
+                       np.atleast_2d(y_noisy),
+                       np.atleast_2d(np.asarray(y_prior, dtype=np.float64)), t, T)
+    return out[0] if y_noisy.ndim == 1 else out
 
 
 CHECKPOINT_VERSION = 1

@@ -1,8 +1,16 @@
 """Dataset-level classification with a trained checkpoint.
 
-Each input runs its own reverse chain with a stream keyed by
-(seed, 3, input index), so predictions are reproducible and independent
-of evaluation order or batching.
+Each input has its own random stream keyed by (seed, 3, input index), so
+predictions are reproducible and independent of evaluation order or of
+which other rows share the table. The chains of all rows step together
+as one (n, k) matrix through the forward-only denoiser, so the prior,
+encoder and denoiser matmuls run as n-row BLAS products. For n >= 2
+OpenBLAS computes a row of such a product the same way whatever n is,
+except for products with at most 3 output columns (k <= 3 classes at
+the default widths), where a row's last bits can depend on n. A 1-row
+table would take BLAS's single-row path instead, so it is padded to two
+rows, the pad row on its own copy of stream (seed, 3, 0), and the pad
+row is dropped from the output.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .data import DatasetTable
-from .diffusion import SampleResult, sample
+from .diffusion import SampleBatch, sample
 from .errors import ConfigError
 from .priors import EncoderGraph, PriorBundle, PriorGraph
 from .schedule import (ClassCensus, NoiseSchedule, build_schedule, lambda_vector,
@@ -23,8 +31,9 @@ from .trainer import Checkpoint
 
 @dataclass(frozen=True)
 class EvalOutput:
-    predictions: np.ndarray          # (n,)
-    results: list[SampleResult]
+    predictions: np.ndarray          # (n,) sampled classes
+    results: SampleBatch             # results[i] is row i's SampleResult
+    prior_predictions: np.ndarray    # (n,) argmax of the fused prior y_f
 
 
 def inference_schedule(ckpt: Checkpoint) -> NoiseSchedule:
@@ -40,34 +49,35 @@ def inference_schedule(ckpt: Checkpoint) -> NoiseSchedule:
 def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
                      steps: int | None = None, seed: int | None = None,
                      trace: bool = False) -> EvalOutput:
-    """Sample a class for every row of the table."""
+    """Sample a class for every row of the table, all chains stepping together."""
     cfg = ckpt.config
     if table.k != len(ckpt.counts):
         raise ConfigError(f"checkpoint was trained with k={len(ckpt.counts)} classes, "
                           f"dataset has k={table.k}")
+    d_model = ckpt.model.prior.w1.shape[0]
+    if table.d != d_model:
+        raise ConfigError(f"checkpoint was trained with d={d_model} features, "
+                          f"dataset has d={table.d}")
     steps = cfg.sample_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
     schedule = inference_schedule(ckpt)
-    census = ClassCensus(ckpt.counts)
-    noise_cfg = cfg.noise_cfg()
 
-    # batch the deterministic network passes once
+    index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
+    x = table.features[index]
     tape = Tape()
-    x = tape.const(table.features)
-    priors = PriorGraph(tape, ckpt.model.prior, x)
-    cond = EncoderGraph(tape, ckpt.model.encoder, x).out.value
-    y_g, y_l, y_f = priors.y_g.value, priors.y_l.value, priors.y_f.value
+    x_var = tape.const(x)
+    priors = PriorGraph(tape, ckpt.model.prior, x_var)
+    cond = EncoderGraph(tape, ckpt.model.encoder, x_var).out.value
+    bundle = PriorBundle(y_g=priors.y_g.value, y_l=priors.y_l.value, y_f=priors.y_f.value)
     frozen_tape = Tape()
     frozen_logits = PriorGraph(frozen_tape, ckpt.prior_frozen,
-                               frozen_tape.const(table.features)).logits_g.value
+                               frozen_tape.const(x)).logits_g.value
 
-    results = []
-    for i in range(table.n):
-        rng = np.random.default_rng([seed, 3, i])
-        bundle = PriorBundle(y_g=y_g[i], y_l=y_l[i], y_f=y_f[i])
-        lam = None if cfg.lambda_override is None else float(cfg.lambda_override)
-        results.append(sample(schedule, ckpt.model.denoiser, bundle, cond[i],
-                              frozen_logits[i], census, noise_cfg, rng, steps,
-                              lam=lam, trace=trace))
-    preds = np.array([r.pred_class for r in results], dtype=np.int64)
-    return EvalOutput(predictions=preds, results=results)
+    rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
+    lam = None if cfg.lambda_override is None else float(cfg.lambda_override)
+    results = sample(schedule, ckpt.model.denoiser, bundle, cond, frozen_logits,
+                     ClassCensus(ckpt.counts), cfg.noise_cfg(), rngs, steps,
+                     lam=lam, trace=trace)[:table.n]
+    preds = np.argmax(results.y0, axis=1).astype(np.int64)
+    prior_preds = np.argmax(bundle.y_f[:table.n], axis=1).astype(np.int64)
+    return EvalOutput(predictions=preds, results=results, prior_predictions=prior_preds)

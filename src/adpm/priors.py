@@ -78,7 +78,10 @@ class EncoderParams:
 
 @dataclass(frozen=True)
 class PriorBundle:
-    """Global, local and fused prior probability vectors for one input."""
+    """Global, local and fused prior probability vectors.
+
+    Each is a (k,) vector for one input or an (n, k) matrix for n inputs.
+    """
 
     y_g: np.ndarray
     y_l: np.ndarray

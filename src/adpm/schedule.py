@@ -173,14 +173,16 @@ def build_schedule(beta: np.ndarray, lam: np.ndarray) -> NoiseSchedule:
     return NoiseSchedule(beta=beta, lam=lam, gamma=gamma)
 
 
-def inference_lambda(prior_logits, census: ClassCensus, cfg: NoiseLevelConfig) -> float:
+def inference_lambda(prior_logits, census: ClassCensus,
+                     cfg: NoiseLevelConfig) -> float | np.ndarray:
     """Noise level of the class the prior model predicts.
 
-    Ties in the softmax argmax break toward the lowest class index.
+    One logit vector gives a float; an (n, k) matrix gives one level per
+    row. Ties in the softmax argmax break toward the lowest class index.
     """
-    logits = np.asarray(prior_logits, dtype=np.float64).reshape(-1)
-    shifted = logits - logits.max()
+    logits = np.asarray(prior_logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(shifted)
-    probs /= probs.sum()
-    k_star = int(np.argmax(probs))
-    return float(lambda_vector(census, cfg)[k_star])
+    probs /= probs.sum(axis=-1, keepdims=True)
+    lam = lambda_vector(census, cfg)[np.argmax(probs, axis=-1)]
+    return float(lam) if logits.ndim == 1 else lam

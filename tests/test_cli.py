@@ -183,10 +183,14 @@ def test_eval_metrics_match_library_oracle(tmp_path, capsys):
 
     ckpt = load_checkpoint(ckpt_path)
     table = load_csv(test_csv)
-    preds = classify_dataset(ckpt, table).predictions
-    report = classification_metrics(table.labels, preds, table.k)
+    output = classify_dataset(ckpt, table)
+    report = classification_metrics(table.labels, output.predictions, table.k)
     assert metrics["accuracy"] == report.accuracy
     assert metrics["macro_f1"] == report.macro_f1
+    prior = classification_metrics(table.labels, output.prior_predictions, table.k)
+    assert metrics["prior_macro_f1"] == prior.macro_f1
+    assert metrics["sampler_prior_agreement"] == float(
+        np.mean(output.predictions == output.prior_predictions))
 
 
 def test_eval_k_mismatch_fails(tmp_path, capsys):

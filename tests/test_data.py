@@ -65,8 +65,9 @@ def test_onehot_rows_sum_to_one():
 
 
 def test_table_rejects_nan_and_bad_labels():
-    with pytest.raises(ConfigError):
-        DatasetTable(np.array([[np.nan]]), np.array([0]), 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            DatasetTable(np.array([[bad]]), np.array([0]), 1)
     with pytest.raises(ConfigError):
         DatasetTable(np.ones((2, 2)), np.array([0, 5]), 2)
 
@@ -106,6 +107,15 @@ def test_load_csv_malformed_float_cites_row(tmp_path):
         load_csv(path)
     assert err.value.row == 7
     assert "row 7" in str(err.value)
+
+
+def test_load_csv_non_finite_feature_cites_row(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,{bad},1\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(path)
+        assert err.value.row == 2
 
 
 def test_load_csv_missing_label_column(tmp_path):

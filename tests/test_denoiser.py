@@ -7,7 +7,7 @@ from adpm.autodiff import Tape, scalar
 from adpm.denoiser import (DenoiserGraph, DenoiserParams, cross_attention,
                            load_denoiser, predict_noise, save_denoiser,
                            time_embed, time_embed_batch)
-from adpm.errors import ConfigError
+from adpm.errors import ConfigError, ShapeError
 
 from gradcheck import finite_diff, rel_err
 
@@ -119,6 +119,41 @@ def test_predict_noise_time_sensitivity():
     a = predict_noise(params, cond, yn, yp, 3, 20)
     b = predict_noise(params, cond, yn, yp, 15, 20)
     assert float(np.linalg.norm(a - b)) > 0.0
+
+
+def test_apply_matches_tape_graph():
+    params = make_params(k=3, h=6, d_att=4, t_dim=4, seed=12)
+    rng = np.random.default_rng(13)
+    n = 7
+    cond, yn = rng.standard_normal((n, 6)), rng.standard_normal((n, 3))
+    yp = rng.dirichlet(np.ones(3), size=n)
+    for t in (0, 1, 9, 20):
+        tape = Tape()
+        ref = DenoiserGraph(tape, params).predict(
+            tape.const(cond), tape.const(yn), tape.const(yp), np.full(n, t), 20).value
+        got = params.apply(cond, yn, yp, t, 20)
+        assert got.shape == (n, 3)
+        assert np.abs(got - ref).max() <= 1e-12
+        assert np.array_equal(predict_noise(params, cond, yn, yp, t, 20), got)
+        assert np.array_equal(predict_noise(params, cond[0], yn[0], yp[0], t, 20),
+                              params.apply(cond[:1], yn[:1], yp[:1], t, 20)[0])
+
+
+def test_predict_noise_builds_no_tape(monkeypatch):
+    def no_tape(*args, **kwargs):
+        raise AssertionError("predict_noise built a tape")
+    monkeypatch.setattr(Tape, "__init__", no_tape)
+    params = make_params(seed=14)
+    out = predict_noise(params, np.ones((2, 6)), np.ones((2, 3)), np.ones((2, 3)), 4, 10)
+    assert out.shape == (2, 3) and np.isfinite(out).all()
+
+
+def test_apply_rejects_cond_shape():
+    params = make_params(seed=15)
+    with pytest.raises(ShapeError):
+        params.apply(np.ones((2, 5)), np.ones((2, 3)), np.ones((2, 3)), 1, 10)
+    with pytest.raises(ShapeError):
+        params.apply(np.ones((3, 6)), np.ones((2, 3)), np.ones((2, 3)), 1, 10)
 
 
 def test_predict_noise_gradients_match_finite_differences():

@@ -3,7 +3,7 @@ import pytest
 
 from adpm.denoiser import DenoiserParams, predict_noise
 from adpm.diffusion import (forward_sample, reverse_step, sample, sample_timesteps)
-from adpm.errors import UsageError
+from adpm.errors import ShapeError, UsageError
 from adpm.priors import PriorBundle
 from adpm.schedule import (ClassCensus, NoiseLevelConfig, build_schedule,
                            lambda_vector, linear_beta)
@@ -94,6 +94,20 @@ def test_reverse_step_reduces_to_isotropic_update():
         assert np.abs(got - ref).max() < 1e-14
 
 
+def test_reverse_step_batched_matches_scalar_rows():
+    sched = small_schedule(T=30, lam=(1.0, 3.0, 7.5))
+    rng = np.random.default_rng(3)
+    lam = np.array([7.5, 1.0, 3.0, 3.0, 1.0])
+    gammas = np.stack([sched.gamma_for(v) for v in lam])
+    y_t, y_f, eps_hat, z = (rng.standard_normal((5, 3)) for _ in range(4))
+    for t in (30, 17, 2, 1):
+        got = reverse_step(sched, lam, t, y_t, y_f, eps_hat, z, gamma_row=gammas)
+        assert np.array_equal(got, reverse_step(sched, lam, t, y_t, y_f, eps_hat, z))
+        for r in range(5):
+            assert np.array_equal(got[r], reverse_step(sched, float(lam[r]), t, y_t[r],
+                                                       y_f[r], eps_hat[r], z[r]))
+
+
 def test_sample_timesteps_strided():
     ts = sample_timesteps(100, 25)
     assert ts[0] == 100 and ts[-1] == 1 and len(ts) == 25
@@ -113,6 +127,36 @@ def _sampler_fixture(k=3, T=40, seed=5):
     return sched, params, bundle, cond, logits, census, cfg
 
 
+def _batch_fixture(n=6, k=3, seed=12):
+    rng = np.random.default_rng(seed)
+    bundle = PriorBundle(*(rng.dirichlet(np.ones(k), size=n) for _ in range(3)))
+    return bundle, rng.standard_normal((n, 6)), 2.0 * rng.standard_normal((n, k))
+
+
+def test_sample_batched_matches_single_rows():
+    sched, params, _, _, _, census, cfg = _sampler_fixture()
+    n = 6
+    bundle, cond, logits = _batch_fixture(n)
+    batch = sample(sched, params, bundle, cond, logits, census, cfg,
+                   [np.random.default_rng([7, r]) for r in range(n)], steps=15)
+    assert len(batch) == n
+    assert len({res.lam for res in batch}) > 1  # rows run at different levels
+    for r, res in enumerate(batch):
+        row = PriorBundle(bundle.y_g[r], bundle.y_l[r], bundle.y_f[r])
+        one = sample(sched, params, row, cond[r], logits[r], census, cfg,
+                     np.random.default_rng([7, r]), steps=15)
+        assert np.abs(res.y0 - one.y0).max() <= 1e-9
+        assert res.pred_class == one.pred_class and res.lam == one.lam
+
+
+def test_sample_rejects_generator_count():
+    sched, params, _, _, _, census, cfg = _sampler_fixture()
+    bundle, cond, logits = _batch_fixture(3)
+    with pytest.raises(ShapeError):
+        sample(sched, params, bundle, cond, logits, census, cfg,
+               [np.random.default_rng(0)], steps=5)
+
+
 def test_sample_deterministic_under_seed():
     sched, params, bundle, cond, logits, census, cfg = _sampler_fixture()
     runs = [sample(sched, params, bundle, cond, logits, census, cfg,
@@ -127,10 +171,15 @@ def test_sample_trace_snapshot_count_and_order():
     steps = 13
     res = sample(sched, params, bundle, cond, logits, census, cfg,
                  np.random.default_rng(8), steps=steps, trace=True)
-    assert len(res.trace) == steps + 1
-    ts = [t for t, _ in res.trace]
-    assert ts[0] == sched.T and ts[-1] == 0
-    assert all(a > b for a, b in zip(ts, ts[1:]))
+    bundle, cond, logits = _batch_fixture(4)
+    batch = sample(sched, params, bundle, cond, logits, census, cfg,
+                   [np.random.default_rng([8, r]) for r in range(4)], steps=steps, trace=True)
+    for one in [res, *batch]:
+        assert len(one.trace) == steps + 1
+        ts = [t for t, _ in one.trace]
+        assert ts[0] == sched.T and ts[-1] == 0
+        assert all(a > b for a, b in zip(ts, ts[1:]))
+        assert np.array_equal(one.trace[-1][1], one.y0)
 
 
 def test_sample_isotropic_reference_trajectory():
@@ -176,3 +225,23 @@ def test_sample_infeasible_lambda_fails_before_loop():
         sample(sched, DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0)),
                bundle, np.zeros(4), np.zeros(2), census, cfg,
                np.random.default_rng(1), steps=5, lam=90.0)
+
+
+def test_sample_infeasible_row_lambda_fails_before_loop(monkeypatch):
+    import adpm.diffusion
+    from adpm.errors import ScheduleInfeasibleError
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the loop started")
+    monkeypatch.setattr(adpm.diffusion, "predict_noise", no_step)
+    sched = small_schedule()
+    census = ClassCensus((4, 4))
+    cfg = NoiseLevelConfig(alpha=0.0, c=1.0)
+    bundle = PriorBundle(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+    rngs = [np.random.default_rng([1, r]) for r in range(3)]
+    before = [g.bit_generator.state for g in rngs]
+    with pytest.raises(ScheduleInfeasibleError):
+        sample(sched, DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0)),
+               bundle, np.zeros((3, 4)), np.zeros((3, 2)), census, cfg, rngs,
+               steps=5, lam=np.array([1.0, 90.0, 5.0]))
+    assert [g.bit_generator.state for g in rngs] == before

@@ -4,6 +4,7 @@ import pytest
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fractions
 from adpm.errors import ConfigError
 from adpm.inference import classify_dataset, inference_schedule
+from adpm.priors import prior_bundle
 from adpm.trainer import TrainConfig, fit
 
 
@@ -17,6 +18,17 @@ def trained():
     return fit(train, cfg), test
 
 
+@pytest.fixture(scope="module")
+def desk_shaped():
+    # the desk workload's shapes (k=6, d=8, default widths), where a 1-row
+    # matmul takes a different BLAS path than the same row in a batch
+    table = generate_longtail(LongTailSpec(k=6, head_count=40, decay=0.57, d=8,
+                                           separation=6.0, spread=1.0, seed=22))
+    train, test = split_fractions(table, (0.7, 0.3), seed=22)
+    cfg = TrainConfig(T=20, sample_steps=5, epochs=2, warmup_epochs=5, seed=22)
+    return fit(train, cfg), test
+
+
 def test_classify_deterministic_and_ordered(trained):
     ckpt, test = trained
     a = classify_dataset(ckpt, test)
@@ -26,15 +38,19 @@ def test_classify_deterministic_and_ordered(trained):
     assert len(a.results) == test.n
 
 
-def test_per_input_streams_independent_of_subset(trained):
+def test_per_input_streams_independent_of_subset(trained, desk_shaped):
     # input i's chain is keyed by its index, so evaluating a prefix gives
-    # the same results as evaluating everything
-    ckpt, test = trained
-    full = classify_dataset(ckpt, test)
-    prefix = classify_dataset(ckpt, test.take(range(4)))
-    assert np.array_equal(full.predictions[:4], prefix.predictions)
-    for i in range(4):
-        assert np.array_equal(full.results[i].y0, prefix.results[i].y0)
+    # the same results as evaluating everything; a 1-row table is padded
+    # to two rows, so it too matches bitwise
+    for ckpt, test in (trained, desk_shaped):
+        full = classify_dataset(ckpt, test)
+        for m in (4, 2, 1):
+            prefix = classify_dataset(ckpt, test.take(range(m)))
+            assert np.array_equal(full.predictions[:m], prefix.predictions)
+            assert np.array_equal(full.prior_predictions[:m], prefix.prior_predictions)
+            assert len(prefix.results) == m
+            for i in range(m):
+                assert np.array_equal(full.results[i].y0, prefix.results[i].y0)
 
 
 def test_steps_override_and_trace(trained):
@@ -55,3 +71,34 @@ def test_k_mismatch_rejected(trained):
     wide = DatasetTable(test.features, test.labels, 5)
     with pytest.raises(ConfigError):
         classify_dataset(ckpt, wide)
+
+
+def test_d_mismatch_rejected(trained):
+    ckpt, test = trained
+    narrow = DatasetTable(test.features[:, :2], test.labels, test.k)
+    with pytest.raises(ConfigError, match="d=3.*d=2"):
+        classify_dataset(ckpt, narrow)
+
+
+def test_prior_predictions_are_fused_prior_argmax(trained):
+    ckpt, test = trained
+    out = classify_dataset(ckpt, test)
+    y_f = np.stack([prior_bundle(ckpt.model.prior, x).y_f for x in test.features])
+    assert np.array_equal(out.prior_predictions, np.argmax(y_f, axis=1))
+    assert out.prior_predictions.dtype == out.predictions.dtype
+
+
+def test_denoiser_runs_without_a_tape(trained, monkeypatch):
+    import adpm.denoiser
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the sampler built a denoiser tape")
+    monkeypatch.setattr(adpm.denoiser.DenoiserGraph, "__init__", no_graph)
+    ckpt, test = trained
+    assert classify_dataset(ckpt, test.take(range(3))).predictions.shape == (3,)
+
+
+def test_empty_table(trained):
+    ckpt, test = trained
+    out = classify_dataset(ckpt, test.take([]))
+    assert out.predictions.shape == (0,) and len(out.results) == 0
