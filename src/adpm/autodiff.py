@@ -1,11 +1,12 @@
 """Tape-based reverse-mode differentiation over dense float64 matrices.
 
 The op vocabulary is fixed to what the denoising network and its losses
-need: matmul (with an optional transposed right operand), add, sub, mul,
-scale, tanh, relu, exp, row softmax, mean, sum of squares, column concat
-and block slice. Everything is strictly 2-D float64. Forward evaluation
-is deterministic for identical inputs; reductions are delegated to
-numpy's sequential CPU kernels, which are run-to-run reproducible.
+need: matmul (with an optional transposed right operand), affine (x @ w
+plus a broadcast bias row), add, sub, mul, scale, tanh, exp, row
+softmax, mean, sum of squares and column concat. Everything is strictly
+2-D float64. Forward evaluation is deterministic for identical inputs;
+reductions are delegated to numpy's sequential CPU kernels, which are
+run-to-run reproducible.
 
 A Tape is single-owner: it must never be shared across concurrent
 workers. Parallel evaluation is achieved by giving each worker its own
@@ -75,6 +76,9 @@ def _forward(op: str, vals: list[np.ndarray], meta: tuple) -> np.ndarray:
     if op == "matmul":
         a, b = vals
         return a @ b.T if meta[0] else a @ b
+    if op == "affine":
+        x, w, b = vals
+        return x @ w + b
     if op == "add":
         return vals[0] + vals[1]
     if op == "sub":
@@ -85,8 +89,6 @@ def _forward(op: str, vals: list[np.ndarray], meta: tuple) -> np.ndarray:
         return vals[0] * meta[0]
     if op == "tanh":
         return np.tanh(vals[0])
-    if op == "relu":
-        return np.maximum(vals[0], 0.0)
     if op == "exp":
         return np.exp(vals[0])
     if op == "softmax":
@@ -101,9 +103,6 @@ def _forward(op: str, vals: list[np.ndarray], meta: tuple) -> np.ndarray:
         return np.array([[float(np.sum(a * a))]])
     if op == "concat":
         return np.concatenate([vals[0], vals[1]], axis=1)
-    if op == "slice":
-        r0, r1, c0, c1 = meta
-        return vals[0][r0:r1, c0:c1].copy()
     raise UsageError(f"unknown op {op!r}")
 
 
@@ -143,6 +142,12 @@ class Tape:
             raise ShapeError(f"matmul: {a.shape} x {b.shape} (trans_b={trans_b})")
         return self._apply("matmul", (a, b), (trans_b,))
 
+    def affine(self, x: Var, w: Var, b: Var) -> Var:
+        """x @ w plus the (1, cols) bias row b added to every row."""
+        if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+            raise ShapeError(f"affine: {x.shape} x {w.shape} + {b.shape}")
+        return self._apply("affine", (x, w, b))
+
     def _binary(self, op: str, a: Var, b: Var) -> Var:
         if a.shape != b.shape:
             raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
@@ -162,9 +167,6 @@ class Tape:
 
     def tanh(self, a: Var) -> Var:
         return self._apply("tanh", (a,))
-
-    def relu(self, a: Var) -> Var:
-        return self._apply("relu", (a,))
 
     def exp(self, a: Var) -> Var:
         return self._apply("exp", (a,))
@@ -186,23 +188,7 @@ class Tape:
             raise ShapeError(f"concat: row counts {a.shape[0]} != {b.shape[0]}")
         return self._apply("concat", (a, b))
 
-    def slice_block(self, a: Var, r0: int, r1: int, c0: int, c1: int) -> Var:
-        rows, cols = a.shape
-        if not (0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols):
-            raise ShapeError(f"slice [{r0}:{r1}, {c0}:{c1}] out of bounds for {a.shape}")
-        return self._apply("slice", (a,), (r0, r1, c0, c1))
-
     # ----- evaluation -----
-
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every node value from the leaves, in recorded order."""
-        vals: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.op in ("param", "const"):
-                vals.append(node.value)
-            else:
-                vals.append(_forward(node.op, [vals[i] for i in node.inputs], node.meta))
-        return vals
 
     def backward(self, root: Var) -> Gradients:
         """Accumulate d(root)/d(node) for every node reachable from root.
@@ -239,6 +225,14 @@ class Tape:
                 else:
                     acc(ins[0], g @ b.T)
                     acc(ins[1], a.T @ g)
+            elif op == "affine":
+                # ones(n, 1).T @ g, taken before the x and w adjoints, is the
+                # product and order of matmul(ones(n, 1), b) plus add, so
+                # trained weights keep the bits of that formulation
+                x, w, _ = vals
+                acc(ins[2], np.ones((g.shape[0], 1)).T @ g)
+                acc(ins[0], g @ w.T)
+                acc(ins[1], x.T @ g)
             elif op == "add":
                 acc(ins[0], g)
                 acc(ins[1], g)
@@ -252,8 +246,6 @@ class Tape:
                 acc(ins[0], g * node.meta[0])
             elif op == "tanh":
                 acc(ins[0], g * (1.0 - node.value ** 2))
-            elif op == "relu":
-                acc(ins[0], g * (vals[0] > 0.0))
             elif op == "exp":
                 acc(ins[0], g * node.value)
             elif op == "softmax":
@@ -267,11 +259,6 @@ class Tape:
                 split = vals[0].shape[1]
                 acc(ins[0], g[:, :split])
                 acc(ins[1], g[:, split:])
-            elif op == "slice":
-                r0, r1, c0, c1 = node.meta
-                ga = np.zeros(vals[0].shape)
-                ga[r0:r1, c0:c1] = g
-                acc(ins[0], ga)
             else:  # pragma: no cover
                 raise UsageError(f"unknown op {op!r}")
         return Gradients(adjoints)

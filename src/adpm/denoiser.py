@@ -1,12 +1,14 @@
 """The noise-prediction network.
 
 Noisy label variables are concatenated with their prior, projected and
-encoded, then fused with the conditioning features through a
-single-token cross attention (one query from the feature encoder, one
-key/value from the label embedding; with a single key the softmax
-weight is exactly 1). A sinusoidal time embedding, passed through a
-learned projection, is injected both after the attention and inside the
-decoder, so the network can identify the noise magnitude at step t.
+encoded into one token per sample. The attention block maps that token
+through its value and output projections, (kv @ wv) @ wo: each sample
+attends only to its own single token, and a softmax over one key is
+exactly 1, so no query or key projection is needed. A sinusoidal time
+embedding, passed through a learned projection, is injected both after
+the attention and inside the decoder, so the network can identify the
+noise magnitude at step t. The conditioning features (cond) are accepted
+and shape-checked but do not yet change the output.
 
 All layers are tanh-activated linear maps. Training builds them on the
 autodiff tape (DenoiserGraph), so the full composition is differentiable
@@ -16,7 +18,6 @@ plain numpy (DenoiserParams.apply), with no tape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,6 @@ class DenoiserParams:
     fuse_b: np.ndarray   # (1, h)
     enc_w: np.ndarray    # (h, h)    latent encoder
     enc_b: np.ndarray    # (1, h)
-    wq: np.ndarray       # (h, d_att)
-    wk: np.ndarray       # (h, d_att)
     wv: np.ndarray       # (h, d_att)
     wo: np.ndarray       # (d_att, h)
     time_w: np.ndarray   # (t_dim, h)
@@ -68,9 +67,8 @@ class DenoiserParams:
         h = self.fuse_w.shape[1]
         checks = [
             self.enc_w.shape == (h, h),
-            self.wq.shape[0] == h and self.wk.shape == self.wq.shape
-            and self.wv.shape == self.wq.shape,
-            self.wo.shape == (self.wq.shape[1], h),
+            self.wv.shape[0] == h,
+            self.wo.shape == (self.wv.shape[1], h),
             self.time_w.shape[1] == h,
             self.dec1_w.shape == (h, h),
             self.dec2_w.shape[0] == h,
@@ -96,10 +94,14 @@ class DenoiserParams:
     def init(cls, k: int, h: int, d_att: int, t_dim: int, rng) -> "DenoiserParams":
         def w(rows, cols):
             return rng.standard_normal((rows, cols)) / np.sqrt(rows)
+        fuse_w, enc_w = w(2 * k, h), w(h, h)
+        # two (h, d_att) draws of the former query/key projections are
+        # discarded so every later block keeps its seeded values
+        w(h, d_att), w(h, d_att)
         return cls(
-            fuse_w=w(2 * k, h), fuse_b=np.zeros((1, h)),
-            enc_w=w(h, h), enc_b=np.zeros((1, h)),
-            wq=w(h, d_att), wk=w(h, d_att), wv=w(h, d_att), wo=w(d_att, h),
+            fuse_w=fuse_w, fuse_b=np.zeros((1, h)),
+            enc_w=enc_w, enc_b=np.zeros((1, h)),
+            wv=w(h, d_att), wo=w(d_att, h),
             time_w=w(t_dim, h), time_b=np.zeros((1, h)),
             dec1_w=w(h, h), dec1_b=np.zeros((1, h)),
             dec2_w=w(h, k), dec2_b=np.zeros((1, k)),
@@ -107,7 +109,7 @@ class DenoiserParams:
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in (
-            "fuse_w", "fuse_b", "enc_w", "enc_b", "wq", "wk", "wv", "wo",
+            "fuse_w", "fuse_b", "enc_w", "enc_b", "wv", "wo",
             "time_w", "time_b", "dec1_w", "dec1_b", "dec2_w", "dec2_b")}
 
     def copy(self) -> "DenoiserParams":
@@ -117,12 +119,9 @@ class DenoiserParams:
               t: int, T: int) -> np.ndarray:
         """Forward pass on (n, .) rows that share one step t; builds no tape.
 
-        Computes what DenoiserGraph.predict computes. The q/k projections
-        are dropped: each row attends to its single key, whose softmax
-        weight is exactly 1, so the attention output is exactly
-        (kv @ wv) @ wo. The time embedding is computed once and broadcast
-        over the rows. cond enters only through the dropped query, so it
-        does not change the output; its shape is still checked.
+        Computes what DenoiserGraph.predict computes. The time embedding
+        is computed once and broadcast over the rows. cond does not change
+        the output; its shape is still checked.
         """
         if cond.shape != (y_noisy.shape[0], self.hidden):
             raise ShapeError(f"cond must have shape ({y_noisy.shape[0]}, {self.hidden}), "
@@ -135,41 +134,6 @@ class DenoiserParams:
         return h1 @ self.dec2_w + self.dec2_b
 
 
-def cross_attention(tape: Tape, q_src: Var, kv_src: Var, vars: dict[str, Var]) -> Var:
-    """Full cross attention: softmax(Q K^T / sqrt(d_att)) V, then W_O.
-
-    q_src rows are query tokens, kv_src rows key/value tokens. With a
-    single key token the softmax weight is exactly 1 and the output is
-    the single value row mapped through W_O.
-    """
-    d_att = vars["wq"].shape[1]
-    q = tape.matmul(q_src, vars["wq"])
-    k = tape.matmul(kv_src, vars["wk"])
-    v = tape.matmul(kv_src, vars["wv"])
-    scores = tape.scale(tape.matmul(q, k, trans_b=True), 1.0 / np.sqrt(d_att))
-    weights = tape.softmax_rows(scores)
-    return tape.matmul(tape.matmul(weights, v), vars["wo"])
-
-
-def _paired_attention(tape: Tape, q_src: Var, kv_src: Var, vars: dict[str, Var]) -> Var:
-    """Row-paired attention: sample i attends to its own single token.
-
-    The per-row softmax over one key is exactly 1, so the mix equals V
-    row-for-row; queries and keys stay on the tape with an exactly zero
-    gradient.
-    """
-    d_att = vars["wq"].shape[1]
-    n = q_src.shape[0]
-    q = tape.matmul(q_src, vars["wq"])
-    k = tape.matmul(kv_src, vars["wk"])
-    v = tape.matmul(kv_src, vars["wv"])
-    ones_col = tape.const(np.ones((d_att, 1)))
-    scores = tape.scale(tape.matmul(tape.mul(q, k), ones_col), 1.0 / np.sqrt(d_att))
-    weights = tape.softmax_rows(scores)  # (n, 1), identically 1
-    spread = tape.matmul(weights, tape.const(np.ones((1, d_att))))
-    return tape.matmul(tape.mul(spread, v), vars["wo"])
-
-
 class DenoiserGraph:
     """Tape subgraph evaluating the denoiser on a batch."""
 
@@ -179,26 +143,17 @@ class DenoiserGraph:
         self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
 
     def predict(self, cond: Var, y_noisy: Var, y_prior: Var, ts, T: int) -> Var:
+        """Noise prediction for a batch, one step per row; cond is unused."""
         tape, vars = self.tape, self.vars
-        n = cond.shape[0]
-        fused = tape.add(
-            tape.matmul(tape.concat_cols(y_noisy, y_prior), vars["fuse_w"]),
-            self._bias(n, vars["fuse_b"]))
-        kv = tape.tanh(tape.add(tape.matmul(fused, vars["enc_w"]),
-                                self._bias(n, vars["enc_b"])))
-        att = _paired_attention(tape, cond, kv, vars)
-        temb = tape.add(
-            tape.matmul(tape.const(time_embed_batch(ts, T, self.params.t_emb_dim)),
-                        vars["time_w"]),
-            self._bias(n, vars["time_b"]))
+        fused = tape.affine(tape.concat_cols(y_noisy, y_prior), vars["fuse_w"],
+                            vars["fuse_b"])
+        kv = tape.tanh(tape.affine(fused, vars["enc_w"], vars["enc_b"]))
+        att = tape.matmul(tape.matmul(kv, vars["wv"]), vars["wo"])
+        temb = tape.affine(tape.const(time_embed_batch(ts, T, self.params.t_emb_dim)),
+                           vars["time_w"], vars["time_b"])
         u = tape.add(att, temb)
-        h1 = tape.tanh(tape.add(
-            tape.add(tape.matmul(u, vars["dec1_w"]), self._bias(n, vars["dec1_b"])),
-            temb))
-        return tape.add(tape.matmul(h1, vars["dec2_w"]), self._bias(n, vars["dec2_b"]))
-
-    def _bias(self, rows: int, b: Var) -> Var:
-        return self.tape.matmul(self.tape.const(np.ones((rows, 1))), b)
+        h1 = tape.tanh(tape.add(tape.affine(u, vars["dec1_w"], vars["dec1_b"]), temb))
+        return tape.affine(h1, vars["dec2_w"], vars["dec2_b"])
 
 
 def predict_noise(params: DenoiserParams, cond, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
@@ -212,33 +167,3 @@ def predict_noise(params: DenoiserParams, cond, y_noisy, y_prior, t: int, T: int
                        np.atleast_2d(y_noisy),
                        np.atleast_2d(np.asarray(y_prior, dtype=np.float64)), t, T)
     return out[0] if y_noisy.ndim == 1 else out
-
-
-CHECKPOINT_VERSION = 1
-
-
-def blocks_to_jsonable(blocks: dict[str, np.ndarray]) -> dict:
-    """Shape plus row-major float list per block; floats round-trip exactly."""
-    return {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in blocks.items()}
-
-
-def blocks_from_jsonable(obj: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for name, entry in obj.items():
-        out[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-    return out
-
-
-def save_denoiser(params: DenoiserParams, path) -> None:
-    payload = {"version": CHECKPOINT_VERSION, "blocks": blocks_to_jsonable(params.blocks())}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_denoiser(path) -> DenoiserParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "version" not in payload:
-        raise ConfigError(f"{path}: checkpoint missing version field")
-    return DenoiserParams(**blocks_from_jsonable(payload["blocks"]))

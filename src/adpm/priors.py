@@ -88,15 +88,8 @@ class PriorBundle:
     y_f: np.ndarray
 
 
-def _bias(tape: Tape, rows: int, b: Var) -> Var:
-    ones = tape.const(np.ones((rows, 1)))
-    return tape.matmul(ones, b)
-
-
 def _mlp_logits(tape: Tape, x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    n = x.shape[0]
-    hidden = tape.tanh(tape.add(tape.matmul(x, w1), _bias(tape, n, b1)))
-    return tape.add(tape.matmul(hidden, w2), _bias(tape, n, b2))
+    return tape.affine(tape.tanh(tape.affine(x, w1, b1)), w2, b2)
 
 
 def salience_mask(params: PriorNetParams, x: np.ndarray) -> np.ndarray:
@@ -134,21 +127,13 @@ class EncoderGraph:
 
     def __init__(self, tape: Tape, params: EncoderParams, x: Var):
         self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
-        pre = tape.add(tape.matmul(x, self.vars["w"]),
-                       _bias(tape, x.shape[0], self.vars["b"]))
-        self.out = tape.tanh(pre)
+        self.out = tape.tanh(tape.affine(x, self.vars["w"], self.vars["b"]))
 
 
 def global_prior(params: PriorNetParams, x) -> np.ndarray:
     tape = Tape()
     graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
     return graph.y_g.value[0]
-
-
-def global_logits(params: PriorNetParams, x) -> np.ndarray:
-    tape = Tape()
-    graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
-    return graph.logits_g.value[0]
 
 
 def local_prior(params: PriorNetParams, x) -> np.ndarray:

@@ -5,8 +5,10 @@ local, fused), an independent Gaussian noise batch. Each branch's draw
 is corrupted with the true class's noise level and the branch's own
 prior, pushed through the shared denoiser, and scored: MMD against the
 true noise for the global and local branches, mean squared error for
-the fused branch. Gradients flow into the denoiser, the feature
-encoder and the prior network.
+the fused branch. Gradients flow into the denoiser and the prior
+network. The feature encoder is built on the tape too, but its output
+does not reach the denoiser's output yet, so its gradient is exactly
+zero.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
@@ -28,7 +30,7 @@ import numpy as np
 from . import optim
 from .autodiff import Tape, scalar
 from .data import DatasetTable
-from .denoiser import DenoiserGraph, DenoiserParams, blocks_from_jsonable, blocks_to_jsonable
+from .denoiser import DenoiserGraph, DenoiserParams
 from .errors import ConfigError
 from .losses import (KernelConfig, LossReport, eps_loss_graph, mmd_loss_graph,
                      total_loss_graph)
@@ -38,6 +40,11 @@ from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_sched
                        lambda_vector, linear_beta)
 
 CHECKPOINT_VERSION = 1
+# query/key projections of the former single-key attention: they never got a
+# gradient, and checkpoints that still hold them load with them dropped
+LEGACY_BLOCKS = ("denoiser.wq", "denoiser.wk")
+_CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
+                      "blocks", "prior_frozen", "optimizer")
 BRANCHES = ("global", "local", "fused")
 
 
@@ -300,6 +307,39 @@ def _make_opt(cfg: TrainConfig):
                                 eps=cfg.adam_eps)
 
 
+def _blocks_to_jsonable(blocks: dict[str, np.ndarray]) -> dict:
+    """Shape plus row-major float list per block; floats round-trip exactly."""
+    return {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            for name, arr in blocks.items()}
+
+
+def _blocks_from_jsonable(obj) -> dict[str, np.ndarray]:
+    if not isinstance(obj, dict):
+        raise ConfigError("a block section is not a JSON object")
+    out = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+           for name, entry in obj.items()}
+    for name in LEGACY_BLOCKS:
+        out.pop(name, None)
+    return out
+
+
+def _checked(blocks: dict[str, np.ndarray], shapes: dict[str, tuple],
+             what: str) -> dict[str, np.ndarray]:
+    """blocks, if they hold exactly the named shapes and only finite values."""
+    for name in shapes:
+        if name not in blocks:
+            raise ConfigError(f"missing {what} {name!r}")
+    for name, arr in blocks.items():
+        if name not in shapes:
+            raise ConfigError(f"unknown {what} {name!r}")
+        if arr.shape != shapes[name]:
+            raise ConfigError(f"{what} {name!r} has shape {arr.shape}, "
+                              f"expected {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{what} {name!r} holds a non-finite value")
+    return blocks
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -307,12 +347,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "counts": list(ckpt.counts),
         "config": ckpt.config.to_dict(),
         "prior_mask_size": ckpt.model.prior.mask_size,
-        "blocks": blocks_to_jsonable(ckpt.model.blocks()),
-        "prior_frozen": blocks_to_jsonable(ckpt.prior_frozen.blocks()),
+        "blocks": _blocks_to_jsonable(ckpt.model.blocks()),
+        "prior_frozen": _blocks_to_jsonable(ckpt.prior_frozen.blocks()),
         "optimizer": {
             "step_count": ckpt.opt_state["step_count"],
-            "m": blocks_to_jsonable(ckpt.opt_state.get("m", {})),
-            "v": blocks_to_jsonable(ckpt.opt_state.get("v", {})),
+            "m": _blocks_to_jsonable(ckpt.opt_state.get("m", {})),
+            "v": _blocks_to_jsonable(ckpt.opt_state.get("v", {})),
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -320,13 +360,56 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "version" not in payload:
-        raise ConfigError(f"{path}: checkpoint missing version field")
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ConfigError naming path unless the file is JSON of the current
+    version with every field, holds every model block, frozen prior block
+    and Adam moment in the shape its config and class counts imply, and
+    holds only finite values. LEGACY_BLOCKS are ignored.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return _checkpoint_from(payload)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{path}: malformed checkpoint: {exc}") from exc
+
+
+def _checkpoint_from(payload) -> Checkpoint:
+    if not isinstance(payload, dict):
+        raise ConfigError("checkpoint is not a JSON object")
+    for key in _CHECKPOINT_FIELDS:
+        if key not in payload:
+            raise ConfigError(f"checkpoint missing field {key!r}")
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {payload['version']!r}")
     cfg = TrainConfig.from_dict(payload["config"])
+    counts = tuple(int(c) for c in payload["counts"])
+    if not counts or min(counts) < 1:
+        raise ConfigError(f"class counts must be positive, got {list(counts)}")
     mask = int(payload["prior_mask_size"])
-    blocks = blocks_from_jsonable(payload["blocks"])
+    blocks = _blocks_from_jsonable(payload["blocks"])
+    # the feature dimension is stored only as the first prior layer's rows
+    w1 = blocks.get("prior.w1")
+    if w1 is None or w1.ndim != 2:
+        raise ConfigError("block 'prior.w1' is missing or not a matrix")
+    shapes = {name: arr.shape for name, arr in
+              init_model(w1.shape[0], len(counts), cfg).blocks().items()}
+    _checked(blocks, shapes, "block")
+    prior_shapes = {name[len("prior."):]: shape for name, shape in shapes.items()
+                    if name.startswith("prior.")}
+    frozen = _checked(_blocks_from_jsonable(payload["prior_frozen"]), prior_shapes,
+                      "frozen prior block")
+    step_count = int(payload["optimizer"]["step_count"])
+    moment_shapes = shapes if cfg.optimizer == "adam" and step_count > 0 else {}
+    opt_state = {"step_count": step_count}
+    for moment in ("m", "v"):
+        state = _checked(_blocks_from_jsonable(payload["optimizer"][moment]),
+                         moment_shapes, f"Adam moment {moment}")
+        if cfg.optimizer == "adam":
+            opt_state[moment] = state
 
     def group(prefix: str) -> dict[str, np.ndarray]:
         return {name[len(prefix) + 1:]: arr for name, arr in blocks.items()
@@ -337,15 +420,6 @@ def load_checkpoint(path) -> Checkpoint:
         encoder=EncoderParams(**group("encoder")),
         denoiser=DenoiserParams(**group("denoiser")),
     )
-    frozen_blocks = blocks_from_jsonable(payload["prior_frozen"])
-    prior_frozen = PriorNetParams(mask_size=mask, **frozen_blocks)
-    opt_state = {
-        "step_count": int(payload["optimizer"]["step_count"]),
-        "m": blocks_from_jsonable(payload["optimizer"]["m"]),
-        "v": blocks_from_jsonable(payload["optimizer"]["v"]),
-    }
-    if cfg.optimizer == "sgd":
-        opt_state = {"step_count": opt_state["step_count"]}
-    return Checkpoint(model=model, prior_frozen=prior_frozen, opt_state=opt_state,
-                      config=cfg, epoch=int(payload["epoch"]),
-                      counts=tuple(int(c) for c in payload["counts"]))
+    return Checkpoint(model=model, prior_frozen=PriorNetParams(mask_size=mask, **frozen),
+                      opt_state=opt_state, config=cfg, epoch=int(payload["epoch"]),
+                      counts=counts)

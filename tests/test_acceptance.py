@@ -90,7 +90,7 @@ def test_c03_forward_marginal_monte_carlo():
 
 def test_c04_training_loss_gradient():
     # relative error uses max(|a|, |b|, 1e-6) as the denominator, so the
-    # exactly-zero attention-query gradients compare against the finite
+    # exactly-zero encoder gradients compare against the finite
     # difference cancellation noise instead of dividing by zero
     table = generate_longtail(LongTailSpec(k=3, head_count=8, decay=0.6, d=4,
                                            separation=5.0, spread=1.0, seed=11))

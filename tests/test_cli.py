@@ -205,6 +205,16 @@ def test_eval_k_mismatch_fails(tmp_path, capsys):
     assert "k=" in err
 
 
+def test_eval_truncated_checkpoint_is_one_line_error(tmp_path, capsys):
+    ckpt, test_csv, _ = _trained_run(tmp_path, capsys)
+    ckpt.write_text(ckpt.read_text()[:100])
+    code, _, err = run(["eval", "--checkpoint", str(ckpt), "--data", str(test_csv)],
+                       capsys)
+    assert code == 1
+    assert err.startswith("error: ") and str(ckpt) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_sample_records_and_trace(tmp_path, capsys):
     ckpt, test_csv, test = _trained_run(tmp_path, capsys)
     three = tmp_path / "three.csv"

@@ -9,7 +9,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["01_noise_schedules.py",
-                                    "02_forward_reverse_walkthrough.py"])
+                                    "02_forward_reverse_walkthrough.py",
+                                    "03_train_and_classify.py",
+                                    "04_generalization_bound.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

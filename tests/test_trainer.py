@@ -9,12 +9,13 @@ from adpm import optim
 from adpm.autodiff import Tape, scalar
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.denoiser import DenoiserGraph
-from adpm.errors import ScheduleInfeasibleError
+from adpm.errors import ConfigError, ScheduleInfeasibleError
+from adpm.inference import classify_dataset
 from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
 from adpm.priors import EncoderGraph, PriorGraph, warmup_train
-from adpm.trainer import (BRANCHES, TrainConfig, batch_loss, build_train_schedule,
-                          draw_batch_noise, fit, init_model, load_checkpoint,
-                          save_checkpoint, train_step)
+from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, TrainConfig, batch_loss,
+                          build_train_schedule, draw_batch_noise, fit, init_model,
+                          load_checkpoint, save_checkpoint, train_step)
 
 
 def toy_table(k=3, head=24, decay=0.5, d=4, seed=0):
@@ -143,6 +144,100 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert loaded.opt_state["step_count"] == ckpt.opt_state["step_count"]
     assert loaded.counts == ckpt.counts
     assert loaded.config == ckpt.config
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    table = toy_table()
+    ckpt = fit(table, toy_config())
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    return table, ckpt, path.read_text()
+
+
+def test_legacy_attention_blocks_are_ignored_on_load(tmp_path, saved_run):
+    table, ckpt, text = saved_run
+    payload = json.loads(text)
+    # earlier versions also stored the query/key projections and their moments
+    h, d_att = ckpt.config.hidden, ckpt.config.attn_dim
+    legacy = {"shape": [h, d_att], "data": [0.25] * (h * d_att)}
+    for section in (payload["blocks"], payload["optimizer"]["m"], payload["optimizer"]["v"]):
+        for name in LEGACY_BLOCKS:
+            section[name] = legacy
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(payload))
+    loaded = load_checkpoint(path)
+    assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
+    assert blocks_equal(loaded.opt_state["m"], ckpt.opt_state["m"])
+    assert blocks_equal(loaded.opt_state["v"], ckpt.opt_state["v"])
+    a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
+    assert np.array_equal(a.predictions, b.predictions)
+    assert a.results.y0.tobytes() == b.results.y0.tobytes()
+
+
+def _drop_block(p):
+    del p["blocks"]["denoiser.wv"]
+
+
+def _add_block(p):
+    p["blocks"]["denoiser.extra"] = {"shape": [1, 1], "data": [0.0]}
+
+
+def _drop_config(p):
+    del p["config"]
+
+
+def _drop_version(p):
+    del p["version"]
+
+
+def _nan_weight(p):
+    p["blocks"]["prior.w1"]["data"][0] = float("nan")
+
+
+def _drop_moment(p):
+    del p["optimizer"]["m"]["denoiser.dec2_b"]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_drop_block, "missing block 'denoiser.wv'"),
+    (_add_block, "unknown block 'denoiser.extra'"),
+    (None, "malformed checkpoint"),
+    (_drop_config, "missing field 'config'"),
+    (_drop_version, "missing field 'version'"),
+    (_nan_weight, "block 'prior.w1' holds a non-finite value"),
+    (_drop_moment, "missing Adam moment m 'denoiser.dec2_b'"),
+], ids=["missing-block", "unknown-block", "truncated-json", "no-config",
+        "no-version", "nan-weight", "missing-moment"])
+def test_malformed_checkpoint_rejected(tmp_path, saved_run, corrupt, reason):
+    _, _, text = saved_run
+    if corrupt is None:
+        text = text[: len(text) // 2]
+    else:
+        payload = json.loads(text)
+        corrupt(payload)
+        text = json.dumps(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and reason in str(info.value)
+
+
+def test_every_trained_block_gets_a_gradient():
+    table = toy_table()
+    cfg = toy_config()
+    model = init_model(table.d, table.k, cfg)
+    draws = draw_batch_noise(np.random.default_rng(5), table.n, table.k, cfg.T)
+    _, grads = batch_loss(table, model, build_train_schedule(table, cfg), cfg, draws)
+    assert set(grads) == set(model.blocks())
+    for name, g in grads.items():
+        if name.startswith("encoder."):
+            # the features do not reach the denoiser's output yet (ROADMAP
+            # item 1), so the encoder's gradient is exactly zero
+            assert not g.any(), name
+        else:
+            assert g.any(), name
 
 
 def test_resume_is_bitwise_equivalent(tmp_path):
