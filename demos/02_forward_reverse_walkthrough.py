@@ -51,9 +51,8 @@ print("\nisotropic reduction, max |diff| =", float(np.abs(ours - classic).max())
 # driven by the prior): the trace records every intermediate state.
 params = DenoiserParams.init(3, 16, 8, 8, np.random.default_rng(1))
 bundle = PriorBundle(y_g=prior, y_l=prior, y_f=prior)
-res = sample(sched, params, bundle, cond=np.zeros(16), lam_logits=np.log(prior),
-             census=census, cfg=cfg, rng=np.random.default_rng(2), steps=12,
-             trace=True)
+res = sample(sched, params, bundle, lam_logits=np.log(prior), census=census,
+             cfg=cfg, rng=np.random.default_rng(2), steps=12, trace=True)
 print(f"\nreverse chain with {len(res.trace) - 1} strided steps, "
       f"lambda = {res.lam:.2f} (the predicted class's level)")
 for t_label, y in res.trace[::3]:

@@ -7,8 +7,8 @@ attends only to its own single token, and a softmax over one key is
 exactly 1, so no query or key projection is needed. A sinusoidal time
 embedding, passed through a learned projection, is injected both after
 the attention and inside the decoder, so the network can identify the
-noise magnitude at step t. The conditioning features (cond) are accepted
-and shape-checked but do not yet change the output.
+noise magnitude at step t. The input features do not enter the network:
+it sees an input only through its prior.
 
 All layers are tanh-activated linear maps. Training builds them on the
 autodiff tape (DenoiserGraph), so the full composition is differentiable
@@ -83,10 +83,6 @@ class DenoiserParams:
         return self.dec2_w.shape[1]
 
     @property
-    def hidden(self) -> int:
-        return self.fuse_w.shape[1]
-
-    @property
     def t_emb_dim(self) -> int:
         return self.time_w.shape[0]
 
@@ -115,17 +111,16 @@ class DenoiserParams:
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(**{k: v.copy() for k, v in self.blocks().items()})
 
-    def apply(self, cond: np.ndarray, y_noisy: np.ndarray, y_prior: np.ndarray,
-              t: int, T: int) -> np.ndarray:
-        """Forward pass on (n, .) rows that share one step t; builds no tape.
+    def apply(self, y_noisy: np.ndarray, y_prior: np.ndarray, t: int, T: int) -> np.ndarray:
+        """Forward pass on (n, k) rows that share one step t; builds no tape.
 
         Computes what DenoiserGraph.predict computes. The time embedding
-        is computed once and broadcast over the rows. cond does not change
-        the output; its shape is still checked.
+        is computed once and broadcast over the rows.
         """
-        if cond.shape != (y_noisy.shape[0], self.hidden):
-            raise ShapeError(f"cond must have shape ({y_noisy.shape[0]}, {self.hidden}), "
-                             f"got {cond.shape}")
+        shape = (y_noisy.shape[0], self.k)
+        if y_noisy.shape != shape or y_prior.shape != shape:
+            raise ShapeError(f"y_noisy and y_prior must both have shape (n, {self.k}), "
+                             f"got {y_noisy.shape} and {y_prior.shape}")
         fused = np.concatenate([y_noisy, y_prior], axis=1) @ self.fuse_w + self.fuse_b
         kv = np.tanh(fused @ self.enc_w + self.enc_b)
         att = (kv @ self.wv) @ self.wo
@@ -142,8 +137,8 @@ class DenoiserGraph:
         self.params = params
         self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
 
-    def predict(self, cond: Var, y_noisy: Var, y_prior: Var, ts, T: int) -> Var:
-        """Noise prediction for a batch, one step per row; cond is unused."""
+    def predict(self, y_noisy: Var, y_prior: Var, ts, T: int) -> Var:
+        """Noise prediction for a batch, one step per row."""
         tape, vars = self.tape, self.vars
         fused = tape.affine(tape.concat_cols(y_noisy, y_prior), vars["fuse_w"],
                             vars["fuse_b"])
@@ -156,14 +151,13 @@ class DenoiserGraph:
         return tape.affine(h1, vars["dec2_w"], vars["dec2_b"])
 
 
-def predict_noise(params: DenoiserParams, cond, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
+def predict_noise(params: DenoiserParams, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
     """Noise prediction at step t, without a tape.
 
     One input as 1-D arrays gives a 1-D result; (n, .) arrays give one
     row per input.
     """
     y_noisy = np.asarray(y_noisy, dtype=np.float64)
-    out = params.apply(np.atleast_2d(np.asarray(cond, dtype=np.float64)),
-                       np.atleast_2d(y_noisy),
+    out = params.apply(np.atleast_2d(y_noisy),
                        np.atleast_2d(np.asarray(y_prior, dtype=np.float64)), t, T)
     return out[0] if y_noisy.ndim == 1 else out

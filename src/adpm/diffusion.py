@@ -156,13 +156,13 @@ def sample_timesteps(T: int, steps: int) -> np.ndarray:
 
 
 def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
-           cond, lam_logits, census: ClassCensus, cfg: NoiseLevelConfig, rng,
+           lam_logits, census: ClassCensus, cfg: NoiseLevelConfig, rng,
            steps: int, lam=None, trace: bool = False) -> SampleResult | SampleBatch:
     """Run the reverse chains of one or more inputs and classify their endpoints.
 
-    One input passes 1-D cond, lam_logits and bundle.y_f with one
-    Generator and gets one SampleResult. n inputs pass (n, .) arrays with
-    a sequence of n Generators, one per row, and get a SampleBatch of n
+    One input passes 1-D lam_logits and bundle.y_f with one Generator
+    and gets one SampleResult. n inputs pass (n, k) arrays with a
+    sequence of n Generators, one per row, and get a SampleBatch of n
     results; their chains step together, one denoiser pass per step for
     all rows.
 
@@ -174,8 +174,7 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
     indices. Each row draws from its own generator in a fixed layout: k
     values for y^T, then k values of z per step, even where sigma = 0.
     """
-    single = np.ndim(cond) == 1
-    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
+    single = np.ndim(bundle.y_f) == 1
     y_f = np.atleast_2d(np.asarray(bundle.y_f, dtype=np.float64))
     rngs = [rng] if single else list(rng)
     n, k = y_f.shape
@@ -193,7 +192,7 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
     y = y_f + noise[0]
     snapshots = [(schedule.T, y)]
     for i, t in enumerate(ts, start=1):
-        eps_hat = predict_noise(params, cond, y, y_f, int(t), schedule.T)
+        eps_hat = predict_noise(params, y, y_f, int(t), schedule.T)
         y = reverse_step(schedule, lam, int(t), y, y_f, eps_hat, noise[i], gamma_row=gammas)
         snapshots.append((int(t) - 1, y))
     batch = SampleBatch(y0=y, lam=lam, trace=snapshots if trace else None)

@@ -2,15 +2,16 @@
 
 Each input has its own random stream keyed by (seed, 3, input index), so
 predictions are reproducible and independent of evaluation order or of
-which other rows share the table. The chains of all rows step together
-as one (n, k) matrix through the forward-only denoiser, so the prior,
-encoder and denoiser matmuls run as n-row BLAS products. For n >= 2
-OpenBLAS computes a row of such a product the same way whatever n is,
-except for products with at most 3 output columns (k <= 3 classes at
-the default widths), where a row's last bits can depend on n. A 1-row
-table would take BLAS's single-row path instead, so it is padded to two
-rows, the pad row on its own copy of stream (seed, 3, 0), and the pad
-row is dropped from the output.
+which other rows share the table. The features pass through the prior
+net only; the chains of all rows then step together as one (n, k)
+matrix through the forward-only denoiser, so the prior and denoiser
+matmuls run as n-row BLAS products. For n >= 2 OpenBLAS computes a row
+of such a product the same way whatever n is, except for products with
+at most 3 output columns (k <= 3 classes at the default widths), where
+a row's last bits can depend on n. A 1-row table would take BLAS's
+single-row path instead, so it is padded to two rows, the pad row on
+its own copy of stream (seed, 3, 0), and the pad row is dropped from
+the output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .autodiff import Tape
 from .data import DatasetTable
 from .diffusion import SampleBatch, sample
 from .errors import ConfigError
-from .priors import EncoderGraph, PriorBundle, PriorGraph
+from .priors import PriorBundle, PriorGraph
 from .schedule import (ClassCensus, NoiseSchedule, build_schedule, lambda_vector,
                        linear_beta)
 from .trainer import Checkpoint
@@ -65,9 +66,7 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
     index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
     x = table.features[index]
     tape = Tape()
-    x_var = tape.const(x)
-    priors = PriorGraph(tape, ckpt.model.prior, x_var)
-    cond = EncoderGraph(tape, ckpt.model.encoder, x_var).out.value
+    priors = PriorGraph(tape, ckpt.model.prior, tape.const(x))
     bundle = PriorBundle(y_g=priors.y_g.value, y_l=priors.y_l.value, y_f=priors.y_f.value)
     frozen_tape = Tape()
     frozen_logits = PriorGraph(frozen_tape, ckpt.prior_frozen,
@@ -75,7 +74,7 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
 
     rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
     lam = None if cfg.lambda_override is None else float(cfg.lambda_override)
-    results = sample(schedule, ckpt.model.denoiser, bundle, cond, frozen_logits,
+    results = sample(schedule, ckpt.model.denoiser, bundle, frozen_logits,
                      ClassCensus(ckpt.counts), cfg.noise_cfg(), rngs, steps,
                      lam=lam, trace=trace)[:table.n]
     preds = np.argmax(results.y0, axis=1).astype(np.int64)

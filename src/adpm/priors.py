@@ -1,15 +1,13 @@
-"""Global/local class priors and the conditioning feature encoder.
+"""Global, local and fused class priors.
 
 The prior network is a one-hidden-layer softmax classifier. Its global
 branch scores the full feature vector; the local branch re-scores the
 input masked to its most salient coordinates (salience of coordinate i
 is |x_i| * sum_h |W1[i, h]|), a tabular stand-in for attention-cropped
-regions. The fused prior is the componentwise mean of the two. A
-separate single-layer tanh encoder produces the conditioning features
-consumed by the denoiser.
+regions. The fused prior is the componentwise mean of the two.
 
 Forward passes are built on an autodiff tape so the trainer can push
-gradients into both networks; the plain-array entry points below just
+gradients into the network; the plain-array entry points below just
 run a throwaway tape.
 """
 
@@ -58,24 +56,6 @@ class PriorNetParams:
                        w2=self.w2.copy(), b2=self.b2.copy())
 
 
-@dataclass
-class EncoderParams:
-    """Single tanh layer mapping raw features to conditioning features."""
-
-    w: np.ndarray  # (d, h)
-    b: np.ndarray  # (1, h)
-
-    @classmethod
-    def init(cls, d: int, h: int, rng) -> "EncoderParams":
-        return cls(w=rng.standard_normal((d, h)) / np.sqrt(d), b=np.zeros((1, h)))
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.w.copy(), self.b.copy())
-
-
 @dataclass(frozen=True)
 class PriorBundle:
     """Global, local and fused prior probability vectors.
@@ -122,14 +102,6 @@ class PriorGraph:
         self.y_f = tape.scale(tape.add(self.y_g, self.y_l), 0.5)
 
 
-class EncoderGraph:
-    """Tape subgraph producing conditioning features for a batch."""
-
-    def __init__(self, tape: Tape, params: EncoderParams, x: Var):
-        self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
-        self.out = tape.tanh(tape.affine(x, self.vars["w"], self.vars["b"]))
-
-
 def global_prior(params: PriorNetParams, x) -> np.ndarray:
     tape = Tape()
     graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
@@ -154,12 +126,6 @@ def prior_bundle(params: PriorNetParams, x) -> PriorBundle:
     tape = Tape()
     graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
     return fuse(graph.y_g.value[0], graph.y_l.value[0])
-
-
-def encode_features(params: EncoderParams, x) -> np.ndarray:
-    tape = Tape()
-    graph = EncoderGraph(tape, params, tape.const(np.atleast_2d(x)))
-    return graph.out.value[0]
 
 
 def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarray):

@@ -6,15 +6,14 @@ is corrupted with the true class's noise level and the branch's own
 prior, pushed through the shared denoiser, and scored: MMD against the
 true noise for the global and local branches, mean squared error for
 the fused branch. Gradients flow into the denoiser and the prior
-network. The feature encoder is built on the tape too, but its output
-does not reach the denoiser's output yet, so its gradient is exactly
-zero.
+network.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
 batch the timesteps and the three noise batches in branch order g, l,
 f. Resuming from a checkpoint therefore reproduces an uninterrupted
-run bitwise.
+run bitwise. Initialization has its own stream, (seed, 0); init_model
+gives its draw order.
 """
 
 from __future__ import annotations
@@ -34,15 +33,15 @@ from .denoiser import DenoiserGraph, DenoiserParams
 from .errors import ConfigError
 from .losses import (KernelConfig, LossReport, eps_loss_graph, mmd_loss_graph,
                      total_loss_graph)
-from .priors import (EncoderGraph, EncoderParams, PriorGraph, PriorNetParams,
-                     warmup_train)
+from .priors import PriorGraph, PriorNetParams, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
                        lambda_vector, linear_beta)
 
 CHECKPOINT_VERSION = 1
-# query/key projections of the former single-key attention: they never got a
-# gradient, and checkpoints that still hold them load with them dropped
-LEGACY_BLOCKS = ("denoiser.wq", "denoiser.wk")
+# the query/key projections of the former single-key attention and the former
+# feature encoder never got a gradient; checkpoints that still hold them load
+# with them dropped
+LEGACY_BLOCKS = ("denoiser.wq", "denoiser.wk", "encoder.w", "encoder.b")
 _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
                       "blocks", "prior_frozen", "optimizer")
 BRANCHES = ("global", "local", "fused")
@@ -110,22 +109,20 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """The three trainable parameter sets of the full model."""
+    """The two trainable parameter sets of the full model."""
 
     prior: PriorNetParams
-    encoder: EncoderParams
     denoiser: DenoiserParams
 
     def blocks(self) -> dict[str, np.ndarray]:
         out = {}
-        for prefix, params in (("prior", self.prior), ("encoder", self.encoder),
-                               ("denoiser", self.denoiser)):
+        for prefix, params in (("prior", self.prior), ("denoiser", self.denoiser)):
             for name, arr in params.blocks().items():
                 out[f"{prefix}.{name}"] = arr
         return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.prior.copy(), self.encoder.copy(), self.denoiser.copy())
+        return ModelParams(self.prior.copy(), self.denoiser.copy())
 
 
 @dataclass(frozen=True)
@@ -147,13 +144,19 @@ class Checkpoint:
 
 
 def init_model(d: int, k: int, cfg: TrainConfig) -> ModelParams:
-    """Seeded initialization; draw order is prior, encoder, denoiser."""
+    """Seeded initialization from stream (seed, 0).
+
+    Draw order: the prior net, one discarded (d, hidden) draw, then the
+    denoiser. The discarded draw held the former feature encoder's
+    weights; keeping it gives the denoiser the values it had when the
+    encoder existed.
+    """
     rng = np.random.default_rng([cfg.seed, 0])
     mask = cfg.prior_mask if cfg.prior_mask is not None else max(1, d // 2)
     prior = PriorNetParams.init(d, cfg.prior_hidden, k, mask, rng)
-    encoder = EncoderParams.init(d, cfg.hidden, rng)
+    rng.standard_normal((d, cfg.hidden))
     den = DenoiserParams.init(k, cfg.hidden, cfg.attn_dim, cfg.time_dim, rng)
-    return ModelParams(prior, encoder, den)
+    return ModelParams(prior, den)
 
 
 def training_census(table: DatasetTable) -> ClassCensus:
@@ -192,7 +195,6 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
     tape = Tape()
     x = tape.const(batch.features)
     prior_graph = PriorGraph(tape, model.prior, x)
-    encoder_graph = EncoderGraph(tape, model.encoder, x)
     den_graph = DenoiserGraph(tape, model.denoiser)
 
     gamma_t = schedule.gamma[batch.labels, draws.t]          # (nb,)
@@ -206,8 +208,7 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
     for branch in BRANCHES:
         signal = tape.const(root * batch.onehot + noise_scale * draws.eps[branch])
         y_t = tape.add(signal, tape.mul(prior_coef, branch_priors[branch]))
-        eps_hat[branch] = den_graph.predict(encoder_graph.out, y_t,
-                                            branch_priors[branch], draws.t, cfg.T)
+        eps_hat[branch] = den_graph.predict(y_t, branch_priors[branch], draws.t, cfg.T)
 
     kernel = cfg.kernel_cfg()
     l_g = mmd_loss_graph(tape, tape.const(draws.eps["global"]), eps_hat["global"], kernel)
@@ -222,9 +223,7 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
 
     grads_by_var = tape.backward(l_total)
     grads: dict[str, np.ndarray] = {}
-    for prefix, graph_vars in (("prior", prior_graph.vars),
-                               ("encoder", encoder_graph.vars),
-                               ("denoiser", den_graph.vars)):
+    for prefix, graph_vars in (("prior", prior_graph.vars), ("denoiser", den_graph.vars)):
         for name, var in graph_vars.items():
             grads[f"{prefix}.{name}"] = grads_by_var[var]
     return report, grads
@@ -341,6 +340,12 @@ def _checked(blocks: dict[str, np.ndarray], shapes: dict[str, tuple],
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ckpt to path atomically.
+
+    The JSON goes to a temporary file next to path, which is synced and
+    then renamed over path, so a failed write leaves any existing file
+    at path as it was and removes the temporary file.
+    """
     payload = {
         "version": CHECKPOINT_VERSION,
         "epoch": ckpt.epoch,
@@ -355,8 +360,16 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             "v": _blocks_to_jsonable(ckpt.opt_state.get("v", {})),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -417,7 +430,6 @@ def _checkpoint_from(payload) -> Checkpoint:
 
     model = ModelParams(
         prior=PriorNetParams(mask_size=mask, **group("prior")),
-        encoder=EncoderParams(**group("encoder")),
         denoiser=DenoiserParams(**group("denoiser")),
     )
     return Checkpoint(model=model, prior_frozen=PriorNetParams(mask_size=mask, **frozen),

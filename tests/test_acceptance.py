@@ -89,8 +89,8 @@ def test_c03_forward_marginal_monte_carlo():
     report(3, f"5 forward marginals verified with 1e5 draws each in {elapsed:.1f}s")
 
 def test_c04_training_loss_gradient():
-    # relative error uses max(|a|, |b|, 1e-6) as the denominator, so the
-    # exactly-zero encoder gradients compare against the finite
+    # relative error uses max(|a|, |b|, 1e-6) as the denominator, so a
+    # coordinate whose gradient is (near) zero compares against the finite
     # difference cancellation noise instead of dividing by zero
     table = generate_longtail(LongTailSpec(k=3, head_count=8, decay=0.6, d=4,
                                            separation=5.0, spread=1.0, seed=11))

@@ -63,25 +63,27 @@ def test_init_discards_two_draws_after_encoder():
 
 def test_predict_noise_zero_weights_zero_output():
     params = zero_params()
-    out = predict_noise(params, np.ones(6), np.ones(3), np.ones(3), 5, 10)
+    out = predict_noise(params, np.ones(3), np.ones(3), 5, 10)
     assert np.array_equal(out, np.zeros(3))
 
 
 def test_predict_noise_deterministic():
     params = make_params(seed=3)
     rng = np.random.default_rng(4)
-    cond, yn, yp = rng.standard_normal(6), rng.standard_normal(3), rng.dirichlet(np.ones(3))
-    a = predict_noise(params, cond, yn, yp, 7, 20)
-    b = predict_noise(params, cond, yn, yp, 7, 20)
+    rng.standard_normal(6)  # the former cond draw, kept so yn and yp keep their values
+    yn, yp = rng.standard_normal(3), rng.dirichlet(np.ones(3))
+    a = predict_noise(params, yn, yp, 7, 20)
+    b = predict_noise(params, yn, yp, 7, 20)
     assert np.array_equal(a, b)
 
 
 def test_predict_noise_time_sensitivity():
     params = make_params(seed=5)
     rng = np.random.default_rng(6)
-    cond, yn, yp = rng.standard_normal(6), rng.standard_normal(3), rng.dirichlet(np.ones(3))
-    a = predict_noise(params, cond, yn, yp, 3, 20)
-    b = predict_noise(params, cond, yn, yp, 15, 20)
+    rng.standard_normal(6)  # the former cond draw
+    yn, yp = rng.standard_normal(3), rng.dirichlet(np.ones(3))
+    a = predict_noise(params, yn, yp, 3, 20)
+    b = predict_noise(params, yn, yp, 15, 20)
     assert float(np.linalg.norm(a - b)) > 0.0
 
 
@@ -89,18 +91,19 @@ def test_apply_matches_tape_graph():
     params = make_params(k=3, h=6, d_att=4, t_dim=4, seed=12)
     rng = np.random.default_rng(13)
     n = 7
-    cond, yn = rng.standard_normal((n, 6)), rng.standard_normal((n, 3))
+    rng.standard_normal((n, 6))  # the former cond draw
+    yn = rng.standard_normal((n, 3))
     yp = rng.dirichlet(np.ones(3), size=n)
     for t in (0, 1, 9, 20):
         tape = Tape()
         ref = DenoiserGraph(tape, params).predict(
-            tape.const(cond), tape.const(yn), tape.const(yp), np.full(n, t), 20).value
-        got = params.apply(cond, yn, yp, t, 20)
+            tape.const(yn), tape.const(yp), np.full(n, t), 20).value
+        got = params.apply(yn, yp, t, 20)
         assert got.shape == (n, 3)
         assert np.abs(got - ref).max() <= 1e-12
-        assert np.array_equal(predict_noise(params, cond, yn, yp, t, 20), got)
-        assert np.array_equal(predict_noise(params, cond[0], yn[0], yp[0], t, 20),
-                              params.apply(cond[:1], yn[:1], yp[:1], t, 20)[0])
+        assert np.array_equal(predict_noise(params, yn, yp, t, 20), got)
+        assert np.array_equal(predict_noise(params, yn[0], yp[0], t, 20),
+                              params.apply(yn[:1], yp[:1], t, 20)[0])
 
 
 def test_predict_noise_builds_no_tape(monkeypatch):
@@ -108,22 +111,24 @@ def test_predict_noise_builds_no_tape(monkeypatch):
         raise AssertionError("predict_noise built a tape")
     monkeypatch.setattr(Tape, "__init__", no_tape)
     params = make_params(seed=14)
-    out = predict_noise(params, np.ones((2, 6)), np.ones((2, 3)), np.ones((2, 3)), 4, 10)
+    out = predict_noise(params, np.ones((2, 3)), np.ones((2, 3)), 4, 10)
     assert out.shape == (2, 3) and np.isfinite(out).all()
 
 
-def test_apply_rejects_cond_shape():
+def test_apply_rejects_mismatched_label_shapes():
+    # the model has k = 3; without the check the concat or a matmul raises
+    # a bare numpy ValueError
     params = make_params(seed=15)
-    with pytest.raises(ShapeError):
-        params.apply(np.ones((2, 5)), np.ones((2, 3)), np.ones((2, 3)), 1, 10)
-    with pytest.raises(ShapeError):
-        params.apply(np.ones((3, 6)), np.ones((2, 3)), np.ones((2, 3)), 1, 10)
+    for noisy, prior in [((2, 3), (3, 3)), ((3, 3), (2, 3)), ((2, 3), (2, 4)),
+                         ((2, 4), (2, 4))]:
+        with pytest.raises(ShapeError):
+            params.apply(np.ones(noisy), np.ones(prior), 1, 10)
 
 
 def test_predict_noise_gradients_match_finite_differences():
     params = make_params(k=2, h=4, d_att=3, t_dim=4, seed=7)
     rng = np.random.default_rng(8)
-    cond = rng.standard_normal((3, 4))
+    rng.standard_normal((3, 4))  # the former cond draw
     yn = rng.standard_normal((3, 2))
     yp = rng.dirichlet(np.ones(2), size=3)
     ts = np.array([1, 5, 9])
@@ -131,7 +136,7 @@ def test_predict_noise_gradients_match_finite_differences():
     def build():
         tape = Tape()
         graph = DenoiserGraph(tape, params)
-        out = graph.predict(tape.const(cond), tape.const(yn), tape.const(yp), ts, 10)
+        out = graph.predict(tape.const(yn), tape.const(yp), ts, 10)
         return tape, graph, tape.sum_sq(out)
 
     tape, graph, root = build()
@@ -154,7 +159,8 @@ def test_predict_noise_permutation_equivariance():
     blocks["dec2_b"] = blocks["dec2_b"][:, perm]
     permuted = DenoiserParams(**blocks)
 
-    cond, yn, yp = rng.standard_normal(5), rng.standard_normal(k), rng.dirichlet(np.ones(k))
-    base = predict_noise(params, cond, yn, yp, 6, 12)
-    twisted = predict_noise(permuted, cond, yn[perm], yp[perm], 6, 12)
+    rng.standard_normal(5)  # the former cond draw
+    yn, yp = rng.standard_normal(k), rng.dirichlet(np.ones(k))
+    base = predict_noise(params, yn, yp, 6, 12)
+    twisted = predict_noise(permuted, yn[perm], yp[perm], 6, 12)
     assert np.allclose(twisted, base[perm], rtol=0, atol=1e-12)

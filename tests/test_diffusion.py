@@ -122,44 +122,45 @@ def _sampler_fixture(k=3, T=40, seed=5):
     params = DenoiserParams.init(k, 6, 4, 4, np.random.default_rng(seed))
     rng = np.random.default_rng(6)
     bundle = PriorBundle(*(rng.dirichlet(np.ones(k)) for _ in range(3)))
-    cond = rng.standard_normal(6)
+    rng.standard_normal(6)  # the former cond draw, kept so logits keep their values
     logits = rng.standard_normal(k)
-    return sched, params, bundle, cond, logits, census, cfg
+    return sched, params, bundle, logits, census, cfg
 
 
 def _batch_fixture(n=6, k=3, seed=12):
     rng = np.random.default_rng(seed)
     bundle = PriorBundle(*(rng.dirichlet(np.ones(k), size=n) for _ in range(3)))
-    return bundle, rng.standard_normal((n, 6)), 2.0 * rng.standard_normal((n, k))
+    rng.standard_normal((n, 6))  # the former cond draw
+    return bundle, 2.0 * rng.standard_normal((n, k))
 
 
 def test_sample_batched_matches_single_rows():
-    sched, params, _, _, _, census, cfg = _sampler_fixture()
+    sched, params, _, _, census, cfg = _sampler_fixture()
     n = 6
-    bundle, cond, logits = _batch_fixture(n)
-    batch = sample(sched, params, bundle, cond, logits, census, cfg,
+    bundle, logits = _batch_fixture(n)
+    batch = sample(sched, params, bundle, logits, census, cfg,
                    [np.random.default_rng([7, r]) for r in range(n)], steps=15)
     assert len(batch) == n
     assert len({res.lam for res in batch}) > 1  # rows run at different levels
     for r, res in enumerate(batch):
         row = PriorBundle(bundle.y_g[r], bundle.y_l[r], bundle.y_f[r])
-        one = sample(sched, params, row, cond[r], logits[r], census, cfg,
+        one = sample(sched, params, row, logits[r], census, cfg,
                      np.random.default_rng([7, r]), steps=15)
         assert np.abs(res.y0 - one.y0).max() <= 1e-9
         assert res.pred_class == one.pred_class and res.lam == one.lam
 
 
 def test_sample_rejects_generator_count():
-    sched, params, _, _, _, census, cfg = _sampler_fixture()
-    bundle, cond, logits = _batch_fixture(3)
+    sched, params, _, _, census, cfg = _sampler_fixture()
+    bundle, logits = _batch_fixture(3)
     with pytest.raises(ShapeError):
-        sample(sched, params, bundle, cond, logits, census, cfg,
+        sample(sched, params, bundle, logits, census, cfg,
                [np.random.default_rng(0)], steps=5)
 
 
 def test_sample_deterministic_under_seed():
-    sched, params, bundle, cond, logits, census, cfg = _sampler_fixture()
-    runs = [sample(sched, params, bundle, cond, logits, census, cfg,
+    sched, params, bundle, logits, census, cfg = _sampler_fixture()
+    runs = [sample(sched, params, bundle, logits, census, cfg,
                    np.random.default_rng([7, i % 1]), steps=10) for i in range(2)]
     assert np.array_equal(runs[0].y0, runs[1].y0)
     assert runs[0].pred_class == runs[1].pred_class
@@ -167,12 +168,12 @@ def test_sample_deterministic_under_seed():
 
 
 def test_sample_trace_snapshot_count_and_order():
-    sched, params, bundle, cond, logits, census, cfg = _sampler_fixture()
+    sched, params, bundle, logits, census, cfg = _sampler_fixture()
     steps = 13
-    res = sample(sched, params, bundle, cond, logits, census, cfg,
+    res = sample(sched, params, bundle, logits, census, cfg,
                  np.random.default_rng(8), steps=steps, trace=True)
-    bundle, cond, logits = _batch_fixture(4)
-    batch = sample(sched, params, bundle, cond, logits, census, cfg,
+    bundle, logits = _batch_fixture(4)
+    batch = sample(sched, params, bundle, logits, census, cfg,
                    [np.random.default_rng([8, r]) for r in range(4)], steps=steps, trace=True)
     for one in [res, *batch]:
         assert len(one.trace) == steps + 1
@@ -191,9 +192,8 @@ def test_sample_isotropic_reference_trajectory():
     census = ClassCensus((5, 5, 5))
     cfg = NoiseLevelConfig(alpha=0.0, c=1.0)
     bundle = PriorBundle(np.zeros(k), np.zeros(k), np.zeros(k))
-    cond = np.random.default_rng(10).standard_normal(6)
 
-    res = sample(sched, params, bundle, cond, np.zeros(k), census, cfg,
+    res = sample(sched, params, bundle, np.zeros(k), census, cfg,
                  np.random.default_rng(11), steps=steps, lam=1.0)
 
     rng = np.random.default_rng(11)
@@ -202,7 +202,7 @@ def test_sample_isotropic_reference_trajectory():
     y = rng.standard_normal(k)
     for t in range(T, 0, -1):
         z = rng.standard_normal(k)
-        eps_hat = predict_noise(params, cond, y, np.zeros(k), t, T)
+        eps_hat = predict_noise(params, y, np.zeros(k), t, T)
         sigma = np.sqrt(beta[t - 1] * (1.0 - alpha_bar[t - 1]) / (1.0 - alpha_bar[t]))
         y = (y - beta[t - 1] / np.sqrt(1.0 - alpha_bar[t]) * eps_hat) \
             / np.sqrt(1.0 - beta[t - 1]) + sigma * z
@@ -223,7 +223,7 @@ def test_sample_infeasible_lambda_fails_before_loop():
     from adpm.errors import ScheduleInfeasibleError
     with pytest.raises(ScheduleInfeasibleError):
         sample(sched, DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0)),
-               bundle, np.zeros(4), np.zeros(2), census, cfg,
+               bundle, np.zeros(2), census, cfg,
                np.random.default_rng(1), steps=5, lam=90.0)
 
 
@@ -242,6 +242,6 @@ def test_sample_infeasible_row_lambda_fails_before_loop(monkeypatch):
     before = [g.bit_generator.state for g in rngs]
     with pytest.raises(ScheduleInfeasibleError):
         sample(sched, DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0)),
-               bundle, np.zeros((3, 4)), np.zeros((3, 2)), census, cfg, rngs,
+               bundle, np.zeros((3, 2)), census, cfg, rngs,
                steps=5, lam=np.array([1.0, 90.0, 5.0]))
     assert [g.bit_generator.state for g in rngs] == before

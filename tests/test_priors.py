@@ -3,9 +3,8 @@ import pytest
 
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.errors import ShapeError
-from adpm.priors import (EncoderParams, PriorNetParams, encode_features, fuse,
-                         global_prior, local_prior, prior_bundle, salience_mask,
-                         warmup_loss, warmup_train)
+from adpm.priors import (PriorNetParams, fuse, global_prior, local_prior, prior_bundle,
+                         salience_mask, warmup_loss, warmup_train)
 
 
 def zero_params(d=3, hidden=4, k=3, m=None):
@@ -84,21 +83,6 @@ def test_bundle_sums_to_one():
     bundle = prior_bundle(params, np.array([0.5, -1.0, 2.0, 0.1]))
     for vec in (bundle.y_g, bundle.y_l, bundle.y_f):
         assert abs(vec.sum() - 1.0) < 1e-12
-
-
-def test_encoder_zero_weights_and_zero_input():
-    enc = EncoderParams(w=np.zeros((3, 4)), b=np.zeros((1, 4)))
-    assert np.array_equal(encode_features(enc, np.array([1.0, 2.0, 3.0])), np.zeros(4))
-    enc2 = EncoderParams(w=np.eye(3), b=np.zeros((1, 3)))
-    assert np.array_equal(encode_features(enc2, np.zeros(3)), np.zeros(3))
-
-
-def test_encoder_matches_plain_numpy_oracle():
-    rng = np.random.default_rng(7)
-    enc = EncoderParams.init(5, 8, rng)
-    x = rng.standard_normal(5)
-    expected = np.tanh(x @ enc.w + enc.b[0])
-    assert np.array_equal(encode_features(enc, x), expected)
 
 
 def two_blob_table(n=40, seed=8):

@@ -8,11 +8,11 @@ import pytest
 from adpm import optim
 from adpm.autodiff import Tape, scalar
 from adpm.data import LongTailSpec, generate_longtail
-from adpm.denoiser import DenoiserGraph
+from adpm.denoiser import DenoiserGraph, DenoiserParams
 from adpm.errors import ConfigError, ScheduleInfeasibleError
 from adpm.inference import classify_dataset
 from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
-from adpm.priors import EncoderGraph, PriorGraph, warmup_train
+from adpm.priors import PriorGraph, PriorNetParams, warmup_train
 from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, TrainConfig, batch_loss,
                           build_train_schedule, draw_batch_noise, fit, init_model,
                           load_checkpoint, save_checkpoint, train_step)
@@ -40,6 +40,21 @@ def test_zero_epoch_run_leaves_parameters_unchanged():
     before = init_model(table.d, table.k, cfg)
     ckpt = fit(table, cfg)
     assert blocks_equal(ckpt.model.blocks(), before.blocks())
+
+
+def test_init_discards_one_draw_between_prior_and_denoiser():
+    # the (d, hidden) draw of the former feature encoder stays in the
+    # (seed, 0) stream, so the denoiser keeps its seeded values
+    table = toy_table()
+    cfg = toy_config(seed=3)
+    model = init_model(table.d, table.k, cfg)
+    rng = np.random.default_rng([cfg.seed, 0])
+    prior = PriorNetParams.init(table.d, cfg.prior_hidden, table.k,
+                                model.prior.mask_size, rng)
+    rng.standard_normal((table.d, cfg.hidden))
+    den = DenoiserParams.init(table.k, cfg.hidden, cfg.attn_dim, cfg.time_dim, rng)
+    assert blocks_equal(model.prior.blocks(), prior.blocks())
+    assert blocks_equal(model.denoiser.blocks(), den.blocks())
 
 
 def test_fit_deterministic_bitwise():
@@ -91,7 +106,6 @@ def test_eps_term_gradient_is_additive_over_samples():
         tape = Tape()
         x = tape.const(sub.features)
         prior_graph = PriorGraph(tape, model.prior, x)
-        enc = EncoderGraph(tape, model.encoder, x)
         den = DenoiserGraph(tape, model.denoiser)
         gamma_t = schedule.gamma[sub.labels, draws.t[rows]]
         root = np.sqrt(gamma_t)[:, None]
@@ -99,12 +113,11 @@ def test_eps_term_gradient_is_additive_over_samples():
         signal = tape.const(root * sub.onehot + np.sqrt(1 - gamma_t)[:, None] * eps)
         coef = tape.const(np.broadcast_to(1.0 - root, (sub.n, sub.k)).copy())
         y_t = tape.add(signal, tape.mul(coef, prior_graph.y_f))
-        eps_hat = den.predict(enc.out, y_t, prior_graph.y_f, draws.t[rows], cfg.T)
+        eps_hat = den.predict(y_t, prior_graph.y_f, draws.t[rows], cfg.T)
         root_node = tape.sum_sq(tape.sub(eps_hat, tape.const(eps)))
         grads = tape.backward(root_node)
         named = {}
-        for prefix, graph in (("prior", prior_graph.vars), ("encoder", enc.vars),
-                              ("denoiser", den.vars)):
+        for prefix, graph in (("prior", prior_graph.vars), ("denoiser", den.vars)):
             for name, var in graph.items():
                 named[f"{prefix}.{name}"] = grads[var]
         return named
@@ -158,12 +171,15 @@ def saved_run(tmp_path_factory):
 def test_legacy_attention_blocks_are_ignored_on_load(tmp_path, saved_run):
     table, ckpt, text = saved_run
     payload = json.loads(text)
-    # earlier versions also stored the query/key projections and their moments
+    # earlier versions also stored the query/key projections and the feature
+    # encoder, with their moments, in these shapes
     h, d_att = ckpt.config.hidden, ckpt.config.attn_dim
-    legacy = {"shape": [h, d_att], "data": [0.25] * (h * d_att)}
+    legacy = {"denoiser.wq": (h, d_att), "denoiser.wk": (h, d_att),
+              "encoder.w": (table.d, h), "encoder.b": (1, h)}
+    assert set(legacy) == set(LEGACY_BLOCKS)
     for section in (payload["blocks"], payload["optimizer"]["m"], payload["optimizer"]["v"]):
-        for name in LEGACY_BLOCKS:
-            section[name] = legacy
+        for name, shape in legacy.items():
+            section[name] = {"shape": list(shape), "data": [0.25] * int(np.prod(shape))}
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(payload))
     loaded = load_checkpoint(path)
@@ -173,6 +189,22 @@ def test_legacy_attention_blocks_are_ignored_on_load(tmp_path, saved_run):
     a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
     assert np.array_equal(a.predictions, b.predictions)
     assert a.results.y0.tobytes() == b.results.y0.tobytes()
+
+
+def test_failed_checkpoint_write_keeps_existing_file(tmp_path, saved_run, monkeypatch):
+    _, ckpt, text = saved_run
+    path = tmp_path / "ckpt.json"
+    path.write_text(text)
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh):
+        fh.write(text[:100])
+        raise OSError("disk full")
+    monkeypatch.setattr("adpm.trainer.json.dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.json"]
 
 
 def _drop_block(p):
@@ -232,12 +264,7 @@ def test_every_trained_block_gets_a_gradient():
     _, grads = batch_loss(table, model, build_train_schedule(table, cfg), cfg, draws)
     assert set(grads) == set(model.blocks())
     for name, g in grads.items():
-        if name.startswith("encoder."):
-            # the features do not reach the denoiser's output yet (ROADMAP
-            # item 1), so the encoder's gradient is exactly zero
-            assert not g.any(), name
-        else:
-            assert g.any(), name
+        assert g.any(), name
 
 
 def test_resume_is_bitwise_equivalent(tmp_path):
@@ -293,7 +320,6 @@ def test_lambda_override_reproduces_isotropic_reference_run():
             tape = Tape()
             x = tape.const(sub.features)
             prior_graph = PriorGraph(tape, model.prior, x)
-            enc = EncoderGraph(tape, model.encoder, x)
             den = DenoiserGraph(tape, model.denoiser)
             ab = alpha_bar[t]
             branch_prior = {"global": prior_graph.y_g, "local": prior_graph.y_l,
@@ -305,7 +331,7 @@ def test_lambda_override_reproduces_isotropic_reference_run():
                 coef = tape.const(np.broadcast_to(
                     1.0 - np.sqrt(ab)[:, None], (sub.n, sub.k)).copy())
                 y_t = tape.add(signal, tape.mul(coef, branch_prior[b]))
-                eps_hat[b] = den.predict(enc.out, y_t, branch_prior[b], t, cfg.T)
+                eps_hat[b] = den.predict(y_t, branch_prior[b], t, cfg.T)
             kc = cfg.kernel_cfg()
             l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], kc)
             l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], kc)
@@ -313,8 +339,7 @@ def test_lambda_override_reproduces_isotropic_reference_run():
             l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
             grads_by_var = tape.backward(l_total)
             named = {}
-            for prefix, graph in (("prior", prior_graph.vars), ("encoder", enc.vars),
-                                  ("denoiser", den.vars)):
+            for prefix, graph in (("prior", prior_graph.vars), ("denoiser", den.vars)):
                 for name, var in graph.items():
                     named[f"{prefix}.{name}"] = grads_by_var[var]
             lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
