@@ -14,11 +14,10 @@ from .diffusion import SampleBatch, SampleResult, forward_sample, reverse_step, 
 from .errors import (AdpmError, ConfigError, IngestionError,
                      ScheduleInfeasibleError, ShapeError, UsageError)
 from .inference import classify_dataset
-from .losses import KernelConfig, LossReport, eps_loss, mmd_loss, rbf_kernel_mean, total_loss
+from .losses import KernelConfig, LossReport
 from .metrics import (BoundReport, HypothesisGrid, MetricsReport, bound_check,
                       classification_metrics, empirical_rademacher)
-from .priors import (PriorBundle, PriorNetParams, fuse, global_prior, local_prior,
-                     prior_bundle, warmup_train)
+from .priors import PriorBundle, PriorNetParams, prior_bundle, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
                        class_proportions, imbalance_ratio, inference_lambda,
                        lambda_vector, linear_beta)

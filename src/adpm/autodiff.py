@@ -8,6 +8,10 @@ softmax, mean, sum of squares and column concat. Everything is strictly
 reductions are delegated to numpy's sequential CPU kernels, which are
 run-to-run reproducible.
 
+The library builds a tape only where it takes a gradient: once per
+training step, in trainer.batch_loss. Prior warmup, inference and
+sampling run the same networks as plain numpy.
+
 A Tape is single-owner: it must never be shared across concurrent
 workers. Parallel evaluation is achieved by giving each worker its own
 Tape over read-only parameter arrays.

@@ -147,7 +147,13 @@ def _train_flags(p):
 
 def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise CliUsage(f"{path}: invalid JSON config: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CliUsage(f"{path}: config is not a JSON object")
+    return obj
 
 
 def _resolve_train_config(args) -> TrainConfig:
@@ -365,12 +371,7 @@ def cmd_sample(args) -> int:
 
 def _sweep_cell(payload) -> tuple[int, int, float]:
     """One (alpha, c) cell: train on the shared split, return macro-F1."""
-    i, j, cfg_dict, train_dict, test_dict, cell_dir = payload
-    cfg = TrainConfig.from_dict(cfg_dict)
-    train = DatasetTable(np.array(train_dict["x"]), np.array(train_dict["y"]),
-                         train_dict["k"])
-    test = DatasetTable(np.array(test_dict["x"]), np.array(test_dict["y"]),
-                        test_dict["k"])
+    i, j, cfg, train, test, cell_dir = payload
     os.makedirs(cell_dir, exist_ok=True)
     ckpt = fit(train, cfg, log_path=os.path.join(cell_dir, "train_log.jsonl"),
                checkpoint_path=os.path.join(cell_dir, "checkpoint.json"))
@@ -379,19 +380,24 @@ def _sweep_cell(payload) -> tuple[int, int, float]:
     return i, j, report.macro_f1
 
 
+def _parse_floats(flag: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliUsage(f"cannot parse {flag} {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     base = _resolve_train_config(args)
     table = _resolve_dataset(args, base)
     out = _ensure_out(args)
     if out is None:
         raise CliUsage("sweep needs --out")
-    alphas = [float(v) for v in args.alphas.split(",")]
-    cs = [float(v) for v in args.cs.split(",")]
+    alphas = _parse_floats("--alphas", args.alphas)
+    cs = _parse_floats("--cs", args.cs)
 
     train, test = split_fractions(table, (1.0 - args.test_fraction,
                                           args.test_fraction), base.seed)
-    train_dict = {"x": train.features.tolist(), "y": train.labels.tolist(), "k": train.k}
-    test_dict = {"x": test.features.tolist(), "y": test.labels.tolist(), "k": test.k}
 
     jobs = []
     for i, alpha in enumerate(alphas):
@@ -402,7 +408,7 @@ def cmd_sweep(args) -> int:
                 base, alpha=alpha, c=c,
                 lambda_override=1.0 if alpha == 0 else base.lambda_override)
             cell_dir = os.path.join(out, "cells", f"a{i}_c{j}")
-            jobs.append((i, j, cfg.to_dict(), train_dict, test_dict, cell_dir))
+            jobs.append((i, j, cfg, train, test, cell_dir))
 
     workers = max(1, int(os.environ.get("ADPM_THREADS", "1")))
     matrix = np.zeros((len(alphas), len(cs)))

@@ -145,41 +145,11 @@ def save_csv(table: DatasetTable, path) -> None:
 
 def load_csv(path, k: int | None = None) -> DatasetTable:
     """Parse a dataset CSV; errors cite the 1-based data row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise IngestionError(f"{path}: missing 'label' column")
-        d = len(header) - 1
-        expected = [f"f{i}" for i in range(d)] + ["label"]
-        if header != expected:
-            raise IngestionError(f"{path}: header must be f0,...,f{d-1},label, got {header}")
-
-        features: list[list[float]] = []
-        labels: list[int] = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != d + 1:
-                raise IngestionError(f"{path}: expected {d + 1} cells, got {len(row)}", row_no)
-            try:
-                feats = [float(cell) for cell in row[:d]]
-            except ValueError as exc:
-                raise IngestionError(f"{path}: bad float {exc}", row_no) from None
-            if not all(math.isfinite(v) for v in feats):
-                raise IngestionError(f"{path}: non-finite feature", row_no)
-            try:
-                label = int(row[d])
-            except ValueError:
-                raise IngestionError(f"{path}: bad label {row[d]!r}", row_no) from None
-            if label < 0:
-                raise IngestionError(f"{path}: negative label {label}", row_no)
-            if k is not None and label >= k:
-                raise IngestionError(f"{path}: label {label} >= declared k={k}", row_no)
-            features.append(feats)
-            labels.append(label)
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            features, labels = _parse_rows(csv.reader(fh), path, k)
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not valid UTF-8") from None
 
     if not labels:
         raise IngestionError(f"{path}: no data rows")
@@ -190,6 +160,45 @@ def load_csv(path, k: int | None = None) -> DatasetTable:
         empty = np.nonzero(present == 0)[0].tolist()
         warnings.warn(f"{path}: classes {empty} have no samples")
     return DatasetTable(np.array(features), labels_arr, k_eff)
+
+
+def _parse_rows(reader, path, k: int | None) -> tuple[list[list[float]], list[int]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if "label" not in header:
+        raise IngestionError(f"{path}: missing 'label' column")
+    d = len(header) - 1
+    expected = [f"f{i}" for i in range(d)] + ["label"]
+    if header != expected:
+        raise IngestionError(f"{path}: header must be f0,...,f{d-1},label, got {header}")
+
+    features: list[list[float]] = []
+    labels: list[int] = []
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != d + 1:
+            raise IngestionError(f"{path}: expected {d + 1} cells, got {len(row)}", row_no)
+        try:
+            feats = [float(cell) for cell in row[:d]]
+        except ValueError as exc:
+            raise IngestionError(f"{path}: bad float {exc}", row_no) from None
+        if not all(math.isfinite(v) for v in feats):
+            raise IngestionError(f"{path}: non-finite feature", row_no)
+        try:
+            label = int(row[d])
+        except ValueError:
+            raise IngestionError(f"{path}: bad label {row[d]!r}", row_no) from None
+        if label < 0:
+            raise IngestionError(f"{path}: negative label {label}", row_no)
+        if label > np.iinfo(np.int64).max:
+            raise IngestionError(f"{path}: label {label} exceeds the int64 range", row_no)
+        if k is not None and label >= k:
+            raise IngestionError(f"{path}: label {label} >= declared k={k}", row_no)
+        features.append(feats)
+        labels.append(label)
+    return features, labels
 
 
 def _allocate(count: int, fractions: np.ndarray) -> np.ndarray:
@@ -225,29 +234,3 @@ def split_fractions(table: DatasetTable, fractions, seed: int) -> tuple[DatasetT
         if missing.size:
             warnings.warn(f"split part {p} has no samples for classes {missing.tolist()}")
     return tables
-
-
-def split_kfold(table: DatasetTable, n_folds: int, seed: int) -> list[tuple[DatasetTable, DatasetTable]]:
-    """Stratified k-fold partition, returned as (train, heldout_fold) pairs.
-
-    Per class, shuffled indices are dealt round-robin starting at a
-    class-dependent offset, so classes smaller than n_folds still place
-    each sample in exactly one fold.
-    """
-    if n_folds < 2:
-        raise UsageError(f"n_folds must be >= 2, got {n_folds}")
-    rng = np.random.default_rng([seed, 2])
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for j in range(table.k):
-        idx = np.nonzero(table.labels == j)[0]
-        if idx.size == 0:
-            continue
-        idx = idx[rng.permutation(idx.size)]
-        for pos, sample in enumerate(idx):
-            folds[(pos + j) % n_folds].append(int(sample))
-    out = []
-    for f in range(n_folds):
-        test_idx = sorted(folds[f])
-        train_idx = sorted(i for g in range(n_folds) if g != f for i in folds[g])
-        out.append((table.take(train_idx), table.take(test_idx)))
-    return out

@@ -5,7 +5,8 @@ predictions are reproducible and independent of evaluation order or of
 which other rows share the table. The features pass through the prior
 net only; the chains of all rows then step together as one (n, k)
 matrix through the forward-only denoiser, so the prior and denoiser
-matmuls run as n-row BLAS products. For n >= 2 OpenBLAS computes a row
+matmuls run as n-row BLAS products. Both networks run as plain numpy;
+no autodiff tape is built. For n >= 2 OpenBLAS computes a row
 of such a product the same way whatever n is, except for products with
 at most 3 output columns (k <= 3 classes at the default widths), where
 a row's last bits can depend on n. A 1-row table would take BLAS's
@@ -20,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
 from .data import DatasetTable
 from .diffusion import SampleBatch, sample
 from .errors import ConfigError
-from .priors import PriorBundle, PriorGraph
+from .priors import mlp_forward, prior_bundle
 from .schedule import (ClassCensus, NoiseSchedule, build_schedule, lambda_vector,
                        linear_beta)
 from .trainer import Checkpoint
@@ -65,12 +65,8 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
 
     index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
     x = table.features[index]
-    tape = Tape()
-    priors = PriorGraph(tape, ckpt.model.prior, tape.const(x))
-    bundle = PriorBundle(y_g=priors.y_g.value, y_l=priors.y_l.value, y_f=priors.y_f.value)
-    frozen_tape = Tape()
-    frozen_logits = PriorGraph(frozen_tape, ckpt.prior_frozen,
-                               frozen_tape.const(x)).logits_g.value
+    bundle = prior_bundle(ckpt.model.prior, x)
+    frozen_logits = mlp_forward(ckpt.prior_frozen, x)[1]
 
     rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
     lam = None if cfg.lambda_override is None else float(cfg.lambda_override)

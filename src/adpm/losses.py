@@ -7,7 +7,8 @@ true Gaussian draws is the biased V-statistic
 
 with K(X, Y) the mean RBF kernel value over all row pairs. The total
 objective is w * (L_g + L_l) + L_eps, where L_eps is the batch-mean
-squared error of the fused branch.
+squared error of the fused branch. Each term is built on the caller's
+autodiff tape; the trainer's batch_loss is the one place that builds one.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Var, scalar
-from .errors import ConfigError, ShapeError, UsageError
+from .autodiff import Tape, Var
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -104,37 +105,3 @@ def total_loss_graph(tape: Tape, l_g: Var, l_l: Var, l_eps: Var, w: float) -> Va
     if w <= 0:
         raise ConfigError(f"loss weight w must be positive, got {w}")
     return tape.add(tape.scale(tape.add(l_g, l_l), w), l_eps)
-
-
-def _as_batch(x) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if arr.shape[0] < 1:
-        raise UsageError("batch must contain at least one row")
-    return arr
-
-
-def rbf_kernel_mean(a, b, cfg: KernelConfig = KernelConfig()) -> float:
-    a, b = _as_batch(a), _as_batch(b)
-    tape = Tape()
-    return scalar(rbf_kernel_mean_graph(tape, tape.const(a), tape.const(b),
-                                        resolve_bandwidth(a, b, cfg)))
-
-
-def mmd_loss(eps_true, eps_pred, cfg: KernelConfig = KernelConfig()) -> float:
-    a, b = _as_batch(eps_true), _as_batch(eps_pred)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"column counts differ: {a.shape} vs {b.shape}")
-    tape = Tape()
-    return scalar(mmd_loss_graph(tape, tape.const(a), tape.const(b), cfg))
-
-
-def eps_loss(eps_true, eps_pred) -> float:
-    tape = Tape()
-    return scalar(eps_loss_graph(tape, tape.const(_as_batch(eps_true)),
-                                 tape.const(_as_batch(eps_pred))))
-
-
-def total_loss(l_g: float, l_l: float, l_eps: float, w: float = 0.5) -> float:
-    if w <= 0:
-        raise ConfigError(f"loss weight w must be positive, got {w}")
-    return w * (l_g + l_l) + l_eps

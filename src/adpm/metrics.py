@@ -90,11 +90,6 @@ class HypothesisGrid:
                               np.concatenate([self.biases, -self.biases]))
 
     @classmethod
-    def constants(cls, d: int) -> "HypothesisGrid":
-        """The two constant hypotheses +1 and -1."""
-        return cls(np.zeros((2, d)), np.array([1.0, -1.0]))
-
-    @classmethod
     def linear(cls, d: int, n_directions: int, thresholds, seed: int) -> "HypothesisGrid":
         """Deterministic grid of unit directions crossed with thresholds."""
         rng = np.random.default_rng([seed, 4])

@@ -6,9 +6,11 @@ input masked to its most salient coordinates (salience of coordinate i
 is |x_i| * sum_h |W1[i, h]|), a tabular stand-in for attention-cropped
 regions. The fused prior is the componentwise mean of the two.
 
-Forward passes are built on an autodiff tape so the trainer can push
-gradients into the network; the plain-array entry points below just
-run a throwaway tape.
+PriorGraph builds the forward pass on the trainer's autodiff tape, so
+the joint loss can push gradients into the network. Everywhere else
+(warmup and inference) the same pass runs as plain numpy: mlp_forward
+and prior_bundle write each expression as the tape does, so their
+values equal PriorGraph's bitwise.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optim
-from .autodiff import Tape, Var
+from .autodiff import Tape, Var, as_matrix
 from .data import DatasetTable
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 
 @dataclass
@@ -94,45 +96,37 @@ class PriorGraph:
     def __init__(self, tape: Tape, params: PriorNetParams, x: Var):
         self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
         w1, b1, w2, b2 = (self.vars[n] for n in ("w1", "b1", "w2", "b2"))
-        self.logits_g = _mlp_logits(tape, x, w1, b1, w2, b2)
-        self.y_g = tape.softmax_rows(self.logits_g)
+        self.y_g = tape.softmax_rows(_mlp_logits(tape, x, w1, b1, w2, b2))
         mask = tape.const(salience_mask(params, x.value))
-        self.logits_l = _mlp_logits(tape, tape.mul(x, mask), w1, b1, w2, b2)
-        self.y_l = tape.softmax_rows(self.logits_l)
+        self.y_l = tape.softmax_rows(_mlp_logits(tape, tape.mul(x, mask), w1, b1, w2, b2))
         self.y_f = tape.scale(tape.add(self.y_g, self.y_l), 0.5)
 
 
-def global_prior(params: PriorNetParams, x) -> np.ndarray:
-    tape = Tape()
-    graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
-    return graph.y_g.value[0]
+def mlp_forward(params: PriorNetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden layer and logits, tanh(x @ w1 + b1) @ w2 + b2, for an (n, d) x."""
+    hidden = np.tanh(x @ params.w1 + params.b1)
+    return hidden, hidden @ params.w2 + params.b2
 
 
-def local_prior(params: PriorNetParams, x) -> np.ndarray:
-    tape = Tape()
-    graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
-    return graph.y_l.value[0]
-
-
-def fuse(y_g, y_l) -> PriorBundle:
-    y_g = np.asarray(y_g, dtype=np.float64)
-    y_l = np.asarray(y_l, dtype=np.float64)
-    if y_g.shape != y_l.shape:
-        raise ShapeError(f"prior shapes differ: {y_g.shape} vs {y_l.shape}")
-    return PriorBundle(y_g=y_g, y_l=y_l, y_f=0.5 * (y_g + y_l))
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def prior_bundle(params: PriorNetParams, x) -> PriorBundle:
-    tape = Tape()
-    graph = PriorGraph(tape, params, tape.const(np.atleast_2d(x)))
-    return fuse(graph.y_g.value[0], graph.y_l.value[0])
+    """Global, local and fused priors of every row of the (n, d) matrix x,
+    as (n, k) arrays, bitwise equal to PriorGraph's values."""
+    x = as_matrix(x)
+    y_g = _softmax_rows(mlp_forward(params, x)[1])
+    y_l = _softmax_rows(mlp_forward(params, x * salience_mask(params, x))[1])
+    return PriorBundle(y_g=y_g, y_l=y_l, y_f=(y_g + y_l) * 0.5)
 
 
 def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarray):
     """Loss and analytic gradients of the softmax cross entropy."""
     n = x.shape[0]
-    hidden = np.tanh(x @ params.w1 + params.b1)
-    logits = hidden @ params.w2 + params.b2
+    hidden, logits = mlp_forward(params, x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)

@@ -46,11 +46,6 @@ class ClassCensus:
     def n(self) -> int:
         return sum(self.counts)
 
-    @classmethod
-    def from_labels(cls, labels, k: int) -> "ClassCensus":
-        counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=k)
-        return cls(tuple(int(c) for c in counts))
-
 
 @dataclass(frozen=True)
 class NoiseLevelConfig:

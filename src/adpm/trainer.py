@@ -6,7 +6,9 @@ is corrupted with the true class's noise level and the branch's own
 prior, pushed through the shared denoiser, and scored: MMD against the
 true noise for the global and local branches, mean squared error for
 the fused branch. Gradients flow into the denoiser and the prior
-network.
+network. batch_loss builds the library's only autodiff tape; warmup
+and inference run their forward passes as plain numpy. A step whose
+loss is not finite stops training with a ConfigError.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
@@ -81,8 +83,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.sample_steps > self.T:
             raise ConfigError(f"sample_steps {self.sample_steps} exceeds T {self.T}")
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ConfigError("learning_rate must be positive and batch_size >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0) \
+                or self.batch_size < 1:
+            raise ConfigError("learning_rate must be finite and positive and batch_size >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
         if self.optimizer not in ("adam", "sgd"):
@@ -100,10 +103,27 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
+        """Config from a JSON object; each value must have its field's type.
+
+        An int is accepted for a float field, and None only where the
+        field's default is None.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError("config is not a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(obj) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            field = fields[key]
+            if value is None and field.default is None:
+                continue
+            # annotations are strings such as "float" or "int | None"
+            typ = {"int": (int,), "float": (int, float), "str": (str,)}[
+                field.type.split(" | ")[0]]
+            if isinstance(value, bool) or not isinstance(value, typ):
+                raise ConfigError(f"config key {key!r} must be of type {field.type}, "
+                                  f"got {value!r}")
         return cls(**obj)
 
 
@@ -187,10 +207,9 @@ def draw_batch_noise(rng, nb: int, k: int, T: int) -> BatchDraws:
 
 
 def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
-               cfg: TrainConfig, draws: BatchDraws,
-               want_grads: bool = True) -> tuple[LossReport, dict | None]:
-    """Evaluate the three-branch objective on one batch, optionally with
-    gradients for every parameter block."""
+               cfg: TrainConfig, draws: BatchDraws) -> tuple[LossReport, dict]:
+    """Evaluate the three-branch objective on one batch, with gradients
+    for every parameter block."""
     nb = batch.n
     tape = Tape()
     x = tape.const(batch.features)
@@ -218,23 +237,12 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
 
     report = LossReport(L_g=scalar(l_g), L_l=scalar(l_l), L_eps=scalar(l_eps),
                         L_total=scalar(l_total), w=cfg.w)
-    if not want_grads:
-        return report, None
-
     grads_by_var = tape.backward(l_total)
     grads: dict[str, np.ndarray] = {}
     for prefix, graph_vars in (("prior", prior_graph.vars), ("denoiser", den_graph.vars)):
         for name, var in graph_vars.items():
             grads[f"{prefix}.{name}"] = grads_by_var[var]
     return report, grads
-
-
-def train_step(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
-               cfg: TrainConfig, rng) -> tuple[dict, LossReport]:
-    """Draw a batch's randomness, then evaluate loss and gradients."""
-    draws = draw_batch_noise(rng, batch.n, batch.k, cfg.T)
-    report, grads = batch_loss(batch, model, schedule, cfg, draws)
-    return grads, report
 
 
 def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
@@ -274,7 +282,16 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         batches = 0
         for start in range(0, table.n, cfg.batch_size):
             batch = table.take(order[start:start + cfg.batch_size])
-            grads, report = train_step(batch, model, schedule, cfg, rng)
+            draws = draw_batch_noise(rng, batch.n, batch.k, cfg.T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a non-finite loss is reported below, with its epoch and batch
+                report, grads = batch_loss(batch, model, schedule, cfg, draws)
+            if not np.isfinite(report.L_total):
+                bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+                raise ConfigError(
+                    f"training diverged at epoch {epoch}, batch {batches}: L_total is "
+                    f"{report.L_total}; first non-finite gradient block: "
+                    f"{bad[0] if bad else 'none'}")
             lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
                              cfg.lr_warmup_frac)
             opt.step(blocks, grads, lr=lr)
@@ -306,8 +323,10 @@ def _make_opt(cfg: TrainConfig):
                                 eps=cfg.adam_eps)
 
 
-def _blocks_to_jsonable(blocks: dict[str, np.ndarray]) -> dict:
-    """Shape plus row-major float list per block; floats round-trip exactly."""
+def _blocks_to_jsonable(blocks: dict[str, np.ndarray], what: str) -> dict:
+    """Shape plus row-major float list per block; floats round-trip exactly.
+    Raises ConfigError naming the first block with a non-finite value."""
+    _checked(blocks, {name: arr.shape for name, arr in blocks.items()}, what)
     return {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in blocks.items()}
 
@@ -344,22 +363,28 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     The JSON goes to a temporary file next to path, which is synced and
     then renamed over path, so a failed write leaves any existing file
-    at path as it was and removes the temporary file.
+    at path as it was and removes the temporary file. A block, frozen
+    prior block or Adam moment holding a non-finite value raises
+    ConfigError naming path, and nothing is written.
     """
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "epoch": ckpt.epoch,
-        "counts": list(ckpt.counts),
-        "config": ckpt.config.to_dict(),
-        "prior_mask_size": ckpt.model.prior.mask_size,
-        "blocks": _blocks_to_jsonable(ckpt.model.blocks()),
-        "prior_frozen": _blocks_to_jsonable(ckpt.prior_frozen.blocks()),
-        "optimizer": {
-            "step_count": ckpt.opt_state["step_count"],
-            "m": _blocks_to_jsonable(ckpt.opt_state.get("m", {})),
-            "v": _blocks_to_jsonable(ckpt.opt_state.get("v", {})),
-        },
-    }
+    try:
+        payload = {
+            "version": CHECKPOINT_VERSION,
+            "epoch": ckpt.epoch,
+            "counts": list(ckpt.counts),
+            "config": ckpt.config.to_dict(),
+            "prior_mask_size": ckpt.model.prior.mask_size,
+            "blocks": _blocks_to_jsonable(ckpt.model.blocks(), "block"),
+            "prior_frozen": _blocks_to_jsonable(ckpt.prior_frozen.blocks(),
+                                                "frozen prior block"),
+            "optimizer": {
+                "step_count": ckpt.opt_state["step_count"],
+                "m": _blocks_to_jsonable(ckpt.opt_state.get("m", {}), "Adam moment m"),
+                "v": _blocks_to_jsonable(ckpt.opt_state.get("v", {}), "Adam moment v"),
+            },
+        }
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: not written: {exc}") from exc
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

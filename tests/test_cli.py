@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from adpm.cli import format_exact, main
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, save_csv, split_fractions
@@ -287,6 +288,43 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert resolved["epochs"] == 2 and resolved["T"] == 15
     records = (out / "train_log.jsonl").read_text().splitlines()
     assert len(records) == 2
+
+
+# each case: the input file it writes (or None), the command and the exit code
+_TINY = ["--synthetic", "--k", "3", "--head-count", "12", "--decay", "0.6", "--dim", "3",
+         "--sample-steps", "5", "--epochs", "2", "--warmup-epochs", "1", "--seed", "1"]
+_SMALL = [*_TINY, "--T", "15", "--hidden", "6"]
+CLI_FAILURES = {
+    "config-invalid-json": (b"{bad", ["train", *_TINY, "--config", "{file}"], 2),
+    "config-json-list": (b"[1, 2]", ["train", *_TINY, "--config", "{file}"], 2),
+    "config-string-T": (b'{"T": "abc"}', ["train", *_TINY, "--config", "{file}"], 1),
+    "config-string-hidden": (b'{"hidden": "64"}',
+                             ["train", *_TINY, "--T", "15", "--config", "{file}"], 1),
+    "sweep-alphas": (None, ["sweep", *_SMALL, "--alphas", "x"], 2),
+    "sweep-cs": (None, ["sweep", *_SMALL, "--cs", "1,y"], 2),
+    "diverged-train": (None, ["train", *_SMALL, "--learning-rate", "1e300"], 1),
+    "inf-learning-rate": (None, ["train", *_SMALL, "--learning-rate", "inf"], 1),
+    "nan-learning-rate": (None, ["train", *_SMALL, "--learning-rate", "nan"], 1),
+    "csv-not-utf8": (b"f0,label\n1.0,0\n2.0,\xff\n",
+                     ["train", "--data", "{file}", "--epochs", "1"], 1),
+    "csv-label-beyond-int64": (b"f0,label\n1.0,0\n2.0,100000000000000000000000\n",
+                               ["train", "--data", "{file}", "--epochs", "1"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FAILURES))
+def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
+    content, argv, expected = CLI_FAILURES[case]
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == expected
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_bound_report(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adpm.data import (DatasetTable, LongTailSpec, class_means, generate_longtail,
-                       load_csv, save_csv, split_fractions, split_kfold)
+                       load_csv, save_csv, split_fractions)
 from adpm.errors import ConfigError, IngestionError, UsageError
 
 
@@ -133,6 +133,21 @@ def test_load_csv_label_over_declared_k(tmp_path):
     assert err.value.row == 2
 
 
+def test_load_csv_label_beyond_int64_cites_row(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"f0,label\n1.0,0\n2.0,{2 ** 63}\n")
+    with pytest.raises(IngestionError) as err:
+        load_csv(path)
+    assert err.value.row == 2
+
+
+def test_load_csv_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"f0,label\n1.0,0\n2.0,\xff\n")
+    with pytest.raises(IngestionError, match="UTF-8"):
+        load_csv(path)
+
+
 def test_split_fractions_sizes():
     table = generate_longtail(spec(k=1, head_count=10, d=2))
     train, test = split_fractions(table, (0.7, 0.3), seed=0)
@@ -164,22 +179,3 @@ def test_splits_partition_index_set(seed):
     stacked = np.concatenate([np.sort(train.features @ np.ones(4)),
                               np.sort(test.features @ np.ones(4))])
     assert np.array_equal(np.sort(stacked), np.sort(table.features @ np.ones(4)))
-
-
-def test_kfold_disjoint_covering():
-    table = generate_longtail(spec(k=2, head_count=50, decay=1.0, d=2))
-    folds = split_kfold(table, 5, seed=1)
-    sizes = [test.n for _, test in folds]
-    assert sizes == [20] * 5
-    for train, test in folds:
-        assert train.n + test.n == table.n
-    total = sum(test.class_counts() for _, test in folds)
-    assert np.array_equal(total, table.class_counts())
-
-
-def test_kfold_small_class_each_sample_in_one_fold():
-    table = generate_longtail(spec(k=3, head_count=12, decay=0.3, d=3))
-    # tail class has round(12 * 0.09) = 1 sample, fewer than folds
-    folds = split_kfold(table, 5, seed=2)
-    tail_in_test = sum(int(test.class_counts()[2]) for _, test in folds)
-    assert tail_in_test == int(table.class_counts()[2])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from adpm.autodiff import Tape
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fractions
 from adpm.errors import ConfigError
 from adpm.inference import classify_dataset, inference_schedule
-from adpm.priors import prior_bundle
+from adpm.priors import PriorGraph
 from adpm.trainer import TrainConfig, fit
 
 
@@ -83,7 +84,8 @@ def test_d_mismatch_rejected(trained):
 def test_prior_predictions_are_fused_prior_argmax(trained):
     ckpt, test = trained
     out = classify_dataset(ckpt, test)
-    y_f = np.stack([prior_bundle(ckpt.model.prior, x).y_f for x in test.features])
+    tape = Tape()
+    y_f = PriorGraph(tape, ckpt.model.prior, tape.const(test.features)).y_f.value
     assert np.array_equal(out.prior_predictions, np.argmax(y_f, axis=1))
     assert out.prior_predictions.dtype == out.predictions.dtype
 
@@ -96,6 +98,17 @@ def test_denoiser_runs_without_a_tape(trained, monkeypatch):
     monkeypatch.setattr(adpm.denoiser.DenoiserGraph, "__init__", no_graph)
     ckpt, test = trained
     assert classify_dataset(ckpt, test.take(range(3))).predictions.shape == (3,)
+
+
+def test_classify_builds_no_tape(trained, monkeypatch):
+    import adpm.autodiff
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("classify_dataset built an autodiff tape")
+    monkeypatch.setattr(adpm.autodiff.Tape, "__init__", no_tape)
+    ckpt, test = trained
+    for rows in (test, test.take([0])):
+        assert classify_dataset(ckpt, rows).predictions.shape == (rows.n,)
 
 
 def test_empty_table(trained):

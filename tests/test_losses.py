@@ -5,11 +5,34 @@ import pytest
 
 from adpm.autodiff import Tape, scalar
 from adpm.errors import ConfigError, ShapeError
-from adpm.losses import (KernelConfig, eps_loss, eps_loss_graph, mmd_loss,
-                         mmd_loss_graph, rbf_kernel_mean, resolve_bandwidth,
-                         total_loss, total_loss_graph)
+from adpm.losses import (KernelConfig, eps_loss_graph, mmd_loss_graph,
+                         rbf_kernel_mean_graph, resolve_bandwidth, total_loss_graph)
 
 from gradcheck import finite_diff, rel_err
+
+
+# each loss is evaluated on a tape of its own, the way batch_loss builds it
+
+def rbf_kernel_mean(a, b, cfg=KernelConfig()):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    tape = Tape()
+    return scalar(rbf_kernel_mean_graph(tape, tape.const(a), tape.const(b),
+                                        resolve_bandwidth(a, b, cfg)))
+
+
+def mmd_loss(eps_true, eps_pred, cfg=KernelConfig()):
+    tape = Tape()
+    return scalar(mmd_loss_graph(tape, tape.const(eps_true), tape.const(eps_pred), cfg))
+
+
+def eps_loss(eps_true, eps_pred):
+    tape = Tape()
+    return scalar(eps_loss_graph(tape, tape.const(eps_true), tape.const(eps_pred)))
+
+
+def total_loss(l_g, l_l, l_eps, w=0.5):
+    tape = Tape()
+    return scalar(total_loss_graph(tape, *(tape.const([[v]]) for v in (l_g, l_l, l_eps)), w))
 
 
 def test_kernel_identical_single_rows():

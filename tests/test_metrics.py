@@ -78,7 +78,7 @@ def test_rademacher_constant_grid_matches_closed_form():
     x = rng_data.standard_normal((n0 + n1, 2))
     labels = np.array([0] * n0 + [1] * n1)
     p = np.array([0.4, 0.6])
-    grid = HypothesisGrid.constants(2)
+    grid = HypothesisGrid(np.zeros((2, 2)), np.array([1.0, -1.0]))
     exact = p[0] * _mean_abs_sign_sum(n0) / n0 + p[1] * _mean_abs_sign_sum(n1) / n1
     draws = 6000
     est = empirical_rademacher(x, labels, p, grid, draws, np.random.default_rng(3))
@@ -131,7 +131,8 @@ def test_rademacher_nonnegative_for_negation_closed_grid():
 def test_rademacher_rejects_empty_class():
     with pytest.raises(UsageError):
         empirical_rademacher(np.ones((3, 1)), np.zeros(3, dtype=int),
-                             np.array([0.5, 0.5]), HypothesisGrid.constants(1), 10,
+                             np.array([0.5, 0.5]),
+                             HypothesisGrid(np.zeros((2, 1)), np.array([1.0, -1.0])), 10,
                              np.random.default_rng(0))
 
 

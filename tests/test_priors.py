@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from adpm.autodiff import Tape
 from adpm.data import LongTailSpec, generate_longtail
-from adpm.errors import ShapeError
-from adpm.priors import (PriorNetParams, fuse, global_prior, local_prior, prior_bundle,
+from adpm.priors import (PriorGraph, PriorNetParams, mlp_forward, prior_bundle,
                          salience_mask, warmup_loss, warmup_train)
 
 
@@ -16,6 +16,31 @@ def zero_params(d=3, hidden=4, k=3, m=None):
 def random_params(d, hidden, k, m, seed=0):
     rng = np.random.default_rng(seed)
     return PriorNetParams.init(d, hidden, k, m, rng)
+
+
+def global_prior(params, x):
+    return prior_bundle(params, np.atleast_2d(x)).y_g[0]
+
+
+def local_prior(params, x):
+    return prior_bundle(params, np.atleast_2d(x)).y_l[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_numpy_priors_match_tape_bitwise(n):
+    # PriorGraph, the tape the trainer differentiates, is the reference
+    params = random_params(6, 5, 4, 3, seed=13)
+    x = np.random.default_rng(14).standard_normal((n, 6)) * 2
+    tape = Tape()
+    graph = PriorGraph(tape, params, tape.const(x))
+    bundle = prior_bundle(params, x)
+    assert bundle.y_g.shape == (n, 4)
+    for ours, ref in ((bundle.y_g, graph.y_g), (bundle.y_l, graph.y_l),
+                      (bundle.y_f, graph.y_f)):
+        assert np.array_equal(ours, ref.value)
+    w1, b1, w2, b2 = (tape.param(arr) for arr in params.blocks().values())
+    logits = tape.affine(tape.tanh(tape.affine(tape.const(x), w1, b1)), w2, b2)
+    assert np.array_equal(mlp_forward(params, x)[1], logits.value)
 
 
 def test_zero_weights_give_uniform_priors():
@@ -64,23 +89,20 @@ def test_salience_ties_break_to_lower_index():
 
 
 def test_fuse_cases_and_symmetry():
-    u = np.full(4, 0.25)
-    assert np.array_equal(fuse(u, u).y_f, u)
-    e0 = np.array([1.0, 0.0, 0.0])
-    e1 = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(fuse(e0, e1).y_f, [0.5, 0.5, 0.0])
-    rng = np.random.default_rng(5)
-    a = rng.dirichlet(np.ones(5))
-    b = rng.dirichlet(np.ones(5))
-    assert np.array_equal(fuse(a, b).y_f, (a + b) / 2)
-    assert np.array_equal(fuse(a, b).y_f, fuse(b, a).y_f)
-    with pytest.raises(ShapeError):
-        fuse(np.ones(3), np.ones(4))
+    # the fused prior is the componentwise mean of the global and local ones
+    u = np.full((1, 4), 0.25)
+    assert np.array_equal(prior_bundle(zero_params(k=4), np.ones((1, 3))).y_f, u)
+    params = random_params(5, 6, 5, 2, seed=5)
+    x = np.random.default_rng(5).standard_normal((20, 5)) * 3
+    bundle = prior_bundle(params, x)
+    assert not np.array_equal(bundle.y_g, bundle.y_l)
+    assert np.array_equal(bundle.y_f, (bundle.y_g + bundle.y_l) / 2)
+    assert np.array_equal(bundle.y_f, (bundle.y_l + bundle.y_g) / 2)
 
 
 def test_bundle_sums_to_one():
     params = random_params(4, 6, 3, 2, seed=6)
-    bundle = prior_bundle(params, np.array([0.5, -1.0, 2.0, 0.1]))
+    bundle = prior_bundle(params, np.array([[0.5, -1.0, 2.0, 0.1]]))
     for vec in (bundle.y_g, bundle.y_l, bundle.y_f):
         assert abs(vec.sum() - 1.0) < 1e-12
 
@@ -108,8 +130,8 @@ def test_warmup_converges_on_separable_toy():
     assert _logistic_fit_accuracy(table) >= 0.99  # data really is separable
     params = random_params(2, 8, 2, 2, seed=9)
     trained = warmup_train(params, table, epochs=200, lr=0.01, seed=1)
-    preds = [int(np.argmax(global_prior(trained, x))) for x in table.features]
-    acc = float(np.mean(np.array(preds) == table.labels))
+    preds = np.argmax(prior_bundle(trained, table.features).y_g, axis=1)
+    acc = float(np.mean(preds == table.labels))
     assert acc >= 0.99
 
 

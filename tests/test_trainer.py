@@ -13,9 +13,9 @@ from adpm.errors import ConfigError, ScheduleInfeasibleError
 from adpm.inference import classify_dataset
 from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
 from adpm.priors import PriorGraph, PriorNetParams, warmup_train
-from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, TrainConfig, batch_loss,
+from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, Checkpoint, TrainConfig, batch_loss,
                           build_train_schedule, draw_batch_noise, fit, init_model,
-                          load_checkpoint, save_checkpoint, train_step)
+                          load_checkpoint, save_checkpoint)
 
 
 def toy_table(k=3, head=24, decay=0.5, d=4, seed=0):
@@ -231,6 +231,10 @@ def _drop_moment(p):
     del p["optimizer"]["m"]["denoiser.dec2_b"]
 
 
+def _string_config_value(p):
+    p["config"]["hidden"] = "8"
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_drop_block, "missing block 'denoiser.wv'"),
     (_add_block, "unknown block 'denoiser.extra'"),
@@ -239,8 +243,9 @@ def _drop_moment(p):
     (_drop_version, "missing field 'version'"),
     (_nan_weight, "block 'prior.w1' holds a non-finite value"),
     (_drop_moment, "missing Adam moment m 'denoiser.dec2_b'"),
+    (_string_config_value, "config key 'hidden' must be of type int"),
 ], ids=["missing-block", "unknown-block", "truncated-json", "no-config",
-        "no-version", "nan-weight", "missing-moment"])
+        "no-version", "nan-weight", "missing-moment", "string-config-value"])
 def test_malformed_checkpoint_rejected(tmp_path, saved_run, corrupt, reason):
     _, _, text = saved_run
     if corrupt is None:
@@ -254,6 +259,52 @@ def test_malformed_checkpoint_rejected(tmp_path, saved_run, corrupt, reason):
     with pytest.raises(ConfigError) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and reason in str(info.value)
+
+
+@pytest.mark.parametrize("section", ["model", "prior_frozen", "m", "v"])
+def test_save_checkpoint_refuses_non_finite_values(tmp_path, saved_run, section):
+    _, ckpt, _ = saved_run
+    model, frozen = ckpt.model.copy(), ckpt.prior_frozen.copy()
+    opt_state = {"step_count": ckpt.opt_state["step_count"],
+                 "m": {n: a.copy() for n, a in ckpt.opt_state["m"].items()},
+                 "v": {n: a.copy() for n, a in ckpt.opt_state["v"].items()}}
+    target = {"model": model.blocks(), "prior_frozen": frozen.blocks(),
+              "m": opt_state["m"], "v": opt_state["v"]}[section]
+    name = sorted(target)[-1]
+    target[name][0, 0] = np.inf
+    bad = Checkpoint(model, frozen, opt_state, ckpt.config, ckpt.epoch, ckpt.counts)
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ConfigError, match=f"{name}' holds a non-finite value") as info:
+        save_checkpoint(bad, path)
+    assert str(path) in str(info.value)
+    assert os.listdir(tmp_path) == []
+
+
+def test_fit_stops_when_the_loss_is_not_finite(tmp_path):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ConfigError, match=r"epoch \d+, batch \d+: L_total is nan; "
+                                          r"first non-finite gradient block: \w+\.\w+"):
+        fit(toy_table(), toy_config(learning_rate=1e300), checkpoint_path=path)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("lr", [float("inf"), float("nan"), -1.0, 0.0])
+def test_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+
+
+def test_config_from_dict_checks_value_types():
+    for bad in ({"T": "abc"}, {"hidden": "64"}, {"epochs": 1.5}, {"seed": True},
+                {"T": None}, {"optimizer": 1}, {"learning_rate": "0.1"}):
+        (key,) = bad
+        with pytest.raises(ConfigError, match=f"config key {key!r}"):
+            TrainConfig.from_dict(bad)
+    cfg = TrainConfig.from_dict({"learning_rate": 1, "lambda_override": None,
+                                 "prior_mask": None, "alpha": 0.5})
+    assert cfg.learning_rate == 1 and cfg.prior_mask is None
+    with pytest.raises(ConfigError, match="not a JSON object"):
+        TrainConfig.from_dict([["T", 5]])
 
 
 def test_every_trained_block_gets_a_gradient():
@@ -378,7 +429,8 @@ def test_train_step_reports_consistent_total():
     cfg = toy_config()
     model = init_model(table.d, table.k, cfg)
     schedule = build_train_schedule(table, cfg)
-    grads, report = train_step(table, model, schedule, cfg, np.random.default_rng(3))
+    draws = draw_batch_noise(np.random.default_rng(3), table.n, table.k, cfg.T)
+    report, grads = batch_loss(table, model, schedule, cfg, draws)
     assert report.L_total == pytest.approx(cfg.w * (report.L_g + report.L_l)
                                            + report.L_eps, abs=1e-12)
     assert set(grads) == set(model.blocks())
