@@ -8,6 +8,14 @@ softmax, mean, sum of squares and column concat. Everything is strictly
 reductions are delegated to numpy's sequential CPU kernels, which are
 run-to-run reproducible.
 
+Each op method computes its value and stores, on the new node, the rule
+that maps the node's adjoint to one adjoint per input. A node also
+records whether a param reaches it: a param does, a const does not, and
+an op does when any of its inputs does. backward keeps adjoints only
+for reached nodes, so a const, or a subgraph computed from consts alone
+(such as the K(eps, eps) kernel of an MMD), gets no adjoint and runs no
+rule.
+
 The library builds a tape only where it takes a gradient: once per
 training step, in trainer.batch_loss. Prior warmup, inference and
 sampling run the same networks as plain numpy.
@@ -18,8 +26,6 @@ Tape over read-only parameter arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,30 +40,23 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-@dataclass
-class Node:
-    op: str
-    inputs: tuple[int, ...]
-    value: np.ndarray
-    meta: tuple = ()
-
-
 class Var:
-    """Handle to one node on a tape."""
+    """One node of a tape: its value, the ids of its inputs, its backward
+    rule (None for a leaf) and whether a param reaches it."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("idx", "value", "inputs", "rule", "reached")
 
-    def __init__(self, tape: "Tape", idx: int):
-        self.tape = tape
+    def __init__(self, idx: int, value: np.ndarray, inputs: tuple[int, ...],
+                 rule, reached: bool):
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.idx].value
+        self.value = value
+        self.inputs = inputs
+        self.rule = rule
+        self.reached = reached
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.tape.nodes[self.idx].value.shape
+        return self.value.shape
 
 
 class Gradients:
@@ -76,195 +75,134 @@ class Gradients:
         return var.idx in self._adjoints
 
 
-def _forward(op: str, vals: list[np.ndarray], meta: tuple) -> np.ndarray:
-    if op == "matmul":
-        a, b = vals
-        return a @ b.T if meta[0] else a @ b
-    if op == "affine":
-        x, w, b = vals
-        return x @ w + b
-    if op == "add":
-        return vals[0] + vals[1]
-    if op == "sub":
-        return vals[0] - vals[1]
-    if op == "mul":
-        return vals[0] * vals[1]
-    if op == "scale":
-        return vals[0] * meta[0]
-    if op == "tanh":
-        return np.tanh(vals[0])
-    if op == "exp":
-        return np.exp(vals[0])
-    if op == "softmax":
-        a = vals[0]
-        shifted = a - a.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-    if op == "mean":
-        return np.array([[vals[0].mean()]])
-    if op == "sumsq":
-        a = vals[0]
-        return np.array([[float(np.sum(a * a))]])
-    if op == "concat":
-        return np.concatenate([vals[0], vals[1]], axis=1)
-    raise UsageError(f"unknown op {op!r}")
+def _same_shape(a: Var, b: Var) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"elementwise operands have shapes {a.shape} and {b.shape}")
 
 
 class Tape:
     """Append-only record of operations with cached forward values."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Var] = []
 
-    def _push(self, op: str, inputs: tuple[int, ...], value: np.ndarray,
-              meta: tuple = ()) -> Var:
-        self.nodes.append(Node(op, inputs, value, meta))
-        return Var(self, len(self.nodes) - 1)
-
-    def _apply(self, op: str, operands: tuple[Var, ...], meta: tuple = ()) -> Var:
-        vals = [self.nodes[v.idx].value for v in operands]
-        value = _forward(op, vals, meta)
-        return self._push(op, tuple(v.idx for v in operands), value, meta)
+    def _push(self, value: np.ndarray, operands: tuple[Var, ...] = (), rule=None,
+              reached: bool = False) -> Var:
+        var = Var(len(self.nodes), value, tuple(v.idx for v in operands), rule,
+                  reached or any(v.reached for v in operands))
+        self.nodes.append(var)
+        return var
 
     # ----- leaves -----
 
     def param(self, x) -> Var:
         """Leaf holding trainable values; its adjoint is the gradient."""
-        return self._push("param", (), as_matrix(x))
+        return self._push(as_matrix(x), reached=True)
 
     def const(self, x) -> Var:
-        """Leaf holding fixed data; adjoints are accumulated but unused."""
-        return self._push("const", (), as_matrix(x))
+        """Leaf holding fixed data; it gets no adjoint."""
+        return self._push(as_matrix(x))
 
     # ----- ops -----
 
     def matmul(self, a: Var, b: Var, trans_b: bool = False) -> Var:
-        ar, ac = a.shape
-        br, bc = b.shape
-        inner = bc if trans_b else br
-        if ac != inner:
+        inner = b.shape[1] if trans_b else b.shape[0]
+        if a.shape[1] != inner:
             raise ShapeError(f"matmul: {a.shape} x {b.shape} (trans_b={trans_b})")
-        return self._apply("matmul", (a, b), (trans_b,))
+        av, bv = a.value, b.value
+        if trans_b:
+            return self._push(av @ bv.T, (a, b), lambda g: (g @ bv, g.T @ av))
+        return self._push(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:
-        """x @ w plus the (1, cols) bias row b added to every row."""
+        """x @ w plus the (1, cols) bias row b added to every row.
+
+        The bias adjoint ones(n, 1).T @ g is the product that
+        matmul(ones(n, 1), b) plus add would take, so trained weights keep
+        the bits of that formulation.
+        """
         if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
             raise ShapeError(f"affine: {x.shape} x {w.shape} + {b.shape}")
-        return self._apply("affine", (x, w, b))
-
-    def _binary(self, op: str, a: Var, b: Var) -> Var:
-        if a.shape != b.shape:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-        return self._apply(op, (a, b))
+        xv, wv = x.value, w.value
+        return self._push(xv @ wv + b.value, (x, w, b), lambda g: (
+            g @ wv.T, xv.T @ g, np.ones((g.shape[0], 1)).T @ g))
 
     def add(self, a: Var, b: Var) -> Var:
-        return self._binary("add", a, b)
+        _same_shape(a, b)
+        return self._push(a.value + b.value, (a, b), lambda g: (g, g))
 
     def sub(self, a: Var, b: Var) -> Var:
-        return self._binary("sub", a, b)
+        _same_shape(a, b)
+        return self._push(a.value - b.value, (a, b), lambda g: (g, -g))
 
     def mul(self, a: Var, b: Var) -> Var:
-        return self._binary("mul", a, b)
+        _same_shape(a, b)
+        av, bv = a.value, b.value
+        return self._push(av * bv, (a, b), lambda g: (g * bv, g * av))
 
     def scale(self, a: Var, s: float) -> Var:
-        return self._apply("scale", (a,), (float(s),))
+        s = float(s)
+        return self._push(a.value * s, (a,), lambda g: (g * s,))
 
     def tanh(self, a: Var) -> Var:
-        return self._apply("tanh", (a,))
+        y = np.tanh(a.value)
+        return self._push(y, (a,), lambda g: (g * (1.0 - y ** 2),))
 
     def exp(self, a: Var) -> Var:
-        return self._apply("exp", (a,))
+        y = np.exp(a.value)
+        return self._push(y, (a,), lambda g: (g * y,))
 
     def softmax_rows(self, a: Var) -> Var:
         """Row-wise softmax, computed with max subtraction for stability."""
-        return self._apply("softmax", (a,))
+        e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
+        y = e / e.sum(axis=1, keepdims=True)
+        return self._push(y, (a,), lambda g: (
+            (g - (g * y).sum(axis=1, keepdims=True)) * y,))
 
     def mean(self, a: Var) -> Var:
         """Mean over all entries, as a 1x1 matrix."""
-        return self._apply("mean", (a,))
+        av = a.value
+        return self._push(np.array([[av.mean()]]), (a,), lambda g: (
+            np.full(av.shape, g[0, 0] / av.size),))
 
     def sum_sq(self, a: Var) -> Var:
         """Sum of squared entries, as a 1x1 matrix."""
-        return self._apply("sumsq", (a,))
+        av = a.value
+        return self._push(np.array([[float(np.sum(av * av))]]), (a,),
+                          lambda g: (2.0 * g[0, 0] * av,))
 
     def concat_cols(self, a: Var, b: Var) -> Var:
         if a.shape[0] != b.shape[0]:
             raise ShapeError(f"concat: row counts {a.shape[0]} != {b.shape[0]}")
-        return self._apply("concat", (a, b))
+        split = a.shape[1]
+        return self._push(np.concatenate([a.value, b.value], axis=1), (a, b),
+                          lambda g: (g[:, :split], g[:, split:]))
 
     # ----- evaluation -----
 
     def backward(self, root: Var) -> Gradients:
-        """Accumulate d(root)/d(node) for every node reachable from root.
+        """d(root)/d(node) for every node that a param reaches and root reads.
 
-        root must be scalar valued (1x1). Nodes are visited exactly once,
-        in strictly descending id order.
+        root must be a scalar valued (1x1) node of this tape. Nodes are
+        visited once, in strictly descending id order; each rule's outputs
+        are added to the reached inputs in input order.
         """
-        if root.tape is not self:
+        nodes = self.nodes
+        if root.idx >= len(nodes) or nodes[root.idx] is not root:
             raise UsageError("root belongs to a different tape")
         if root.shape != (1, 1):
             raise UsageError(f"backward root must be 1x1, got {root.shape}")
 
-        adjoints: dict[int, np.ndarray] = {root.idx: np.ones((1, 1))}
-
-        def acc(idx: int, g: np.ndarray) -> None:
-            have = adjoints.get(idx)
-            adjoints[idx] = g if have is None else have + g
-
+        adjoints = {root.idx: np.ones((1, 1))} if root.reached else {}
         for idx in range(root.idx, -1, -1):
             g = adjoints.get(idx)
-            if g is None:
+            node = nodes[idx]
+            if g is None or node.rule is None:
                 continue
-            node = self.nodes[idx]
-            op = node.op
-            if op in ("param", "const"):
-                continue
-            ins = node.inputs
-            vals = [self.nodes[i].value for i in ins]
-            if op == "matmul":
-                a, b = vals
-                if node.meta[0]:
-                    acc(ins[0], g @ b)
-                    acc(ins[1], g.T @ a)
-                else:
-                    acc(ins[0], g @ b.T)
-                    acc(ins[1], a.T @ g)
-            elif op == "affine":
-                # ones(n, 1).T @ g, taken before the x and w adjoints, is the
-                # product and order of matmul(ones(n, 1), b) plus add, so
-                # trained weights keep the bits of that formulation
-                x, w, _ = vals
-                acc(ins[2], np.ones((g.shape[0], 1)).T @ g)
-                acc(ins[0], g @ w.T)
-                acc(ins[1], x.T @ g)
-            elif op == "add":
-                acc(ins[0], g)
-                acc(ins[1], g)
-            elif op == "sub":
-                acc(ins[0], g)
-                acc(ins[1], -g)
-            elif op == "mul":
-                acc(ins[0], g * vals[1])
-                acc(ins[1], g * vals[0])
-            elif op == "scale":
-                acc(ins[0], g * node.meta[0])
-            elif op == "tanh":
-                acc(ins[0], g * (1.0 - node.value ** 2))
-            elif op == "exp":
-                acc(ins[0], g * node.value)
-            elif op == "softmax":
-                y = node.value
-                acc(ins[0], (g - (g * y).sum(axis=1, keepdims=True)) * y)
-            elif op == "mean":
-                acc(ins[0], np.full(vals[0].shape, g[0, 0] / vals[0].size))
-            elif op == "sumsq":
-                acc(ins[0], 2.0 * g[0, 0] * vals[0])
-            elif op == "concat":
-                split = vals[0].shape[1]
-                acc(ins[0], g[:, :split])
-                acc(ins[1], g[:, split:])
-            else:  # pragma: no cover
-                raise UsageError(f"unknown op {op!r}")
+            for i, gi in zip(node.inputs, node.rule(g)):
+                if nodes[i].reached:
+                    have = adjoints.get(i)
+                    adjoints[i] = gi if have is None else have + gi
         return Gradients(adjoints)
 
 

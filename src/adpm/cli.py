@@ -27,7 +27,7 @@ from .inference import classify_dataset
 from .metrics import HypothesisGrid, bound_experiment, classification_metrics
 from .schedule import (ClassCensus, NoiseLevelConfig, build_schedule, class_proportions,
                        imbalance_ratio, lambda_vector, linear_beta)
-from .trainer import TrainConfig, fit, load_checkpoint
+from .trainer import TrainConfig, check_field_types, fit, load_checkpoint
 
 
 class CliUsage(Exception):
@@ -172,11 +172,12 @@ def _resolve_train_config(args) -> TrainConfig:
 
 
 def _resolve_dataset(args, cfg: TrainConfig) -> DatasetTable:
-    if args.data:
-        return load_csv(args.data)
     synthetic = {}
     if args.config:
         synthetic = _load_config_file(args.config).get("synthetic", {})
+        check_field_types(LongTailSpec, synthetic, "synthetic config")
+    if args.data:
+        return load_csv(args.data)
     if args.synthetic or synthetic:
         seed = args.data_seed if args.data_seed is not None else cfg.seed
         spec = LongTailSpec(
@@ -229,7 +230,10 @@ def cmd_schedule(args) -> int:
     else:
         raise CliUsage("schedule needs --counts or --data")
 
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    loaded = _load_config_file(args.config) if args.config else {}
+    file_cfg = {key: loaded[key] for key in ("alpha", "c", "T", "beta1", "betaT")
+                if key in loaded}
+    check_field_types(TrainConfig, file_cfg)
 
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)

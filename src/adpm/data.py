@@ -155,10 +155,15 @@ def load_csv(path, k: int | None = None) -> DatasetTable:
         raise IngestionError(f"{path}: no data rows")
     labels_arr = np.array(labels, dtype=np.int64)
     k_eff = k if k is not None else int(labels_arr.max()) + 1
-    present = np.bincount(labels_arr, minlength=k_eff)
-    if (present == 0).any():
-        empty = np.nonzero(present == 0)[0].tolist()
-        warnings.warn(f"{path}: classes {empty} have no samples")
+    present = np.unique(labels_arr)
+    n_empty = k_eff - present.size
+    if n_empty:
+        # the first 10 empty classes lie among the first present.size + 10 labels
+        candidates = np.arange(min(k_eff, present.size + 10))
+        first = np.setdiff1d(candidates, present)[:10].tolist()
+        more = ", ..." if n_empty > len(first) else ""
+        warnings.warn(f"{path}: {n_empty} of {k_eff} classes have no samples: "
+                      f"{', '.join(map(str, first))}{more}")
     return DatasetTable(np.array(features), labels_arr, k_eff)
 
 

@@ -25,9 +25,8 @@ from .data import DatasetTable
 from .diffusion import SampleBatch, sample
 from .errors import ConfigError
 from .priors import mlp_forward, prior_bundle
-from .schedule import (ClassCensus, NoiseSchedule, build_schedule, lambda_vector,
-                       linear_beta)
-from .trainer import Checkpoint
+from .schedule import ClassCensus
+from .trainer import Checkpoint, noise_schedule
 
 
 @dataclass(frozen=True)
@@ -35,16 +34,6 @@ class EvalOutput:
     predictions: np.ndarray          # (n,) sampled classes
     results: SampleBatch             # results[i] is row i's SampleResult
     prior_predictions: np.ndarray    # (n,) argmax of the fused prior y_f
-
-
-def inference_schedule(ckpt: Checkpoint) -> NoiseSchedule:
-    cfg = ckpt.config
-    beta = linear_beta(cfg.T, cfg.beta1, cfg.betaT)
-    if cfg.lambda_override is not None:
-        lam = np.full(len(ckpt.counts), float(cfg.lambda_override))
-    else:
-        lam = lambda_vector(ClassCensus(ckpt.counts), cfg.noise_cfg())
-    return build_schedule(beta, lam)
 
 
 def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
@@ -61,7 +50,7 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
                           f"dataset has d={table.d}")
     steps = cfg.sample_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
-    schedule = inference_schedule(ckpt)
+    schedule = noise_schedule(ckpt.counts, cfg)
 
     index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
     x = table.features[index]

@@ -25,13 +25,10 @@ from .errors import ConfigError, ShapeError
 class KernelConfig:
     """RBF kernel with a fixed or median-heuristic bandwidth."""
 
-    kind: str = "rbf"
     bandwidth: float = 1.0
     bandwidth_mode: str = "fixed"  # or "median-heuristic"
 
     def __post_init__(self):
-        if self.kind != "rbf":
-            raise ConfigError(f"unsupported kernel {self.kind!r}")
         if self.bandwidth_mode not in ("fixed", "median-heuristic"):
             raise ConfigError(f"unknown bandwidth mode {self.bandwidth_mode!r}")
         if self.bandwidth_mode == "fixed" and not (np.isfinite(self.bandwidth)

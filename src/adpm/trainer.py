@@ -103,28 +103,34 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        """Config from a JSON object; each value must have its field's type.
-
-        An int is accepted for a float field, and None only where the
-        field's default is None.
-        """
-        if not isinstance(obj, dict):
-            raise ConfigError("config is not a JSON object")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(obj) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in obj.items():
-            field = fields[key]
-            if value is None and field.default is None:
-                continue
-            # annotations are strings such as "float" or "int | None"
-            typ = {"int": (int,), "float": (int, float), "str": (str,)}[
-                field.type.split(" | ")[0]]
-            if isinstance(value, bool) or not isinstance(value, typ):
-                raise ConfigError(f"config key {key!r} must be of type {field.type}, "
-                                  f"got {value!r}")
+        """Config from a JSON object that passes check_field_types."""
+        check_field_types(cls, obj)
         return cls(**obj)
+
+
+def check_field_types(cls, obj, what: str = "config") -> None:
+    """Raise ConfigError unless obj is a dict whose keys are fields of the
+    dataclass cls and whose values have their field's type.
+
+    An int is accepted for a float field, and None only where the
+    field's default is None.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        field = fields[key]
+        if value is None and field.default is None:
+            continue
+        # annotations are strings such as "float" or "int | None"
+        typ = {"int": (int,), "float": (int, float), "str": (str,)}[
+            field.type.split(" | ")[0]]
+        if isinstance(value, bool) or not isinstance(value, typ):
+            raise ConfigError(f"{what} key {key!r} must be of type {field.type}, "
+                              f"got {value!r}")
 
 
 @dataclass
@@ -190,12 +196,14 @@ def training_census(table: DatasetTable) -> ClassCensus:
     return ClassCensus(tuple(int(c) for c in counts))
 
 
-def build_train_schedule(table: DatasetTable, cfg: TrainConfig) -> NoiseSchedule:
+def noise_schedule(counts, cfg: TrainConfig) -> NoiseSchedule:
+    """cfg's schedule for a census of class counts: lambda_override for
+    every class if set, else the census's anisotropic noise levels."""
     beta = linear_beta(cfg.T, cfg.beta1, cfg.betaT)
     if cfg.lambda_override is not None:
-        lam = np.full(table.k, float(cfg.lambda_override))
+        lam = np.full(len(counts), float(cfg.lambda_override))
     else:
-        lam = lambda_vector(training_census(table), cfg.noise_cfg())
+        lam = lambda_vector(ClassCensus(tuple(counts)), cfg.noise_cfg())
     return build_schedule(beta, lam)
 
 
@@ -253,8 +261,8 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     parameter is touched. A frozen copy of the post-warmup prior net is
     kept for inference-time noise-level estimation.
     """
-    schedule = build_train_schedule(table, cfg)
-    counts = tuple(int(c) for c in training_census(table).counts)
+    counts = training_census(table).counts
+    schedule = noise_schedule(counts, cfg)
 
     if resume is not None:
         model = resume.model.copy()

@@ -21,8 +21,8 @@ from adpm.losses import KernelConfig, mmd_loss_graph
 from adpm.metrics import HypothesisGrid, bound_experiment, classification_metrics
 from adpm.schedule import (ClassCensus, NoiseLevelConfig, build_schedule,
                            imbalance_ratio, lambda_vector, linear_beta)
-from adpm.trainer import (TrainConfig, batch_loss, build_train_schedule,
-                          draw_batch_noise, fit, init_model)
+from adpm.trainer import (TrainConfig, batch_loss, draw_batch_noise, fit, init_model,
+                          noise_schedule)
 
 def report(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
@@ -99,7 +99,7 @@ def test_c04_training_loss_gradient():
                       hidden=6, attn_dim=4, time_dim=4, prior_hidden=5,
                       batch_size=table.n)
     model = init_model(table.d, table.k, cfg)
-    sched = build_train_schedule(table, cfg)
+    sched = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(13), table.n, table.k, cfg.T)
     _, grads = batch_loss(table, model, sched, cfg, draws)
 

@@ -235,3 +235,16 @@ def test_tape_ids_topologically_ordered():
     for idx, node in enumerate(tape.nodes):
         assert all(i < idx for i in node.inputs)
     assert c.idx == len(tape.nodes) - 1
+
+
+def test_backward_skips_nodes_no_param_reaches():
+    c, w = np.array([[1.0, 2.0]]), np.array([[0.5, -1.0]])
+    tape = Tape()
+    cv, wv = tape.const(c), tape.param(w)
+    const_only = tape.tanh(tape.mul(cv, cv))
+    grads = tape.backward(tape.sum_sq(tape.add(tape.mul(wv, cv), const_only)))
+    assert cv not in grads and const_only not in grads
+    assert np.array_equal(grads[cv], np.zeros((1, 2)))
+    # d/dw sum((w c + tanh(c^2))^2) = 2 (w c + tanh(c^2)) c
+    assert wv in grads
+    assert np.allclose(grads[wv], 2.0 * (w * c + np.tanh(c * c)) * c, rtol=1e-15, atol=0)

@@ -309,6 +309,13 @@ CLI_FAILURES = {
                      ["train", "--data", "{file}", "--epochs", "1"], 1),
     "csv-label-beyond-int64": (b"f0,label\n1.0,0\n2.0,100000000000000000000000\n",
                                ["train", "--data", "{file}", "--epochs", "1"], 1),
+    "config-synthetic-list": (b'{"synthetic": [1]}', ["train", *_TINY, "--config", "{file}"], 1),
+    "config-synthetic-string-k": (b'{"synthetic": {"k": "3"}}',
+                                  ["train", *_TINY, "--config", "{file}"], 1),
+    "config-synthetic-unknown-key": (b'{"synthetic": {"classes": 3}}',
+                                     ["train", *_TINY, "--config", "{file}"], 1),
+    "schedule-config-string-alpha": (b'{"alpha": "x"}',
+                                     ["schedule", "--counts", "5,3", "--config", "{file}"], 1),
 }
 
 

@@ -97,6 +97,14 @@ def test_load_csv_label_gap_warns(tmp_path):
         table = load_csv(path)
     assert table.k == 3
     assert table.class_counts().tolist() == [1, 0, 1]
+    # a wide label gap is counted, and only its first 10 classes are named
+    wide = tmp_path / "wide.csv"
+    wide.write_text("f0,label\n1.0,0\n2.0,5000000\n")
+    with pytest.warns(UserWarning) as record:
+        assert load_csv(wide).k == 5000001
+    message = str(record[0].message)
+    assert message == f"{wide}: 4999999 of 5000001 classes have no samples: " \
+                      "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ..."
 
 
 def test_load_csv_malformed_float_cites_row(tmp_path):

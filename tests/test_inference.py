@@ -4,9 +4,9 @@ import pytest
 from adpm.autodiff import Tape
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fractions
 from adpm.errors import ConfigError
-from adpm.inference import classify_dataset, inference_schedule
+from adpm.inference import classify_dataset
 from adpm.priors import PriorGraph
-from adpm.trainer import TrainConfig, fit
+from adpm.trainer import TrainConfig, fit, noise_schedule
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_steps_override_and_trace(trained):
 
 def test_lambda_comes_from_frozen_prior_census(trained):
     ckpt, test = trained
-    lam_table = inference_schedule(ckpt).lam
+    lam_table = noise_schedule(ckpt.counts, ckpt.config).lam
     out = classify_dataset(ckpt, test)
     assert set(r.lam for r in out.results) <= set(float(v) for v in lam_table)
 

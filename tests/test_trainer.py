@@ -14,8 +14,8 @@ from adpm.inference import classify_dataset
 from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
 from adpm.priors import PriorGraph, PriorNetParams, warmup_train
 from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, Checkpoint, TrainConfig, batch_loss,
-                          build_train_schedule, draw_batch_noise, fit, init_model,
-                          load_checkpoint, save_checkpoint)
+                          draw_batch_noise, fit, init_model, load_checkpoint,
+                          noise_schedule, save_checkpoint)
 
 
 def toy_table(k=3, head=24, decay=0.5, d=4, seed=0):
@@ -80,7 +80,7 @@ def test_full_batch_descent_loss_non_increasing():
     cfg = toy_config(T=20, sample_steps=5, batch_size=table.n, warmup_epochs=0,
                      optimizer="sgd", learning_rate=2e-3, hidden=6, prior_hidden=4)
     model = init_model(table.d, table.k, cfg)
-    schedule = build_train_schedule(table, cfg)
+    schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(1), table.n, table.k, cfg.T)
     losses = []
     blocks = model.blocks()
@@ -98,7 +98,7 @@ def test_eps_term_gradient_is_additive_over_samples():
     table = toy_table(k=2, head=4, decay=1.0, d=3, seed=4)
     cfg = toy_config(T=12, sample_steps=4, hidden=6, prior_hidden=4)
     model = init_model(table.d, table.k, cfg)
-    schedule = build_train_schedule(table, cfg)
+    schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(2), table.n, table.k, cfg.T)
 
     def eps_sum_grads(rows):
@@ -312,7 +312,8 @@ def test_every_trained_block_gets_a_gradient():
     cfg = toy_config()
     model = init_model(table.d, table.k, cfg)
     draws = draw_batch_noise(np.random.default_rng(5), table.n, table.k, cfg.T)
-    _, grads = batch_loss(table, model, build_train_schedule(table, cfg), cfg, draws)
+    schedule = noise_schedule(table.class_counts(), cfg)
+    _, grads = batch_loss(table, model, schedule, cfg, draws)
     assert set(grads) == set(model.blocks())
     for name, g in grads.items():
         assert g.any(), name
@@ -428,7 +429,7 @@ def test_train_step_reports_consistent_total():
     table = toy_table()
     cfg = toy_config()
     model = init_model(table.d, table.k, cfg)
-    schedule = build_train_schedule(table, cfg)
+    schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(3), table.n, table.k, cfg.T)
     report, grads = batch_loss(table, model, schedule, cfg, draws)
     assert report.L_total == pytest.approx(cfg.w * (report.L_g + report.L_l)
