@@ -436,6 +436,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.n0 < 1 or args.n1 < 1:
+        raise CliUsage(f"--n0 and --n1 must be >= 1, got {args.n0} and {args.n1}")
     seed = args.seed if args.seed is not None else 0
     alpha = args.alpha if args.alpha is not None else 1.0 / 6.0
 

@@ -150,6 +150,8 @@ def load_csv(path, k: int | None = None) -> DatasetTable:
             features, labels = _parse_rows(csv.reader(fh), path, k)
     except UnicodeDecodeError:
         raise IngestionError(f"{path}: not valid UTF-8") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise IngestionError(f"{path}: unreadable CSV: {exc}") from None
 
     if not labels:
         raise IngestionError(f"{path}: no data rows")

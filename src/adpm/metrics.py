@@ -7,7 +7,8 @@ The bound under test weighs per-class terms by proportions p_j:
 where R_{n_j} is the class-restricted empirical Rademacher complexity.
 The supremum over hypotheses is taken by exhaustive search over a
 finite grid of sign classifiers, which makes every term exactly
-computable at desk scale.
+computable at desk scale. Losses are error counts over class sizes, and
+an experiment scores its population once, not once per draw.
 """
 
 from __future__ import annotations
@@ -79,11 +80,16 @@ class HypothesisGrid:
     def size(self) -> int:
         return self.weights.shape[0]
 
+    def _scores(self, x) -> np.ndarray:
+        """(H, n) matrix of x @ w + b; f(x) = +1 where it is >= 0."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        raw = self.weights @ x.T
+        raw += self.biases[:, None]
+        return raw
+
     def evaluate(self, x) -> np.ndarray:
         """(H, n) matrix of +-1 outputs."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        raw = self.weights @ x.T + self.biases[:, None]
-        return np.where(raw >= 0.0, 1.0, -1.0)
+        return np.where(self._scores(x) >= 0.0, 1.0, -1.0)
 
     def with_negation(self) -> "HypothesisGrid":
         return HypothesisGrid(np.concatenate([self.weights, -self.weights]),
@@ -92,10 +98,13 @@ class HypothesisGrid:
     @classmethod
     def linear(cls, d: int, n_directions: int, thresholds, seed: int) -> "HypothesisGrid":
         """Deterministic grid of unit directions crossed with thresholds."""
+        thresholds = np.asarray(thresholds, dtype=np.float64)
+        if n_directions < 1 or thresholds.size == 0:
+            raise UsageError(f"a grid needs >= 1 direction and threshold, got "
+                             f"{n_directions} directions and {thresholds.size} thresholds")
         rng = np.random.default_rng([seed, 4])
         dirs = rng.standard_normal((n_directions, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        thresholds = np.asarray(thresholds, dtype=np.float64)
         weights = np.repeat(dirs, thresholds.size, axis=0)
         biases = -np.tile(thresholds, n_directions)
         return cls(weights, biases)
@@ -115,24 +124,19 @@ def empirical_rademacher(x, labels, p, grid: HypothesisGrid, draws: int, rng) ->
 
     Each draw assigns uniform +-1 signs, takes the per-class supremum of
     (1/n_j) sum_{i in class j} sigma_i f(x_i) over the grid, and weighs
-    the suprema by p_j.
+    the suprema by p_j. The signs are one (draws, n) float64 matrix, and
+    each class takes one (H, n_j) @ (n_j, draws) product of exact sums.
     """
     if draws < 1:
         raise UsageError(f"draws must be >= 1, got {draws}")
     p = np.asarray(p, dtype=np.float64)
     groups = _class_indices(labels, p.size)
     outputs = grid.evaluate(x)  # (H, n)
-    per_class = [outputs[:, g] for g in groups]
-    total = 0.0
-    n = np.asarray(x).shape[0]
-    for _ in range(draws):
-        sigma = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        value = 0.0
-        for j, g in enumerate(groups):
-            sup = float((per_class[j] @ sigma[g]).max()) / g.size
-            value += p[j] * sup
-        total += value
-    return total / draws
+    signs = rng.integers(0, 2, size=(draws, outputs.shape[1])) * 2.0 - 1.0
+    values = np.zeros(draws)
+    for j, g in enumerate(groups):
+        values += p[j] * ((outputs[:, g] @ signs[:, g].T).max(axis=0) / g.size)
+    return np.cumsum(values)[-1] / draws  # the running total over draws, in order
 
 
 def class_rademacher(x_class, grid: HypothesisGrid, draws: int, rng) -> float:
@@ -142,13 +146,16 @@ def class_rademacher(x_class, grid: HypothesisGrid, draws: int, rng) -> float:
                                 np.array([1.0]), grid, draws, rng)
 
 
-def sign_loss(outputs: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
-    """Per-sample 0/1 loss of +-1 outputs against +-1 labels.
+def _class_losses(grid: HypothesisGrid, x, y: np.ndarray, groups) -> np.ndarray:
+    """(H, k) per-class 0/1 losses of every hypothesis on the rows (x, y).
 
-    As a function of the output value on [-1, 1] this is (1 - y*u)/2:
-    Lipschitz with constant 1/2 and bounded by 1.
+    Each entry is a class's exact error count over its size, the bits of
+    the mean of the per-sample loss (1 - y u)/2 with y, u in {-1, +1}.
+    As a function of the output u on [-1, 1] that loss is Lipschitz with
+    constant 1/2 and bounded by 1.
     """
-    return (1.0 - outputs * y_pm[None, :]) / 2.0
+    wrong = (grid._scores(x) >= 0.0) != (y == 1)
+    return np.stack([wrong[:, g].sum(axis=1) / g.size for g in groups], axis=1)
 
 
 @dataclass(frozen=True)
@@ -163,37 +170,34 @@ class BoundReport:
     holds: bool
 
 
-def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
-                c_loss: float = 1.0, lip: float = 0.5, delta: float = 0.05,
-                p=None, draws: int = 200, rng=None) -> BoundReport:
-    """Check every grid hypothesis on one training draw.
-
-    Labels are binary {0, 1}, mapped to -1/+1. The left side is the
-    p-weighted per-class loss on the held-out population sample; the
-    right side adds the class complexity and deviation terms to the
-    training losses.
+def _population(pop_x, pop_y, grid: HypothesisGrid, delta: float, p):
+    """Check what every draw shares; return the population's (H, 2)
+    per-class losses and the class proportions.
     """
     if not (0.0 < delta < 1.0):
         raise UsageError(f"delta must lie in (0, 1), got {delta}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    train_y = np.asarray(train_y, dtype=np.int64)
+    if grid.size == 0:
+        raise UsageError("the hypothesis grid is empty")
+    p = np.full(2, 0.5) if p is None else np.asarray(p, dtype=np.float64)
+    if p.shape != (2,) or not (np.isfinite(p).all() and (p >= 0.0).all()
+                               and abs(p.sum() - 1.0) <= 1e-9):
+        raise UsageError("p must be 2 finite, non-negative proportions summing to 1, "
+                         f"got {np.array2string(p, threshold=6)}")
     pop_y = np.asarray(pop_y, dtype=np.int64)
-    k = int(max(train_y.max(), pop_y.max())) + 1
+    if pop_y.max(initial=0) > 1:
+        raise UsageError(f"bound_check handles binary tasks, got k={pop_y.max() + 1}")
+    return _class_losses(grid, pop_x, pop_y, _class_indices(pop_y, 2)), p
+
+
+def _check_draw(train_x, train_y, lpop: np.ndarray, grid: HypothesisGrid, p,
+                c_loss, lip, delta, draws: int, rng) -> BoundReport:
+    train_y = np.asarray(train_y, dtype=np.int64)
+    k = int(max(train_y.max(initial=0), 1)) + 1  # the population's labels are 0 and 1
     if k != 2:
         raise UsageError(f"bound_check handles binary tasks, got k={k}")
-    p = np.full(k, 1.0 / k) if p is None else np.asarray(p, dtype=np.float64)
-
     groups = _class_indices(train_y, k)
     n_j = np.array([g.size for g in groups], dtype=np.float64)
-    train_pm = 2.0 * train_y - 1.0
-    pop_pm = 2.0 * pop_y - 1.0
-
-    train_losses = sign_loss(grid.evaluate(train_x), train_pm)  # (H, n)
-    lhat = np.stack([train_losses[:, g].mean(axis=1) for g in groups], axis=1)  # (H, k)
-
-    pop_losses = sign_loss(grid.evaluate(pop_x), pop_pm)
-    pop_groups = _class_indices(pop_y, k)
-    lpop = np.stack([pop_losses[:, g].mean(axis=1) for g in pop_groups], axis=1)
+    lhat = _class_losses(grid, train_x, train_y, groups)
 
     train_x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
     r = np.array([class_rademacher(train_x[g], grid, draws, rng) for g in groups])
@@ -207,26 +211,40 @@ def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
                        violations=violations, holds=violations == 0)
 
 
+def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
+                c_loss: float = 1.0, lip: float = 0.5, delta: float = 0.05,
+                p=None, draws: int = 200, rng=None) -> BoundReport:
+    """Check every grid hypothesis on one training draw.
+
+    Labels are binary {0, 1}. The left side is the p-weighted per-class
+    loss on the held-out population sample; the right side adds the
+    class complexity and deviation terms to the training losses.
+    """
+    lpop, p = _population(pop_x, pop_y, grid, delta, p)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _check_draw(train_x, train_y, lpop, grid, p, c_loss, lip, delta, draws, rng)
+
+
 def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, *,
                      c_loss: float = 1.0, lip: float = 0.5, delta: float = 0.05,
                      p=None, mc_draws: int = 200, seed: int = 0) -> dict:
     """Repeat bound_check over independent training draws.
 
     draw_fn(i) must return the i-th training set (features, labels). The
-    report carries the fraction of draws where any hypothesis violated
-    the bound, per-hypothesis margin statistics and the mean complexity
-    estimates.
+    population is scored once, before the first draw. The report carries
+    the fraction of draws where any hypothesis violated the bound,
+    per-hypothesis margin statistics and the mean complexity estimates.
     """
     if n_draws < 1:
         raise UsageError(f"n_draws must be >= 1, got {n_draws}")
+    lpop, p = _population(pop_x, pop_y, grid, delta, p)
     margins = np.zeros((n_draws, grid.size))
     r_sum = None
     violating_draws = 0
     for i in range(n_draws):
         train_x, train_y = draw_fn(i)
-        report = bound_check(train_x, train_y, pop_x, pop_y, grid,
-                             c_loss=c_loss, lip=lip, delta=delta, p=p,
-                             draws=mc_draws, rng=np.random.default_rng([seed, 5, i]))
+        report = _check_draw(train_x, train_y, lpop, grid, p, c_loss, lip, delta,
+                             mc_draws, np.random.default_rng([seed, 5, i]))
         margins[i] = report.margins
         r_sum = report.r_per_class if r_sum is None else r_sum + report.r_per_class
         violating_draws += 0 if report.holds else 1

@@ -419,7 +419,7 @@ def load_checkpoint(path) -> Checkpoint:
         return _checkpoint_from(payload)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed checkpoint: {exc}") from exc
 
 

@@ -294,6 +294,7 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 _TINY = ["--synthetic", "--k", "3", "--head-count", "12", "--decay", "0.6", "--dim", "3",
          "--sample-steps", "5", "--epochs", "2", "--warmup-epochs", "1", "--seed", "1"]
 _SMALL = [*_TINY, "--T", "15", "--hidden", "6"]
+_BOUND = ["bound", "--draws", "2", "--mc-draws", "5", "--pop-size", "300"]
 CLI_FAILURES = {
     "config-invalid-json": (b"{bad", ["train", *_TINY, "--config", "{file}"], 2),
     "config-json-list": (b"[1, 2]", ["train", *_TINY, "--config", "{file}"], 2),
@@ -316,6 +317,11 @@ CLI_FAILURES = {
                                      ["train", *_TINY, "--config", "{file}"], 1),
     "schedule-config-string-alpha": (b'{"alpha": "x"}',
                                      ["schedule", "--counts", "5,3", "--config", "{file}"], 1),
+    "bound-grid-directions-zero": (None, [*_BOUND, "--grid-directions", "0"], 1),
+    "bound-grid-directions-negative": (None, [*_BOUND, "--grid-directions", "-1"], 1),
+    "bound-n0-zero": (None, [*_BOUND, "--n0", "0"], 2),
+    "bound-n1-zero": (None, [*_BOUND, "--n1", "0"], 2),
+    "bound-nan-alpha": (None, [*_BOUND, "--alpha", "nan"], 1),
 }
 
 

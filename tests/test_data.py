@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from adpm.data import (DatasetTable, LongTailSpec, class_means, generate_longtail,
                        load_csv, save_csv, split_fractions)
-from adpm.errors import ConfigError, IngestionError, UsageError
+from adpm.errors import AdpmError, ConfigError, IngestionError, UsageError
 
 
 def spec(**kw):
@@ -153,6 +155,35 @@ def test_load_csv_rejects_invalid_utf8(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"f0,label\n1.0,0\n2.0,\xff\n")
     with pytest.raises(IngestionError, match="UTF-8"):
+        load_csv(path)
+
+
+# arbitrary text, and text under a valid header drawn from CSV-like characters;
+# lone surrogates are written as they encode, which is not valid UTF-8
+_CSV_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet="0123456789.,-+eE\n\r\" \tnaif_\x00\ud800", max_size=60)
+    .map(lambda body: "f0,f1,label\n" + body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_CSV_TEXT)
+def test_load_csv_fuzz_returns_table_or_adpm_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            table = load_csv(path)
+        except AdpmError:
+            return
+    assert isinstance(table, DatasetTable) and table.n >= 1
+
+
+def test_load_csv_oversized_field_is_an_ingestion_error(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("f0,label\n" + "1" * 200_000 + ",0\n")
+    with pytest.raises(IngestionError):
         load_csv(path)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -187,3 +188,129 @@ def test_bound_experiment_violation_rate_small():
     assert report["draws"] == 20
     assert report["violation_rate"] <= 0.05
     assert len(report["margin_mean"]) == grid.size
+
+
+def _per_draw_rademacher(x, labels, p, grid, draws, rng):
+    # one matvec per class per draw, the form the batched estimator replaces
+    groups = [np.nonzero(np.asarray(labels) == j)[0] for j in range(len(p))]
+    outputs = grid.evaluate(x)
+    total = 0.0
+    for _ in range(draws):
+        sigma = rng.integers(0, 2, size=outputs.shape[1]) * 2.0 - 1.0
+        value = 0.0
+        for j, g in enumerate(groups):
+            value += p[j] * (float((outputs[:, g] @ sigma[g]).max()) / g.size)
+        total += value
+    return total / draws
+
+
+def test_batched_rademacher_matches_per_draw_loop_bitwise():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((41, 3))
+    labels = np.array([0] * 29 + [1] * 12)
+    p = np.array([0.3, 0.7])
+    grid = HypothesisGrid.linear(3, 7, [-0.5, 0.0, 0.8], seed=20).with_negation()
+    for draws in (1, 2, 57):
+        est = empirical_rademacher(x, labels, p, grid, draws, np.random.default_rng(21))
+        ref = _per_draw_rademacher(x, labels, p, grid, draws, np.random.default_rng(21))
+        assert est == ref
+
+
+def _per_draw_bound_experiment(draw_fn, n_draws, pop_x, pop_y, grid, p, mc_draws, seed,
+                               c_loss=1.0, lip=0.5, delta=0.05):
+    # every draw scores the population again and takes float means of the
+    # per-sample losses (1 - y u)/2, the arithmetic the counts replace
+    def class_means(x, y):
+        losses = (1.0 - grid.evaluate(x) * (2.0 * y - 1.0)[None, :]) / 2.0
+        return np.stack([losses[:, y == j].mean(axis=1) for j in (0, 1)], axis=1)
+
+    margins = np.zeros((n_draws, grid.size))
+    r_sum = None
+    violating = 0
+    for i in range(n_draws):
+        x, y = draw_fn(i)
+        rng = np.random.default_rng([seed, 5, i])
+        r = np.array([_per_draw_rademacher(x[y == j], np.zeros((y == j).sum(), dtype=int),
+                                           np.array([1.0]), grid, mc_draws, rng)
+                      for j in (0, 1)])
+        n_j = np.array([(y == 0).sum(), (y == 1).sum()], dtype=np.float64)
+        deviation = c_loss * np.sqrt(np.log(1.0 / delta) / (2.0 * n_j))
+        rhs = (p[None, :] * (class_means(x, y) + 2.0 * lip * r[None, :]
+                             + deviation[None, :])).sum(axis=1)
+        margins[i] = rhs - (p[None, :] * class_means(pop_x, pop_y)).sum(axis=1)
+        r_sum = r if i == 0 else r_sum + r
+        violating += int((margins[i] < 0.0).any())
+    return {"draws": n_draws, "delta": delta, "violation_rate": violating / n_draws,
+            "violating_draws": violating, "hypotheses": grid.size,
+            "margin_mean": margins.mean(axis=0).tolist(),
+            "margin_min": margins.min(axis=0).tolist(),
+            "r_mean": (r_sum / n_draws).tolist()}
+
+
+def test_bound_experiment_matches_per_draw_oracle_bitwise():
+    pop_x, pop_y = _two_blob_draw(900, 300, seed=22)
+    grid = HypothesisGrid.linear(2, 5, [-1.0, 0.0, 1.0], seed=23).with_negation()
+    p = np.array([0.35, 0.65])
+
+    def draw(i):
+        return _two_blob_draw(17, 6, seed=200 + i)
+
+    got = bound_experiment(draw, 6, pop_x, pop_y, grid, p=p, mc_draws=45, seed=24)
+    want = _per_draw_bound_experiment(draw, 6, pop_x, pop_y, grid, p, 45, 24)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_bound_experiment_scores_population_once():
+    rows = []
+
+    class CountingWeights(np.ndarray):
+        # records how many rows each product with the grid's weights scores
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[0] is self:
+                rows.append(inputs[1].shape[-1])
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    base = HypothesisGrid.linear(2, 4, [-1.0, 0.0, 1.0], seed=25).with_negation()
+    grid = HypothesisGrid(base.weights.view(CountingWeights), base.biases)
+    pop_x, pop_y = _two_blob_draw(400, 101, seed=26)
+    bound_experiment(lambda i: _two_blob_draw(20, 9, seed=300 + i), 5, pop_x, pop_y, grid,
+                     mc_draws=10, seed=27)
+    assert rows.count(501) == 1
+    assert sum(rows) == 501 + 5 * 2 * 29  # each draw: its losses, then its two classes
+
+
+@pytest.mark.parametrize("directions, thresholds", [(0, [0.0]), (-1, [0.0]), (3, [])])
+def test_grid_rejects_no_directions_or_thresholds(directions, thresholds):
+    with pytest.raises(UsageError):
+        HypothesisGrid.linear(2, directions, thresholds, seed=0)
+
+
+@pytest.mark.parametrize("p", [[0.5, float("nan")], [0.2, 0.3, 0.5], [1.5, -0.5],
+                               [0.5, 0.4], [float("inf"), 0.0], [1.0]],
+                         ids=["nan", "length-3", "negative", "sum-0.9", "inf", "length-1"])
+def test_bound_rejects_bad_proportions(p):
+    x, y = _two_blob_draw(10, 5, seed=28)
+    grid = HypothesisGrid.linear(2, 2, [0.0], seed=29)
+    with pytest.raises(UsageError, match="p must be"):
+        bound_check(x, y, x, y, grid, p=p, draws=5)
+    with pytest.raises(UsageError, match="p must be"):
+        bound_experiment(lambda i: (x, y), 2, x, y, grid, p=p, mc_draws=5)
+
+
+def test_bound_rejects_empty_grid():
+    x, y = _two_blob_draw(10, 5, seed=30)
+    grid = HypothesisGrid(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(UsageError, match="grid is empty"):
+        bound_check(x, y, x, y, grid, draws=5)
+    with pytest.raises(UsageError, match="grid is empty"):
+        bound_experiment(lambda i: (x, y), 2, x, y, grid, mc_draws=5)
+
+
+def test_bound_rejects_empty_draw_or_population():
+    x, y = _two_blob_draw(10, 5, seed=31)
+    none_x, none_y = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    grid = HypothesisGrid.linear(2, 2, [0.0], seed=32)
+    with pytest.raises(UsageError, match="no samples"):
+        bound_check(none_x, none_y, x, y, grid, draws=5)
+    with pytest.raises(UsageError, match="no samples"):
+        bound_experiment(lambda i: (x, y), 2, none_x, none_y, grid, mc_draws=5)

@@ -4,12 +4,14 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adpm import optim
 from adpm.autodiff import Tape, scalar
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.denoiser import DenoiserGraph, DenoiserParams
-from adpm.errors import ConfigError, ScheduleInfeasibleError
+from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError
 from adpm.inference import classify_dataset
 from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
 from adpm.priors import PriorGraph, PriorNetParams, warmup_train
@@ -235,6 +237,10 @@ def _string_config_value(p):
     p["config"]["hidden"] = "8"
 
 
+def _infinite_epoch(p):
+    p["epoch"] = float("inf")
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_drop_block, "missing block 'denoiser.wv'"),
     (_add_block, "unknown block 'denoiser.extra'"),
@@ -244,8 +250,10 @@ def _string_config_value(p):
     (_nan_weight, "block 'prior.w1' holds a non-finite value"),
     (_drop_moment, "missing Adam moment m 'denoiser.dec2_b'"),
     (_string_config_value, "config key 'hidden' must be of type int"),
+    (_infinite_epoch, "malformed checkpoint"),
 ], ids=["missing-block", "unknown-block", "truncated-json", "no-config",
-        "no-version", "nan-weight", "missing-moment", "string-config-value"])
+        "no-version", "nan-weight", "missing-moment", "string-config-value",
+        "infinite-epoch"])
 def test_malformed_checkpoint_rejected(tmp_path, saved_run, corrupt, reason):
     _, _, text = saved_run
     if corrupt is None:
@@ -259,6 +267,50 @@ def test_malformed_checkpoint_rejected(tmp_path, saved_run, corrupt, reason):
     with pytest.raises(ConfigError) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and reason in str(info.value)
+
+
+# small JSON values only: a large integer in a width field would make the
+# shape check allocate a model of that width
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                         st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+                         st.lists(st.integers(-1, 2), max_size=3), st.just({}))
+
+
+def _mutate(data, node):
+    """Replace, delete or add one value somewhere below node, in place."""
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete" and isinstance(node, dict):
+            del node[key]
+        elif action == "add" and isinstance(node, dict):
+            node[data.draw(st.text(max_size=4))] = data.draw(_JSON_VALUES)
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+        return
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_fuzz_returns_checkpoint_or_adpm_error(saved_run, tmp_path_factory,
+                                                               data):
+    payload = json.loads(saved_run[2])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, payload)
+    path = tmp_path_factory.getbasetemp() / "fuzz_ckpt.json"
+    path.write_text(json.dumps(payload))
+    try:
+        ckpt = load_checkpoint(path)
+    except AdpmError:
+        return
+    assert isinstance(ckpt, Checkpoint)
 
 
 @pytest.mark.parametrize("section", ["model", "prior_frozen", "m", "v"])
