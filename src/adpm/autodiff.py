@@ -3,18 +3,19 @@
 The op vocabulary is fixed to what the denoising network and its losses
 need: matmul (with an optional transposed right operand), affine (x @ w
 plus a broadcast bias row), add, sub, mul, scale, tanh, exp, row
-softmax, mean, sum of squares and column concat. Everything is strictly
-2-D float64. Forward evaluation is deterministic for identical inputs;
-reductions are delegated to numpy's sequential CPU kernels, which are
-run-to-run reproducible.
+softmax, mean, sum of squares, column and row concat, a row range, and
+rbf_mean, the mean RBF kernel value over all row pairs of two batches as
+one node. Everything is strictly 2-D float64. Forward evaluation is
+deterministic for identical inputs; reductions are delegated to numpy's
+sequential CPU kernels, which are run-to-run reproducible.
 
 Each op method computes its value and stores, on the new node, the rule
 that maps the node's adjoint to one adjoint per input. A node also
 records whether a param reaches it: a param does, a const does not, and
 an op does when any of its inputs does. backward keeps adjoints only
-for reached nodes, so a const, or a subgraph computed from consts alone
-(such as the K(eps, eps) kernel of an MMD), gets no adjoint and runs no
-rule.
+for reached nodes, so a const, or a node computed from consts alone
+(such as the K(eps, eps) kernel mean of an MMD), gets no adjoint and
+runs no rule.
 
 The library builds a tape only where it takes a gradient: once per
 training step, in trainer.batch_loss. Prior warmup, inference and
@@ -177,6 +178,48 @@ class Tape:
         split = a.shape[1]
         return self._push(np.concatenate([a.value, b.value], axis=1), (a, b),
                           lambda g: (g[:, :split], g[:, split:]))
+
+    def concat_rows(self, *parts: Var) -> Var:
+        """The rows of every part, stacked in argument order."""
+        if not parts or any(v.shape[1] != parts[0].shape[1] for v in parts):
+            raise ShapeError(f"concat_rows: column counts of {[v.shape for v in parts]}")
+        bounds = np.cumsum([0] + [v.shape[0] for v in parts])
+        return self._push(np.concatenate([v.value for v in parts], axis=0), parts,
+                          lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+
+    def rows(self, a: Var, start: int, stop: int) -> Var:
+        """Rows start..stop-1 of a; the other rows get a zero adjoint."""
+        n = a.shape[0]
+        if not 0 <= start < stop <= n:
+            raise ShapeError(f"rows: range [{start}, {stop}) of {n} rows")
+
+        def rule(g):
+            out = np.zeros(a.shape)
+            out[start:stop] = g
+            return (out,)
+        return self._push(a.value[start:stop], (a,), rule)
+
+    def rbf_mean(self, a: Var, b: Var, sigma: float) -> Var:
+        """Mean of exp(-|a_i - b_j|^2 / (2 sigma^2)) over all row pairs, as 1x1.
+
+        The squared distances are |a_i|^2 + |b_j|^2 - 2 a_i.b_j. With
+        D = K g s / K.size, s = -1/(2 sigma^2), the adjoints are
+        2 (rowsum(D) a - D b) and 2 (colsum(D) b - D^T a). a and b may be
+        the same node; backward then adds both adjoints.
+        """
+        if a.shape[1] != b.shape[1]:
+            raise ShapeError(f"rbf_mean: column counts differ: {a.shape} vs {b.shape}")
+        av, bv = a.value, b.value
+        s = -1.0 / (2.0 * sigma * sigma)
+        sq = ((av * av).sum(axis=1)[:, None] + (bv * bv).sum(axis=1)[None, :]
+              - (av @ bv.T) * 2.0)
+        kernel = np.exp(sq * s)
+
+        def rule(g):
+            d = kernel * (g[0, 0] * s / kernel.size)
+            return (2.0 * (d.sum(axis=1)[:, None] * av - d @ bv),
+                    2.0 * (d.sum(axis=0)[:, None] * bv - d.T @ av))
+        return self._push(np.array([[kernel.mean()]]), (a, b), rule)
 
     # ----- evaluation -----
 

@@ -438,6 +438,9 @@ def cmd_sweep(args) -> int:
 def cmd_bound(args) -> int:
     if args.n0 < 1 or args.n1 < 1:
         raise CliUsage(f"--n0 and --n1 must be >= 1, got {args.n0} and {args.n1}")
+    if args.pop_size < args.n0 + args.n1:
+        raise CliUsage(f"--pop-size must be at least --n0 + --n1 = {args.n0 + args.n1}, "
+                       f"got {args.pop_size}")
     seed = args.seed if args.seed is not None else 0
     alpha = args.alpha if args.alpha is not None else 1.0 / 6.0
 
@@ -445,7 +448,7 @@ def cmd_bound(args) -> int:
         return LongTailSpec(k=2, head_count=n0, decay=n1 / n0, d=args.dim,
                             separation=args.separation, spread=1.0, seed=data_seed)
 
-    pop_scale = max(1, args.pop_size // (args.n0 + args.n1))
+    pop_scale = args.pop_size // (args.n0 + args.n1)
     pop = generate_longtail(blob_spec(args.n0 * pop_scale, args.n1 * pop_scale,
                                       2_000_000 + seed))
     census = ClassCensus((args.n0, args.n1))

@@ -86,21 +86,31 @@ class DenoiserParams:
     def t_emb_dim(self) -> int:
         return self.time_w.shape[0]
 
+    @staticmethod
+    def shapes(k: int, h: int, d_att: int, t_dim: int) -> dict[str, tuple[int, int]]:
+        """Block name -> shape, in blocks() order; init draws every block
+        in this shape."""
+        return {"fuse_w": (2 * k, h), "fuse_b": (1, h), "enc_w": (h, h), "enc_b": (1, h),
+                "wv": (h, d_att), "wo": (d_att, h), "time_w": (t_dim, h), "time_b": (1, h),
+                "dec1_w": (h, h), "dec1_b": (1, h), "dec2_w": (h, k), "dec2_b": (1, k)}
+
     @classmethod
     def init(cls, k: int, h: int, d_att: int, t_dim: int, rng) -> "DenoiserParams":
-        def w(rows, cols):
-            return rng.standard_normal((rows, cols)) / np.sqrt(rows)
-        fuse_w, enc_w = w(2 * k, h), w(h, h)
+        s = cls.shapes(k, h, d_att, t_dim)
+
+        def w(name):
+            return rng.standard_normal(s[name]) / np.sqrt(s[name][0])
+        fuse_w, enc_w = w("fuse_w"), w("enc_w")
         # two (h, d_att) draws of the former query/key projections are
         # discarded so every later block keeps its seeded values
-        w(h, d_att), w(h, d_att)
+        w("wv"), w("wv")
         return cls(
-            fuse_w=fuse_w, fuse_b=np.zeros((1, h)),
-            enc_w=enc_w, enc_b=np.zeros((1, h)),
-            wv=w(h, d_att), wo=w(d_att, h),
-            time_w=w(t_dim, h), time_b=np.zeros((1, h)),
-            dec1_w=w(h, h), dec1_b=np.zeros((1, h)),
-            dec2_w=w(h, k), dec2_b=np.zeros((1, k)),
+            fuse_w=fuse_w, fuse_b=np.zeros(s["fuse_b"]),
+            enc_w=enc_w, enc_b=np.zeros(s["enc_b"]),
+            wv=w("wv"), wo=w("wo"),
+            time_w=w("time_w"), time_b=np.zeros(s["time_b"]),
+            dec1_w=w("dec1_w"), dec1_b=np.zeros(s["dec1_b"]),
+            dec2_w=w("dec2_w"), dec2_b=np.zeros(s["dec2_b"]),
         )
 
     def blocks(self) -> dict[str, np.ndarray]:

@@ -5,10 +5,11 @@ true Gaussian draws is the biased V-statistic
 
     MMD(A, B) = K(A, A) - 2 K(A, B) + K(B, B),
 
-with K(X, Y) the mean RBF kernel value over all row pairs. The total
-objective is w * (L_g + L_l) + L_eps, where L_eps is the batch-mean
-squared error of the fused branch. Each term is built on the caller's
-autodiff tape; the trainer's batch_loss is the one place that builds one.
+with K(X, Y) the mean RBF kernel value over all row pairs, one
+Tape.rbf_mean node each. The total objective is w * (L_g + L_l) + L_eps,
+where L_eps is the batch-mean squared error of the fused branch. Each
+term is built on the caller's autodiff tape; the trainer's batch_loss is
+the one place that builds one.
 """
 
 from __future__ import annotations
@@ -63,30 +64,12 @@ def resolve_bandwidth(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> float:
     return med if med > 0.0 else 1.0
 
 
-def rbf_kernel_mean_graph(tape: Tape, a: Var, b: Var, sigma: float) -> Var:
-    """Mean RBF kernel value over all row pairs, differentiable."""
-    m, cols = a.shape
-    p = b.shape[0]
-    if b.shape[1] != cols:
-        raise ShapeError(f"column counts differ: {a.shape} vs {b.shape}")
-    ones_cols = tape.const(np.ones((cols, 1)))
-    ra = tape.matmul(tape.mul(a, a), ones_cols)              # (m, 1)
-    rb = tape.matmul(tape.mul(b, b), ones_cols)              # (p, 1)
-    gram = tape.matmul(a, b, trans_b=True)                   # (m, p)
-    sq = tape.sub(
-        tape.add(tape.matmul(ra, tape.const(np.ones((1, p)))),
-                 tape.matmul(tape.const(np.ones((m, 1))), rb, trans_b=True)),
-        tape.scale(gram, 2.0))
-    kernel = tape.exp(tape.scale(sq, -1.0 / (2.0 * sigma * sigma)))
-    return tape.mean(kernel)
-
-
 def mmd_loss_graph(tape: Tape, eps_true: Var, eps_pred: Var, cfg: KernelConfig) -> Var:
     """V-statistic MMD between true and predicted noise batches."""
     sigma = resolve_bandwidth(eps_true.value, eps_pred.value, cfg)
-    k_tt = rbf_kernel_mean_graph(tape, eps_true, eps_true, sigma)
-    k_tp = rbf_kernel_mean_graph(tape, eps_pred, eps_true, sigma)
-    k_pp = rbf_kernel_mean_graph(tape, eps_pred, eps_pred, sigma)
+    k_tt = tape.rbf_mean(eps_true, eps_true, sigma)
+    k_tp = tape.rbf_mean(eps_pred, eps_true, sigma)
+    k_pp = tape.rbf_mean(eps_pred, eps_pred, sigma)
     return tape.add(tape.sub(k_tt, tape.scale(k_tp, 2.0)), k_pp)
 
 

@@ -35,8 +35,12 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.step_count
         for name, p in params.items():
             g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
+            m = self.m.get(name)
+            if m is None:
+                m = self.m[name] = np.zeros_like(p)
+            v = self.v.get(name)
+            if v is None:
+                v = self.v[name] = np.zeros_like(p)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

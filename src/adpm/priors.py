@@ -40,13 +40,19 @@ class PriorNetParams:
         if not (1 <= self.mask_size <= d):
             raise ConfigError(f"mask_size must lie in [1, {d}], got {self.mask_size}")
 
+    @staticmethod
+    def shapes(d: int, hidden: int, k: int) -> dict[str, tuple[int, int]]:
+        """Block name -> shape; init draws every block in this shape."""
+        return {"w1": (d, hidden), "b1": (1, hidden), "w2": (hidden, k), "b2": (1, k)}
+
     @classmethod
     def init(cls, d: int, hidden: int, k: int, mask_size: int, rng) -> "PriorNetParams":
+        s = cls.shapes(d, hidden, k)
         return cls(
-            w1=rng.standard_normal((d, hidden)) / np.sqrt(d),
-            b1=np.zeros((1, hidden)),
-            w2=rng.standard_normal((hidden, k)) / np.sqrt(hidden),
-            b2=np.zeros((1, k)),
+            w1=rng.standard_normal(s["w1"]) / np.sqrt(d),
+            b1=np.zeros(s["b1"]),
+            w2=rng.standard_normal(s["w2"]) / np.sqrt(hidden),
+            b2=np.zeros(s["b2"]),
             mask_size=mask_size,
         )
 

@@ -62,6 +62,9 @@ class NoiseLevelConfig:
     b: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "c", "a", "b"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.c <= 0:

@@ -3,9 +3,11 @@
 Every batch draws one timestep per sample and, per branch (global,
 local, fused), an independent Gaussian noise batch. Each branch's draw
 is corrupted with the true class's noise level and the branch's own
-prior, pushed through the shared denoiser, and scored: MMD against the
-true noise for the global and local branches, mean squared error for
-the fused branch. Gradients flow into the denoiser and the prior
+prior. The three corrupted batches are stacked into one batch of three
+times the rows and pushed through the shared denoiser in one pass; its
+output is split back into the branches and scored: MMD against the true
+noise for the global and local branches, mean squared error for the
+fused branch. Gradients flow into the denoiser and the prior
 network. batch_loss builds the library's only autodiff tape; warmup
 and inference run their forward passes as plain numpy. A step whose
 loss is not finite stops training with a ConfigError.
@@ -185,6 +187,16 @@ def init_model(d: int, k: int, cfg: TrainConfig) -> ModelParams:
     return ModelParams(prior, den)
 
 
+def model_shapes(d: int, k: int, cfg: TrainConfig) -> dict[str, tuple[int, int]]:
+    """Block name -> shape of init_model(d, k, cfg), in blocks() order,
+    computed without drawing or allocating anything."""
+    shapes = {f"prior.{name}": shape for name, shape in
+              PriorNetParams.shapes(d, cfg.prior_hidden, k).items()}
+    shapes.update({f"denoiser.{name}": shape for name, shape in DenoiserParams.shapes(
+        k, cfg.hidden, cfg.attn_dim, cfg.time_dim).items()})
+    return shapes
+
+
 def training_census(table: DatasetTable) -> ClassCensus:
     """Census of the training labels; empty classes count as one sample."""
     counts = table.class_counts()
@@ -224,18 +236,18 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
     prior_graph = PriorGraph(tape, model.prior, x)
     den_graph = DenoiserGraph(tape, model.denoiser)
 
+    # the branches run as one stacked batch: row block i, rows i * nb to
+    # (i + 1) * nb - 1, holds branch BRANCHES[i]
     gamma_t = schedule.gamma[batch.labels, draws.t]          # (nb,)
     root = np.sqrt(gamma_t)[:, None]
     noise_scale = np.sqrt(1.0 - gamma_t)[:, None]
-    prior_coef = tape.const(np.broadcast_to(1.0 - root, (nb, batch.k)).copy())
-
-    branch_priors = {"global": prior_graph.y_g, "local": prior_graph.y_l,
-                     "fused": prior_graph.y_f}
-    eps_hat: dict[str, object] = {}
-    for branch in BRANCHES:
-        signal = tape.const(root * batch.onehot + noise_scale * draws.eps[branch])
-        y_t = tape.add(signal, tape.mul(prior_coef, branch_priors[branch]))
-        eps_hat[branch] = den_graph.predict(y_t, branch_priors[branch], draws.t, cfg.T)
+    signal = tape.const(np.concatenate([root * batch.onehot + noise_scale * draws.eps[b]
+                                        for b in BRANCHES]))
+    prior_coef = tape.const(np.tile(1.0 - root, (len(BRANCHES), batch.k)))
+    priors = tape.concat_rows(prior_graph.y_g, prior_graph.y_l, prior_graph.y_f)
+    y_t = tape.add(signal, tape.mul(prior_coef, priors))
+    stacked = den_graph.predict(y_t, priors, np.tile(draws.t, len(BRANCHES)), cfg.T)
+    eps_hat = {b: tape.rows(stacked, i * nb, (i + 1) * nb) for i, b in enumerate(BRANCHES)}
 
     kernel = cfg.kernel_cfg()
     l_g = mmd_loss_graph(tape, tape.const(draws.eps["global"]), eps_hat["global"], kernel)
@@ -441,8 +453,7 @@ def _checkpoint_from(payload) -> Checkpoint:
     w1 = blocks.get("prior.w1")
     if w1 is None or w1.ndim != 2:
         raise ConfigError("block 'prior.w1' is missing or not a matrix")
-    shapes = {name: arr.shape for name, arr in
-              init_model(w1.shape[0], len(counts), cfg).blocks().items()}
+    shapes = model_shapes(w1.shape[0], len(counts), cfg)
     _checked(blocks, shapes, "block")
     prior_shapes = {name[len("prior."):]: shape for name, shape in shapes.items()
                     if name.startswith("prior.")}

@@ -128,11 +128,13 @@ def test_backward_requires_scalar_root():
 
 
 @pytest.mark.parametrize("op", ["matmul", "affine", "add", "sub", "mul", "scale",
-                                "tanh", "exp", "softmax", "mean", "sumsq", "concat"])
+                                "tanh", "exp", "softmax", "mean", "sumsq", "concat",
+                                "concat_rows", "rows", "rbf_mean", "rbf_mean_aliased"])
 def test_gradient_check_per_op(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 4) if op == "affine" else (3, 4))
+    b = rng.standard_normal({"affine": (4, 4), "concat_rows": (2, 4),
+                             "rbf_mean": (5, 4)}.get(op, (3, 4)))
     operands = [a, b] + ([rng.standard_normal((1, 4))] if op == "affine" else [])
 
     def build():
@@ -163,6 +165,15 @@ def test_gradient_check_per_op(op):
             out = tape.sum_sq(av)
         elif op == "concat":
             out = tape.concat_cols(av, bv)
+        elif op == "concat_rows":
+            out = tape.concat_rows(av, bv, av)
+        elif op == "rows":
+            out = tape.rows(av, 1, 3)
+        elif op == "rbf_mean":
+            out = tape.rbf_mean(av, bv, 1.3)
+        elif op == "rbf_mean_aliased":
+            # the K(pred, pred) form: both operands are one node
+            out = tape.rbf_mean(av, av, 1.3)
         # scalarize through a curved function so adjoints are nontrivial
         root = tape.sum_sq(tape.tanh(out)) if out.shape != (1, 1) else out
         return tape, vs, root
@@ -204,6 +215,24 @@ def test_affine_matches_ones_column_bias_bitwise(n):
 
     for got, want in zip(run(True), run(False)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rows_and_concat_rows_invert_each_other():
+    rng = np.random.default_rng(21)
+    parts = [rng.standard_normal((n, 3)) for n in (2, 1, 4)]
+    tape = Tape()
+    stacked = tape.concat_rows(*(tape.const(p) for p in parts))
+    assert stacked.shape == (7, 3)
+    for (lo, hi), p in zip(((0, 2), (2, 3), (3, 7)), parts):
+        assert np.array_equal(tape.rows(stacked, lo, hi).value, p)
+    with pytest.raises(ShapeError):
+        tape.rows(stacked, 3, 3)
+    with pytest.raises(ShapeError):
+        tape.rows(stacked, 0, 8)
+    with pytest.raises(ShapeError):
+        tape.concat_rows(stacked, tape.const(np.ones((1, 2))))
+    with pytest.raises(ShapeError):
+        tape.rbf_mean(stacked, tape.const(np.ones((1, 2))), 1.0)
 
 
 def test_affine_shape_error():

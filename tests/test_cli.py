@@ -322,6 +322,10 @@ CLI_FAILURES = {
     "bound-n0-zero": (None, [*_BOUND, "--n0", "0"], 2),
     "bound-n1-zero": (None, [*_BOUND, "--n1", "0"], 2),
     "bound-nan-alpha": (None, [*_BOUND, "--alpha", "nan"], 1),
+    "bound-inf-alpha": (None, [*_BOUND, "--alpha", "inf"], 1),
+    "bound-pop-size-zero": (None, [*_BOUND, "--pop-size", "0"], 2),
+    "bound-pop-size-negative": (None, [*_BOUND, "--pop-size", "-5"], 2),
+    "bound-pop-size-below-draw": (None, [*_BOUND, "--pop-size", "59"], 2),
 }
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from adpm.autodiff import Tape, scalar
 from adpm.errors import ConfigError, ShapeError
-from adpm.losses import (KernelConfig, eps_loss_graph, mmd_loss_graph,
-                         rbf_kernel_mean_graph, resolve_bandwidth, total_loss_graph)
+from adpm.losses import (KernelConfig, eps_loss_graph, mmd_loss_graph, resolve_bandwidth,
+                         total_loss_graph)
 
 from gradcheck import finite_diff, rel_err
 
@@ -16,8 +16,7 @@ from gradcheck import finite_diff, rel_err
 def rbf_kernel_mean(a, b, cfg=KernelConfig()):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     tape = Tape()
-    return scalar(rbf_kernel_mean_graph(tape, tape.const(a), tape.const(b),
-                                        resolve_bandwidth(a, b, cfg)))
+    return scalar(tape.rbf_mean(tape.const(a), tape.const(b), resolve_bandwidth(a, b, cfg)))
 
 
 def mmd_loss(eps_true, eps_pred, cfg=KernelConfig()):
@@ -65,6 +64,42 @@ def test_kernel_brute_force_oracle():
     expected = total / 15
     got = rbf_kernel_mean(a, b, KernelConfig(bandwidth=sigma))
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def composed_rbf_mean(tape, a, b, sigma):
+    """The mean RBF kernel as a composition of elementary tape ops."""
+    m, cols = a.shape
+    p = b.shape[0]
+    ones_cols = tape.const(np.ones((cols, 1)))
+    ra = tape.matmul(tape.mul(a, a), ones_cols)
+    rb = tape.matmul(tape.mul(b, b), ones_cols)
+    gram = tape.matmul(a, b, trans_b=True)
+    sq = tape.sub(
+        tape.add(tape.matmul(ra, tape.const(np.ones((1, p)))),
+                 tape.matmul(tape.const(np.ones((m, 1))), rb, trans_b=True)),
+        tape.scale(gram, 2.0))
+    return tape.mean(tape.exp(tape.scale(sq, -1.0 / (2.0 * sigma * sigma))))
+
+
+def test_rbf_mean_matches_composed_kernel():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        m, p, cols = (int(v) for v in rng.integers(1, 9, size=3))
+        a = rng.standard_normal((m, cols))
+        b = rng.standard_normal((p, cols))
+        sigma = float(rng.uniform(0.3, 3.0))
+        # the aliased pair (a, a) is the K(pred, pred) term of the MMD
+        for aliased in (False, True):
+            results = []
+            for kernel in (Tape.rbf_mean, composed_rbf_mean):
+                tape = Tape()
+                av, bv = tape.param(a), tape.param(b)
+                out = kernel(tape, av, av if aliased else bv, sigma)
+                grads = tape.backward(out)
+                results.append((scalar(out), grads[av], grads[bv]))
+            (fused, ga, gb), (composed, ca, cb) = results
+            assert abs(fused - composed) <= 1e-12
+            assert np.abs(ga - ca).max() <= 1e-12 and np.abs(gb - cb).max() <= 1e-12
 
 
 def test_median_heuristic_bandwidth():

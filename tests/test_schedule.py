@@ -63,6 +63,14 @@ def test_alpha_outside_unit_interval_warns():
         NoiseLevelConfig(alpha=-0.1, c=1.0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "c", "a", "b"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_noise_level_config_rejects_non_finite_values(field, value):
+    kwargs = {"alpha": 0.5, "c": 1.0, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        NoiseLevelConfig(**kwargs)
+
+
 @given(counts_strategy)
 def test_proportions_sum_to_one(counts):
     p = class_proportions(ClassCensus(tuple(counts)), NoiseLevelConfig(alpha=0.5, c=1.0))

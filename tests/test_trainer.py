@@ -17,7 +17,7 @@ from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
 from adpm.priors import PriorGraph, PriorNetParams, warmup_train
 from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, Checkpoint, TrainConfig, batch_loss,
                           draw_batch_noise, fit, init_model, load_checkpoint,
-                          noise_schedule, save_checkpoint)
+                          model_shapes, noise_schedule, save_checkpoint)
 
 
 def toy_table(k=3, head=24, decay=0.5, d=4, seed=0):
@@ -92,6 +92,34 @@ def test_full_batch_descent_loss_non_increasing():
         for name in blocks:
             blocks[name] -= cfg.learning_rate * grads[name]
     assert (np.diff(losses) <= 1e-6).all()
+
+
+def test_batch_loss_runs_the_denoiser_once_on_a_small_tape(monkeypatch):
+    # desk-shaped step: k = 6, d = 8, default widths, a full batch of 32;
+    # one stacked denoiser pass serves all three branches
+    table = generate_longtail(LongTailSpec(k=6, head_count=100, decay=0.57, d=8,
+                                           separation=6.0, spread=1.0, seed=0))
+    batch = table.take(np.arange(32))
+    cfg = TrainConfig(T=100, sample_steps=25, betaT=0.004)
+    model = init_model(table.d, table.k, cfg)
+    schedule = noise_schedule(table.class_counts(), cfg)
+    draws = draw_batch_noise(np.random.default_rng(0), batch.n, batch.k, cfg.T)
+    predict_calls, tape_sizes = [], []
+    predict, backward = DenoiserGraph.predict, Tape.backward
+
+    def counting_predict(self, *args):
+        predict_calls.append(args[0].shape)
+        return predict(self, *args)
+
+    def counting_backward(self, root):
+        tape_sizes.append(len(self.nodes))
+        return backward(self, root)
+
+    monkeypatch.setattr(DenoiserGraph, "predict", counting_predict)
+    monkeypatch.setattr(Tape, "backward", counting_backward)
+    batch_loss(batch, model, schedule, cfg, draws)
+    assert predict_calls == [(3 * batch.n, batch.k)]
+    assert len(tape_sizes) == 1 and tape_sizes[0] <= 80
 
 
 def test_eps_term_gradient_is_additive_over_samples():
@@ -269,9 +297,37 @@ def test_malformed_checkpoint_rejected(tmp_path, saved_run, corrupt, reason):
     assert str(path) in str(info.value) and reason in str(info.value)
 
 
-# small JSON values only: a large integer in a width field would make the
-# shape check allocate a model of that width
+@pytest.mark.parametrize("d, k, widths", [
+    (4, 3, {}), (1, 1, {"hidden": 1, "attn_dim": 1, "time_dim": 2, "prior_hidden": 1}),
+    (7, 5, {"hidden": 9, "attn_dim": 3, "time_dim": 6, "prior_hidden": 2})])
+def test_model_shapes_are_the_shapes_init_model_draws(d, k, widths):
+    cfg = toy_config(**widths)
+    shapes = {name: arr.shape for name, arr in init_model(d, k, cfg).blocks().items()}
+    assert list(model_shapes(d, k, cfg).items()) == list(shapes.items())
+
+
+def test_load_checkpoint_never_builds_a_model(tmp_path, saved_run, monkeypatch):
+    _, ckpt, text = saved_run
+
+    def no_model(*args):
+        raise AssertionError("load_checkpoint called init_model")
+    monkeypatch.setattr("adpm.trainer.init_model", no_model)
+    good, wide = tmp_path / "good.json", tmp_path / "wide.json"
+    good.write_text(text)
+    assert blocks_equal(load_checkpoint(good).model.blocks(), ckpt.model.blocks())
+    # a small file that asks for a 3000-wide denoiser is rejected by its
+    # shapes, without a model of that width being built
+    payload = json.loads(text)
+    payload["config"]["hidden"] = 3000
+    wide.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="block 'denoiser.fuse_w' has shape"):
+        load_checkpoint(wide)
+
+
+# large integers reach the width fields, which the shape check reads
+# without building a model of that width
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                         st.integers(10**6, 10**12),
                          st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
                          st.lists(st.integers(-1, 2), max_size=3), st.just({}))
 
