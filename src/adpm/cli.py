@@ -1,20 +1,25 @@
 """Command-line interface.
 
-Subcommands: schedule, train, eval, sample, sweep, bound. Global flags
---config (JSON defaults), --seed and --out apply to every subcommand;
-explicit flags win over the config file. With --out, outputs are files
-in that directory (plus resolved_config.json); without it, data goes to
-stdout. Exit codes: 0 success, 2 usage error, 1 runtime failure. The
-environment variable ADPM_THREADS caps sweep workers.
+Subcommands: schedule, train, eval, sample, sweep, bound. Every
+subcommand takes --seed and --out. schedule, train, sweep and bound also
+take --config, a JSON object of TrainConfig fields with an optional
+"synthetic" section of LongTailSpec fields. Each setting is its field's
+default, overridden by the config file, overridden in turn by its flag
+when the flag is given. With --out, outputs are files in that directory
+(plus resolved_config.json); without it, data goes to stdout. sweep
+trains its cells in a pool of one process per CPU, never more processes
+than cells. Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -22,12 +27,17 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DatasetTable, LongTailSpec, generate_longtail, load_csv, split_fractions
-from .errors import AdpmError, ScheduleInfeasibleError
+from .errors import AdpmError
 from .inference import classify_dataset
 from .metrics import HypothesisGrid, bound_experiment, classification_metrics
 from .schedule import (ClassCensus, NoiseLevelConfig, build_schedule, class_proportions,
                        imbalance_ratio, lambda_vector, linear_beta)
 from .trainer import TrainConfig, check_field_types, fit, load_checkpoint
+
+# defaults of the synthetic-data flags, keyed like LongTailSpec; the
+# data seed defaults to the run's seed
+DATA_DEFAULTS = {"k": 6, "head_count": 100, "decay": 0.57, "d": 8,
+                 "separation": 6.0, "spread": 1.0}
 
 
 class CliUsage(Exception):
@@ -42,12 +52,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliUsage as exc:
+    except (CliUsage, AdpmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AdpmError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CliUsage) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="anisotropic label diffusion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for these flags")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", help="JSON file with defaults for these flags")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", default=None, help="output directory")
 
@@ -81,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="classify a test set and report metrics")
-    common(p)
+    common(p, config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="CSV test set")
     p.add_argument("--steps", type=int, default=None, help="reverse steps (default from config)")
@@ -90,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="run the reverse chain on inputs")
-    common(p)
+    common(p, config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="CSV inputs")
     p.add_argument("--steps", type=int, default=None)
@@ -126,12 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _data_flags(p):
     p.add_argument("--data", help="CSV dataset path")
     p.add_argument("--synthetic", action="store_true", help="generate a long-tail mixture")
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--head-count", type=int, default=100)
-    p.add_argument("--decay", type=float, default=0.57)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--spread", type=float, default=1.0)
+    for name, typ in [("k", int), ("head-count", int), ("decay", float), ("dim", int),
+                      ("separation", float), ("spread", float)]:
+        p.add_argument(f"--{name}", type=typ, default=None)
     p.add_argument("--data-seed", type=int, default=None, help="defaults to --seed")
 
 
@@ -145,64 +150,51 @@ def _train_flags(p):
     p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
 
 
-def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise CliUsage(f"{path}: invalid JSON config: {exc}") from None
-    if not isinstance(obj, dict):
-        raise CliUsage(f"{path}: config is not a JSON object")
-    return obj
+def _given(flags: dict) -> dict:
+    return {key: value for key, value in flags.items() if value is not None}
 
 
-def _resolve_train_config(args) -> TrainConfig:
-    """Defaults < config file < explicit flags."""
-    values = {}
+def settings(args) -> tuple[dict, dict | None]:
+    """TrainConfig values and, for synthetic data, LongTailSpec values (else
+    None). Each is its field's default, overridden by the --config file,
+    overridden in turn by its flag when the flag is given."""
+    file = {}
     if args.config:
-        file_cfg = _load_config_file(args.config)
-        values.update({k: v for k, v in file_cfg.items() if k != "synthetic"})
-    for field in dataclasses.fields(TrainConfig):
-        flag = getattr(args, field.name, None)
-        if flag is not None:
-            values[field.name] = flag
-    if args.seed is not None:
-        values["seed"] = args.seed
-    return TrainConfig.from_dict(values)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                file = json.load(fh)
+            except ValueError as exc:
+                raise CliUsage(f"{args.config}: invalid JSON config: {exc}") from None
+        if not isinstance(file, dict):
+            raise CliUsage(f"{args.config}: config is not a JSON object")
+    section = file.pop("synthetic", {})
+    check_field_types(TrainConfig, file)
+    check_field_types(LongTailSpec, section, "synthetic config")
+    train = TrainConfig().to_dict()
+    train.update(file)
+    train.update(_given({key: getattr(args, key, None) for key in train}))
+    if "synthetic" not in args or not (args.synthetic or section):
+        return train, None
+    flags = {"k": args.k, "head_count": args.head_count, "decay": args.decay, "d": args.dim,
+             "separation": args.separation, "spread": args.spread, "seed": args.data_seed}
+    return train, {**DATA_DEFAULTS, "seed": train["seed"], **section, **_given(flags)}
 
 
-def _resolve_dataset(args, cfg: TrainConfig) -> DatasetTable:
-    synthetic = {}
-    if args.config:
-        synthetic = _load_config_file(args.config).get("synthetic", {})
-        check_field_types(LongTailSpec, synthetic, "synthetic config")
-    if args.data:
-        return load_csv(args.data)
-    if args.synthetic or synthetic:
-        seed = args.data_seed if args.data_seed is not None else cfg.seed
-        spec = LongTailSpec(
-            k=synthetic.get("k", args.k),
-            head_count=synthetic.get("head_count", args.head_count),
-            decay=synthetic.get("decay", args.decay),
-            d=synthetic.get("d", args.dim),
-            separation=synthetic.get("separation", args.separation),
-            spread=synthetic.get("spread", args.spread),
-            seed=synthetic.get("seed", seed),
-        )
-        return generate_longtail(spec)
-    raise CliUsage("provide --data or --synthetic (or a config with a synthetic section)")
-
-
-def _ensure_out(args) -> str | None:
-    if args.out is None:
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _write_resolved_config(out: str, payload: dict) -> None:
-    with open(os.path.join(out, "resolved_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write(out: str | None, name: str, data) -> None:
+    """Write data to the file name in out, or to stdout when out is None:
+    CSV rows for a .csv name, indented key-sorted JSON otherwise."""
+    if out is None:
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        os.makedirs(out, exist_ok=True)
+        target = open(os.path.join(out, name), "w", newline="", encoding="utf-8")
+    with target as fh:
+        if name.endswith(".csv"):
+            csv.writer(fh).writerows(data)
+        else:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            if out is None:
+                fh.write("\n")
 
 
 def format_exact(fr: Fraction) -> str:
@@ -229,84 +221,77 @@ def cmd_schedule(args) -> int:
         counts = tuple(int(c) for c in table.class_counts())
     else:
         raise CliUsage("schedule needs --counts or --data")
-
-    loaded = _load_config_file(args.config) if args.config else {}
-    file_cfg = {key: loaded[key] for key in ("alpha", "c", "T", "beta1", "betaT")
-                if key in loaded}
-    check_field_types(TrainConfig, file_cfg)
-
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
+    s, _ = settings(args)
 
     census = ClassCensus(counts)
-    noise = NoiseLevelConfig(alpha=pick(args.alpha, "alpha", 1.0 / 6.0),
-                             c=pick(args.c, "c", 5.0), a=args.a, b=args.b)
-    T = pick(args.T, "T", 1000)
-    beta = linear_beta(T, pick(args.beta1, "beta1", 1e-4), pick(args.betaT, "betaT", 0.02))
+    noise = NoiseLevelConfig(alpha=s["alpha"], c=s["c"], a=args.a, b=args.b)
+    beta = linear_beta(s["T"], s["beta1"], s["betaT"])
 
     exact, floored = imbalance_ratio(census)
     p = class_proportions(census, noise)
     lam = lambda_vector(census, noise)
 
     print(f"IR: {floored} ({format_exact(exact)} exact)")
-    schedule_rows = [["class", "n_j", "p_j", "lambda_j"]] + [
+    _write(args.out, "schedule.csv", [["class", "n_j", "p_j", "lambda_j"]] + [
         [str(j), str(census.counts[j]), repr(float(p[j])), repr(float(lam[j]))]
-        for j in range(census.k)]
-
-    out = _ensure_out(args)
-    if out is None:
-        csv.writer(sys.stdout).writerows(schedule_rows)
-    else:
-        with open(os.path.join(out, "schedule.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            csv.writer(fh).writerows(schedule_rows)
-        _write_resolved_config(out, {"counts": list(counts), "alpha": noise.alpha,
-                                     "c": noise.c, "a": noise.a, "b": noise.b,
-                                     "T": T, "beta1": float(beta[0]),
-                                     "betaT": float(beta[-1])})
+        for j in range(census.k)])
+    if args.out is not None:
+        _write(args.out, "resolved_config.json", {
+            "counts": list(counts), "alpha": noise.alpha, "c": noise.c, "a": noise.a,
+            "b": noise.b, "T": s["T"], "beta1": float(beta[0]), "betaT": float(beta[-1])})
 
     # the noise levels are always well defined; the gamma table needs
-    # lambda_j * beta^t < 1 and is reported as an error when it is not
-    try:
-        sched = build_schedule(beta, lam)
-    except ScheduleInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    gamma_rows = [["class"] + [f"g{t}" for t in range(T + 1)]] + [
-        [str(j)] + [repr(float(v)) for v in sched.gamma[j]] for j in range(census.k)]
-    if out is None:
-        csv.writer(sys.stdout).writerows(gamma_rows)
-    else:
-        with open(os.path.join(out, "gamma.csv"), "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(gamma_rows)
+    # lambda_j * beta^t < 1, and main reports it as an error when it is not
+    sched = build_schedule(beta, lam)
+    _write(args.out, "gamma.csv", [["class"] + [f"g{t}" for t in range(s["T"] + 1)]] + [
+        [str(j)] + [repr(float(v)) for v in sched.gamma[j]] for j in range(census.k)])
     return 0
 
 
+def _training_run(args) -> tuple[TrainConfig, DatasetTable, str]:
+    """The config, dataset and output directory of train and sweep."""
+    values, spec = settings(args)
+    cfg = TrainConfig(**values)
+    if args.data:
+        table = load_csv(args.data)
+    elif spec is not None:
+        table = generate_longtail(LongTailSpec(**spec))
+    else:
+        raise CliUsage("provide --data or --synthetic (or a config with a synthetic section)")
+    if args.out is None:
+        raise CliUsage(f"{args.command} needs --out for its outputs")
+    os.makedirs(args.out, exist_ok=True)
+    return cfg, table, args.out
+
+
 def cmd_train(args) -> int:
-    cfg = _resolve_train_config(args)
-    table = _resolve_dataset(args, cfg)
-    out = _ensure_out(args)
-    if out is None:
-        raise CliUsage("train needs --out for the checkpoint and log")
+    cfg, table, out = _training_run(args)
     resume = load_checkpoint(args.resume) if args.resume else None
     log_path = os.path.join(out, "train_log.jsonl")
     if resume is None and os.path.exists(log_path):
         os.remove(log_path)
     ckpt = fit(table, cfg, log_path=log_path,
                checkpoint_path=os.path.join(out, "checkpoint.json"), resume=resume)
-    _write_resolved_config(out, {**cfg.to_dict(), "n": table.n, "d": table.d,
-                                 "k": table.k, "counts": list(ckpt.counts)})
+    _write(out, "resolved_config.json", {**cfg.to_dict(), "n": table.n, "d": table.d,
+                                         "k": table.k, "counts": list(ckpt.counts)})
     print(f"trained {ckpt.epoch} epochs; checkpoint at {os.path.join(out, 'checkpoint.json')}")
     return 0
 
 
-def cmd_eval(args) -> int:
+def _classify(args):
+    """Checkpoint, test table and sampler output of eval and sample."""
     ckpt = load_checkpoint(args.checkpoint)
     table = load_csv(args.data)
     if table.k < len(ckpt.counts):
         # labels just do not cover every trained class; pad k
         table = DatasetTable(table.features, table.labels, len(ckpt.counts))
-    output = classify_dataset(ckpt, table, steps=args.steps, seed=args.seed)
+    output = classify_dataset(ckpt, table, steps=args.steps, seed=args.seed,
+                              trace=getattr(args, "trace", False))
+    return ckpt, table, output
+
+
+def cmd_eval(args) -> int:
+    ckpt, table, output = _classify(args)
     report = classification_metrics(table.labels, output.predictions, table.k)
     payload = report.to_jsonable()
     payload["n"] = table.n
@@ -316,43 +301,25 @@ def cmd_eval(args) -> int:
         np.mean(output.predictions == output.prior_predictions))
     payload["steps"] = args.steps if args.steps is not None else ckpt.config.sample_steps
 
-    out = _ensure_out(args)
-    if out is None:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _write(args.out, "metrics.json", payload)
+    if args.out is None:
         return 0
-    with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    with open(os.path.join(out, "per_class.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1", "support"])
-        support = table.class_counts()
-        for j in range(table.k):
-            writer.writerow([j, repr(float(report.precision[j])),
-                             repr(float(report.recall[j])), repr(float(report.f1[j])),
-                             int(support[j])])
+    support = table.class_counts()
+    _write(args.out, "per_class.csv", [["class", "precision", "recall", "f1", "support"]] + [
+        [j, repr(float(report.precision[j])), repr(float(report.recall[j])),
+         repr(float(report.f1[j])), int(support[j])] for j in range(table.k)])
     if args.dump_embeddings:
-        with open(os.path.join(out, "embeddings.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"y{j}" for j in range(table.k)] + ["pred", "label"])
-            for res, label in zip(output.results, table.labels):
-                writer.writerow([repr(float(v)) for v in res.y0]
-                                + [res.pred_class, int(label)])
-    _write_resolved_config(out, {"checkpoint": args.checkpoint, "data": args.data,
-                                 "steps": payload["steps"],
-                                 "seed": args.seed if args.seed is not None
-                                 else ckpt.config.seed})
+        _write(args.out, "embeddings.csv", [[f"y{j}" for j in range(table.k)] + ["pred", "label"]] + [
+            [repr(float(v)) for v in res.y0] + [res.pred_class, int(label)]
+            for res, label in zip(output.results, table.labels)])
+    _write(args.out, "resolved_config.json", {
+        "checkpoint": args.checkpoint, "data": args.data, "steps": payload["steps"],
+        "seed": args.seed if args.seed is not None else ckpt.config.seed})
     return 0
 
 
 def cmd_sample(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    table = load_csv(args.data)
-    if table.k < len(ckpt.counts):
-        table = DatasetTable(table.features, table.labels, len(ckpt.counts))
-    output = classify_dataset(ckpt, table, steps=args.steps, seed=args.seed,
-                              trace=args.trace)
+    _, _, output = _classify(args)
     records = []
     for i, res in enumerate(output.results):
         record = {"index": i, "pred_class": res.pred_class, "lambda": res.lam,
@@ -361,27 +328,22 @@ def cmd_sample(args) -> int:
             record["trace"] = [[int(t), [float(v) for v in y]] for t, y in res.trace]
         records.append(record)
 
-    out = _ensure_out(args)
-    if out is None:
-        json.dump(records, sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 0
-    with open(os.path.join(out, "samples.json"), "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-    _write_resolved_config(out, {"checkpoint": args.checkpoint, "data": args.data,
-                                 "trace": bool(args.trace)})
+    _write(args.out, "samples.json", records)
+    if args.out is not None:
+        _write(args.out, "resolved_config.json", {"checkpoint": args.checkpoint,
+                                             "data": args.data, "trace": bool(args.trace)})
     return 0
 
 
-def _sweep_cell(payload) -> tuple[int, int, float]:
+def _sweep_cell(payload) -> float:
     """One (alpha, c) cell: train on the shared split, return macro-F1."""
-    i, j, cfg, train, test, cell_dir = payload
+    cfg, train, test, cell_dir = payload
     os.makedirs(cell_dir, exist_ok=True)
     ckpt = fit(train, cfg, log_path=os.path.join(cell_dir, "train_log.jsonl"),
                checkpoint_path=os.path.join(cell_dir, "checkpoint.json"))
     output = classify_dataset(ckpt, test)
     report = classification_metrics(test.labels, output.predictions, test.k)
-    return i, j, report.macro_f1
+    return report.macro_f1
 
 
 def _parse_floats(flag: str, text: str) -> list[float]:
@@ -392,11 +354,7 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve_train_config(args)
-    table = _resolve_dataset(args, base)
-    out = _ensure_out(args)
-    if out is None:
-        raise CliUsage("sweep needs --out")
+    base, table, out = _training_run(args)
     alphas = _parse_floats("--alphas", args.alphas)
     cs = _parse_floats("--cs", args.cs)
 
@@ -412,25 +370,18 @@ def cmd_sweep(args) -> int:
                 base, alpha=alpha, c=c,
                 lambda_override=1.0 if alpha == 0 else base.lambda_override)
             cell_dir = os.path.join(out, "cells", f"a{i}_c{j}")
-            jobs.append((i, j, cfg, train, test, cell_dir))
+            jobs.append((cfg, train, test, cell_dir))
 
-    workers = max(1, int(os.environ.get("ADPM_THREADS", "1")))
-    matrix = np.zeros((len(alphas), len(cs)))
-    if workers == 1:
-        results = [_sweep_cell(job) for job in jobs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, jobs))
-    for i, j, f1 in results:
-        matrix[i, j] = f1
+    # jobs run row by row, so the results reshape into the matrix
+    workers = min(len(jobs), os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        matrix = np.reshape(list(pool.map(_sweep_cell, jobs)), (len(alphas), len(cs)))
 
-    with open(os.path.join(out, "f1_matrix.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha"] + [repr(c) for c in cs])
-        for i, alpha in enumerate(alphas):
-            writer.writerow([repr(alpha)] + [repr(float(v)) for v in matrix[i]])
-    _write_resolved_config(out, {**base.to_dict(), "alphas": alphas, "cs": cs,
-                                 "test_fraction": args.test_fraction})
+    _write(out, "f1_matrix.csv", [["alpha"] + [repr(c) for c in cs]] + [
+        [repr(alpha)] + [repr(float(v)) for v in matrix[i]] for i, alpha in enumerate(alphas)])
+    _write(out, "resolved_config.json", {**base.to_dict(), "alphas": alphas, "cs": cs,
+                                         "test_fraction": args.test_fraction})
     print(f"sweep matrix written to {os.path.join(out, 'f1_matrix.csv')}")
     return 0
 
@@ -441,8 +392,8 @@ def cmd_bound(args) -> int:
     if args.pop_size < args.n0 + args.n1:
         raise CliUsage(f"--pop-size must be at least --n0 + --n1 = {args.n0 + args.n1}, "
                        f"got {args.pop_size}")
-    seed = args.seed if args.seed is not None else 0
-    alpha = args.alpha if args.alpha is not None else 1.0 / 6.0
+    s, _ = settings(args)
+    seed = s["seed"]
 
     def blob_spec(n0, n1, data_seed):
         return LongTailSpec(k=2, head_count=n0, decay=n1 / n0, d=args.dim,
@@ -452,7 +403,7 @@ def cmd_bound(args) -> int:
     pop = generate_longtail(blob_spec(args.n0 * pop_scale, args.n1 * pop_scale,
                                       2_000_000 + seed))
     census = ClassCensus((args.n0, args.n1))
-    p = class_proportions(census, NoiseLevelConfig(alpha=alpha, c=1.0))
+    p = class_proportions(census, NoiseLevelConfig(alpha=s["alpha"], c=s["c"]))
     grid = HypothesisGrid.linear(args.dim, args.grid_directions,
                                  [-1.0, 0.0, 1.0], seed=seed).with_negation()
 
@@ -466,16 +417,12 @@ def cmd_bound(args) -> int:
     report["grid_directions"] = args.grid_directions
     report["p"] = p.tolist()
 
-    out = _ensure_out(args)
-    if out is None:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _write(args.out, "bound_report.json", report)
+    if args.out is None:
         return 0
-    with open(os.path.join(out, "bound_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    _write_resolved_config(out, {"n0": args.n0, "n1": args.n1, "dim": args.dim,
-                                 "draws": args.draws, "delta": args.delta,
-                                 "seed": seed, "alpha": alpha})
+    _write(args.out, "resolved_config.json", {"n0": args.n0, "n1": args.n1, "dim": args.dim,
+                                         "draws": args.draws, "delta": args.delta,
+                                         "seed": seed, "alpha": s["alpha"]})
     print(f"violation rate {report['violation_rate']:.3f} over {args.draws} draws")
     return 0
 

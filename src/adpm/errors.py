@@ -29,6 +29,10 @@ class ScheduleInfeasibleError(ConfigError):
             f"for class {class_index} at t={t}"
         )
 
+    def __reduce__(self):
+        # rebuilt from the fields, so the error survives a process pool
+        return type(self), (self.class_index, self.t, self.value)
+
 
 class IngestionError(AdpmError):
     """A CSV file could not be parsed; carries the offending row."""

@@ -130,6 +130,11 @@ def _gamma_row(lam: float, beta: np.ndarray, class_index: int) -> np.ndarray:
     if bad.size:
         t = int(bad[0]) + 1
         raise ScheduleInfeasibleError(class_index, t, float(lam * beta[bad[0]]))
+    if beta.size and factors[0] == 1.0:
+        # gamma^1 = 1 leaves no noise at t = 1, and the reverse step there
+        # divides by 1 - gamma^1
+        raise ConfigError(f"lambda*beta^1 = {lam * beta[0]:.6g} is too small for class "
+                          f"{class_index}: 1 - lambda*beta^1 rounds to 1")
     out = np.empty(beta.size + 1)
     out[0] = 1.0
     out[1:] = np.cumprod(factors)

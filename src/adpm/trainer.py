@@ -92,6 +92,16 @@ class TrainConfig:
             raise ConfigError("epoch counts must be non-negative")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("sample_steps", "hidden", "attn_dim", "time_dim", "prior_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.time_dim % 2:
+            raise ConfigError(f"time_dim must be even, got {self.time_dim}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if not (np.isfinite(self.w) and self.w > 0):
+            raise ConfigError(f"w must be finite and positive, got {self.w}")
+        self.kernel_cfg()  # rejects a bad kernel bandwidth or mode
 
     def noise_cfg(self) -> NoiseLevelConfig:
         return NoiseLevelConfig(alpha=self.alpha, c=self.c)

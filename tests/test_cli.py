@@ -1,11 +1,18 @@
+import argparse
+import concurrent.futures
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from adpm.cli import format_exact, main
+from adpm.cli import build_parser, format_exact, main
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, save_csv, split_fractions
+from adpm.inference import classify_dataset
+from adpm.metrics import classification_metrics
+from adpm.schedule import ClassCensus, NoiseLevelConfig, class_proportions
+from adpm.trainer import TrainConfig, fit
 from fractions import Fraction
 
 
@@ -258,17 +265,48 @@ def test_sweep_alpha_zero_row_constant(tmp_path, capsys):
     assert (out / "cells" / "a1_c1" / "checkpoint.json").exists()
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path, capsys, monkeypatch):
-    args = ["sweep", "--synthetic", "--k", "2", "--head-count", "8", "--decay", "0.5",
-            "--dim", "2", "--T", "10", "--sample-steps", "3", "--epochs", "1",
-            "--warmup-epochs", "1", "--hidden", "4", "--seed", "4",
-            "--alphas", "0,0.5", "--cs", "1,2"]
-    monkeypatch.setenv("ADPM_THREADS", "1")
-    assert run(args + ["--out", str(tmp_path / "serial")], capsys)[0] == 0
-    monkeypatch.setenv("ADPM_THREADS", "2")
-    assert run(args + ["--out", str(tmp_path / "pool")], capsys)[0] == 0
-    assert (tmp_path / "serial" / "f1_matrix.csv").read_bytes() == \
-        (tmp_path / "pool" / "f1_matrix.csv").read_bytes()
+_SWEEP = ["sweep", "--synthetic", "--k", "2", "--head-count", "8", "--decay", "0.5",
+          "--dim", "2", "--T", "10", "--sample-steps", "3", "--epochs", "1",
+          "--warmup-epochs", "1", "--hidden", "4", "--seed", "4",
+          "--alphas", "0,0.5", "--cs", "1,2"]
+
+
+def test_sweep_worker_pool_matches_serial(tmp_path, capsys):
+    assert run(_SWEEP + ["--out", str(tmp_path)], capsys)[0] == 0
+    with open(tmp_path / "f1_matrix.csv") as fh:
+        rows = list(csv.reader(fh))
+    # in-process oracle: the same split, fit and classification per cell
+    table = generate_longtail(LongTailSpec(k=2, head_count=8, decay=0.5, d=2,
+                                           separation=6.0, spread=1.0, seed=4))
+    train, test = split_fractions(table, (1.0 - 0.3, 0.3), 4)
+    expected = [["alpha", "1.0", "2.0"]]
+    for alpha in (0.0, 0.5):
+        row = [repr(alpha)]
+        for c in (1.0, 2.0):
+            cfg = TrainConfig(T=10, sample_steps=3, epochs=1, warmup_epochs=1, hidden=4,
+                              seed=4, alpha=alpha, c=c,
+                              lambda_override=1.0 if alpha == 0 else None)
+            preds = classify_dataset(fit(train, cfg), test).predictions
+            row.append(repr(classification_metrics(test.labels, preds, test.k).macro_f1))
+        expected.append(row)
+    assert rows == expected
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 4), (3, 3), (None, 1)])
+def test_sweep_pool_is_sized_from_cpu_count_and_cells(tmp_path, capsys, monkeypatch,
+                                                      cpus, workers):
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        # a thread pool stands in for the process pool: only its size is checked
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run(_SWEEP + ["--out", str(tmp_path)], capsys)[0] == 0
+    assert sizes == [workers]  # four cells
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -288,6 +326,62 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert resolved["epochs"] == 2 and resolved["T"] == 15
     records = (out / "train_log.jsonl").read_text().splitlines()
     assert len(records) == 2
+
+
+def test_data_flags_beat_the_config_synthetic_section(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "T": 15, "sample_steps": 5, "epochs": 1, "warmup_epochs": 1, "hidden": 6,
+        "synthetic": {"k": 3, "head_count": 12, "decay": 0.6, "d": 3, "seed": 8}}))
+    out = tmp_path / "run"
+    code, _, err = run(["train", "--config", str(cfg_file), "--k", "4", "--dim", "5",
+                        "--out", str(out)], capsys)
+    assert code == 0, err
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert (resolved["k"], resolved["d"]) == (4, 5)
+    # the unflagged fields still come from the file
+    assert resolved["n"] == sum(LongTailSpec(k=4, head_count=12, decay=0.6, d=5,
+                                             separation=6.0, spread=1.0,
+                                             seed=8).class_counts())
+
+
+def test_bound_reads_alpha_from_the_config(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"alpha": 0.5, "seed": 2}))
+    for flags, alpha in (([], 0.5), (["--alpha", "0.25"], 0.25)):
+        out = tmp_path / f"bound{alpha}"
+        code, _, err = run([*_BOUND, "--config", str(cfg_file), *flags, "--out", str(out)],
+                           capsys)
+        assert code == 0, err
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["alpha"], resolved["seed"]) == (alpha, 2)
+        report = json.loads((out / "bound_report.json").read_text())
+        p = class_proportions(ClassCensus((40, 20)), NoiseLevelConfig(alpha=alpha, c=1.0))
+        assert report["p"] == p.tolist()
+
+
+def test_each_subcommand_keeps_its_option_strings():
+    common = {"-h", "--help", "--seed", "--out"}
+    data = {"--data", "--synthetic", "--k", "--head-count", "--decay", "--dim",
+            "--separation", "--spread", "--data-seed"}
+    train = {"--T", "--sample-steps", "--beta1", "--betaT", "--alpha", "--c", "--w",
+             "--epochs", "--batch-size", "--learning-rate", "--warmup-epochs",
+             "--lambda-override", "--hidden", "--checkpoint-every", "--optimizer"}
+    expected = {
+        "schedule": common | {"--config", "--counts", "--data", "--alpha", "--c", "--a",
+                              "--b", "--T", "--beta1", "--betaT"},
+        "train": common | data | train | {"--config", "--resume"},
+        "eval": common | {"--checkpoint", "--data", "--steps", "--dump-embeddings"},
+        "sample": common | {"--checkpoint", "--data", "--steps", "--trace"},
+        "sweep": common | data | train | {"--config", "--alphas", "--cs", "--test-fraction"},
+        "bound": common | {"--config", "--n0", "--n1", "--dim", "--separation", "--draws",
+                           "--pop-size", "--delta", "--mc-draws", "--grid-directions",
+                           "--alpha"},
+    }
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert {name: set(p._option_string_actions) for name, p in subparsers.choices.items()} \
+        == expected
 
 
 # each case: the input file it writes (or None), the command and the exit code
@@ -326,6 +420,18 @@ CLI_FAILURES = {
     "bound-pop-size-zero": (None, [*_BOUND, "--pop-size", "0"], 2),
     "bound-pop-size-negative": (None, [*_BOUND, "--pop-size", "-5"], 2),
     "bound-pop-size-below-draw": (None, [*_BOUND, "--pop-size", "59"], 2),
+    "train-hidden-negative": (None, ["train", *_SMALL, "--hidden", "-1"], 1),
+    "train-hidden-zero": (None, ["train", *_SMALL, "--hidden", "0"], 1),
+    "train-sample-steps-zero": (None, ["train", *_SMALL, "--sample-steps", "0"], 1),
+    "train-checkpoint-every-negative": (None, ["train", *_SMALL, "--checkpoint-every", "-1"],
+                                        1),
+    "train-w-zero": (None, ["train", *_SMALL, "--w", "0"], 1),
+    "train-w-nan": (None, ["train", *_SMALL, "--w", "nan"], 1),
+    "config-kernel-mode": (b'{"kernel_bandwidth_mode": "bogus"}',
+                           ["train", *_SMALL, "--config", "{file}"], 1),
+    "train-beta1-lost-to-rounding": (None, ["train", *_SMALL, "--beta1", "1e-30"], 1),
+    "sweep-infeasible-cell": (None, ["sweep", *_SMALL, "--alphas", "0.25", "--cs", "1,1e5"],
+                              1),
 }
 
 

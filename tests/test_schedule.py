@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -191,6 +193,21 @@ def test_infeasible_schedule_names_offender():
         build_schedule(beta, np.array([1.0, 2.0]))
     assert err.value.class_index == 1
     assert err.value.t == 2
+
+
+def test_infeasible_error_survives_pickling():
+    # sweep cells run in a process pool, which pickles the error back
+    err = pickle.loads(pickle.dumps(ScheduleInfeasibleError(1, 2, 1.5)))
+    assert (err.class_index, err.t, err.value) == (1, 2, 1.5)
+    assert str(err) == str(ScheduleInfeasibleError(1, 2, 1.5))
+
+
+def test_schedule_rejects_a_first_step_lost_to_rounding():
+    # 1 - 1e-17 rounds to 1, so gamma^1 would be 1; 1 - 1e-15 does not
+    beta = linear_beta(10, 1e-17, 0.001)
+    with pytest.raises(ConfigError, match=r"lambda\*beta\^1 = 1e-17 is too small for class 1"):
+        build_schedule(beta, np.array([100.0, 1.0]))
+    assert build_schedule(beta, np.array([100.0])).gamma[0, 1] < 1.0
 
 
 def test_gamma_for_matches_table_row_bitwise():

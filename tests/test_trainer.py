@@ -402,6 +402,54 @@ def test_config_rejects_bad_learning_rate(lr):
         TrainConfig(learning_rate=lr)
 
 
+@pytest.mark.parametrize("name", ["hidden", "attn_dim", "time_dim", "prior_hidden"])
+@pytest.mark.parametrize("width", [0, -1])
+def test_config_rejects_widths_below_one(name, width):
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {width}"):
+        TrainConfig(**{name: width})
+
+
+def test_config_rejects_an_odd_time_dim():
+    with pytest.raises(ConfigError, match="time_dim must be even, got 5"):
+        TrainConfig(time_dim=5)
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_config_rejects_sample_steps_below_one(steps):
+    with pytest.raises(ConfigError, match=f"sample_steps must be >= 1, got {steps}"):
+        TrainConfig(sample_steps=steps)
+
+
+def test_config_rejects_a_negative_checkpoint_interval():
+    with pytest.raises(ConfigError, match="checkpoint_every must be >= 0, got -1"):
+        TrainConfig(checkpoint_every=-1)
+
+
+@pytest.mark.parametrize("w", [0.0, -0.5, float("nan"), float("inf")])
+def test_config_rejects_a_bad_loss_weight(w):
+    with pytest.raises(ConfigError, match="w must be finite and positive"):
+        TrainConfig(w=w)
+
+
+@pytest.mark.parametrize("kernel, reason", [
+    ({"kernel_bandwidth_mode": "bogus"}, "unknown bandwidth mode"),
+    ({"kernel_bandwidth": 0.0}, "bandwidth must be finite and positive"),
+    ({"kernel_bandwidth": float("nan")}, "bandwidth must be finite and positive")],
+    ids=["mode", "zero-bandwidth", "nan-bandwidth"])
+def test_config_rejects_a_bad_kernel(kernel, reason):
+    with pytest.raises(ConfigError, match=reason):
+        TrainConfig(**kernel)
+    # the median heuristic ignores the fixed bandwidth
+    TrainConfig(kernel_bandwidth=0.0, kernel_bandwidth_mode="median-heuristic")
+
+
+def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ConfigError, match=r"lambda\*beta\^1 = 1e-30 is too small for class 0"):
+        fit(toy_table(), toy_config(beta1=1e-30, lambda_override=1.0), checkpoint_path=path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_from_dict_checks_value_types():
     for bad in ({"T": "abc"}, {"hidden": "64"}, {"epochs": 1.5}, {"seed": True},
                 {"T": None}, {"optimizer": 1}, {"learning_rate": "0.1"}):
