@@ -1,4 +1,4 @@
-"""End-to-end: long-tailed data, joint training, sampling, metrics.
+"""End-to-end: long-tailed data, prior warmup and denoiser training, sampling, metrics.
 
 Trains the full model on a synthetic six-class long tail (imbalance
 ratio ~ 16), classifies the held-out split by running the reverse chain

@@ -1,11 +1,11 @@
 """Anisotropic diffusion probabilistic models for class-imbalanced classification.
 
 Class frequencies drive per-class noise levels in the forward diffusion,
-so rare classes diffuse faster; priors from a small classifier shift both
-the corruption and the reverse chain; an MMD-regularized denoiser is
-trained jointly and sampled to classify. A finite-grid Rademacher
-complexity estimator validates the generalization bound that motivates
-the noise levels.
+so rare classes diffuse faster; priors from a small classifier,
+pretrained and then frozen, shift both the corruption and the reverse
+chain; an MMD-regularized denoiser is trained on them and sampled to
+classify. A finite-grid Rademacher complexity estimator validates the
+generalization bound that motivates the noise levels.
 """
 
 from .data import DatasetTable, LongTailSpec, generate_longtail, load_csv, save_csv

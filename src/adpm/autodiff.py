@@ -1,11 +1,11 @@
 """Tape-based reverse-mode differentiation over dense float64 matrices.
 
-The op vocabulary is fixed to what the denoising network and its losses
-need: matmul (with an optional transposed right operand), affine (x @ w
-plus a broadcast bias row), add, sub, mul, scale, tanh, exp, row
-softmax, mean, sum of squares, column and row concat, a row range, and
-rbf_mean, the mean RBF kernel value over all row pairs of two batches as
-one node. Everything is strictly 2-D float64. Forward evaluation is
+The op vocabulary is exactly what a training step builds for the
+denoising network and its losses: matmul (with an optional transposed
+right operand), affine (x @ w plus a broadcast bias row), add, sub, mul,
+scale, tanh, sum of squares, column concat, a row range, and rbf_mean,
+the mean RBF kernel value over all row pairs of two batches as one
+node. Everything is strictly 2-D float64. Forward evaluation is
 deterministic for identical inputs; reductions are delegated to numpy's
 sequential CPU kernels, which are run-to-run reproducible.
 
@@ -18,8 +18,9 @@ for reached nodes, so a const, or a node computed from consts alone
 runs no rule.
 
 The library builds a tape only where it takes a gradient: once per
-training step, in trainer.batch_loss. Prior warmup, inference and
-sampling run the same networks as plain numpy.
+training step, in trainer.batch_loss, for the denoiser's blocks. The
+frozen prior enters that tape as constants; prior warmup, inference and
+sampling run their networks as plain numpy.
 
 A Tape is single-owner: it must never be shared across concurrent
 workers. Parallel evaluation is achieved by giving each worker its own
@@ -149,23 +150,6 @@ class Tape:
         y = np.tanh(a.value)
         return self._push(y, (a,), lambda g: (g * (1.0 - y ** 2),))
 
-    def exp(self, a: Var) -> Var:
-        y = np.exp(a.value)
-        return self._push(y, (a,), lambda g: (g * y,))
-
-    def softmax_rows(self, a: Var) -> Var:
-        """Row-wise softmax, computed with max subtraction for stability."""
-        e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
-        y = e / e.sum(axis=1, keepdims=True)
-        return self._push(y, (a,), lambda g: (
-            (g - (g * y).sum(axis=1, keepdims=True)) * y,))
-
-    def mean(self, a: Var) -> Var:
-        """Mean over all entries, as a 1x1 matrix."""
-        av = a.value
-        return self._push(np.array([[av.mean()]]), (a,), lambda g: (
-            np.full(av.shape, g[0, 0] / av.size),))
-
     def sum_sq(self, a: Var) -> Var:
         """Sum of squared entries, as a 1x1 matrix."""
         av = a.value
@@ -178,14 +162,6 @@ class Tape:
         split = a.shape[1]
         return self._push(np.concatenate([a.value, b.value], axis=1), (a, b),
                           lambda g: (g[:, :split], g[:, split:]))
-
-    def concat_rows(self, *parts: Var) -> Var:
-        """The rows of every part, stacked in argument order."""
-        if not parts or any(v.shape[1] != parts[0].shape[1] for v in parts):
-            raise ShapeError(f"concat_rows: column counts of {[v.shape for v in parts]}")
-        bounds = np.cumsum([0] + [v.shape[0] for v in parts])
-        return self._push(np.concatenate([v.value for v in parts], axis=0), parts,
-                          lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
 
     def rows(self, a: Var, start: int, stop: int) -> Var:
         """Rows start..stop-1 of a; the other rows get a zero adjoint."""

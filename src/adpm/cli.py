@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DatasetTable, LongTailSpec, generate_longtail, load_csv, split_fractions
-from .errors import AdpmError
+from .errors import AdpmError, ConfigError
 from .inference import classify_dataset
 from .metrics import HypothesisGrid, bound_experiment, classification_metrics
 from .schedule import (ClassCensus, NoiseLevelConfig, build_schedule, class_proportions,
@@ -394,6 +394,8 @@ def cmd_bound(args) -> int:
                        f"got {args.pop_size}")
     s, _ = settings(args)
     seed = s["seed"]
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     def blob_spec(n0, n1, data_seed):
         return LongTailSpec(k=2, head_count=n0, decay=n1 / n0, d=args.dim,

@@ -85,6 +85,8 @@ class LongTailSpec:
             raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
         if self.spread <= 0.0 or self.separation < 0.0:
             raise ConfigError(f"need spread > 0 and separation >= 0: {self}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def class_counts(self) -> list[int]:
         return [max(1, round(self.head_count * self.decay ** j)) for j in range(self.k)]

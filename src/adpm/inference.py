@@ -3,13 +3,14 @@
 Each input has its own random stream keyed by (seed, 3, input index), so
 predictions are reproducible and independent of evaluation order or of
 which other rows share the table. The features pass through the prior
-net only; the chains of all rows then step together as one (n, k)
-matrix through the forward-only denoiser, so the prior and denoiser
-matmuls run as n-row BLAS products. Both networks run as plain numpy;
-no autodiff tape is built. For n >= 2 OpenBLAS computes a row
-of such a product the same way whatever n is, except for products with
-at most 3 output columns (k <= 3 classes at the default widths), where
-a row's last bits can depend on n. A 1-row table would take BLAS's
+net only, which gives both the fused prior y_f and the logits that pick
+each row's noise level; the chains of all rows then step together as
+one (n, k) matrix through the forward-only denoiser, so the prior and
+denoiser matmuls run as n-row BLAS products. Both networks run as plain
+numpy; no autodiff tape is built. For n >= 2 OpenBLAS computes a row of
+such a product the same way whatever n is, except for products with at
+most 3 output columns (k <= 3 classes at the default widths), where a
+row's last bits can depend on n. A 1-row table would take BLAS's
 single-row path instead, so it is padded to two rows, the pad row on
 its own copy of stream (seed, 3, 0), and the pad row is dropped from
 the output.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import DatasetTable
 from .diffusion import SampleBatch, sample
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .priors import mlp_forward, prior_bundle
 from .schedule import ClassCensus
 from .trainer import Checkpoint, noise_schedule
@@ -50,16 +51,18 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
                           f"dataset has d={table.d}")
     steps = cfg.sample_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     schedule = noise_schedule(ckpt.counts, cfg)
 
     index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
     x = table.features[index]
     bundle = prior_bundle(ckpt.model.prior, x)
-    frozen_logits = mlp_forward(ckpt.prior_frozen, x)[1]
+    logits = mlp_forward(ckpt.model.prior, x)[1]
 
     rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
     lam = None if cfg.lambda_override is None else float(cfg.lambda_override)
-    results = sample(schedule, ckpt.model.denoiser, bundle, frozen_logits,
+    results = sample(schedule, ckpt.model.denoiser, bundle, logits,
                      ClassCensus(ckpt.counts), cfg.noise_cfg(), rngs, steps,
                      lam=lam, trace=trace)[:table.n]
     preds = np.argmax(results.y0, axis=1).astype(np.int64)

@@ -6,11 +6,11 @@ input masked to its most salient coordinates (salience of coordinate i
 is |x_i| * sum_h |W1[i, h]|), a tabular stand-in for attention-cropped
 regions. The fused prior is the componentwise mean of the two.
 
-PriorGraph builds the forward pass on the trainer's autodiff tape, so
-the joint loss can push gradients into the network. Everywhere else
-(warmup and inference) the same pass runs as plain numpy: mlp_forward
-and prior_bundle write each expression as the tape does, so their
-values equal PriorGraph's bitwise.
+The network is trained once, by warmup_train's cross entropy, and then
+frozen: the diffusion training loop takes its priors as constants and
+updates only the denoiser, and inference reads the same network. Every
+pass runs as plain numpy (mlp_forward, prior_bundle); PriorGraph only
+copies prior_bundle's values onto a tape as constants.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optim
-from .autodiff import Tape, Var, as_matrix
+from .autodiff import Tape, as_matrix
 from .data import DatasetTable
 from .errors import ConfigError
 
@@ -76,15 +76,10 @@ class PriorBundle:
     y_f: np.ndarray
 
 
-def _mlp_logits(tape: Tape, x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    return tape.affine(tape.tanh(tape.affine(x, w1, b1)), w2, b2)
-
-
 def salience_mask(params: PriorNetParams, x: np.ndarray) -> np.ndarray:
     """0/1 mask keeping the mask_size most salient coordinates per row.
 
-    Ties break toward the lower coordinate index. The mask is treated as
-    a constant during differentiation (the selection is not smooth).
+    Ties break toward the lower coordinate index.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     col_weight = np.abs(params.w1).sum(axis=1)
@@ -94,18 +89,6 @@ def salience_mask(params: PriorNetParams, x: np.ndarray) -> np.ndarray:
     rows = np.arange(x.shape[0])[:, None]
     mask[rows, order[:, : params.mask_size]] = 1.0
     return mask
-
-
-class PriorGraph:
-    """Tape subgraph producing prior vectors for a batch of inputs."""
-
-    def __init__(self, tape: Tape, params: PriorNetParams, x: Var):
-        self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
-        w1, b1, w2, b2 = (self.vars[n] for n in ("w1", "b1", "w2", "b2"))
-        self.y_g = tape.softmax_rows(_mlp_logits(tape, x, w1, b1, w2, b2))
-        mask = tape.const(salience_mask(params, x.value))
-        self.y_l = tape.softmax_rows(_mlp_logits(tape, tape.mul(x, mask), w1, b1, w2, b2))
-        self.y_f = tape.scale(tape.add(self.y_g, self.y_l), 0.5)
 
 
 def mlp_forward(params: PriorNetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +105,24 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def prior_bundle(params: PriorNetParams, x) -> PriorBundle:
     """Global, local and fused priors of every row of the (n, d) matrix x,
-    as (n, k) arrays, bitwise equal to PriorGraph's values."""
+    as (n, k) arrays."""
     x = as_matrix(x)
     y_g = _softmax_rows(mlp_forward(params, x)[1])
     y_l = _softmax_rows(mlp_forward(params, x * salience_mask(params, x))[1])
     return PriorBundle(y_g=y_g, y_l=y_l, y_f=(y_g + y_l) * 0.5)
+
+
+class PriorGraph:
+    """prior_bundle's three values of x.value as const leaves of tape.
+
+    perfbench/workloads.py still reads y_f through this name; it goes
+    once the benchmark calls prior_bundle itself.
+    """
+
+    def __init__(self, tape: Tape, params: PriorNetParams, x):
+        bundle = prior_bundle(params, x.value)
+        self.y_g, self.y_l, self.y_f = (tape.const(v) for v in
+                                        (bundle.y_g, bundle.y_l, bundle.y_f))
 
 
 def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarray):

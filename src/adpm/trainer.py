@@ -1,14 +1,17 @@
-"""Joint training loop: prior warmup, anisotropic noising, three-branch loss.
+"""Training loop: prior warmup, then the denoiser on anisotropic noising.
 
-Every batch draws one timestep per sample and, per branch (global,
-local, fused), an independent Gaussian noise batch. Each branch's draw
-is corrupted with the true class's noise level and the branch's own
-prior. The three corrupted batches are stacked into one batch of three
-times the rows and pushed through the shared denoiser in one pass; its
-output is split back into the branches and scored: MMD against the true
-noise for the global and local branches, mean squared error for the
-fused branch. Gradients flow into the denoiser and the prior
-network. batch_loss builds the library's only autodiff tape; warmup
+fit first pretrains the prior network with cross entropy
+(priors.warmup_train) and then freezes it, as CARD does with its prior
+f_phi: from then on the network only supplies each batch's global,
+local and fused priors as constants. Every batch draws one timestep
+per sample and, per branch (global, local, fused), an independent
+Gaussian noise batch. Each branch's draw is corrupted with the true
+class's noise level and the branch's own prior. The three corrupted
+batches are stacked into one batch of three times the rows and pushed
+through the shared denoiser in one pass; its output is split back into
+the branches and scored: MMD against the true noise for the global and
+local branches, mean squared error for the fused branch. Gradients, and Adam's moments, exist for the denoiser's
+blocks only. batch_loss builds the library's only autodiff tape; warmup
 and inference run their forward passes as plain numpy. A step whose
 loss is not finite stops training with a ConfigError.
 
@@ -18,6 +21,12 @@ batch the timesteps and the three noise batches in branch order g, l,
 f. Resuming from a checkpoint therefore reproduces an uninterrupted
 run bitwise. Initialization has its own stream, (seed, 0); init_model
 gives its draw order.
+
+A checkpoint (version 2) holds the one prior network, the denoiser,
+Adam's moments of the denoiser blocks, the config and the training
+census. A version-1 file held a second, jointly trained copy of the
+prior; it loads with its post-warmup "prior_frozen" section as the
+prior and its jointly trained prior blocks and their moments dropped.
 """
 
 from __future__ import annotations
@@ -37,17 +46,17 @@ from .denoiser import DenoiserGraph, DenoiserParams
 from .errors import ConfigError
 from .losses import (KernelConfig, LossReport, eps_loss_graph, mmd_loss_graph,
                      total_loss_graph)
-from .priors import PriorGraph, PriorNetParams, warmup_train
+from .priors import PriorNetParams, prior_bundle, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
                        lambda_vector, linear_beta)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the query/key projections of the former single-key attention and the former
 # feature encoder never got a gradient; checkpoints that still hold them load
 # with them dropped
 LEGACY_BLOCKS = ("denoiser.wq", "denoiser.wk", "encoder.w", "encoder.b")
 _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
-                      "blocks", "prior_frozen", "optimizer")
+                      "blocks", "optimizer")
 BRANCHES = ("global", "local", "fused")
 
 
@@ -90,6 +99,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be finite and positive and batch_size >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         for name in ("sample_steps", "hidden", "attn_dim", "time_dim", "prior_hidden"):
@@ -147,17 +158,18 @@ def check_field_types(cls, obj, what: str = "config") -> None:
 
 @dataclass
 class ModelParams:
-    """The two trainable parameter sets of the full model."""
+    """The prior network, frozen after warmup, and the trained denoiser."""
 
     prior: PriorNetParams
     denoiser: DenoiserParams
 
     def blocks(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, params in (("prior", self.prior), ("denoiser", self.denoiser)):
-            for name, arr in params.blocks().items():
-                out[f"{prefix}.{name}"] = arr
-        return out
+        return {**{f"prior.{name}": arr for name, arr in self.prior.blocks().items()},
+                **self.denoiser_blocks()}
+
+    def denoiser_blocks(self) -> dict[str, np.ndarray]:
+        """The blocks fit trains, named as in blocks()."""
+        return {f"denoiser.{name}": arr for name, arr in self.denoiser.blocks().items()}
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.prior.copy(), self.denoiser.copy())
@@ -174,11 +186,15 @@ class BatchDraws:
 @dataclass
 class Checkpoint:
     model: ModelParams
-    prior_frozen: PriorNetParams
     opt_state: dict
     config: TrainConfig
     epoch: int
     counts: tuple[int, ...]
+
+    @property
+    def prior_frozen(self) -> PriorNetParams:
+        """model.prior, under the name perfbench/workloads.py still reads."""
+        return self.model.prior
 
 
 def init_model(d: int, k: int, cfg: TrainConfig) -> ModelParams:
@@ -239,11 +255,11 @@ def draw_batch_noise(rng, nb: int, k: int, T: int) -> BatchDraws:
 def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
                cfg: TrainConfig, draws: BatchDraws) -> tuple[LossReport, dict]:
     """Evaluate the three-branch objective on one batch, with gradients
-    for every parameter block."""
+    for the denoiser blocks, named as in model.denoiser_blocks(). The
+    prior network's values enter as constants."""
     nb = batch.n
+    bundle = prior_bundle(model.prior, batch.features)
     tape = Tape()
-    x = tape.const(batch.features)
-    prior_graph = PriorGraph(tape, model.prior, x)
     den_graph = DenoiserGraph(tape, model.denoiser)
 
     # the branches run as one stacked batch: row block i, rows i * nb to
@@ -254,7 +270,7 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
     signal = tape.const(np.concatenate([root * batch.onehot + noise_scale * draws.eps[b]
                                         for b in BRANCHES]))
     prior_coef = tape.const(np.tile(1.0 - root, (len(BRANCHES), batch.k)))
-    priors = tape.concat_rows(prior_graph.y_g, prior_graph.y_l, prior_graph.y_f)
+    priors = tape.const(np.concatenate([bundle.y_g, bundle.y_l, bundle.y_f]))
     y_t = tape.add(signal, tape.mul(prior_coef, priors))
     stacked = den_graph.predict(y_t, priors, np.tile(draws.t, len(BRANCHES)), cfg.T)
     eps_hat = {b: tape.rows(stacked, i * nb, (i + 1) * nb) for i, b in enumerate(BRANCHES)}
@@ -268,27 +284,23 @@ def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
     report = LossReport(L_g=scalar(l_g), L_l=scalar(l_l), L_eps=scalar(l_eps),
                         L_total=scalar(l_total), w=cfg.w)
     grads_by_var = tape.backward(l_total)
-    grads: dict[str, np.ndarray] = {}
-    for prefix, graph_vars in (("prior", prior_graph.vars), ("denoiser", den_graph.vars)):
-        for name, var in graph_vars.items():
-            grads[f"{prefix}.{name}"] = grads_by_var[var]
-    return report, grads
+    return report, {f"denoiser.{name}": grads_by_var[var]
+                    for name, var in den_graph.vars.items()}
 
 
 def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         checkpoint_path=None, resume: Checkpoint | None = None) -> Checkpoint:
-    """Warmup the prior net, then train all parameter sets jointly.
+    """Warmup the prior net, freeze it, then train the denoiser.
 
     The schedule is built (and its feasibility checked) before any
-    parameter is touched. A frozen copy of the post-warmup prior net is
-    kept for inference-time noise-level estimation.
+    parameter is touched. The post-warmup prior net gives the training
+    priors here and both y_f and the noise level at inference.
     """
     counts = training_census(table).counts
     schedule = noise_schedule(counts, cfg)
 
     if resume is not None:
         model = resume.model.copy()
-        prior_frozen = resume.prior_frozen.copy()
         start_epoch = resume.epoch
         opt = _make_opt(cfg)
         opt.load_state_dict(resume.opt_state)
@@ -297,11 +309,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
                                    lr=cfg.learning_rate, optimizer=cfg.optimizer,
                                    batch_size=cfg.batch_size, seed=cfg.seed)
-        prior_frozen = model.prior.copy()
         start_epoch = 0
         opt = _make_opt(cfg)
 
-    blocks = model.blocks()
+    blocks = model.denoiser_blocks()
     n_batches = max(1, -(-table.n // cfg.batch_size))
     total_steps = max(1, cfg.epochs * n_batches)
 
@@ -336,11 +347,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         if checkpoint_path is not None and cfg.checkpoint_every > 0 \
                 and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
             stem, ext = os.path.splitext(os.fspath(checkpoint_path))
-            save_checkpoint(Checkpoint(model, prior_frozen, opt.state_dict(),
-                                       cfg, done, counts), f"{stem}.epoch{done}{ext}")
+            save_checkpoint(Checkpoint(model, opt.state_dict(), cfg, done, counts),
+                            f"{stem}.epoch{done}{ext}")
 
-    ckpt = Checkpoint(model=model, prior_frozen=prior_frozen,
-                      opt_state=opt.state_dict(), config=cfg,
+    ckpt = Checkpoint(model=model, opt_state=opt.state_dict(), config=cfg,
                       epoch=cfg.epochs, counts=counts)
     if checkpoint_path is not None:
         save_checkpoint(ckpt, checkpoint_path)
@@ -393,9 +403,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     The JSON goes to a temporary file next to path, which is synced and
     then renamed over path, so a failed write leaves any existing file
-    at path as it was and removes the temporary file. A block, frozen
-    prior block or Adam moment holding a non-finite value raises
-    ConfigError naming path, and nothing is written.
+    at path as it was and removes the temporary file. A block or Adam
+    moment holding a non-finite value raises ConfigError naming path,
+    and nothing is written.
     """
     try:
         payload = {
@@ -405,8 +415,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             "config": ckpt.config.to_dict(),
             "prior_mask_size": ckpt.model.prior.mask_size,
             "blocks": _blocks_to_jsonable(ckpt.model.blocks(), "block"),
-            "prior_frozen": _blocks_to_jsonable(ckpt.prior_frozen.blocks(),
-                                                "frozen prior block"),
             "optimizer": {
                 "step_count": ckpt.opt_state["step_count"],
                 "m": _blocks_to_jsonable(ckpt.opt_state.get("m", {}), "Adam moment m"),
@@ -430,10 +438,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises ConfigError naming path unless the file is JSON of the current
-    version with every field, holds every model block, frozen prior block
-    and Adam moment in the shape its config and class counts imply, and
-    holds only finite values. LEGACY_BLOCKS are ignored.
+    Raises ConfigError naming path unless the file is JSON of version 2
+    (or 1, read as the module docstring says) with every field, holds
+    every model block and denoiser Adam moment in the shape its config
+    and class counts imply, and holds only finite values. LEGACY_BLOCKS
+    are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -451,30 +460,38 @@ def _checkpoint_from(payload) -> Checkpoint:
     for key in _CHECKPOINT_FIELDS:
         if key not in payload:
             raise ConfigError(f"checkpoint missing field {key!r}")
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload['version']!r}")
+    version = payload["version"]
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ConfigError(f"unsupported checkpoint version {version!r}")
     cfg = TrainConfig.from_dict(payload["config"])
     counts = tuple(int(c) for c in payload["counts"])
     if not counts or min(counts) < 1:
         raise ConfigError(f"class counts must be positive, got {list(counts)}")
     mask = int(payload["prior_mask_size"])
     blocks = _blocks_from_jsonable(payload["blocks"])
+    moments = {m: _blocks_from_jsonable(payload["optimizer"][m]) for m in ("m", "v")}
+    if version == 1:
+        # the post-warmup prior replaces the jointly trained one
+        if "prior_frozen" not in payload:
+            raise ConfigError("version-1 checkpoint missing field 'prior_frozen'")
+        frozen = _blocks_from_jsonable(payload["prior_frozen"])
+        for section in (blocks, *moments.values()):
+            for name in [n for n in section if n.startswith("prior.")]:
+                del section[name]
+        blocks.update({f"prior.{name}": arr for name, arr in frozen.items()})
     # the feature dimension is stored only as the first prior layer's rows
     w1 = blocks.get("prior.w1")
     if w1 is None or w1.ndim != 2:
         raise ConfigError("block 'prior.w1' is missing or not a matrix")
     shapes = model_shapes(w1.shape[0], len(counts), cfg)
     _checked(blocks, shapes, "block")
-    prior_shapes = {name[len("prior."):]: shape for name, shape in shapes.items()
-                    if name.startswith("prior.")}
-    frozen = _checked(_blocks_from_jsonable(payload["prior_frozen"]), prior_shapes,
-                      "frozen prior block")
     step_count = int(payload["optimizer"]["step_count"])
-    moment_shapes = shapes if cfg.optimizer == "adam" and step_count > 0 else {}
+    moment_shapes = ({name: shape for name, shape in shapes.items()
+                      if name.startswith("denoiser.")}
+                     if cfg.optimizer == "adam" and step_count > 0 else {})
     opt_state = {"step_count": step_count}
-    for moment in ("m", "v"):
-        state = _checked(_blocks_from_jsonable(payload["optimizer"][moment]),
-                         moment_shapes, f"Adam moment {moment}")
+    for moment, state in moments.items():
+        _checked(state, moment_shapes, f"Adam moment {moment}")
         if cfg.optimizer == "adam":
             opt_state[moment] = state
 
@@ -486,6 +503,5 @@ def _checkpoint_from(payload) -> Checkpoint:
         prior=PriorNetParams(mask_size=mask, **group("prior")),
         denoiser=DenoiserParams(**group("denoiser")),
     )
-    return Checkpoint(model=model, prior_frozen=PriorNetParams(mask_size=mask, **frozen),
-                      opt_state=opt_state, config=cfg, epoch=int(payload["epoch"]),
-                      counts=counts)
+    return Checkpoint(model=model, opt_state=opt_state, config=cfg,
+                      epoch=int(payload["epoch"]), counts=counts)

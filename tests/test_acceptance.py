@@ -103,7 +103,9 @@ def test_c04_training_loss_gradient():
     draws = draw_batch_noise(np.random.default_rng(13), table.n, table.k, cfg.T)
     _, grads = batch_loss(table, model, sched, cfg, draws)
 
-    blocks = model.blocks()
+    # the prior is frozen after warmup, so the denoiser's blocks are the
+    # trained parameters
+    blocks = model.denoiser_blocks()
     names = sorted(blocks)
     flat = [(n, i) for n in names for i in range(blocks[n].size)]
     coords = np.random.default_rng(17).choice(len(flat), size=100, replace=False)

@@ -34,3 +34,17 @@ def test_wrapped_attribute_resolves(entry):
 
 def test_workloads_import():
     assert sorted(load("workloads").WORKLOADS) == ["bound", "desk", "sample"]
+
+
+@pytest.mark.parametrize("name", ["desk", "sample"])
+def test_workload_runs_one_pass_and_its_checks(tmp_path, name):
+    # seed 1, one set-up, one pass and every check, as a benchmark run does
+    # them; files the workload writes go to tmp_path, not under perfbench/
+    workloads = load("workloads")
+    workloads.OUT_DIR = tmp_path
+    workload = workloads.WORKLOADS[name](1)
+    state = workload.setup()
+    first = workload.run_pass(state)
+    assert first.job_s > 0 and first.request_s and first.fingerprint
+    for _, run_check in workload.run_checks(state, first):
+        run_check()

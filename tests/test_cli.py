@@ -432,6 +432,15 @@ CLI_FAILURES = {
     "train-beta1-lost-to-rounding": (None, ["train", *_SMALL, "--beta1", "1e-30"], 1),
     "sweep-infeasible-cell": (None, ["sweep", *_SMALL, "--alphas", "0.25", "--cs", "1,1e5"],
                               1),
+    "train-seed-negative": (None, ["train", *_SMALL, "--seed", "-1"], 1),
+    "train-data-seed-negative": (None, ["train", *_SMALL, "--data-seed", "-1"], 1),
+    "sweep-seed-negative": (None, ["sweep", *_SMALL, "--seed", "-1"], 1),
+    "bound-seed-negative": (None, [*_BOUND, "--seed", "-1"], 1),
+    # {checkpoint} and {test} are a trained checkpoint and its test split
+    "eval-seed-negative": (None, ["eval", "--checkpoint", "{checkpoint}", "--data", "{test}",
+                                  "--seed", "-1"], 1),
+    "sample-seed-negative": (None, ["sample", "--checkpoint", "{checkpoint}",
+                                    "--data", "{test}", "--seed", "-1"], 1),
 }
 
 
@@ -441,8 +450,12 @@ def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
     path = tmp_path / "input"
     if content is not None:
         path.write_bytes(content)
+    fill = {"{file}": str(path)}
+    if "{checkpoint}" in argv:
+        checkpoint, test_csv, _ = _trained_run(tmp_path, capsys)
+        fill.update({"{checkpoint}": str(checkpoint), "{test}": str(test_csv)})
     out = tmp_path / "out"
-    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    argv = [fill.get(arg, arg) for arg in argv]
     code, _, err = run([*argv, "--out", str(out)], capsys)
     assert code == expected
     assert err.startswith("error: ") and err.count("error:") == 1

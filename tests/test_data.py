@@ -58,6 +58,8 @@ def test_spec_validation():
         spec(d=0)
     with pytest.raises(ConfigError):
         spec(spread=0.0)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        spec(seed=-1)
 
 
 def test_onehot_rows_sum_to_one():

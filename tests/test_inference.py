@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from adpm.autodiff import Tape
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fractions
-from adpm.errors import ConfigError
+from adpm.errors import ConfigError, UsageError
 from adpm.inference import classify_dataset
-from adpm.priors import PriorGraph
+from adpm.priors import prior_bundle
 from adpm.trainer import TrainConfig, fit, noise_schedule
 
 
@@ -65,6 +64,15 @@ def test_lambda_comes_from_frozen_prior_census(trained):
     lam_table = noise_schedule(ckpt.counts, ckpt.config).lam
     out = classify_dataset(ckpt, test)
     assert set(r.lam for r in out.results) <= set(float(v) for v in lam_table)
+    # the one prior network picks each row's level: its global prior's argmax
+    y_g = prior_bundle(ckpt.model.prior, test.features).y_g
+    assert np.array_equal(out.results.lam, lam_table[np.argmax(y_g, axis=1)])
+
+
+def test_negative_seed_rejected(trained):
+    ckpt, test = trained
+    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+        classify_dataset(ckpt, test, seed=-1)
 
 
 def test_k_mismatch_rejected(trained):
@@ -84,8 +92,7 @@ def test_d_mismatch_rejected(trained):
 def test_prior_predictions_are_fused_prior_argmax(trained):
     ckpt, test = trained
     out = classify_dataset(ckpt, test)
-    tape = Tape()
-    y_f = PriorGraph(tape, ckpt.model.prior, tape.const(test.features)).y_f.value
+    y_f = prior_bundle(ckpt.model.prior, test.features).y_f
     assert np.array_equal(out.prior_predictions, np.argmax(y_f, axis=1))
     assert out.prior_predictions.dtype == out.predictions.dtype
 

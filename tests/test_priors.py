@@ -7,6 +7,24 @@ from adpm.priors import (PriorGraph, PriorNetParams, mlp_forward, prior_bundle,
                          salience_mask, warmup_loss, warmup_train)
 
 
+def composed_priors(params, x):
+    """Global, local and fused priors composed from the tape's affine and
+    tanh ops and a row softmax written here."""
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    tape = Tape()
+    w1, b1, w2, b2 = (tape.param(arr) for arr in params.blocks().values())
+
+    def logits(inputs):
+        return tape.affine(tape.tanh(tape.affine(tape.const(inputs), w1, b1)), w2, b2).value
+
+    y_g = softmax(logits(x))
+    y_l = softmax(logits(x * salience_mask(params, x)))
+    return y_g, y_l, (y_g + y_l) * 0.5, logits(x)
+
+
 def zero_params(d=3, hidden=4, k=3, m=None):
     return PriorNetParams(w1=np.zeros((d, hidden)), b1=np.zeros((1, hidden)),
                           w2=np.zeros((hidden, k)), b2=np.zeros((1, k)),
@@ -28,19 +46,25 @@ def local_prior(params, x):
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_numpy_priors_match_tape_bitwise(n):
-    # PriorGraph, the tape the trainer differentiates, is the reference
     params = random_params(6, 5, 4, 3, seed=13)
     x = np.random.default_rng(14).standard_normal((n, 6)) * 2
+    bundle = prior_bundle(params, x)
+    assert bundle.y_g.shape == (n, 4)
+    y_g, y_l, y_f, logits = composed_priors(params, x)
+    for ours, ref in ((bundle.y_g, y_g), (bundle.y_l, y_l), (bundle.y_f, y_f),
+                      (mlp_forward(params, x)[1], logits)):
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_prior_graph_puts_the_bundle_on_the_tape_as_constants():
+    params = random_params(6, 5, 4, 3, seed=13)
+    x = np.random.default_rng(15).standard_normal((5, 6))
     tape = Tape()
     graph = PriorGraph(tape, params, tape.const(x))
     bundle = prior_bundle(params, x)
-    assert bundle.y_g.shape == (n, 4)
-    for ours, ref in ((bundle.y_g, graph.y_g), (bundle.y_l, graph.y_l),
-                      (bundle.y_f, graph.y_f)):
-        assert np.array_equal(ours, ref.value)
-    w1, b1, w2, b2 = (tape.param(arr) for arr in params.blocks().values())
-    logits = tape.affine(tape.tanh(tape.affine(tape.const(x), w1, b1)), w2, b2)
-    assert np.array_equal(mlp_forward(params, x)[1], logits.value)
+    for var, ref in ((graph.y_g, bundle.y_g), (graph.y_l, bundle.y_l),
+                     (graph.y_f, bundle.y_f)):
+        assert np.array_equal(var.value, ref) and not var.reached and var.rule is None
 
 
 def test_zero_weights_give_uniform_priors():

@@ -14,7 +14,7 @@ from adpm.denoiser import DenoiserGraph, DenoiserParams
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError
 from adpm.inference import classify_dataset
 from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
-from adpm.priors import PriorGraph, PriorNetParams, warmup_train
+from adpm.priors import PriorNetParams, prior_bundle, warmup_train
 from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, Checkpoint, TrainConfig, batch_loss,
                           draw_batch_noise, fit, init_model, load_checkpoint,
                           model_shapes, noise_schedule, save_checkpoint)
@@ -65,7 +65,6 @@ def test_fit_deterministic_bitwise():
     a = fit(table, cfg)
     b = fit(table, cfg)
     assert blocks_equal(a.model.blocks(), b.model.blocks())
-    assert blocks_equal(a.prior_frozen.blocks(), b.prior_frozen.blocks())
     assert a.opt_state["step_count"] == b.opt_state["step_count"]
     assert blocks_equal(a.opt_state["m"], b.opt_state["m"])
 
@@ -85,7 +84,7 @@ def test_full_batch_descent_loss_non_increasing():
     schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(1), table.n, table.k, cfg.T)
     losses = []
-    blocks = model.blocks()
+    blocks = model.denoiser_blocks()
     for _ in range(50):
         report, grads = batch_loss(table, model, schedule, cfg, draws)
         losses.append(report.L_total)
@@ -119,7 +118,7 @@ def test_batch_loss_runs_the_denoiser_once_on_a_small_tape(monkeypatch):
     monkeypatch.setattr(Tape, "backward", counting_backward)
     batch_loss(batch, model, schedule, cfg, draws)
     assert predict_calls == [(3 * batch.n, batch.k)]
-    assert len(tape_sizes) == 1 and tape_sizes[0] <= 80
+    assert len(tape_sizes) == 1 and tape_sizes[0] <= 56
 
 
 def test_eps_term_gradient_is_additive_over_samples():
@@ -134,23 +133,18 @@ def test_eps_term_gradient_is_additive_over_samples():
     def eps_sum_grads(rows):
         sub = table.take(rows)
         tape = Tape()
-        x = tape.const(sub.features)
-        prior_graph = PriorGraph(tape, model.prior, x)
+        y_f = tape.const(prior_bundle(model.prior, sub.features).y_f)
         den = DenoiserGraph(tape, model.denoiser)
         gamma_t = schedule.gamma[sub.labels, draws.t[rows]]
         root = np.sqrt(gamma_t)[:, None]
         eps = draws.eps["fused"][rows]
         signal = tape.const(root * sub.onehot + np.sqrt(1 - gamma_t)[:, None] * eps)
         coef = tape.const(np.broadcast_to(1.0 - root, (sub.n, sub.k)).copy())
-        y_t = tape.add(signal, tape.mul(coef, prior_graph.y_f))
-        eps_hat = den.predict(y_t, prior_graph.y_f, draws.t[rows], cfg.T)
+        y_t = tape.add(signal, tape.mul(coef, y_f))
+        eps_hat = den.predict(y_t, y_f, draws.t[rows], cfg.T)
         root_node = tape.sum_sq(tape.sub(eps_hat, tape.const(eps)))
         grads = tape.backward(root_node)
-        named = {}
-        for prefix, graph in (("prior", prior_graph.vars), ("denoiser", den.vars)):
-            for name, var in graph.items():
-                named[f"{prefix}.{name}"] = grads[var]
-        return named
+        return {name: grads[var] for name, var in den.vars.items()}
 
     full = eps_sum_grads(list(range(table.n)))
     summed = None
@@ -181,12 +175,15 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
     assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
-    assert blocks_equal(loaded.prior_frozen.blocks(), ckpt.prior_frozen.blocks())
-    assert blocks_equal(loaded.opt_state["m"], ckpt.opt_state["m"])
-    assert blocks_equal(loaded.opt_state["v"], ckpt.opt_state["v"])
+    # Adam keeps moments for the trained denoiser blocks only
+    for moment in ("m", "v"):
+        assert set(ckpt.opt_state[moment]) == set(ckpt.model.denoiser_blocks())
+        assert blocks_equal(loaded.opt_state[moment], ckpt.opt_state[moment])
     assert loaded.opt_state["step_count"] == ckpt.opt_state["step_count"]
     assert loaded.counts == ckpt.counts
     assert loaded.config == ckpt.config
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2 and "prior_frozen" not in payload
 
 
 @pytest.fixture(scope="module")
@@ -369,18 +366,18 @@ def test_load_checkpoint_fuzz_returns_checkpoint_or_adpm_error(saved_run, tmp_pa
     assert isinstance(ckpt, Checkpoint)
 
 
-@pytest.mark.parametrize("section", ["model", "prior_frozen", "m", "v"])
+@pytest.mark.parametrize("section", ["model", "prior", "m", "v"])
 def test_save_checkpoint_refuses_non_finite_values(tmp_path, saved_run, section):
     _, ckpt, _ = saved_run
-    model, frozen = ckpt.model.copy(), ckpt.prior_frozen.copy()
+    model = ckpt.model.copy()
     opt_state = {"step_count": ckpt.opt_state["step_count"],
                  "m": {n: a.copy() for n, a in ckpt.opt_state["m"].items()},
                  "v": {n: a.copy() for n, a in ckpt.opt_state["v"].items()}}
-    target = {"model": model.blocks(), "prior_frozen": frozen.blocks(),
+    target = {"model": model.denoiser_blocks(), "prior": model.prior.blocks(),
               "m": opt_state["m"], "v": opt_state["v"]}[section]
     name = sorted(target)[-1]
     target[name][0, 0] = np.inf
-    bad = Checkpoint(model, frozen, opt_state, ckpt.config, ckpt.epoch, ckpt.counts)
+    bad = Checkpoint(model, opt_state, ckpt.config, ckpt.epoch, ckpt.counts)
     path = tmp_path / "ckpt.json"
     with pytest.raises(ConfigError, match=f"{name}' holds a non-finite value") as info:
         save_checkpoint(bad, path)
@@ -423,6 +420,11 @@ def test_config_rejects_sample_steps_below_one(steps):
 def test_config_rejects_a_negative_checkpoint_interval():
     with pytest.raises(ConfigError, match="checkpoint_every must be >= 0, got -1"):
         TrainConfig(checkpoint_every=-1)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("w", [0.0, -0.5, float("nan"), float("inf")])
@@ -470,7 +472,10 @@ def test_every_trained_block_gets_a_gradient():
     draws = draw_batch_noise(np.random.default_rng(5), table.n, table.k, cfg.T)
     schedule = noise_schedule(table.class_counts(), cfg)
     _, grads = batch_loss(table, model, schedule, cfg, draws)
-    assert set(grads) == set(model.blocks())
+    # the prior is frozen after warmup: the 12 denoiser blocks are trained
+    assert sorted(grads) == sorted(f"denoiser.{name}" for name in (
+        "fuse_w", "fuse_b", "enc_w", "enc_b", "wv", "wo", "time_w", "time_b",
+        "dec1_w", "dec1_b", "dec2_w", "dec2_b"))
     for name, g in grads.items():
         assert g.any(), name
 
@@ -488,6 +493,64 @@ def test_resume_is_bitwise_equivalent(tmp_path):
     assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
     assert resumed.opt_state["step_count"] == uninterrupted.opt_state["step_count"]
     assert blocks_equal(resumed.opt_state["m"], uninterrupted.opt_state["m"])
+
+
+def test_fit_freezes_the_prior_after_warmup(tmp_path):
+    table = toy_table()
+    cfg = toy_config(epochs=6, checkpoint_every=3)
+    warm = warmup_train(init_model(table.d, table.k, cfg).prior, table, cfg.warmup_epochs,
+                        lr=cfg.learning_rate, optimizer=cfg.optimizer,
+                        batch_size=cfg.batch_size, seed=cfg.seed)
+    path = tmp_path / "ckpt.json"
+    fresh = fit(table, cfg, checkpoint_path=path)
+    resumed = fit(table, cfg, resume=load_checkpoint(tmp_path / "ckpt.epoch3.json"))
+    for ckpt in (fresh, resumed):
+        assert blocks_equal(ckpt.model.prior.blocks(), warm.blocks())
+        assert ckpt.prior_frozen is ckpt.model.prior
+    assert not blocks_equal(fresh.model.denoiser_blocks(),
+                            init_model(table.d, table.k, cfg).denoiser_blocks())
+
+
+def _as_version_1(text, prior_frozen=True):
+    """A version-1 payload made from a version-2 one: a different, jointly
+    trained prior in the blocks and in Adam's moments, and the loaded
+    prior as the post-warmup "prior_frozen" section."""
+    payload = json.loads(text)
+    payload["version"] = 1
+    prior = {name: entry for name, entry in payload["blocks"].items()
+             if name.startswith("prior.")}
+    if prior_frozen:
+        payload["prior_frozen"] = {name[len("prior."):]: entry for name, entry in prior.items()}
+    for section, shift in ((payload["blocks"], 0.5), (payload["optimizer"]["m"], 0.25),
+                           (payload["optimizer"]["v"], 0.125)):
+        for name, entry in prior.items():
+            section[name] = {"shape": entry["shape"],
+                             "data": [v + shift for v in entry["data"]]}
+    return json.dumps(payload)
+
+
+def test_version_1_checkpoint_loads_its_frozen_prior(tmp_path, saved_run):
+    table, ckpt, text = saved_run
+    path = tmp_path / "v1.json"
+    path.write_text(_as_version_1(text))
+    assert json.loads(path.read_text())["blocks"]["prior.w1"] != \
+        json.loads(text)["blocks"]["prior.w1"]
+    loaded = load_checkpoint(path)
+    assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
+    for moment in ("m", "v"):
+        assert blocks_equal(loaded.opt_state[moment], ckpt.opt_state[moment])
+    a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
+    assert np.array_equal(a.predictions, b.predictions)
+    assert a.results.y0.tobytes() == b.results.y0.tobytes()
+
+
+def test_version_1_checkpoint_without_frozen_prior_is_rejected(tmp_path, saved_run):
+    _, _, text = saved_run
+    path = tmp_path / "v1.json"
+    path.write_text(_as_version_1(text, prior_frozen=False))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: version-1 checkpoint missing field 'prior_frozen'"
 
 
 def test_lambda_override_reproduces_isotropic_reference_run():
@@ -512,7 +575,7 @@ def test_lambda_override_reproduces_isotropic_reference_run():
     model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
                                lr=cfg.learning_rate, optimizer=cfg.optimizer,
                                batch_size=cfg.batch_size, seed=cfg.seed)
-    blocks = model.blocks()
+    blocks = model.denoiser_blocks()
     opt = optim.Adam(cfg.learning_rate)
     n_batches = -(-table.n // cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -526,12 +589,11 @@ def test_lambda_override_reproduces_isotropic_reference_run():
             t = rng.integers(1, cfg.T + 1, size=sub.n)
             eps = {b: rng.standard_normal((sub.n, sub.k)) for b in BRANCHES}
             tape = Tape()
-            x = tape.const(sub.features)
-            prior_graph = PriorGraph(tape, model.prior, x)
+            bundle = prior_bundle(model.prior, sub.features)
             den = DenoiserGraph(tape, model.denoiser)
             ab = alpha_bar[t]
-            branch_prior = {"global": prior_graph.y_g, "local": prior_graph.y_l,
-                            "fused": prior_graph.y_f}
+            branch_prior = {"global": tape.const(bundle.y_g), "local": tape.const(bundle.y_l),
+                            "fused": tape.const(bundle.y_f)}
             eps_hat = {}
             for b in BRANCHES:
                 signal = tape.const(np.sqrt(ab)[:, None] * sub.onehot
@@ -546,10 +608,7 @@ def test_lambda_override_reproduces_isotropic_reference_run():
             l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
             l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
             grads_by_var = tape.backward(l_total)
-            named = {}
-            for prefix, graph in (("prior", prior_graph.vars), ("denoiser", den.vars)):
-                for name, var in graph.items():
-                    named[f"{prefix}.{name}"] = grads_by_var[var]
+            named = {f"denoiser.{name}": grads_by_var[var] for name, var in den.vars.items()}
             lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
                              cfg.lr_warmup_frac)
             opt.step(blocks, named, lr=lr)
@@ -590,4 +649,4 @@ def test_train_step_reports_consistent_total():
     report, grads = batch_loss(table, model, schedule, cfg, draws)
     assert report.L_total == pytest.approx(cfg.w * (report.L_g + report.L_l)
                                            + report.L_eps, abs=1e-12)
-    assert set(grads) == set(model.blocks())
+    assert set(grads) == set(model.denoiser_blocks())
