@@ -1,11 +1,10 @@
 """Tape-based reverse-mode differentiation over dense float64 matrices.
 
-The op vocabulary is exactly what a training step builds for the
-denoising network and its losses: matmul (with an optional transposed
-right operand), affine (x @ w plus a broadcast bias row), add, sub, mul,
-scale, tanh, sum of squares, column concat, a row range, and rbf_mean,
-the mean RBF kernel value over all row pairs of two batches as one
-node. Everything is strictly 2-D float64. Forward evaluation is
+The op vocabulary is what the training objective is made of: matmul
+(with an optional transposed right operand), affine (x @ w plus a
+broadcast bias row), add, sub, mul, scale, tanh, sum of squares, column
+concat, a row range, and rbf_mean, the mean RBF kernel value over all
+row pairs of two batches as one node. Everything is strictly 2-D float64. Forward evaluation is
 deterministic for identical inputs; reductions are delegated to numpy's
 sequential CPU kernels, which are run-to-run reproducible.
 
@@ -17,10 +16,12 @@ for reached nodes, so a const, or a node computed from consts alone
 (such as the K(eps, eps) kernel mean of an MMD), gets no adjoint and
 runs no rule.
 
-The library builds a tape only where it takes a gradient: once per
-training step, in trainer.batch_loss, for the denoiser's blocks. The
-frozen prior enters that tape as constants; prior warmup, inference and
-sampling run their networks as plain numpy.
+No library path builds a tape. Training takes the denoiser's gradient
+from a hand-derived backward pass (trainer.batch_loss) that computes the
+expressions, in the order, that backward computes over the same ops, so
+the tests build the objective on a tape as the bitwise oracle of that
+gradient. priors.PriorGraph, which the benchmark still reads, only puts
+constants on a caller's tape.
 
 A Tape is single-owner: it must never be shared across concurrent
 workers. Parallel evaluation is achieved by giving each worker its own

@@ -10,10 +10,10 @@ the attention and inside the decoder, so the network can identify the
 noise magnitude at step t. The input features do not enter the network:
 it sees an input only through its prior.
 
-All layers are tanh-activated linear maps. Training builds them on the
-autodiff tape (DenoiserGraph), so the full composition is differentiable
-end to end; sampling needs no gradients and runs the same network as
-plain numpy (DenoiserParams.apply), with no tape.
+All layers are tanh-activated linear maps. Training and sampling run
+the same plain-numpy forward pass (DenoiserParams.forward); training
+keeps its activations and takes the gradient with the hand-derived
+backward pass (DenoiserParams.backward). No autodiff tape is built.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Var
+from . import optim
 from .errors import ConfigError, ShapeError
 
 
@@ -121,48 +121,82 @@ class DenoiserParams:
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(**{k: v.copy() for k, v in self.blocks().items()})
 
-    def apply(self, y_noisy: np.ndarray, y_prior: np.ndarray, t: int, T: int) -> np.ndarray:
-        """Forward pass on (n, k) rows that share one step t; builds no tape.
+    def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray,
+                t_rows: np.ndarray) -> "Activations":
+        """Forward pass on (n, k) rows, keeping what backward reads.
 
-        Computes what DenoiserGraph.predict computes. The time embedding
-        is computed once and broadcast over the rows.
+        t_rows holds the rows' time embeddings, one row per input or a
+        single row shared by all of them.
+        """
+        x = np.concatenate([y_noisy, y_prior], axis=1)
+        fused = x @ self.fuse_w + self.fuse_b
+        kv = np.tanh(fused @ self.enc_w + self.enc_b)
+        kv_v = kv @ self.wv
+        temb = t_rows @ self.time_w + self.time_b
+        u = kv_v @ self.wo + temb
+        h1 = np.tanh(u @ self.dec1_w + self.dec1_b + temb)
+        return Activations(x, fused, kv, kv_v, t_rows, u, h1, h1 @ self.dec2_w + self.dec2_b)
+
+    def backward(self, acts: "Activations", g_out: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss whose gradient in forward's output is
+        g_out, as one vector holding the blocks in blocks() order.
+
+        t_rows must hold one row per input. Each adjoint is the expression,
+        in the order, that a reverse-mode tape over forward's ops computes:
+        a weight's adjoint is inputs.T @ g, a bias's is ones(n, 1).T @ g,
+        and temb's two uses are added decoder-first.
+        """
+        n = g_out.shape[0]
+        ones_t = np.ones((n, 1)).T
+        blocks = self.blocks()
+        flat = np.empty(sum(arr.size for arr in blocks.values()))
+        grads = optim.unflatten(flat, {name: arr.shape for name, arr in blocks.items()})
+
+        def affine(g, x, name):
+            np.matmul(x.T, g, out=grads[f"{name}_w"])
+            np.matmul(ones_t, g, out=grads[f"{name}_b"])
+
+        affine(g_out, acts.h1, "dec2")
+        g_pre = (g_out @ self.dec2_w.T) * (1.0 - acts.h1 ** 2)
+        affine(g_pre, acts.u, "dec1")
+        g_u = g_pre @ self.dec1_w.T
+        affine(g_pre + g_u, acts.t_rows, "time")
+        np.matmul(acts.kv_v.T, g_u, out=grads["wo"])
+        g_kv_v = g_u @ self.wo.T
+        np.matmul(acts.kv.T, g_kv_v, out=grads["wv"])
+        g_enc = (g_kv_v @ self.wv.T) * (1.0 - acts.kv ** 2)
+        affine(g_enc, acts.fused, "enc")
+        affine(g_enc @ self.enc_w.T, acts.x, "fuse")
+        return flat
+
+    def apply(self, y_noisy: np.ndarray, y_prior: np.ndarray, t: int, T: int) -> np.ndarray:
+        """Noise prediction for (n, k) rows that share one step t.
+
+        The time embedding is computed once and broadcast over the rows.
         """
         shape = (y_noisy.shape[0], self.k)
         if y_noisy.shape != shape or y_prior.shape != shape:
             raise ShapeError(f"y_noisy and y_prior must both have shape (n, {self.k}), "
                              f"got {y_noisy.shape} and {y_prior.shape}")
-        fused = np.concatenate([y_noisy, y_prior], axis=1) @ self.fuse_w + self.fuse_b
-        kv = np.tanh(fused @ self.enc_w + self.enc_b)
-        att = (kv @ self.wv) @ self.wo
-        temb = time_embed(t, T, self.t_emb_dim)[None, :] @ self.time_w + self.time_b
-        h1 = np.tanh((att + temb) @ self.dec1_w + self.dec1_b + temb)
-        return h1 @ self.dec2_w + self.dec2_b
+        return self.forward(y_noisy, y_prior, time_embed(t, T, self.t_emb_dim)[None, :]).out
 
 
-class DenoiserGraph:
-    """Tape subgraph evaluating the denoiser on a batch."""
+@dataclass
+class Activations:
+    """Values of one forward pass that its backward pass reads."""
 
-    def __init__(self, tape: Tape, params: DenoiserParams):
-        self.tape = tape
-        self.params = params
-        self.vars = {name: tape.param(arr) for name, arr in params.blocks().items()}
-
-    def predict(self, y_noisy: Var, y_prior: Var, ts, T: int) -> Var:
-        """Noise prediction for a batch, one step per row."""
-        tape, vars = self.tape, self.vars
-        fused = tape.affine(tape.concat_cols(y_noisy, y_prior), vars["fuse_w"],
-                            vars["fuse_b"])
-        kv = tape.tanh(tape.affine(fused, vars["enc_w"], vars["enc_b"]))
-        att = tape.matmul(tape.matmul(kv, vars["wv"]), vars["wo"])
-        temb = tape.affine(tape.const(time_embed_batch(ts, T, self.params.t_emb_dim)),
-                           vars["time_w"], vars["time_b"])
-        u = tape.add(att, temb)
-        h1 = tape.tanh(tape.add(tape.affine(u, vars["dec1_w"], vars["dec1_b"]), temb))
-        return tape.affine(h1, vars["dec2_w"], vars["dec2_b"])
+    x: np.ndarray       # (n, 2k)   noisy labels beside their priors
+    fused: np.ndarray   # (n, h)
+    kv: np.ndarray      # (n, h)    encoded token
+    kv_v: np.ndarray    # (n, d_att) its value projection
+    t_rows: np.ndarray  # (n or 1, t_dim) time embeddings
+    u: np.ndarray       # (n, h)    attention output plus time projection
+    h1: np.ndarray      # (n, h)    decoder hidden layer
+    out: np.ndarray     # (n, k)    predicted noise
 
 
 def predict_noise(params: DenoiserParams, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
-    """Noise prediction at step t, without a tape.
+    """Noise prediction at step t.
 
     One input as 1-D arrays gives a 1-D result; (n, .) arrays give one
     row per input.

@@ -1,4 +1,10 @@
-"""Optimizers over named parameter blocks, plus the learning-rate schedule."""
+"""Optimizers over one flat parameter vector, plus the learning-rate schedule.
+
+A model's named blocks live as reshaped views into one float64 vector
+(flatten, unflatten), and so do their gradients; Adam's moments are
+vectors of the same length. Every update is elementwise, so one pass
+over the vector gives each entry the bits a block-by-block update would.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,28 @@ import numpy as np
 from .errors import ConfigError
 
 
+def flatten(arrays) -> np.ndarray:
+    """The arrays' entries back to back, row-major, as one new float64 vector."""
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+
+
+def unflatten(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> view of vec in that shape, the blocks back to back in shapes' order."""
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        out[name] = vec[start:stop].reshape(shape)
+        start = stop
+    if start != vec.size:
+        raise ConfigError(f"blocks hold {start} values, the vector {vec.size}")
+    return out
+
+
 class Adam:
-    """Adam with bias correction over a dict of float64 arrays.
+    """Adam with bias correction over one float64 vector.
 
     A zero gradient applied to zero moments leaves parameters bitwise
-    unchanged.
+    unchanged. The moments start as zeros at the first step.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -23,41 +46,37 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float | None = None) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float | None = None) -> None:
+        """Update params in place from grads, an array of the same shape."""
         if lr is None:
             lr = self.lr
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p)
-            v = self.v.get(name)
-            if v is None:
-                v = self.v[name] = np.zeros_like(p)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grads * grads
+        params -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def state_dict(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
+        """Step count, plus copies of the moments "m" and "v" once they exist."""
+        if self.m is None:
+            return {"step_count": self.step_count}
+        return {"step_count": self.step_count, "m": self.m.copy(), "v": self.v.copy()}
 
     def load_state_dict(self, state: dict) -> None:
         self.step_count = int(state["step_count"])
-        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}
+        self.m = self.v = None
+        if state.get("m") is not None:
+            self.m = np.array(state["m"], dtype=np.float64)
+            self.v = np.array(state["v"], dtype=np.float64)
 
 
 class Sgd:
@@ -67,12 +86,11 @@ class Sgd:
         self.lr = lr
         self.step_count = 0
 
-    def step(self, params, grads, lr: float | None = None) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float | None = None) -> None:
         if lr is None:
             lr = self.lr
         self.step_count += 1
-        for name, p in params.items():
-            p -= lr * grads[name]
+        params -= lr * grads
 
     def state_dict(self) -> dict:
         return {"step_count": self.step_count}

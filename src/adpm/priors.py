@@ -7,10 +7,11 @@ is |x_i| * sum_h |W1[i, h]|), a tabular stand-in for attention-cropped
 regions. The fused prior is the componentwise mean of the two.
 
 The network is trained once, by warmup_train's cross entropy, and then
-frozen: the diffusion training loop takes its priors as constants and
-updates only the denoiser, and inference reads the same network. Every
-pass runs as plain numpy (mlp_forward, prior_bundle); PriorGraph only
-copies prior_bundle's values onto a tape as constants.
+frozen: fit computes the priors of every training row once and the
+diffusion training loop takes them as constants, and inference reads
+the same network. Every pass runs as plain numpy (mlp_forward,
+prior_bundle); PriorGraph only copies prior_bundle's values onto a tape
+as constants.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class PriorNetParams:
 
 @dataclass(frozen=True)
 class PriorBundle:
-    """Global, local and fused prior probability vectors.
+    """Global, local and fused prior probability vectors, and the global
+    branch's logits where prior_bundle computed them.
 
     Each is a (k,) vector for one input or an (n, k) matrix for n inputs.
     """
@@ -74,6 +76,7 @@ class PriorBundle:
     y_g: np.ndarray
     y_l: np.ndarray
     y_f: np.ndarray
+    logits: np.ndarray | None = None
 
 
 def salience_mask(params: PriorNetParams, x: np.ndarray) -> np.ndarray:
@@ -104,12 +107,13 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def prior_bundle(params: PriorNetParams, x) -> PriorBundle:
-    """Global, local and fused priors of every row of the (n, d) matrix x,
-    as (n, k) arrays."""
+    """Global, local and fused priors and the global logits of every row
+    of the (n, d) matrix x, as (n, k) arrays."""
     x = as_matrix(x)
-    y_g = _softmax_rows(mlp_forward(params, x)[1])
+    logits = mlp_forward(params, x)[1]
+    y_g = _softmax_rows(logits)
     y_l = _softmax_rows(mlp_forward(params, x * salience_mask(params, x))[1])
-    return PriorBundle(y_g=y_g, y_l=y_l, y_f=(y_g + y_l) * 0.5)
+    return PriorBundle(y_g=y_g, y_l=y_l, y_f=(y_g + y_l) * 0.5, logits=logits)
 
 
 class PriorGraph:
@@ -151,11 +155,13 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, *,
     input. Each epoch draws its shuffle from a stream keyed by (seed, 1,
     epoch), so runs are reproducible independently of call history.
     """
-    out = params.copy()
     if epochs == 0:
-        return out
+        return params.copy()
+    # the blocks are views into one vector, so each step is one optimizer pass
+    flat = optim.flatten(params.blocks().values())
+    out = replace(params, **optim.unflatten(
+        flat, {name: arr.shape for name, arr in params.blocks().items()}))
     opt = optim.make_optimizer(optimizer, lr)
-    blocks = out.blocks()
     onehot = table.onehot
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, 1, epoch])
@@ -164,7 +170,7 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, *,
         for start in range(0, table.n, step):
             idx = order[start:start + step]
             _, grads = _cross_entropy_grads(out, table.features[idx], onehot[idx])
-            opt.step(blocks, grads)
+            opt.step(flat, optim.flatten(grads.values()))
     return out
 
 

@@ -2,18 +2,24 @@
 
 fit first pretrains the prior network with cross entropy
 (priors.warmup_train) and then freezes it, as CARD does with its prior
-f_phi: from then on the network only supplies each batch's global,
-local and fused priors as constants. Every batch draws one timestep
-per sample and, per branch (global, local, fused), an independent
-Gaussian noise batch. Each branch's draw is corrupted with the true
-class's noise level and the branch's own prior. The three corrupted
-batches are stacked into one batch of three times the rows and pushed
-through the shared denoiser in one pass; its output is split back into
-the branches and scored: MMD against the true noise for the global and
-local branches, mean squared error for the fused branch. Gradients, and Adam's moments, exist for the denoiser's
-blocks only. batch_loss builds the library's only autodiff tape; warmup
-and inference run their forward passes as plain numpy. A step whose
-loss is not finite stops training with a ConfigError.
+f_phi. fit then computes two tables once (fit_tables): the global,
+local and fused priors of every training row, and the time embedding of
+every step 0..T; each batch gathers its rows from them. Every batch
+draws one timestep per sample and, per branch (global, local, fused),
+an independent Gaussian noise batch. Each branch's draw is corrupted
+with the true class's noise level and the branch's own prior. The three
+corrupted batches are stacked into one batch of three times the rows
+and pushed through the shared denoiser in one pass; its output is split
+back into the branches and scored: MMD against the true noise for the
+global and local branches, mean squared error for the fused branch.
+
+batch_loss runs as plain numpy: the denoiser's forward pass keeps its
+activations, and a hand-derived backward pass through the losses and
+the denoiser gives the gradient of the 12 denoiser blocks. No library
+path builds an autodiff tape. The denoiser's blocks, their gradient and
+Adam's moments are each one float64 vector (the blocks are views into
+theirs), so one optimizer pass updates them all. A step whose loss is
+not finite stops training with a ConfigError.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
@@ -40,12 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .autodiff import Tape, scalar
 from .data import DatasetTable
-from .denoiser import DenoiserGraph, DenoiserParams
+from .denoiser import DenoiserParams, time_embed_batch
 from .errors import ConfigError
-from .losses import (KernelConfig, LossReport, eps_loss_graph, mmd_loss_graph,
-                     total_loss_graph)
+from .losses import KernelConfig, LossReport, eps_loss, mmd_loss, total_loss
 from .priors import PriorNetParams, prior_bundle, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
                        lambda_vector, linear_beta)
@@ -252,40 +256,55 @@ def draw_batch_noise(rng, nb: int, k: int, T: int) -> BatchDraws:
     return BatchDraws(t=t, eps=eps)
 
 
-def batch_loss(batch: DatasetTable, model: ModelParams, schedule: NoiseSchedule,
-               cfg: TrainConfig, draws: BatchDraws) -> tuple[LossReport, dict]:
-    """Evaluate the three-branch objective on one batch, with gradients
-    for the denoiser blocks, named as in model.denoiser_blocks(). The
-    prior network's values enter as constants."""
-    nb = batch.n
-    bundle = prior_bundle(model.prior, batch.features)
-    tape = Tape()
-    den_graph = DenoiserGraph(tape, model.denoiser)
+def fit_tables(prior: PriorNetParams, table: DatasetTable, T: int,
+               time_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """What fit computes once, after warmup: the frozen prior's global,
+    local and fused priors of every row of table, stacked as (3, n, k) in
+    BRANCHES order, and the (T + 1, time_dim) time embeddings of steps
+    0..T."""
+    bundle = prior_bundle(prior, table.features)
+    return (np.stack([bundle.y_g, bundle.y_l, bundle.y_f]),
+            time_embed_batch(np.arange(T + 1), T, time_dim))
 
+
+def batch_loss(batch: DatasetTable, priors: np.ndarray, t_table: np.ndarray,
+               model: ModelParams, schedule: NoiseSchedule, cfg: TrainConfig,
+               draws: BatchDraws) -> tuple[LossReport, np.ndarray]:
+    """Evaluate the three-branch objective on one batch, and its gradient
+    in the denoiser blocks as one vector in model.denoiser_blocks() order
+    (named_views names its blocks).
+
+    priors holds the batch rows of fit_tables' priors, (3, nb, k), and
+    t_table is fit_tables' time embedding table; both enter as constants.
+    """
+    nb, k = batch.n, batch.k
     # the branches run as one stacked batch: row block i, rows i * nb to
     # (i + 1) * nb - 1, holds branch BRANCHES[i]
     gamma_t = schedule.gamma[batch.labels, draws.t]          # (nb,)
     root = np.sqrt(gamma_t)[:, None]
     noise_scale = np.sqrt(1.0 - gamma_t)[:, None]
-    signal = tape.const(np.concatenate([root * batch.onehot + noise_scale * draws.eps[b]
-                                        for b in BRANCHES]))
-    prior_coef = tape.const(np.tile(1.0 - root, (len(BRANCHES), batch.k)))
-    priors = tape.const(np.concatenate([bundle.y_g, bundle.y_l, bundle.y_f]))
-    y_t = tape.add(signal, tape.mul(prior_coef, priors))
-    stacked = den_graph.predict(y_t, priors, np.tile(draws.t, len(BRANCHES)), cfg.T)
-    eps_hat = {b: tape.rows(stacked, i * nb, (i + 1) * nb) for i, b in enumerate(BRANCHES)}
+    onehot = batch.onehot
+    signal = np.concatenate([root * onehot + noise_scale * draws.eps[b] for b in BRANCHES])
+    stacked_priors = priors.reshape(len(BRANCHES) * nb, k)
+    y_t = signal + np.tile(1.0 - root, (len(BRANCHES), k)) * stacked_priors
+    acts = model.denoiser.forward(y_t, stacked_priors,
+                                  t_table[np.tile(draws.t, len(BRANCHES))])
+    eps_hat = {b: acts.out[i * nb:(i + 1) * nb] for i, b in enumerate(BRANCHES)}
 
     kernel = cfg.kernel_cfg()
-    l_g = mmd_loss_graph(tape, tape.const(draws.eps["global"]), eps_hat["global"], kernel)
-    l_l = mmd_loss_graph(tape, tape.const(draws.eps["local"]), eps_hat["local"], kernel)
-    l_eps = eps_loss_graph(tape, tape.const(draws.eps["fused"]), eps_hat["fused"])
-    l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
+    l_g, g_g = mmd_loss(draws.eps["global"], eps_hat["global"], kernel, cfg.w)
+    l_l, g_l = mmd_loss(draws.eps["local"], eps_hat["local"], kernel, cfg.w)
+    l_eps, g_f = eps_loss(draws.eps["fused"], eps_hat["fused"])
+    report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
+                        L_total=total_loss(l_g, l_l, l_eps, cfg.w), w=cfg.w)
+    return report, model.denoiser.backward(acts, np.concatenate([g_g, g_l, g_f]))
 
-    report = LossReport(L_g=scalar(l_g), L_l=scalar(l_l), L_eps=scalar(l_eps),
-                        L_total=scalar(l_total), w=cfg.w)
-    grads_by_var = tape.backward(l_total)
-    return report, {f"denoiser.{name}": grads_by_var[var]
-                    for name, var in den_graph.vars.items()}
+
+def named_views(model: ModelParams, vec: np.ndarray) -> dict[str, np.ndarray]:
+    """A vector laid out like the denoiser's blocks (a batch_loss gradient
+    or an Adam moment) as views named as in model.denoiser_blocks()."""
+    return optim.unflatten(vec, {name: arr.shape for name, arr in
+                                 model.denoiser_blocks().items()})
 
 
 def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
@@ -294,7 +313,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
 
     The schedule is built (and its feasibility checked) before any
     parameter is touched. The post-warmup prior net gives the training
-    priors here and both y_f and the noise level at inference.
+    priors here and both y_f and the noise level at inference. With
+    log_path, each epoch appends one JSON record: the epoch's mean
+    losses, the learning rate of its last step and the mean 2-norm of
+    its steps' gradients.
     """
     counts = training_census(table).counts
     schedule = noise_schedule(counts, cfg)
@@ -302,59 +324,91 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     if resume is not None:
         model = resume.model.copy()
         start_epoch = resume.epoch
-        opt = _make_opt(cfg)
-        opt.load_state_dict(resume.opt_state)
     else:
         model = init_model(table.d, table.k, cfg)
         model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
                                    lr=cfg.learning_rate, optimizer=cfg.optimizer,
                                    batch_size=cfg.batch_size, seed=cfg.seed)
         start_epoch = 0
-        opt = _make_opt(cfg)
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+    # the denoiser's blocks become views into one vector, which the
+    # optimizer updates in one pass per step
+    shapes = {name: arr.shape for name, arr in model.denoiser.blocks().items()}
+    params = optim.flatten(model.denoiser.blocks().values())
+    model.denoiser = DenoiserParams(**optim.unflatten(params, shapes))
+    opt = _make_opt(cfg)
+    if resume is not None:
+        opt.load_state_dict(_flat_opt_state(resume.opt_state, model))
 
-    blocks = model.denoiser_blocks()
     n_batches = max(1, -(-table.n // cfg.batch_size))
     total_steps = max(1, cfg.epochs * n_batches)
 
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, 2, epoch])
         order = rng.permutation(table.n)
-        sums = np.zeros(4)
+        sums = np.zeros(5)
         batches = 0
         for start in range(0, table.n, cfg.batch_size):
-            batch = table.take(order[start:start + cfg.batch_size])
+            idx = order[start:start + cfg.batch_size]
+            batch = table.take(idx)
             draws = draw_batch_noise(rng, batch.n, batch.k, cfg.T)
             with np.errstate(over="ignore", invalid="ignore"):
                 # a non-finite loss is reported below, with its epoch and batch
-                report, grads = batch_loss(batch, model, schedule, cfg, draws)
+                report, grad = batch_loss(batch, priors[:, idx], t_table, model,
+                                          schedule, cfg, draws)
             if not np.isfinite(report.L_total):
-                bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+                bad = [name for name, g in named_views(model, grad).items()
+                       if not np.isfinite(g).all()]
                 raise ConfigError(
                     f"training diverged at epoch {epoch}, batch {batches}: L_total is "
                     f"{report.L_total}; first non-finite gradient block: "
                     f"{bad[0] if bad else 'none'}")
             lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
                              cfg.lr_warmup_frac)
-            opt.step(blocks, grads, lr=lr)
-            sums += (report.L_g, report.L_l, report.L_eps, report.L_total)
+            opt.step(params, grad, lr=lr)
+            sums[:4] += (report.L_g, report.L_l, report.L_eps, report.L_total)
+            if log_path is not None:
+                sums[4] += np.sqrt(grad @ grad)
             batches += 1
         if log_path is not None:
             record = {"epoch": epoch, "L_g": sums[0] / batches, "L_l": sums[1] / batches,
-                      "L_eps": sums[2] / batches, "L_total": sums[3] / batches}
+                      "L_eps": sums[2] / batches, "L_total": sums[3] / batches,
+                      "lr": lr, "grad_norm": sums[4] / batches}
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record) + "\n")
         done = epoch + 1
         if checkpoint_path is not None and cfg.checkpoint_every > 0 \
                 and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
             stem, ext = os.path.splitext(os.fspath(checkpoint_path))
-            save_checkpoint(Checkpoint(model, opt.state_dict(), cfg, done, counts),
-                            f"{stem}.epoch{done}{ext}")
+            save_checkpoint(Checkpoint(model, _named_opt_state(opt, model), cfg, done,
+                                       counts), f"{stem}.epoch{done}{ext}")
 
-    ckpt = Checkpoint(model=model, opt_state=opt.state_dict(), config=cfg,
+    ckpt = Checkpoint(model=model, opt_state=_named_opt_state(opt, model), config=cfg,
                       epoch=cfg.epochs, counts=counts)
     if checkpoint_path is not None:
         save_checkpoint(ckpt, checkpoint_path)
     return ckpt
+
+
+def _named_opt_state(opt, model: ModelParams) -> dict:
+    """The optimizer's state with Adam's moment vectors as blocks named as in
+    model.denoiser_blocks(), the form checkpoints hold."""
+    state = opt.state_dict()
+    named = {"step_count": state["step_count"]}
+    if isinstance(opt, optim.Adam):
+        for moment in ("m", "v"):
+            named[moment] = named_views(model, state[moment]) if moment in state else {}
+    return named
+
+
+def _flat_opt_state(state: dict, model: ModelParams) -> dict:
+    """Inverse of _named_opt_state: named moments back to one vector each."""
+    flat = {"step_count": state["step_count"]}
+    for moment in ("m", "v"):
+        if state.get(moment):
+            flat[moment] = optim.flatten(state[moment][name]
+                                         for name in model.denoiser_blocks())
+    return flat
 
 
 def _make_opt(cfg: TrainConfig):

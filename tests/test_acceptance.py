@@ -16,13 +16,12 @@ from adpm.data import LongTailSpec, generate_longtail, split_fractions
 
 from adpm.diffusion import forward_sample, reverse_step
 from adpm.inference import classify_dataset
-from adpm.autodiff import Tape, scalar
-from adpm.losses import KernelConfig, mmd_loss_graph
+from adpm.losses import KernelConfig, mmd_loss
 from adpm.metrics import HypothesisGrid, bound_experiment, classification_metrics
 from adpm.schedule import (ClassCensus, NoiseLevelConfig, build_schedule,
                            imbalance_ratio, lambda_vector, linear_beta)
-from adpm.trainer import (TrainConfig, batch_loss, draw_batch_noise, fit, init_model,
-                          noise_schedule)
+from adpm.trainer import (TrainConfig, batch_loss, draw_batch_noise, fit, fit_tables,
+                          init_model, named_views, noise_schedule)
 
 def report(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
@@ -101,7 +100,11 @@ def test_c04_training_loss_gradient():
     model = init_model(table.d, table.k, cfg)
     sched = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(13), table.n, table.k, cfg.T)
-    _, grads = batch_loss(table, model, sched, cfg, draws)
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+
+    def loss():
+        return batch_loss(table, priors, t_table, model, sched, cfg, draws)
+    grads = named_views(model, loss()[1])
 
     # the prior is frozen after warmup, so the denoiser's blocks are the
     # trained parameters
@@ -117,9 +120,9 @@ def test_c04_training_loss_gradient():
         view = blocks[name].reshape(-1)
         old = view[idx]
         view[idx] = old + h
-        lp = batch_loss(table, model, sched, cfg, draws)[0].L_total
+        lp = loss()[0].L_total
         view[idx] = old - h
-        lm = batch_loss(table, model, sched, cfg, draws)[0].L_total
+        lm = loss()[0].L_total
         view[idx] = old
         fd = (lp - lm) / (2.0 * h)
         g = grads[name].reshape(-1)[idx]
@@ -128,10 +131,9 @@ def test_c04_training_loss_gradient():
     report(4, f"100 finite-difference coordinates agree, worst rel err {worst:.2e}")
 
 def test_c05_mmd_axioms():
-    def mmd_loss(a, b):
-        # the MMD term training runs, on a tape of its own
-        tape = Tape()
-        return scalar(mmd_loss_graph(tape, tape.const(a), tape.const(b), KernelConfig()))
+    def mmd(a, b):
+        # the MMD term training runs
+        return mmd_loss(a, b, KernelConfig())[0]
 
     rng = np.random.default_rng(102)
     worst_self, worst_sym, worst_neg = 0.0, 0.0, 0.0
@@ -141,9 +143,9 @@ def test_c05_mmd_axioms():
         cols = int(rng.integers(1, 4))
         x = rng.standard_normal((m, cols))
         y = rng.standard_normal((p, cols))
-        worst_self = max(worst_self, abs(mmd_loss(x, x.copy())))
-        forward_v = mmd_loss(x, y)
-        worst_sym = max(worst_sym, abs(forward_v - mmd_loss(y, x)))
+        worst_self = max(worst_self, abs(mmd(x, x.copy())))
+        forward_v = mmd(x, y)
+        worst_sym = max(worst_sym, abs(forward_v - mmd(y, x)))
         worst_neg = min(worst_neg, forward_v)
     assert worst_self <= 1e-12
     assert worst_sym <= 1e-12

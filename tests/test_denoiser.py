@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from adpm.autodiff import Tape, scalar
-from adpm.denoiser import (DenoiserGraph, DenoiserParams, predict_noise, time_embed,
-                           time_embed_batch)
+from adpm.denoiser import DenoiserParams, predict_noise, time_embed, time_embed_batch
 from adpm.errors import ConfigError, ShapeError
+from adpm.optim import unflatten
 
 from gradcheck import finite_diff, rel_err
+from tape_oracle import DenoiserGraph
 
 
 def make_params(k=3, h=6, d_att=4, t_dim=4, seed=0):
@@ -125,26 +126,41 @@ def test_apply_rejects_mismatched_label_shapes():
             params.apply(np.ones(noisy), np.ones(prior), 1, 10)
 
 
-def test_predict_noise_gradients_match_finite_differences():
-    params = make_params(k=2, h=4, d_att=3, t_dim=4, seed=7)
-    rng = np.random.default_rng(8)
-    rng.standard_normal((3, 4))  # the former cond draw
+def _sum_sq_case(seed=7):
+    params = make_params(k=2, h=4, d_att=3, t_dim=4, seed=seed)
+    rng = np.random.default_rng(seed + 1)
     yn = rng.standard_normal((3, 2))
     yp = rng.dirichlet(np.ones(2), size=3)
-    ts = np.array([1, 5, 9])
+    return params, yn, yp, time_embed_batch(np.array([1, 5, 9]), 10, 4)
 
-    def build():
-        tape = Tape()
-        graph = DenoiserGraph(tape, params)
-        out = graph.predict(tape.const(yn), tape.const(yp), ts, 10)
-        return tape, graph, tape.sum_sq(out)
 
-    tape, graph, root = build()
-    grads = tape.backward(root)
+def _backward_of_sum_sq(params, yn, yp, t_rows):
+    """Gradient blocks of the sum of squared outputs, from backward."""
+    acts = params.forward(yn, yp, t_rows)
+    grad = params.backward(acts, 2.0 * acts.out)
+    return unflatten(grad, {name: arr.shape for name, arr in params.blocks().items()})
+
+
+def test_predict_noise_gradients_match_finite_differences():
+    params, yn, yp, t_rows = _sum_sq_case()
+    grads = _backward_of_sum_sq(params, yn, yp, t_rows)
     for name, arr in params.blocks().items():
-        fd = finite_diff(lambda: scalar(build()[2]), arr)
-        err = rel_err(grads[graph.vars[name]], fd).max()
+        fd = finite_diff(lambda: float(np.sum(params.forward(yn, yp, t_rows).out ** 2)), arr)
+        err = rel_err(grads[name], fd).max()
         assert err < 1e-4, f"{name}: {err}"
+
+
+def test_backward_matches_the_tape_bitwise():
+    # the tape's sum_sq adjoint is 2 * 1.0 * out, the g_out given here
+    params, yn, yp, t_rows = _sum_sq_case(seed=11)
+    grads = _backward_of_sum_sq(params, yn, yp, t_rows)
+    tape = Tape()
+    graph = DenoiserGraph(tape, params)
+    out = graph.predict(tape.const(yn), tape.const(yp), np.array([1, 5, 9]), 10)
+    assert out.value.tobytes() == params.forward(yn, yp, t_rows).out.tobytes()
+    ref = tape.backward(tape.sum_sq(out))
+    for name, var in graph.vars.items():
+        assert grads[name].tobytes() == ref[var].tobytes(), name
 
 
 def test_predict_noise_permutation_equivariance():

@@ -98,13 +98,32 @@ def test_prior_predictions_are_fused_prior_argmax(trained):
 
 
 def test_denoiser_runs_without_a_tape(trained, monkeypatch):
+    # the sampler runs the denoiser's forward pass only: no tape, no backward
+    import adpm.autodiff
     import adpm.denoiser
 
-    def no_graph(*args, **kwargs):
-        raise AssertionError("the sampler built a denoiser tape")
-    monkeypatch.setattr(adpm.denoiser.DenoiserGraph, "__init__", no_graph)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler built a tape or ran a backward pass")
+    monkeypatch.setattr(adpm.autodiff.Tape, "__init__", refuse)
+    monkeypatch.setattr(adpm.denoiser.DenoiserParams, "backward", refuse)
     ckpt, test = trained
     assert classify_dataset(ckpt, test.take(range(3))).predictions.shape == (3,)
+
+
+def test_classify_runs_the_prior_once_per_branch(trained, monkeypatch):
+    # one global pass gives y_f and the noise-level logits, one local pass y_l
+    import adpm.priors
+
+    calls = []
+    forward = adpm.priors.mlp_forward
+
+    def counting(params, x):
+        calls.append(x.shape)
+        return forward(params, x)
+    monkeypatch.setattr(adpm.priors, "mlp_forward", counting)
+    ckpt, test = trained
+    classify_dataset(ckpt, test)
+    assert calls == [(test.n, test.d)] * 2
 
 
 def test_classify_builds_no_tape(trained, monkeypatch):

@@ -5,33 +5,25 @@ import pytest
 
 from adpm.autodiff import Tape, scalar
 from adpm.errors import ConfigError, ShapeError
-from adpm.losses import (KernelConfig, eps_loss_graph, mmd_loss_graph, resolve_bandwidth,
-                         total_loss_graph)
+from adpm.losses import KernelConfig, eps_loss, mmd_loss, rbf_kernel, resolve_bandwidth, total_loss
 
 from gradcheck import finite_diff, rel_err
+from tape_oracle import eps_loss_graph, mmd_loss_graph, total_loss_graph
 
-
-# each loss is evaluated on a tape of its own, the way batch_loss builds it
 
 def rbf_kernel_mean(a, b, cfg=KernelConfig()):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    tape = Tape()
-    return scalar(tape.rbf_mean(tape.const(a), tape.const(b), resolve_bandwidth(a, b, cfg)))
+    return float(rbf_kernel(a, b, resolve_bandwidth(a, b, cfg)).mean())
 
 
-def mmd_loss(eps_true, eps_pred, cfg=KernelConfig()):
-    tape = Tape()
-    return scalar(mmd_loss_graph(tape, tape.const(eps_true), tape.const(eps_pred), cfg))
+def mmd_value(eps_true, eps_pred, cfg=KernelConfig()):
+    return mmd_loss(np.asarray(eps_true, dtype=np.float64),
+                    np.asarray(eps_pred, dtype=np.float64), cfg)[0]
 
 
-def eps_loss(eps_true, eps_pred):
-    tape = Tape()
-    return scalar(eps_loss_graph(tape, tape.const(eps_true), tape.const(eps_pred)))
-
-
-def total_loss(l_g, l_l, l_eps, w=0.5):
-    tape = Tape()
-    return scalar(total_loss_graph(tape, *(tape.const([[v]]) for v in (l_g, l_l, l_eps)), w))
+def eps_value(eps_true, eps_pred):
+    return eps_loss(np.asarray(eps_true, dtype=np.float64),
+                    np.asarray(eps_pred, dtype=np.float64))[0]
 
 
 def test_kernel_identical_single_rows():
@@ -115,12 +107,12 @@ def test_median_heuristic_bandwidth():
 def test_mmd_identical_batches_is_zero():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 4))
-    assert abs(mmd_loss(x, x.copy())) <= 1e-12
+    assert abs(mmd_value(x, x.copy())) <= 1e-12
 
 
 def test_mmd_single_row_scalar_oracle():
     # 1 - 2 exp(-1/2) + 1, recomputed with mpmath
-    value = mmd_loss([[0.0]], [[1.0]])
+    value = mmd_value([[0.0]], [[1.0]])
     assert value == pytest.approx(0.7869386805747332, abs=1e-15)
 
 
@@ -132,14 +124,14 @@ def test_mmd_axioms_over_random_batches():
         cols = int(rng.integers(1, 4))
         a = rng.standard_normal((m, cols))
         b = rng.standard_normal((p, cols))
-        v = mmd_loss(a, b)
+        v = mmd_value(a, b)
         assert v >= -1e-12
-        assert abs(v - mmd_loss(b, a)) <= 1e-12
+        assert abs(v - mmd_value(b, a)) <= 1e-12
 
 
 def test_eps_loss_cases():
-    assert eps_loss([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
-    assert eps_loss([[0.0, 0.0]], [[1.0, 1.0]]) == pytest.approx(2.0, abs=1e-15)
+    assert eps_value([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
+    assert eps_value([[0.0, 0.0]], [[1.0, 1.0]]) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eps_loss_matches_loop_oracle():
@@ -147,26 +139,26 @@ def test_eps_loss_matches_loop_oracle():
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal((6, 3))
     expected = sum(float(((a[i] - b[i]) ** 2).sum()) for i in range(6)) / 6
-    assert eps_loss(a, b) == pytest.approx(expected, abs=1e-12)
+    assert eps_value(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 def test_eps_loss_batch_mean_duplication_invariant():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 3))
-    single = eps_loss(a, b)
-    doubled = eps_loss(np.concatenate([a, a]), np.concatenate([b, b]))
+    single = eps_value(a, b)
+    doubled = eps_value(np.concatenate([a, a]), np.concatenate([b, b]))
     assert abs(single - doubled) <= 1e-12
 
 
 def test_eps_loss_shape_error():
     with pytest.raises(ShapeError):
-        eps_loss(np.ones((2, 3)), np.ones((3, 3)))
+        eps_value(np.ones((2, 3)), np.ones((3, 3)))
 
 
 def test_total_loss():
     assert total_loss(0.2, 0.2, 1.0, w=0.5) == pytest.approx(1.2, abs=1e-15)
-    assert total_loss(0.0, 0.0, 0.0) == 0.0
+    assert total_loss(0.0, 0.0, 0.0, 0.5) == 0.0
     rng = np.random.default_rng(6)
     for _ in range(20):
         lg, ll, le, w = rng.uniform(0.01, 2.0, size=4)
@@ -181,15 +173,36 @@ def test_total_gradient_matches_finite_differences():
     pred = rng.standard_normal((5, 3))
     cfg = KernelConfig()
 
-    def build():
-        tape = Tape()
-        pv = tape.param(pred)
-        tv = tape.const(eps_true)
-        l_mmd = mmd_loss_graph(tape, tv, pv, cfg)
-        l_eps = eps_loss_graph(tape, tv, pv)
-        return tape, pv, total_loss_graph(tape, l_mmd, l_mmd, l_eps, 0.5)
+    def total():
+        l_mmd = mmd_loss(eps_true, pred, cfg)[0]
+        return total_loss(l_mmd, l_mmd, eps_loss(eps_true, pred)[0], 0.5)
 
-    tape, pv, root = build()
-    grads = tape.backward(root)
-    fd = finite_diff(lambda: scalar(build()[2]), pred)
-    assert rel_err(grads[pv], fd).max() < 1e-4
+    # L_g and L_l are the same MMD here, so its gradient counts twice
+    grad = mmd_loss(eps_true, pred, cfg, 0.5)[1] * 2.0 + eps_loss(eps_true, pred)[1]
+    assert rel_err(grad, finite_diff(total, pred)).max() < 1e-4
+
+
+@pytest.mark.parametrize("cfg", [KernelConfig(), KernelConfig(bandwidth=0.7),
+                                 KernelConfig(bandwidth_mode="median-heuristic")],
+                         ids=["unit", "narrow", "median"])
+@pytest.mark.parametrize("weight", [1.0, 0.5, 0.3])
+def test_losses_match_the_tape_bitwise(cfg, weight):
+    # the numpy terms and their gradients are the tape's, bit for bit
+    rng = np.random.default_rng(9)
+    for rows in (1, 2, 7):
+        eps_true = rng.standard_normal((rows, 3))
+        pred = rng.standard_normal((rows, 3))
+        for loss, graph in ((lambda t, p: mmd_loss(t, p, cfg, weight),
+                             lambda tape, t, p: mmd_loss_graph(tape, t, p, cfg)),
+                            (lambda t, p: eps_loss(t, p, weight), eps_loss_graph)):
+            value, grad = loss(eps_true, pred)
+            tape = Tape()
+            pv = tape.param(pred)
+            root = graph(tape, tape.const(eps_true), pv)
+            weighted = tape.scale(root, weight)
+            assert value == scalar(root)
+            assert grad.tobytes() == tape.backward(weighted)[pv].tobytes()
+    for l_g, l_l, l_eps in rng.uniform(0.01, 2.0, size=(5, 3)):
+        tape = Tape()
+        assert total_loss(l_g, l_l, l_eps, weight) == scalar(total_loss_graph(
+            tape, *(tape.const([[v]]) for v in (l_g, l_l, l_eps)), weight))

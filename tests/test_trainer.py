@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from adpm import optim
 from adpm.autodiff import Tape, scalar
 from adpm.data import LongTailSpec, generate_longtail
-from adpm.denoiser import DenoiserGraph, DenoiserParams
+from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError
 from adpm.inference import classify_dataset
-from adpm.losses import eps_loss_graph, mmd_loss_graph, total_loss_graph
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
 from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, Checkpoint, TrainConfig, batch_loss,
-                          draw_batch_noise, fit, init_model, load_checkpoint,
-                          model_shapes, noise_schedule, save_checkpoint)
+                          draw_batch_noise, fit, fit_tables, init_model, load_checkpoint,
+                          model_shapes, named_views, noise_schedule, save_checkpoint)
+
+from tape_oracle import (DenoiserGraph, eps_loss_graph, mmd_loss_graph, tape_batch_loss,
+                         total_loss_graph)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def toy_table(k=3, head=24, decay=0.5, d=4, seed=0):
@@ -34,6 +38,14 @@ def toy_config(**kw):
 
 def blocks_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[n], b[n]) for n in a)
+
+
+def loss_and_grads(table, model, schedule, cfg, draws):
+    """batch_loss on all of table, with fit's tables for it and the
+    gradient as named blocks."""
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+    report, grad = batch_loss(table, priors, t_table, model, schedule, cfg, draws)
+    return report, named_views(model, grad)
 
 
 def test_zero_epoch_run_leaves_parameters_unchanged():
@@ -86,39 +98,82 @@ def test_full_batch_descent_loss_non_increasing():
     losses = []
     blocks = model.denoiser_blocks()
     for _ in range(50):
-        report, grads = batch_loss(table, model, schedule, cfg, draws)
+        report, grads = loss_and_grads(table, model, schedule, cfg, draws)
         losses.append(report.L_total)
         for name in blocks:
             blocks[name] -= cfg.learning_rate * grads[name]
     assert (np.diff(losses) <= 1e-6).all()
 
 
-def test_batch_loss_runs_the_denoiser_once_on_a_small_tape(monkeypatch):
-    # desk-shaped step: k = 6, d = 8, default widths, a full batch of 32;
-    # one stacked denoiser pass serves all three branches
-    table = generate_longtail(LongTailSpec(k=6, head_count=100, decay=0.57, d=8,
+def test_fit_builds_no_tape(tmp_path, monkeypatch):
+    # warmup, the denoiser's steps and the checkpoints all run as plain numpy
+    def no_tape(*args, **kwargs):
+        raise AssertionError("fit built an autodiff tape")
+    monkeypatch.setattr(Tape, "__init__", no_tape)
+    cfg = toy_config(epochs=4, checkpoint_every=2)
+    ckpt = fit(toy_table(), cfg, checkpoint_path=tmp_path / "ckpt.json",
+               log_path=tmp_path / "log.jsonl")
+    assert ckpt.opt_state["step_count"] == 4 * 3
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.epoch2.json", "ckpt.json", "log.jsonl"]
+
+
+def _desk_batch(k=6, rows=32, **cfg_kw):
+    """A batch of the desk workload's shapes (d = 8, default widths)."""
+    table = generate_longtail(LongTailSpec(k=k, head_count=100, decay=0.57, d=8,
                                            separation=6.0, spread=1.0, seed=0))
-    batch = table.take(np.arange(32))
-    cfg = TrainConfig(T=100, sample_steps=25, betaT=0.004)
+    cfg = TrainConfig(T=100, sample_steps=25, betaT=0.004, **cfg_kw)
+    return table, table.take(np.arange(rows)), cfg
+
+
+@pytest.mark.parametrize("k, rows, cfg_kw", [
+    (6, 32, {}), (3, 32, {}), (6, 29, {}),
+    (6, 32, {"kernel_bandwidth_mode": "median-heuristic"}), (6, 32, {"w": 0.3})],
+    ids=["desk", "k3", "short-last-batch", "median-bandwidth", "w0.3"])
+def test_batch_loss_matches_the_tape_bitwise(k, rows, cfg_kw):
+    table, batch, cfg = _desk_batch(k, rows, **cfg_kw)
     model = init_model(table.d, table.k, cfg)
     schedule = noise_schedule(table.class_counts(), cfg)
-    draws = draw_batch_noise(np.random.default_rng(0), batch.n, batch.k, cfg.T)
-    predict_calls, tape_sizes = [], []
-    predict, backward = DenoiserGraph.predict, Tape.backward
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+    idx = np.arange(rows)
+    draws = draw_batch_noise(np.random.default_rng(k + rows), batch.n, batch.k, cfg.T)
+    report, grad = batch_loss(batch, priors[:, idx], t_table, model, schedule, cfg, draws)
+    ref_report, ref_grads = tape_batch_loss(batch, priors[:, idx], model, schedule, cfg,
+                                            draws)
+    assert report == ref_report
+    grads = named_views(model, grad)
+    assert list(grads) == list(ref_grads) and len(grads) == 12
+    for name, ref in ref_grads.items():
+        assert grads[name].tobytes() == ref.tobytes(), name
 
-    def counting_predict(self, *args):
-        predict_calls.append(args[0].shape)
-        return predict(self, *args)
 
-    def counting_backward(self, root):
-        tape_sizes.append(len(self.nodes))
-        return backward(self, root)
+def test_fit_trains_on_the_whole_table_priors(monkeypatch):
+    # every batch gathers its priors from one prior_bundle of the whole
+    # table, computed after warmup, even at k = 3 where a per-batch bundle
+    # can differ in its last bits; the time embeddings come from one table
+    table = toy_table()
+    cfg = toy_config(epochs=2)
+    seen = []
+    original = batch_loss
 
-    monkeypatch.setattr(DenoiserGraph, "predict", counting_predict)
-    monkeypatch.setattr(Tape, "backward", counting_backward)
-    batch_loss(batch, model, schedule, cfg, draws)
-    assert predict_calls == [(3 * batch.n, batch.k)]
-    assert len(tape_sizes) == 1 and tape_sizes[0] <= 56
+    def recording(batch, priors, t_table, *rest):
+        seen.append((batch, priors, t_table))
+        return original(batch, priors, t_table, *rest)
+    monkeypatch.setattr("adpm.trainer.batch_loss", recording)
+    ckpt = fit(table, cfg)
+    bundle = prior_bundle(ckpt.model.prior, table.features)
+    t_table = time_embed_batch(np.arange(cfg.T + 1), cfg.T, cfg.time_dim)
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, 2, epoch]).permutation(table.n)
+        for start in range(0, table.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch, priors, used_table = seen[step]
+            assert np.array_equal(batch.features, table.features[idx])
+            for branch, rows in zip(priors, (bundle.y_g, bundle.y_l, bundle.y_f)):
+                assert branch.tobytes() == rows[idx].tobytes()
+            assert used_table.tobytes() == t_table.tobytes()
+            step += 1
+    assert step == len(seen)
 
 
 def test_eps_term_gradient_is_additive_over_samples():
@@ -130,29 +185,20 @@ def test_eps_term_gradient_is_additive_over_samples():
     schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(2), table.n, table.k, cfg.T)
 
-    def eps_sum_grads(rows):
+    def eps_sum_grad(rows):
         sub = table.take(rows)
-        tape = Tape()
-        y_f = tape.const(prior_bundle(model.prior, sub.features).y_f)
-        den = DenoiserGraph(tape, model.denoiser)
+        y_f = prior_bundle(model.prior, sub.features).y_f
         gamma_t = schedule.gamma[sub.labels, draws.t[rows]]
         root = np.sqrt(gamma_t)[:, None]
         eps = draws.eps["fused"][rows]
-        signal = tape.const(root * sub.onehot + np.sqrt(1 - gamma_t)[:, None] * eps)
-        coef = tape.const(np.broadcast_to(1.0 - root, (sub.n, sub.k)).copy())
-        y_t = tape.add(signal, tape.mul(coef, y_f))
-        eps_hat = den.predict(y_t, y_f, draws.t[rows], cfg.T)
-        root_node = tape.sum_sq(tape.sub(eps_hat, tape.const(eps)))
-        grads = tape.backward(root_node)
-        return {name: grads[var] for name, var in den.vars.items()}
+        y_t = root * sub.onehot + np.sqrt(1 - gamma_t)[:, None] * eps + (1.0 - root) * y_f
+        acts = model.denoiser.forward(
+            y_t, y_f, time_embed_batch(draws.t[rows], cfg.T, cfg.time_dim))
+        return model.denoiser.backward(acts, 2.0 * (acts.out - eps))
 
-    full = eps_sum_grads(list(range(table.n)))
-    summed = None
-    for i in range(table.n):
-        g = eps_sum_grads([i])
-        summed = g if summed is None else {n: summed[n] + g[n] for n in g}
-    for name in full:
-        assert np.allclose(full[name], summed[name], rtol=0, atol=1e-11), name
+    full = eps_sum_grad(list(range(table.n)))
+    summed = sum(eps_sum_grad([i]) for i in range(table.n))
+    assert np.allclose(full, summed, rtol=0, atol=1e-11)
 
 
 def test_fit_writes_log_records(tmp_path):
@@ -163,8 +209,55 @@ def test_fit_writes_log_records(tmp_path):
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(records) == 5
     assert [r["epoch"] for r in records] == list(range(5))
+    steps_per_epoch = -(-table.n // cfg.batch_size)
     for r in records:
         assert abs(r["L_total"] - (0.5 * (r["L_g"] + r["L_l"]) + r["L_eps"])) < 1e-12
+        # the learning rate of the epoch's last step
+        last = (r["epoch"] + 1) * steps_per_epoch - 1
+        assert r["lr"] == optim.lr_at(last, 5 * steps_per_epoch, cfg.learning_rate,
+                                      cfg.lr_warmup_frac)
+        assert np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
+
+
+def test_log_grad_norm_is_the_mean_step_gradient_norm(tmp_path):
+    table = toy_table()
+    cfg = toy_config(epochs=1)
+    log = tmp_path / "log.jsonl"
+    ckpt = fit(table, cfg, log_path=log)
+    # replay the epoch's steps from the same start
+    model = init_model(table.d, table.k, cfg)
+    model.prior = ckpt.model.prior
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+    schedule = noise_schedule(table.class_counts(), cfg)
+    params = optim.flatten(model.denoiser.blocks().values())
+    model.denoiser = DenoiserParams(**optim.unflatten(
+        params, {n: a.shape for n, a in model.denoiser.blocks().items()}))
+    opt = optim.Adam(cfg.learning_rate)
+    rng = np.random.default_rng([cfg.seed, 2, 0])
+    order = rng.permutation(table.n)
+    total = -(-table.n // cfg.batch_size)
+    norms = []
+    for start in range(0, table.n, cfg.batch_size):
+        idx = order[start:start + cfg.batch_size]
+        batch = table.take(idx)
+        draws = draw_batch_noise(rng, batch.n, batch.k, cfg.T)
+        _, grad = batch_loss(batch, priors[:, idx], t_table, model, schedule, cfg, draws)
+        norms.append(np.linalg.norm(grad))
+        opt.step(params, grad, lr=optim.lr_at(opt.step_count, total, cfg.learning_rate,
+                                               cfg.lr_warmup_frac))
+    assert params.tobytes() == optim.flatten(ckpt.model.denoiser.blocks().values()).tobytes()
+    (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+    assert record["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-12)
+
+
+def test_log_leaves_the_trained_bits_unchanged(tmp_path):
+    table = toy_table()
+    cfg = toy_config(epochs=4)
+    quiet = fit(table, cfg)
+    logged = fit(table, cfg, log_path=tmp_path / "log.jsonl")
+    assert blocks_equal(quiet.model.blocks(), logged.model.blocks())
+    for moment in ("m", "v"):
+        assert blocks_equal(quiet.opt_state[moment], logged.opt_state[moment])
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -388,8 +481,10 @@ def test_save_checkpoint_refuses_non_finite_values(tmp_path, saved_run, section)
 def test_fit_stops_when_the_loss_is_not_finite(tmp_path):
     path = tmp_path / "ckpt.json"
     with pytest.raises(ConfigError, match=r"epoch \d+, batch \d+: L_total is nan; "
-                                          r"first non-finite gradient block: \w+\.\w+"):
+                                          r"first non-finite gradient block: \w+\.\w+$") \
+            as info:
         fit(toy_table(), toy_config(learning_rate=1e300), checkpoint_path=path)
+    assert "\n" not in str(info.value)
     assert os.listdir(tmp_path) == []
 
 
@@ -471,7 +566,7 @@ def test_every_trained_block_gets_a_gradient():
     model = init_model(table.d, table.k, cfg)
     draws = draw_batch_noise(np.random.default_rng(5), table.n, table.k, cfg.T)
     schedule = noise_schedule(table.class_counts(), cfg)
-    _, grads = batch_loss(table, model, schedule, cfg, draws)
+    _, grads = loss_and_grads(table, model, schedule, cfg, draws)
     # the prior is frozen after warmup: the 12 denoiser blocks are trained
     assert sorted(grads) == sorted(f"denoiser.{name}" for name in (
         "fuse_w", "fuse_b", "enc_w", "enc_b", "wv", "wo", "time_w", "time_b",
@@ -493,6 +588,32 @@ def test_resume_is_bitwise_equivalent(tmp_path):
     assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
     assert resumed.opt_state["step_count"] == uninterrupted.opt_state["step_count"]
     assert blocks_equal(resumed.opt_state["m"], uninterrupted.opt_state["m"])
+    assert blocks_equal(resumed.opt_state["v"], uninterrupted.opt_state["v"])
+
+
+def test_resume_of_a_sgd_run_is_bitwise(tmp_path):
+    table = toy_table()
+    cfg = toy_config(epochs=4, checkpoint_every=1, optimizer="sgd")
+    uninterrupted = fit(table, cfg, checkpoint_path=tmp_path / "ckpt.json")
+    for done in (1, 2, 3):
+        resumed = fit(table, cfg, resume=load_checkpoint(tmp_path / f"ckpt.epoch{done}.json"))
+        assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
+        assert resumed.opt_state == {"step_count": 12}
+
+
+def test_version_2_checkpoint_of_the_block_wise_trainer_resumes():
+    # written by the trainer before the flat vectors and the closed-form
+    # backward pass: the epoch-3 snapshot of a 6-epoch run of this config
+    # (k = 4, so no product has at most 3 output columns)
+    table = toy_table(k=4)
+    cfg = toy_config(epochs=6, checkpoint_every=3)
+    old = load_checkpoint(os.path.join(DATA, "checkpoint_v2_epoch3.json"))
+    assert old.epoch == 3 and old.config == cfg
+    resumed = fit(table, cfg, resume=old)
+    uninterrupted = fit(table, cfg)
+    assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
+    for moment in ("m", "v"):
+        assert blocks_equal(resumed.opt_state[moment], uninterrupted.opt_state[moment])
 
 
 def test_fit_freezes_the_prior_after_warmup(tmp_path):
@@ -575,7 +696,9 @@ def test_lambda_override_reproduces_isotropic_reference_run():
     model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
                                lr=cfg.learning_rate, optimizer=cfg.optimizer,
                                batch_size=cfg.batch_size, seed=cfg.seed)
-    blocks = model.denoiser_blocks()
+    params = optim.flatten(model.denoiser.blocks().values())
+    model.denoiser = DenoiserParams(**optim.unflatten(
+        params, {n: a.shape for n, a in model.denoiser.blocks().items()}))
     opt = optim.Adam(cfg.learning_rate)
     n_batches = -(-table.n // cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -608,10 +731,10 @@ def test_lambda_override_reproduces_isotropic_reference_run():
             l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
             l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
             grads_by_var = tape.backward(l_total)
-            named = {f"denoiser.{name}": grads_by_var[var] for name, var in den.vars.items()}
             lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
                              cfg.lr_warmup_frac)
-            opt.step(blocks, named, lr=lr)
+            opt.step(params, optim.flatten(grads_by_var[var] for var in den.vars.values()),
+                     lr=lr)
             totals.append(scalar(l_total))
         ref_curve.append(float(np.mean(totals)))
 
@@ -646,7 +769,7 @@ def test_train_step_reports_consistent_total():
     model = init_model(table.d, table.k, cfg)
     schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(3), table.n, table.k, cfg.T)
-    report, grads = batch_loss(table, model, schedule, cfg, draws)
+    report, grads = loss_and_grads(table, model, schedule, cfg, draws)
     assert report.L_total == pytest.approx(cfg.w * (report.L_g + report.L_l)
                                            + report.L_eps, abs=1e-12)
     assert set(grads) == set(model.denoiser_blocks())
