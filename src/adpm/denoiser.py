@@ -10,10 +10,13 @@ the attention and inside the decoder, so the network can identify the
 noise magnitude at step t. The input features do not enter the network:
 it sees an input only through its prior.
 
-All layers are tanh-activated linear maps. Training and sampling run
-the same plain-numpy forward pass (DenoiserParams.forward); training
-keeps its activations and takes the gradient with the hand-derived
-backward pass (DenoiserParams.backward). No autodiff tape is built.
+All layers are tanh-activated linear maps, run as plain numpy. The
+forward pass (DenoiserParams.forward) is the time projection
+(project_time) followed by the trunk, which takes the projected rows.
+Training runs both, keeps the activations and takes the gradient with
+the hand-derived backward pass (DenoiserParams.backward). The reverse
+sampler projects the time rows of its visited steps once per call and
+runs only the trunk at each step. No autodiff tape is built.
 """
 
 from __future__ import annotations
@@ -123,19 +126,32 @@ class DenoiserParams:
 
     def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray,
                 t_rows: np.ndarray) -> "Activations":
-        """Forward pass on (n, k) rows, keeping what backward reads.
+        """Forward pass on (n, k) rows, keeping what backward reads: the
+        time projection of t_rows, then the trunk.
 
         t_rows holds the rows' time embeddings, one row per input or a
         single row shared by all of them.
+        """
+        return Activations(t_rows, *self.trunk(y_noisy, y_prior, self.project_time(t_rows)))
+
+    def project_time(self, t_rows: np.ndarray) -> np.ndarray:
+        """Learned projection of time embeddings, t_rows @ time_w + time_b."""
+        return t_rows @ self.time_w + self.time_b
+
+    def trunk(self, y_noisy: np.ndarray, y_prior: np.ndarray, temb: np.ndarray) -> tuple:
+        """The network after the time projection: (n, k) rows and their
+        projected time rows temb (n rows, or one shared row) give
+        (x, fused, kv, kv_v, u, h1, out), out being the predicted noise.
+
+        The shapes are not checked; predict_noise and sample check them.
         """
         x = np.concatenate([y_noisy, y_prior], axis=1)
         fused = x @ self.fuse_w + self.fuse_b
         kv = np.tanh(fused @ self.enc_w + self.enc_b)
         kv_v = kv @ self.wv
-        temb = t_rows @ self.time_w + self.time_b
         u = kv_v @ self.wo + temb
         h1 = np.tanh(u @ self.dec1_w + self.dec1_b + temb)
-        return Activations(x, fused, kv, kv_v, t_rows, u, h1, h1 @ self.dec2_w + self.dec2_b)
+        return x, fused, kv, kv_v, u, h1, h1 @ self.dec2_w + self.dec2_b
 
     def backward(self, acts: "Activations", g_out: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss whose gradient in forward's output is
@@ -169,39 +185,33 @@ class DenoiserParams:
         affine(g_enc @ self.enc_w.T, acts.x, "fuse")
         return flat
 
-    def apply(self, y_noisy: np.ndarray, y_prior: np.ndarray, t: int, T: int) -> np.ndarray:
-        """Noise prediction for (n, k) rows that share one step t.
-
-        The time embedding is computed once and broadcast over the rows.
-        """
-        shape = (y_noisy.shape[0], self.k)
-        if y_noisy.shape != shape or y_prior.shape != shape:
-            raise ShapeError(f"y_noisy and y_prior must both have shape (n, {self.k}), "
-                             f"got {y_noisy.shape} and {y_prior.shape}")
-        return self.forward(y_noisy, y_prior, time_embed(t, T, self.t_emb_dim)[None, :]).out
-
 
 @dataclass
 class Activations:
     """Values of one forward pass that its backward pass reads."""
 
+    t_rows: np.ndarray  # (n or 1, t_dim) time embeddings
     x: np.ndarray       # (n, 2k)   noisy labels beside their priors
     fused: np.ndarray   # (n, h)
     kv: np.ndarray      # (n, h)    encoded token
     kv_v: np.ndarray    # (n, d_att) its value projection
-    t_rows: np.ndarray  # (n or 1, t_dim) time embeddings
     u: np.ndarray       # (n, h)    attention output plus time projection
     h1: np.ndarray      # (n, h)    decoder hidden layer
     out: np.ndarray     # (n, k)    predicted noise
 
 
 def predict_noise(params: DenoiserParams, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
-    """Noise prediction at step t.
+    """Noise prediction at step t, shared by all rows.
 
     One input as 1-D arrays gives a 1-D result; (n, .) arrays give one
     row per input.
     """
     y_noisy = np.asarray(y_noisy, dtype=np.float64)
-    out = params.apply(np.atleast_2d(y_noisy),
-                       np.atleast_2d(np.asarray(y_prior, dtype=np.float64)), t, T)
+    noisy = np.atleast_2d(y_noisy)
+    prior = np.atleast_2d(np.asarray(y_prior, dtype=np.float64))
+    shape = (noisy.shape[0], params.k)
+    if noisy.shape != shape or prior.shape != shape:
+        raise ShapeError(f"y_noisy and y_prior must both have shape (n, {params.k}), "
+                         f"got {noisy.shape} and {prior.shape}")
+    out = params.forward(noisy, prior, time_embed(t, T, params.t_emb_dim)[None, :]).out
     return out[0] if y_noisy.ndim == 1 else out

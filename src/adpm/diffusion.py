@@ -16,12 +16,23 @@ makes the final step deterministic. lam = 1 and y_f = 0 reduce the
 update to the isotropic chain exactly.
 
 The sampler steps the chains of n inputs together as one (n, k) matrix:
-each row keeps its own lam, gamma row and random stream, and one
-forward-only denoiser pass per step serves every row. One input is the
-n = 1 case of the same loop. An n-row pass runs its matmuls as one BLAS
-matrix product, not n single-row ones, so a row's y0 can differ from
-that of the same input sampled alone in its last bits (by up to about
-2e-12 on the desk runs); the predicted classes did not change there.
+each row keeps its own lam and random stream, and one forward-only
+denoiser pass per step serves every row. What does not depend on the
+chains' states is computed once per call, before the loop: a table of
+the four coefficients c_f = (xi - zeta)/xi, c_eps = lam*beta^t/sqrt(xi),
+zeta and sigma for each distinct lam at the visited steps, in which
+each row looks its level up, and the projected time embeddings of the
+visited steps. Each step then runs the denoiser trunk once and one
+fused update
+
+    y <- (y - c_f y_f - c_eps eps_hat) / zeta + sigma z.
+
+reverse_step is the one-step case of the same table, so the formula
+lives in one place. One input is the n = 1 case of the same loop. An
+n-row pass runs its matmuls as one BLAS matrix product, not n
+single-row ones, so a row's y0 can differ from that of the same input
+sampled alone in its last bits (by up to about 2e-12 on the desk runs);
+the predicted classes did not change there.
 """
 
 from __future__ import annotations
@@ -31,7 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserParams, predict_noise
+# predict_noise stays importable from this module, beside reverse_step:
+# perfbench/spans.py looks both up here
+from .denoiser import DenoiserParams, predict_noise, time_embed_batch  # noqa: F401
 from .errors import ShapeError, UsageError
 from .priors import PriorBundle
 from .schedule import ClassCensus, NoiseLevelConfig, NoiseSchedule, inference_lambda
@@ -103,47 +116,49 @@ def forward_sample(schedule: NoiseSchedule, class_j: int, y0, prior, t: int,
 
 
 def reverse_step(schedule: NoiseSchedule, lam: float | np.ndarray, t: int, y_t, y_f,
-                 eps_hat, z, gamma_row: np.ndarray | None = None) -> np.ndarray:
-    """One reverse update from step t to t-1.
+                 eps_hat, z) -> np.ndarray:
+    """One reverse update from step t to t-1: the one-step case of the
+    coefficient table that sample builds.
 
     lam is a scalar for one chain, or one noise level per row of (n, k)
-    states. gamma_row may carry the precomputed cumulative products for
-    lam (as returned by schedule.gamma_for; shape (n, T+1) for per-row
-    levels); it is computed otherwise. Each row sees exactly the scalar
-    arithmetic, so a batched call is bitwise equal to the scalar calls
-    row by row.
+    states. Each row sees exactly the scalar arithmetic, so a batched
+    call is bitwise equal to the scalar calls row by row.
     """
     if not (1 <= t <= schedule.T):
         raise UsageError(f"t must lie in [1, {schedule.T}], got {t}")
     lam = np.asarray(lam, dtype=np.float64)
-    if gamma_row is None:
-        gamma_row = _gamma_rows(schedule, lam)
-    y_t = np.asarray(y_t, dtype=np.float64)
-    y_f = np.asarray(y_f, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    lam = lam[..., None]
-    beta_t = schedule.beta[t - 1]
-    xi = 1.0 - gamma_row[..., t, None]
-    if (xi == 0.0).any():
-        raise UsageError(f"reverse step singular at t={t}: gamma^t = 1")
-    zeta = np.sqrt(1.0 - lam * beta_t)
-    sigma = np.sqrt(lam * beta_t * (1.0 - gamma_row[..., t - 1, None]) / xi)
-    drift = y_t - ((xi - zeta) / xi) * y_f - (lam * beta_t / np.sqrt(xi)) * eps_hat
-    return drift / zeta + sigma * z
-
-
-def _gamma_rows(schedule: NoiseSchedule, lam) -> np.ndarray:
-    """schedule.gamma_for of every entry of lam, shape lam.shape + (T+1,).
-
-    Each distinct level is computed once; an infeasible one raises
-    ScheduleInfeasibleError.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
     levels, inverse = np.unique(lam, return_inverse=True)
-    rows = np.array([schedule.gamma_for(level) for level in levels]).reshape(
+    coef = _step_table(schedule, levels, np.array([t]))[0]
+    y_t, y_f, eps_hat, z = (np.asarray(a, dtype=np.float64) for a in (y_t, y_f, eps_hat, z))
+    return _update(y_t, y_f, eps_hat, z, *coef[:, inverse.reshape(lam.shape), None])
+
+
+def _step_table(schedule: NoiseSchedule, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Reverse-step coefficients of the (m,) noise levels at the visited
+    steps ts, as an (len(ts), 4, m) array whose entry [i, :, j] holds
+    ((xi - zeta)/xi, lam*beta^t/sqrt(xi), zeta, sigma) of level j at step
+    ts[i].
+
+    Each level's gamma row comes from schedule.gamma_for, so an infeasible
+    level raises ScheduleInfeasibleError; gamma^t = 1 at a visited step,
+    where the update would divide by zero, raises UsageError.
+    """
+    gammas = np.array([schedule.gamma_for(level) for level in levels]).reshape(
         levels.size, schedule.T + 1)
-    return rows[inverse.reshape(lam.shape)]
+    lam = levels[None, :]
+    beta_t = schedule.beta[ts - 1][:, None]
+    xi = 1.0 - gammas[:, ts].T
+    singular = (xi == 0.0).any(axis=1)
+    if singular.any():
+        raise UsageError(f"reverse step singular at t={ts[np.argmax(singular)]}: gamma^t = 1")
+    zeta = np.sqrt(1.0 - lam * beta_t)
+    sigma = np.sqrt(lam * beta_t * (1.0 - gammas[:, ts - 1].T) / xi)
+    return np.stack([(xi - zeta) / xi, lam * beta_t / np.sqrt(xi), zeta, sigma], axis=1)
+
+
+def _update(y_t, y_f, eps_hat, z, c_f, c_eps, zeta, sigma) -> np.ndarray:
+    """The reverse update with one step's coefficients from _step_table."""
+    return (y_t - c_f * y_f - c_eps * eps_hat) / zeta + sigma * z
 
 
 def sample_timesteps(T: int, steps: int) -> np.ndarray:
@@ -169,7 +184,8 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
     Each row's noise level defaults to that of the class the prior model
     predicts for it; pass lam (a scalar or one value per row) to force a
     level, e.g. 1.0 for the isotropic baseline. Every level is checked for
-    feasibility before the loop. With steps < T the chains visit an evenly
+    feasibility, and every visited step for gamma^t < 1, before any
+    generator advances. With steps < T the chains visit an evenly
     strided timestep subsequence and use the stored gamma values at those
     indices. Each row draws from its own generator in a fixed layout: k
     values for y^T, then k values of z per step, even where sigma = 0.
@@ -180,20 +196,31 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
     n, k = y_f.shape
     if len(rngs) != n:
         raise ShapeError(f"need one generator per input: {n} inputs, {len(rngs)} generators")
+    if k != params.k:
+        raise ShapeError(f"the denoiser predicts k={params.k} classes, y_f has k={k}")
     if lam is None:
         lam = inference_lambda(np.atleast_2d(lam_logits), census, cfg)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
-    gammas = _gamma_rows(schedule, lam)  # validates feasibility up front
+    # everything that does not depend on the chains' states is computed
+    # once, and every check runs before any generator advances
     ts = sample_timesteps(schedule.T, steps)
+    levels, inverse = np.unique(lam, return_inverse=True)
+    coef = _step_table(schedule, levels, ts)
+    # the visited rows of fit_tables' time table, projected as an (S, 1, .)
+    # stack: one 1-row product per step, the product predict_noise runs (a
+    # single (S, .) product would round differently)
+    t_table = time_embed_batch(np.arange(schedule.T + 1), schedule.T, params.t_emb_dim)
+    tembs = params.project_time(t_table[ts][:, None, :])
     # noise[0] starts each chain, noise[i] is the z of the i-th step
     noise = np.empty((ts.size + 1, n, k))
     for r, g in enumerate(rngs):
         noise[:, r] = g.standard_normal((ts.size + 1, k))
     y = y_f + noise[0]
-    snapshots = [(schedule.T, y)]
-    for i, t in enumerate(ts, start=1):
-        eps_hat = predict_noise(params, y, y_f, int(t), schedule.T)
-        y = reverse_step(schedule, lam, int(t), y, y_f, eps_hat, noise[i], gamma_row=gammas)
-        snapshots.append((int(t) - 1, y))
-    batch = SampleBatch(y0=y, lam=lam, trace=snapshots if trace else None)
+    snapshots = [(schedule.T, y)] if trace else None
+    for i, t in enumerate(ts):
+        eps_hat = params.trunk(y, y_f, tembs[i])[-1]
+        y = _update(y, y_f, eps_hat, noise[i + 1], *coef[i][:, inverse, None])
+        if trace:
+            snapshots.append((int(t) - 1, y))
+    batch = SampleBatch(y0=y, lam=lam, trace=snapshots)
     return batch[0] if single else batch

@@ -40,6 +40,16 @@ def test_time_embed_injective_at_desk_scale():
     assert np.unique(table, axis=0).shape[0] == T + 1
 
 
+@pytest.mark.parametrize("T", [10, 100, 1000])
+def test_time_table_rows_equal_time_embed_bitwise(T):
+    # the sampler reads its visited steps' rows from the (T + 1)-row table
+    # that training uses; predict_noise embeds one step at a time
+    for dim in (4, 16, 32):
+        table = time_embed_batch(np.arange(T + 1), T, dim)
+        for t in range(1, T + 1):
+            assert table[t].tobytes() == time_embed(t, T, dim).tobytes(), (dim, t)
+
+
 def test_time_embed_validation():
     with pytest.raises(ConfigError):
         time_embed(1, 10, 5)
@@ -88,7 +98,7 @@ def test_predict_noise_time_sensitivity():
     assert float(np.linalg.norm(a - b)) > 0.0
 
 
-def test_apply_matches_tape_graph():
+def test_predict_noise_matches_tape_graph():
     params = make_params(k=3, h=6, d_att=4, t_dim=4, seed=12)
     rng = np.random.default_rng(13)
     n = 7
@@ -99,12 +109,11 @@ def test_apply_matches_tape_graph():
         tape = Tape()
         ref = DenoiserGraph(tape, params).predict(
             tape.const(yn), tape.const(yp), np.full(n, t), 20).value
-        got = params.apply(yn, yp, t, 20)
+        got = predict_noise(params, yn, yp, t, 20)
         assert got.shape == (n, 3)
         assert np.abs(got - ref).max() <= 1e-12
-        assert np.array_equal(predict_noise(params, yn, yp, t, 20), got)
         assert np.array_equal(predict_noise(params, yn[0], yp[0], t, 20),
-                              params.apply(yn[:1], yp[:1], t, 20)[0])
+                              predict_noise(params, yn[:1], yp[:1], t, 20)[0])
 
 
 def test_predict_noise_builds_no_tape(monkeypatch):
@@ -116,14 +125,14 @@ def test_predict_noise_builds_no_tape(monkeypatch):
     assert out.shape == (2, 3) and np.isfinite(out).all()
 
 
-def test_apply_rejects_mismatched_label_shapes():
+def test_predict_noise_rejects_mismatched_label_shapes():
     # the model has k = 3; without the check the concat or a matmul raises
     # a bare numpy ValueError
     params = make_params(seed=15)
     for noisy, prior in [((2, 3), (3, 3)), ((3, 3), (2, 3)), ((2, 3), (2, 4)),
                          ((2, 4), (2, 4))]:
         with pytest.raises(ShapeError):
-            params.apply(np.ones(noisy), np.ones(prior), 1, 10)
+            predict_noise(params, np.ones(noisy), np.ones(prior), 1, 10)
 
 
 def _sum_sq_case(seed=7):

@@ -5,8 +5,10 @@ from adpm.denoiser import DenoiserParams, predict_noise
 from adpm.diffusion import (forward_sample, reverse_step, sample, sample_timesteps)
 from adpm.errors import ShapeError, UsageError
 from adpm.priors import PriorBundle
-from adpm.schedule import (ClassCensus, NoiseLevelConfig, build_schedule,
-                           lambda_vector, linear_beta)
+from adpm.schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
+                           inference_lambda, lambda_vector, linear_beta)
+
+import sampler_oracle
 
 
 class ZeroRng:
@@ -98,11 +100,9 @@ def test_reverse_step_batched_matches_scalar_rows():
     sched = small_schedule(T=30, lam=(1.0, 3.0, 7.5))
     rng = np.random.default_rng(3)
     lam = np.array([7.5, 1.0, 3.0, 3.0, 1.0])
-    gammas = np.stack([sched.gamma_for(v) for v in lam])
     y_t, y_f, eps_hat, z = (rng.standard_normal((5, 3)) for _ in range(4))
     for t in (30, 17, 2, 1):
-        got = reverse_step(sched, lam, t, y_t, y_f, eps_hat, z, gamma_row=gammas)
-        assert np.array_equal(got, reverse_step(sched, lam, t, y_t, y_f, eps_hat, z))
+        got = reverse_step(sched, lam, t, y_t, y_f, eps_hat, z)
         for r in range(5):
             assert np.array_equal(got[r], reverse_step(sched, float(lam[r]), t, y_t[r],
                                                        y_f[r], eps_hat[r], z[r]))
@@ -227,13 +227,18 @@ def test_sample_infeasible_lambda_fails_before_loop():
                np.random.default_rng(1), steps=5, lam=90.0)
 
 
-def test_sample_infeasible_row_lambda_fails_before_loop(monkeypatch):
-    import adpm.diffusion
-    from adpm.errors import ScheduleInfeasibleError
+def _refuse_the_loop(monkeypatch):
+    import adpm.denoiser
 
     def no_step(*args, **kwargs):
         raise AssertionError("the loop started")
-    monkeypatch.setattr(adpm.diffusion, "predict_noise", no_step)
+    monkeypatch.setattr(adpm.denoiser.DenoiserParams, "trunk", no_step)
+
+
+def test_sample_infeasible_row_lambda_fails_before_loop(monkeypatch):
+    from adpm.errors import ScheduleInfeasibleError
+
+    _refuse_the_loop(monkeypatch)
     sched = small_schedule()
     census = ClassCensus((4, 4))
     cfg = NoiseLevelConfig(alpha=0.0, c=1.0)
@@ -245,3 +250,91 @@ def test_sample_infeasible_row_lambda_fails_before_loop(monkeypatch):
                bundle, np.zeros((3, 2)), census, cfg, rngs,
                steps=5, lam=np.array([1.0, 90.0, 5.0]))
     assert [g.bit_generator.state for g in rngs] == before
+
+
+class SingularAt10(NoiseSchedule):
+    """A schedule whose gamma rows read 1 at t = 10, which no feasible
+    schedule.gamma_for returns."""
+
+    def gamma_for(self, lam):
+        row = super().gamma_for(lam)
+        row[10] = 1.0
+        return row
+
+
+def test_sample_singular_visited_step_fails_before_loop(monkeypatch):
+    # t = 10 is the third of the 5 visited steps (20, 15, 10, 6, 1): the
+    # check runs before the loop, not when the chains reach it
+    _refuse_the_loop(monkeypatch)
+    base = small_schedule()
+    sched = SingularAt10(beta=base.beta, lam=base.lam, gamma=base.gamma)
+    assert 10 in sample_timesteps(sched.T, 5)
+    census = ClassCensus((4, 4))
+    cfg = NoiseLevelConfig(alpha=0.0, c=1.0)
+    bundle = PriorBundle(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+    rngs = [np.random.default_rng([1, r]) for r in range(3)]
+    before = [g.bit_generator.state for g in rngs]
+    with pytest.raises(UsageError, match="singular at t=10"):
+        sample(sched, DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0)),
+               bundle, np.zeros((3, 2)), census, cfg, rngs,
+               steps=5, lam=np.array([1.0, 2.0, 5.0]))
+    assert [g.bit_generator.state for g in rngs] == before
+
+
+def test_sample_rejects_a_label_width_the_denoiser_does_not_have(monkeypatch):
+    _refuse_the_loop(monkeypatch)
+    sched, params, _, _, census, cfg = _sampler_fixture()
+    bundle = PriorBundle(*(np.full((2, 4), 0.25) for _ in range(3)))
+    rngs = [np.random.default_rng([1, r]) for r in range(2)]
+    before = [g.bit_generator.state for g in rngs]
+    with pytest.raises(ShapeError, match="k=3.*k=4"):
+        sample(sched, params, bundle, np.zeros((2, 4)), census, cfg, rngs, steps=5, lam=1.0)
+    assert [g.bit_generator.state for g in rngs] == before
+
+
+def _oracle_case(case, n=9):
+    """sample's arguments for one input, an n-row batch whose rows run at
+    every level of the census, or that batch at the forced level 1."""
+    sched, params, bundle, logits, census, cfg = _sampler_fixture()
+    if case == "single":
+        return sched, params, bundle, logits, census, cfg, None, [8]
+    bundle, logits = _batch_fixture(n)
+    lam = 1.0 if case == "iso" else None
+    return sched, params, bundle, logits, census, cfg, lam, [[8, r] for r in range(n)]
+
+
+# _sampler_fixture has T = 40
+@pytest.mark.parametrize("steps", [40, 13], ids=["steps=T", "steps<T"])
+@pytest.mark.parametrize("case", ["single", "batch", "iso"])
+def test_sample_matches_the_per_step_oracle_bitwise(case, steps):
+    sched, params, bundle, logits, census, cfg, lam, keys = _oracle_case(case)
+    single = case == "single"
+
+    def gens():
+        if single:
+            return np.random.default_rng(keys[0])
+        return [np.random.default_rng(key) for key in keys]
+    got = sample(sched, params, bundle, logits, census, cfg, gens(), steps,
+                 lam=lam, trace=True)
+    want_lam = inference_lambda(np.atleast_2d(logits), census, cfg) if lam is None else lam
+    y0, trace = sampler_oracle.sample(sched, params, bundle.y_f, want_lam,
+                                      [np.random.default_rng(key) for key in keys], steps)
+    if single:
+        assert got.lam == want_lam[0]
+        assert got.y0.tobytes() == y0[0].tobytes()
+        assert got.pred_class == int(np.argmax(y0[0]))
+        got_trace = [(t, ys[None, :]) for t, ys in got.trace]
+    else:
+        if lam is None:
+            assert len(np.unique(got.lam)) == 3  # every level of the census
+        assert np.array_equal(got.lam, np.broadcast_to(want_lam, (len(keys),)))
+        assert got.y0.tobytes() == y0.tobytes()
+        assert [r.pred_class for r in got] == list(np.argmax(y0, axis=1))
+        got_trace = got.trace
+    assert [t for t, _ in got_trace] == [t for t, _ in trace]
+    for (_, a), (_, b) in zip(got_trace, trace):
+        assert a.tobytes() == b.tobytes()
+
+    untraced = sample(sched, params, bundle, logits, census, cfg, gens(), steps, lam=lam)
+    assert untraced.trace is None
+    assert untraced.y0.tobytes() == got.y0.tobytes()

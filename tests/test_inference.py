@@ -5,7 +5,10 @@ from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fract
 from adpm.errors import ConfigError, UsageError
 from adpm.inference import classify_dataset
 from adpm.priors import prior_bundle
+from adpm.schedule import ClassCensus, inference_lambda
 from adpm.trainer import TrainConfig, fit, noise_schedule
+
+import sampler_oracle
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +144,49 @@ def test_empty_table(trained):
     ckpt, test = trained
     out = classify_dataset(ckpt, test.take([]))
     assert out.predictions.shape == (0,) and len(out.results) == 0
+
+
+def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped):
+    # a 1-row table runs as two copies of the row, each on stream (seed, 3, 0)
+    for ckpt, test in (trained, desk_shaped):
+        cfg = ckpt.config
+        out = classify_dataset(ckpt, test.take([1]), trace=True)
+        bundle = prior_bundle(ckpt.model.prior, test.features[[1, 1]])
+        lam = inference_lambda(bundle.logits, ClassCensus(ckpt.counts), cfg.noise_cfg())
+        y0, trace = sampler_oracle.sample(
+            noise_schedule(ckpt.counts, cfg), ckpt.model.denoiser, bundle.y_f, lam,
+            [np.random.default_rng([cfg.seed, 3, 0]) for _ in range(2)], cfg.sample_steps)
+        assert out.results.y0.tobytes() == y0[:1].tobytes()
+        assert out.predictions.tolist() == [int(np.argmax(y0[0]))]
+        assert [t for t, _ in out.results[0].trace] == [t for t, _ in trace]
+        for (_, a), (_, b) in zip(out.results[0].trace, trace):
+            assert a.tobytes() == b[0].tobytes()
+
+
+def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained, monkeypatch):
+    # structural guard on the sampler's cost, with no timing in it: work
+    # that does not depend on the chains' states (the noise levels' gamma
+    # rows, the time projection) stays out of the loop
+    from adpm.denoiser import DenoiserParams
+    from adpm.schedule import NoiseSchedule
+
+    calls = {}
+
+    def count(owner, name):
+        method = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(*args)
+        monkeypatch.setattr(owner, name, counting)
+    count(DenoiserParams, "trunk")
+    count(DenoiserParams, "project_time")
+    count(NoiseSchedule, "gamma_for")
+    ckpt, test = trained
+    levels = np.unique(classify_dataset(ckpt, test).results.lam).size
+    assert levels > 1
+    assert calls == {"trunk": ckpt.config.sample_steps, "project_time": 1,
+                     "gamma_for": levels}
+    calls.clear()
+    classify_dataset(ckpt, test.take([0]), steps=5)  # two rows at one level
+    assert calls == {"trunk": 5, "project_time": 1, "gamma_for": 1}
