@@ -8,9 +8,8 @@ one reverse trajectory looks like. Run as
 
 import numpy as np
 
-from adpm import (ClassCensus, DenoiserParams, NoiseLevelConfig, PriorBundle,
-                  build_schedule, forward_sample, lambda_vector, linear_beta,
-                  reverse_step, sample)
+from adpm import (ClassCensus, DenoiserParams, NoiseLevelConfig, build_schedule,
+                  forward_sample, lambda_vector, linear_beta, reverse_step, sample)
 
 census = ClassCensus((80, 30, 10))
 cfg = NoiseLevelConfig(alpha=1.0 / 6.0, c=3.0)
@@ -35,12 +34,13 @@ print("\nper-class surviving signal at this t:",
       [round(float(sched.gamma[c, t]), 4) for c in range(3)])
 
 # Reverse update at lambda = 1 with no prior shift is the textbook rule.
+# A noise level is addressed by its class in a schedule: class 0 of iso.
 iso = build_schedule(sched.beta, np.array([1.0]))
 alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - sched.beta)])
 y_t = rng.standard_normal(3)
 eps_hat = rng.standard_normal(3)
 z = rng.standard_normal(3)
-ours = reverse_step(iso, 1.0, t, y_t, np.zeros(3), eps_hat, z)
+ours = reverse_step(iso, 0, t, y_t, np.zeros(3), eps_hat, z)
 beta_t = sched.beta[t - 1]
 sigma = np.sqrt(beta_t * (1 - alpha_bar[t - 1]) / (1 - alpha_bar[t]))
 classic = (y_t - beta_t / np.sqrt(1 - alpha_bar[t]) * eps_hat) \
@@ -48,11 +48,11 @@ classic = (y_t - beta_t / np.sqrt(1 - alpha_bar[t]) * eps_hat) \
 print("\nisotropic reduction, max |diff| =", float(np.abs(ours - classic).max()))
 
 # One full reverse chain (an untrained denoiser, so the endpoint is
-# driven by the prior): the trace records every intermediate state.
+# driven by the prior): a 1-row batch at the level of the class the prior
+# ranks first. The trace records every intermediate state.
 params = DenoiserParams.init(3, 16, 8, 8, np.random.default_rng(1))
-bundle = PriorBundle(y_g=prior, y_l=prior, y_f=prior)
-res = sample(sched, params, bundle, lam_logits=np.log(prior), census=census,
-             cfg=cfg, rng=np.random.default_rng(2), steps=12, trace=True)
+res = sample(sched, params, prior[None, :], [int(np.argmax(prior))],
+             [np.random.default_rng(2)], steps=12, trace=True)[0]
 print(f"\nreverse chain with {len(res.trace) - 1} strided steps, "
       f"lambda = {res.lam:.2f} (the predicted class's level)")
 for t_label, y in res.trace[::3]:

@@ -281,10 +281,7 @@ def cmd_train(args) -> int:
 def _classify(args):
     """Checkpoint, test table and sampler output of eval and sample."""
     ckpt = load_checkpoint(args.checkpoint)
-    table = load_csv(args.data)
-    if table.k < len(ckpt.counts):
-        # labels just do not cover every trained class; pad k
-        table = DatasetTable(table.features, table.labels, len(ckpt.counts))
+    table = load_csv(args.data, k=len(ckpt.counts))
     output = classify_dataset(ckpt, table, steps=args.steps, seed=args.seed,
                               trace=getattr(args, "trace", False))
     return ckpt, table, output

@@ -146,7 +146,11 @@ def save_csv(table: DatasetTable, path) -> None:
 
 
 def load_csv(path, k: int | None = None) -> DatasetTable:
-    """Parse a dataset CSV; errors cite the 1-based data row."""
+    """Parse a dataset CSV; errors cite the 1-based data row.
+
+    Without k, the class count is the largest label L plus one, and
+    L + 1 may not exceed the number of data rows.
+    """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             features, labels = _parse_rows(csv.reader(fh), path, k)
@@ -158,17 +162,21 @@ def load_csv(path, k: int | None = None) -> DatasetTable:
     if not labels:
         raise IngestionError(f"{path}: no data rows")
     labels_arr = np.array(labels, dtype=np.int64)
-    k_eff = k if k is not None else int(labels_arr.max()) + 1
+    if k is None:
+        k = int(labels_arr.max()) + 1
+        if k > labels_arr.size:  # cite the first row that holds the largest label
+            raise IngestionError(f"{path}: label {k - 1} implies {k} classes, more than the "
+                                 f"{labels_arr.size} data rows", int(np.argmax(labels_arr)) + 1)
     present = np.unique(labels_arr)
-    n_empty = k_eff - present.size
+    n_empty = k - present.size
     if n_empty:
         # the first 10 empty classes lie among the first present.size + 10 labels
-        candidates = np.arange(min(k_eff, present.size + 10))
+        candidates = np.arange(min(k, present.size + 10))
         first = np.setdiff1d(candidates, present)[:10].tolist()
         more = ", ..." if n_empty > len(first) else ""
-        warnings.warn(f"{path}: {n_empty} of {k_eff} classes have no samples: "
+        warnings.warn(f"{path}: {n_empty} of {k} classes have no samples: "
                       f"{', '.join(map(str, first))}{more}")
-    return DatasetTable(np.array(features), labels_arr, k_eff)
+    return DatasetTable(np.array(features), labels_arr, k)
 
 
 def _parse_rows(reader, path, k: int | None) -> tuple[list[list[float]], list[int]]:

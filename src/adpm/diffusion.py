@@ -15,24 +15,26 @@ sigma^t = sqrt(lam*beta^t (1 - gamma^{t-1}) / (1 - gamma^t)); gamma^0 = 1
 makes the final step deterministic. lam = 1 and y_f = 0 reduce the
 update to the isotropic chain exactly.
 
-The sampler steps the chains of n inputs together as one (n, k) matrix:
-each row keeps its own lam and random stream, and one forward-only
-denoiser pass per step serves every row. What does not depend on the
-chains' states is computed once per call, before the loop: a table of
-the four coefficients c_f = (xi - zeta)/xi, c_eps = lam*beta^t/sqrt(xi),
-zeta and sigma for each distinct lam at the visited steps, in which
-each row looks its level up, and the projected time embeddings of the
-visited steps. Each step then runs the denoiser trunk once and one
-fused update
+Every noise level is addressed by a class index into the schedule, as
+in forward_sample: class j runs at schedule.lam[j] with the gamma row
+schedule.gamma[j], and no level is recomputed here. The sampler steps
+the chains of n inputs together as one (n, k) matrix: each row keeps its
+own class and random stream, and one forward-only denoiser pass per step
+serves every row. What does not depend on the chains' states is
+computed once per call, before the loop: a table of the four
+coefficients c_f = (xi - zeta)/xi, c_eps = lam*beta^t/sqrt(xi), zeta and
+sigma for every class at the visited steps, in which each row looks its
+class up, and the projected time embeddings of the visited steps. Each
+step then runs the denoiser trunk once and one fused update
 
     y <- (y - c_f y_f - c_eps eps_hat) / zeta + sigma z.
 
 reverse_step is the one-step case of the same table, so the formula
-lives in one place. One input is the n = 1 case of the same loop. An
-n-row pass runs its matmuls as one BLAS matrix product, not n
-single-row ones, so a row's y0 can differ from that of the same input
-sampled alone in its last bits (by up to about 2e-12 on the desk runs);
-the predicted classes did not change there.
+lives in one place. One input is a 1-row batch. An n-row pass runs its
+matmuls as one BLAS matrix product, not n single-row ones, so a row's
+y0 can differ from that of the same input sampled alone in its last
+bits (by up to about 2e-12 on the desk runs); the predicted classes did
+not change there.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# predict_noise stays importable from this module, beside reverse_step:
-# perfbench/spans.py looks both up here
+# predict_noise and inference_lambda stay importable from this module,
+# beside reverse_step: perfbench/spans.py looks all three up here
 from .denoiser import DenoiserParams, predict_noise, time_embed_batch  # noqa: F401
 from .errors import ShapeError, UsageError
-from .priors import PriorBundle
-from .schedule import ClassCensus, NoiseLevelConfig, NoiseSchedule, inference_lambda
+from .schedule import NoiseSchedule, inference_lambda  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -115,44 +116,48 @@ def forward_sample(schedule: NoiseSchedule, class_j: int, y0, prior, t: int,
     return ForwardDraw(t=t, branch=branch, y_t=y_t, eps=eps)
 
 
-def reverse_step(schedule: NoiseSchedule, lam: float | np.ndarray, t: int, y_t, y_f,
-                 eps_hat, z) -> np.ndarray:
-    """One reverse update from step t to t-1: the one-step case of the
-    coefficient table that sample builds.
+def reverse_step(schedule: NoiseSchedule, class_j, t: int, y_t, y_f, eps_hat,
+                 z) -> np.ndarray:
+    """One reverse update from step t to t-1 at class_j's noise level: the
+    one-step case of the coefficient table that sample builds.
 
-    lam is a scalar for one chain, or one noise level per row of (n, k)
-    states. Each row sees exactly the scalar arithmetic, so a batched
-    call is bitwise equal to the scalar calls row by row.
+    class_j is a scalar class for one chain, or one class per row of
+    (n, k) states. Each row sees exactly the scalar arithmetic, so a
+    batched call is bitwise equal to the scalar calls row by row.
     """
     if not (1 <= t <= schedule.T):
         raise UsageError(f"t must lie in [1, {schedule.T}], got {t}")
-    lam = np.asarray(lam, dtype=np.float64)
-    levels, inverse = np.unique(lam, return_inverse=True)
-    coef = _step_table(schedule, levels, np.array([t]))[0]
+    classes = _class_index(schedule, class_j)
+    coef = _step_table(schedule, np.array([t]))[0]
     y_t, y_f, eps_hat, z = (np.asarray(a, dtype=np.float64) for a in (y_t, y_f, eps_hat, z))
-    return _update(y_t, y_f, eps_hat, z, *coef[:, inverse.reshape(lam.shape), None])
+    return _update(y_t, y_f, eps_hat, z, *coef[:, classes, None])
 
 
-def _step_table(schedule: NoiseSchedule, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Reverse-step coefficients of the (m,) noise levels at the visited
-    steps ts, as an (len(ts), 4, m) array whose entry [i, :, j] holds
-    ((xi - zeta)/xi, lam*beta^t/sqrt(xi), zeta, sigma) of level j at step
-    ts[i].
+def _class_index(schedule: NoiseSchedule, classes) -> np.ndarray:
+    """classes as an integer array, each entry a class of the schedule."""
+    classes = np.asarray(classes)
+    if classes.dtype.kind not in "iu" or ((classes < 0) | (classes >= schedule.k)).any():
+        raise UsageError(f"classes must be integers in [0, {schedule.k}), got {classes}")
+    return classes
 
-    Each level's gamma row comes from schedule.gamma_for, so an infeasible
-    level raises ScheduleInfeasibleError; gamma^t = 1 at a visited step,
-    where the update would divide by zero, raises UsageError.
+
+def _step_table(schedule: NoiseSchedule, ts: np.ndarray) -> np.ndarray:
+    """Reverse-step coefficients of every class of the schedule at the
+    visited steps ts, as an (len(ts), 4, k) array whose entry [i, :, j]
+    holds ((xi - zeta)/xi, lam*beta^t/sqrt(xi), zeta, sigma) of class j
+    at step ts[i], built from schedule.lam and schedule.gamma.
+
+    gamma^t = 1 at a visited step, where the update would divide by zero,
+    raises UsageError.
     """
-    gammas = np.array([schedule.gamma_for(level) for level in levels]).reshape(
-        levels.size, schedule.T + 1)
-    lam = levels[None, :]
+    lam = schedule.lam[None, :]
     beta_t = schedule.beta[ts - 1][:, None]
-    xi = 1.0 - gammas[:, ts].T
+    xi = 1.0 - schedule.gamma[:, ts].T
     singular = (xi == 0.0).any(axis=1)
     if singular.any():
         raise UsageError(f"reverse step singular at t={ts[np.argmax(singular)]}: gamma^t = 1")
     zeta = np.sqrt(1.0 - lam * beta_t)
-    sigma = np.sqrt(lam * beta_t * (1.0 - gammas[:, ts - 1].T) / xi)
+    sigma = np.sqrt(lam * beta_t * (1.0 - schedule.gamma[:, ts - 1].T) / xi)
     return np.stack([(xi - zeta) / xi, lam * beta_t / np.sqrt(xi), zeta, sigma], axis=1)
 
 
@@ -170,42 +175,33 @@ def sample_timesteps(T: int, steps: int) -> np.ndarray:
     return np.round(np.linspace(T, 1, steps)).astype(np.int64)
 
 
-def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
-           lam_logits, census: ClassCensus, cfg: NoiseLevelConfig, rng,
-           steps: int, lam=None, trace: bool = False) -> SampleResult | SampleBatch:
-    """Run the reverse chains of one or more inputs and classify their endpoints.
+def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, rngs,
+           steps: int, trace: bool = False) -> SampleBatch:
+    """Run the reverse chains of n inputs together and keep their endpoints.
 
-    One input passes 1-D lam_logits and bundle.y_f with one Generator
-    and gets one SampleResult. n inputs pass (n, k) arrays with a
-    sequence of n Generators, one per row, and get a SampleBatch of n
-    results; their chains step together, one denoiser pass per step for
-    all rows.
-
-    Each row's noise level defaults to that of the class the prior model
-    predicts for it; pass lam (a scalar or one value per row) to force a
-    level, e.g. 1.0 for the isotropic baseline. Every level is checked for
-    feasibility, and every visited step for gamma^t < 1, before any
-    generator advances. With steps < T the chains visit an evenly
-    strided timestep subsequence and use the stored gamma values at those
-    indices. Each row draws from its own generator in a fixed layout: k
-    values for y^T, then k values of z per step, even where sigma = 0.
+    y_f is the (n, k) matrix of the inputs' fused priors; row r runs at
+    the noise level of class classes[r] of the schedule and draws from
+    rngs[r]. The chains step together, one denoiser pass per step for all
+    rows. The classes, the shapes, the generator count and every visited
+    step's gamma^t < 1 are checked before any generator advances. With
+    steps < T the chains visit an evenly strided timestep subsequence and
+    use the stored gamma values at those indices. Each row draws from its
+    own generator in a fixed layout: k values for y^T, then k values of z
+    per step, even where sigma = 0.
     """
-    single = np.ndim(bundle.y_f) == 1
-    y_f = np.atleast_2d(np.asarray(bundle.y_f, dtype=np.float64))
-    rngs = [rng] if single else list(rng)
+    y_f = np.asarray(y_f, dtype=np.float64)
+    classes = _class_index(schedule, classes)
+    rngs = list(rngs)
+    if y_f.ndim != 2 or classes.shape != y_f.shape[:1] or len(rngs) != len(y_f):
+        raise ShapeError(f"need an (n, k) y_f, one class and one generator per row: y_f has "
+                         f"shape {y_f.shape}, {classes.size} classes, {len(rngs)} generators")
     n, k = y_f.shape
-    if len(rngs) != n:
-        raise ShapeError(f"need one generator per input: {n} inputs, {len(rngs)} generators")
     if k != params.k:
         raise ShapeError(f"the denoiser predicts k={params.k} classes, y_f has k={k}")
-    if lam is None:
-        lam = inference_lambda(np.atleast_2d(lam_logits), census, cfg)
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
     # everything that does not depend on the chains' states is computed
     # once, and every check runs before any generator advances
     ts = sample_timesteps(schedule.T, steps)
-    levels, inverse = np.unique(lam, return_inverse=True)
-    coef = _step_table(schedule, levels, ts)
+    coef = _step_table(schedule, ts)
     # the visited rows of fit_tables' time table, projected as an (S, 1, .)
     # stack: one 1-row product per step, the product predict_noise runs (a
     # single (S, .) product would round differently)
@@ -219,8 +215,7 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, bundle: PriorBundle,
     snapshots = [(schedule.T, y)] if trace else None
     for i, t in enumerate(ts):
         eps_hat = params.trunk(y, y_f, tembs[i])[-1]
-        y = _update(y, y_f, eps_hat, noise[i + 1], *coef[i][:, inverse, None])
+        y = _update(y, y_f, eps_hat, noise[i + 1], *coef[i][:, classes, None])
         if trace:
             snapshots.append((int(t) - 1, y))
-    batch = SampleBatch(y0=y, lam=lam, trace=snapshots)
-    return batch[0] if single else batch
+    return SampleBatch(y0=y, lam=schedule.lam[classes], trace=snapshots)

@@ -3,17 +3,20 @@
 Each input has its own random stream keyed by (seed, 3, input index), so
 predictions are reproducible and independent of evaluation order or of
 which other rows share the table. The features pass through the prior
-net only, whose one global pass gives both the fused prior y_f and the
-logits that pick each row's noise level; the chains of all rows then
-step together as one (n, k) matrix through the forward-only denoiser,
-so the prior and denoiser matmuls run as n-row BLAS products. Both
-networks run as plain numpy; no autodiff tape is built. For n >= 2
-OpenBLAS computes a row of such a product the same way whatever n is,
-except for products with at most 3 output columns (k <= 3 classes at
-the default widths), where a row's last bits can depend on n. A 1-row
-table would take BLAS's single-row path instead, so it is padded to two
-rows, the pad row on its own copy of stream (seed, 3, 0), and the pad
-row is dropped from the output.
+net only: one global and one local pass give the global prior y_g and
+the fused prior y_f. Each row runs at the noise level of the class its
+global prior ranks first, looked up by class index in the checkpoint's
+schedule (with lambda_override set, every class of that schedule has
+the forced level). The chains of all rows then step together as one
+(n, k) matrix through the forward-only denoiser, so the prior and
+denoiser matmuls run as n-row BLAS products. Both networks run as plain
+numpy; no autodiff tape is built. For n >= 2 OpenBLAS computes a row of
+such a product the same way whatever n is, except for products with at
+most 3 output columns (k <= 3 classes at the default widths), where a
+row's last bits can depend on n. A 1-row table would take BLAS's
+single-row path instead, so it is padded to two rows, the pad row on
+its own copy of stream (seed, 3, 0), and the pad row is dropped from the
+output.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .data import DatasetTable
 from .diffusion import SampleBatch, sample
 from .errors import ConfigError, UsageError
 from .priors import prior_bundle
-from .schedule import ClassCensus
 from .trainer import Checkpoint, noise_schedule
 
 
@@ -56,14 +58,11 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
     schedule = noise_schedule(ckpt.counts, cfg)
 
     index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
-    x = table.features[index]
-    bundle = prior_bundle(ckpt.model.prior, x)
+    bundle = prior_bundle(ckpt.model.prior, table.features[index])
 
     rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
-    lam = None if cfg.lambda_override is None else float(cfg.lambda_override)
-    results = sample(schedule, ckpt.model.denoiser, bundle, bundle.logits,
-                     ClassCensus(ckpt.counts), cfg.noise_cfg(), rngs, steps,
-                     lam=lam, trace=trace)[:table.n]
+    results = sample(schedule, ckpt.model.denoiser, bundle.y_f, np.argmax(bundle.y_g, axis=1),
+                     rngs, steps, trace=trace)[:table.n]
     preds = np.argmax(results.y0, axis=1).astype(np.int64)
     prior_preds = np.argmax(bundle.y_f[:table.n], axis=1).astype(np.int64)
     return EvalOutput(predictions=preds, results=results, prior_predictions=prior_preds)

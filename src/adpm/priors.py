@@ -67,8 +67,7 @@ class PriorNetParams:
 
 @dataclass(frozen=True)
 class PriorBundle:
-    """Global, local and fused prior probability vectors, and the global
-    branch's logits where prior_bundle computed them.
+    """Global, local and fused prior probability vectors.
 
     Each is a (k,) vector for one input or an (n, k) matrix for n inputs.
     """
@@ -76,7 +75,6 @@ class PriorBundle:
     y_g: np.ndarray
     y_l: np.ndarray
     y_f: np.ndarray
-    logits: np.ndarray | None = None
 
 
 def salience_mask(params: PriorNetParams, x: np.ndarray) -> np.ndarray:
@@ -107,13 +105,12 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def prior_bundle(params: PriorNetParams, x) -> PriorBundle:
-    """Global, local and fused priors and the global logits of every row
-    of the (n, d) matrix x, as (n, k) arrays."""
+    """Global, local and fused priors of every row of the (n, d) matrix x,
+    as (n, k) arrays."""
     x = as_matrix(x)
-    logits = mlp_forward(params, x)[1]
-    y_g = _softmax_rows(logits)
+    y_g = _softmax_rows(mlp_forward(params, x)[1])
     y_l = _softmax_rows(mlp_forward(params, x * salience_mask(params, x))[1])
-    return PriorBundle(y_g=y_g, y_l=y_l, y_f=(y_g + y_l) * 0.5, logits=logits)
+    return PriorBundle(y_g=y_g, y_l=y_l, y_f=(y_g + y_l) * 0.5)
 
 
 class PriorGraph:

@@ -123,8 +123,8 @@ def linear_beta(T: int, beta1: float, betaT: float) -> np.ndarray:
 
 def _gamma_row(lam: float, beta: np.ndarray, class_index: int) -> np.ndarray:
     """Cumulative products for one lambda; index 0 holds gamma^0 = 1."""
-    if lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ConfigError(f"lambda must be finite and positive, got {lam}")
     factors = 1.0 - lam * beta
     bad = np.nonzero(factors <= 0.0)[0]
     if bad.size:

@@ -116,6 +116,9 @@ class TrainConfig:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if not (np.isfinite(self.w) and self.w > 0):
             raise ConfigError(f"w must be finite and positive, got {self.w}")
+        lam = self.lambda_override
+        if lam is not None and not (np.isfinite(lam) and lam > 0):
+            raise ConfigError(f"lambda_override must be finite and positive, got {lam}")
         self.kernel_cfg()  # rejects a bad kernel bandwidth or mode
 
     def noise_cfg(self) -> NoiseLevelConfig:

@@ -54,7 +54,7 @@ def test_c02_isotropic_reduction():
         y_t = rng.standard_normal(3)
         eps_hat = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        got = reverse_step(sched, 1.0, t, y_t, np.zeros(3), eps_hat, z)
+        got = reverse_step(sched, 0, t, y_t, np.zeros(3), eps_hat, z)
         sigma = np.sqrt(beta[t - 1] * (1.0 - alpha_bar[t - 1]) / (1.0 - alpha_bar[t]))
         ref = (y_t - beta[t - 1] / np.sqrt(1.0 - alpha_bar[t]) * eps_hat) \
             / np.sqrt(1.0 - beta[t - 1]) + sigma * z

@@ -143,6 +143,25 @@ def test_train_bad_csv_cites_row(tmp_path, capsys):
     assert "row 2" in err
 
 
+def test_train_rejects_a_nan_lambda_override(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, _, err = run(small_train_args(out, ["--lambda-override", "nan"]), capsys)
+    assert code == 1
+    assert err == "error: lambda_override must be finite and positive, got nan\n"
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "train"])
+def test_a_huge_csv_label_is_a_one_line_error(tmp_path, capsys, command):
+    # label 10^12 in a 2-row file would make a 10^12-class census
+    huge = tmp_path / "huge.csv"
+    huge.write_text("f0,label\n1.0,0\n2.0,1000000000000\n")
+    code, _, err = run([command, "--data", str(huge), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert err == (f"error: {huge}: label 1000000000000 implies 1000000000001 classes, "
+                   "more than the 2 data rows (row 2)\n")
+
+
 def _trained_run(tmp_path, capsys):
     out = tmp_path / "run"
     table = generate_longtail(LongTailSpec(k=3, head_count=12, decay=0.6, d=3,

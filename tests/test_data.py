@@ -96,19 +96,37 @@ def test_load_csv_toy_file(tmp_path):
 
 def test_load_csv_label_gap_warns(tmp_path):
     path = tmp_path / "gap.csv"
-    path.write_text("f0,label\n1.0,0\n2.0,2\n")
+    path.write_text("f0,label\n1.0,0\n2.0,2\n3.0,0\n")
     with pytest.warns(UserWarning):
         table = load_csv(path)
     assert table.k == 3
-    assert table.class_counts().tolist() == [1, 0, 1]
+    assert table.class_counts().tolist() == [2, 0, 1]
     # a wide label gap is counted, and only its first 10 classes are named
     wide = tmp_path / "wide.csv"
-    wide.write_text("f0,label\n1.0,0\n2.0,5000000\n")
+    labels = [0, *range(15, 26), *([0] * 19)]  # 26 classes in 31 rows
+    wide.write_text("f0,label\n" + "".join(f"{i}.0,{y}\n" for i, y in enumerate(labels)))
     with pytest.warns(UserWarning) as record:
-        assert load_csv(wide).k == 5000001
+        assert load_csv(wide).k == 26
     message = str(record[0].message)
-    assert message == f"{wide}: 4999999 of 5000001 classes have no samples: " \
+    assert message == f"{wide}: 14 of 26 classes have no samples: " \
                       "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ..."
+
+
+def test_load_csv_rejects_a_label_beyond_the_row_count(tmp_path):
+    # label 5000000 in a 2-row file would make a 5000001-class table
+    wide = tmp_path / "wide.csv"
+    wide.write_text("f0,label\n1.0,0\n2.0,5000000\n")
+    with pytest.raises(IngestionError) as err:
+        load_csv(wide)
+    assert err.value.row == 2
+    assert str(err.value) == (f"{wide}: label 5000000 implies 5000001 classes, more than "
+                              "the 2 data rows (row 2)")
+    # one more row than classes is accepted
+    wide.write_text("f0,label\n1.0,0\n2.0,1\n3.0,0\n")
+    assert load_csv(wide).k == 2
+    # a declared k bounds the labels instead of the row count
+    with pytest.warns(UserWarning, match="4999999 of 5000001 classes have no samples"):
+        assert load_csv(wide, k=5000001).k == 5000001
 
 
 def test_load_csv_malformed_float_cites_row(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fractions
 from adpm.errors import ConfigError, UsageError
 from adpm.inference import classify_dataset
-from adpm.priors import prior_bundle
+from adpm.priors import mlp_forward, prior_bundle
 from adpm.schedule import ClassCensus, inference_lambda
 from adpm.trainer import TrainConfig, fit, noise_schedule
 
@@ -114,7 +114,8 @@ def test_denoiser_runs_without_a_tape(trained, monkeypatch):
 
 
 def test_classify_runs_the_prior_once_per_branch(trained, monkeypatch):
-    # one global pass gives y_f and the noise-level logits, one local pass y_l
+    # one global pass gives y_g (which picks each row's noise level), one
+    # local pass y_l; y_f is their mean
     import adpm.priors
 
     calls = []
@@ -151,8 +152,10 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
     for ckpt, test in (trained, desk_shaped):
         cfg = ckpt.config
         out = classify_dataset(ckpt, test.take([1]), trace=True)
-        bundle = prior_bundle(ckpt.model.prior, test.features[[1, 1]])
-        lam = inference_lambda(bundle.logits, ClassCensus(ckpt.counts), cfg.noise_cfg())
+        x = test.features[[1, 1]]
+        lam = inference_lambda(mlp_forward(ckpt.model.prior, x)[1], ClassCensus(ckpt.counts),
+                               cfg.noise_cfg())
+        bundle = prior_bundle(ckpt.model.prior, x)
         y0, trace = sampler_oracle.sample(
             noise_schedule(ckpt.counts, cfg), ckpt.model.denoiser, bundle.y_f, lam,
             [np.random.default_rng([cfg.seed, 3, 0]) for _ in range(2)], cfg.sample_steps)
@@ -165,8 +168,10 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
 
 def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained, monkeypatch):
     # structural guard on the sampler's cost, with no timing in it: work
-    # that does not depend on the chains' states (the noise levels' gamma
-    # rows, the time projection) stays out of the loop
+    # that does not depend on the chains' states (the time projection)
+    # stays out of the loop, and the gamma rows are the k rows of the one
+    # schedule build, indexed by class; no level's row is computed again
+    import adpm.schedule
     from adpm.denoiser import DenoiserParams
     from adpm.schedule import NoiseSchedule
 
@@ -175,18 +180,18 @@ def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained,
     def count(owner, name):
         method = getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return method(*args)
+            return method(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
     count(DenoiserParams, "trunk")
     count(DenoiserParams, "project_time")
     count(NoiseSchedule, "gamma_for")
+    count(adpm.schedule, "_gamma_row")
     ckpt, test = trained
-    levels = np.unique(classify_dataset(ckpt, test).results.lam).size
-    assert levels > 1
-    assert calls == {"trunk": ckpt.config.sample_steps, "project_time": 1,
-                     "gamma_for": levels}
+    k = len(ckpt.counts)
+    assert np.unique(classify_dataset(ckpt, test).results.lam).size > 1
+    assert calls == {"trunk": ckpt.config.sample_steps, "project_time": 1, "_gamma_row": k}
     calls.clear()
     classify_dataset(ckpt, test.take([0]), steps=5)  # two rows at one level
-    assert calls == {"trunk": 5, "project_time": 1, "gamma_for": 1}
+    assert calls == {"trunk": 5, "project_time": 1, "_gamma_row": k}

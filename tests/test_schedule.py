@@ -210,6 +210,15 @@ def test_schedule_rejects_a_first_step_lost_to_rounding():
     assert build_schedule(beta, np.array([100.0])).gamma[0, 1] < 1.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -2.0])
+def test_schedule_rejects_a_non_finite_or_non_positive_lambda(value):
+    beta = linear_beta(10, 0.001, 0.01)
+    with pytest.raises(ConfigError, match="lambda must be finite and positive"):
+        build_schedule(beta, np.array([1.0, value]))
+    with pytest.raises(ConfigError, match="lambda must be finite and positive"):
+        build_schedule(beta, np.array([1.0])).gamma_for(value)
+
+
 def test_gamma_for_matches_table_row_bitwise():
     beta = linear_beta(30, 0.001, 0.03)
     lam = np.array([1.0, 4.5])

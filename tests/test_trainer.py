@@ -528,6 +528,15 @@ def test_config_rejects_a_bad_loss_weight(w):
         TrainConfig(w=w)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_a_bad_lambda_override(lam):
+    with pytest.raises(ConfigError, match="lambda_override must be finite and positive"):
+        TrainConfig(lambda_override=lam)
+    # a checkpoint's config goes through the same check
+    with pytest.raises(ConfigError, match="lambda_override must be finite and positive"):
+        TrainConfig.from_dict({"lambda_override": lam})
+
+
 @pytest.mark.parametrize("kernel, reason", [
     ({"kernel_bandwidth_mode": "bogus"}, "unknown bandwidth mode"),
     ({"kernel_bandwidth": 0.0}, "bandwidth must be finite and positive"),
