@@ -1,12 +1,12 @@
 """Tape-based reverse-mode differentiation over dense float64 matrices.
 
-The op vocabulary is what the training objective is made of: matmul
-(with an optional transposed right operand), affine (x @ w plus a
-broadcast bias row), add, sub, mul, scale, tanh, sum of squares, column
-concat, a row range, and rbf_mean, the mean RBF kernel value over all
-row pairs of two batches as one node. Everything is strictly 2-D float64. Forward evaluation is
-deterministic for identical inputs; reductions are delegated to numpy's
-sequential CPU kernels, which are run-to-run reproducible.
+The op vocabulary is what the training objective is made of: matmul,
+affine (x @ w plus a broadcast bias row), add, sub, mul, scale, tanh,
+sum of squares, column concat, a row range, and rbf_mean, the mean RBF
+kernel value over all row pairs of two batches as one node. Everything
+is strictly 2-D float64. Forward evaluation is deterministic for
+identical inputs; reductions are delegated to numpy's sequential CPU
+kernels, which are run-to-run reproducible.
 
 Each op method computes its value and stores, on the new node, the rule
 that maps the node's adjoint to one adjoint per input. A node also
@@ -108,13 +108,10 @@ class Tape:
 
     # ----- ops -----
 
-    def matmul(self, a: Var, b: Var, trans_b: bool = False) -> Var:
-        inner = b.shape[1] if trans_b else b.shape[0]
-        if a.shape[1] != inner:
-            raise ShapeError(f"matmul: {a.shape} x {b.shape} (trans_b={trans_b})")
+    def matmul(self, a: Var, b: Var) -> Var:
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"matmul: {a.shape} x {b.shape}")
         av, bv = a.value, b.value
-        if trans_b:
-            return self._push(av @ bv.T, (a, b), lambda g: (g @ bv, g.T @ av))
         return self._push(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:

@@ -351,6 +351,8 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if not 0 < args.test_fraction < 1:
+        raise CliUsage(f"--test-fraction must lie in (0, 1), got {args.test_fraction}")
     base, table, out = _training_run(args)
     alphas = _parse_floats("--alphas", args.alphas)
     cs = _parse_floats("--cs", args.cs)

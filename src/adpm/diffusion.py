@@ -1,11 +1,13 @@
 """Prior-shifted anisotropic forward corruption and the reverse sampler.
 
-Forward draws follow
+The forward kernel (CARD's prior-shifted kernel, Han et al. 2022) is
 
     y^t = sqrt(gamma_j^t) y0 + sqrt(1 - gamma_j^t) eps + (1 - sqrt(gamma_j^t)) prior,
 
-so a zero prior recovers the plain corruption kernel. The reverse chain
-starts at y^T ~ N(y_f, I) and iterates
+so a zero prior recovers the plain corruption kernel. forward_kernel is
+its one implementation: forward_sample corrupts one label with it, and
+trainer.batch_loss corrupts a batch's three branches with one broadcast
+call. The reverse chain starts at y^T ~ N(y_f, I) and iterates
 
     y^{t-1} = ( y^t - (xi - zeta)/xi * y_f - lam*beta^t/sqrt(xi) * eps_hat ) / zeta
               + sigma^t z,
@@ -110,10 +112,15 @@ def forward_sample(schedule: NoiseSchedule, class_j: int, y0, prior, t: int,
     y0 = np.asarray(y0, dtype=np.float64)
     prior = np.asarray(prior, dtype=np.float64)
     eps = rng.standard_normal(y0.shape)
-    gamma = schedule.gamma[class_j, t]
-    root = np.sqrt(gamma)
-    y_t = root * y0 + np.sqrt(1.0 - gamma) * eps + (1.0 - root) * prior
+    y_t = forward_kernel(schedule.gamma[class_j, t], y0, eps, prior)
     return ForwardDraw(t=t, branch=branch, y_t=y_t, eps=eps)
+
+
+def forward_kernel(gamma, y0, eps, prior) -> np.ndarray:
+    """sqrt(gamma) y0 + sqrt(1 - gamma) eps + (1 - sqrt(gamma)) prior,
+    elementwise under numpy broadcasting."""
+    root = np.sqrt(gamma)
+    return root * y0 + np.sqrt(1.0 - gamma) * eps + (1.0 - root) * prior
 
 
 def reverse_step(schedule: NoiseSchedule, class_j, t: int, y_t, y_f, eps_hat,

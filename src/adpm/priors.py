@@ -143,10 +143,11 @@ def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarr
     return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
 
-def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, *,
-                 lr: float = 1e-3, optimizer: str = "adam",
+def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, *,
                  batch_size: int | None = None, seed: int = 0) -> PriorNetParams:
-    """Cross-entropy pretraining of the prior classifier.
+    """Cross-entropy pretraining of the prior classifier with opt, a fresh
+    optimizer (optim.make_optimizer) whose own learning rate every step
+    uses.
 
     Returns a new parameter set; epochs=0 returns a bitwise copy of the
     input. Each epoch draws its shuffle from a stream keyed by (seed, 1,
@@ -158,7 +159,6 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, *,
     flat = optim.flatten(params.blocks().values())
     out = replace(params, **optim.unflatten(
         flat, {name: arr.shape for name, arr in params.blocks().items()}))
-    opt = optim.make_optimizer(optimizer, lr)
     onehot = table.onehot
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, 1, epoch])

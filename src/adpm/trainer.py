@@ -1,17 +1,19 @@
 """Training loop: prior warmup, then the denoiser on anisotropic noising.
 
 fit first pretrains the prior network with cross entropy
-(priors.warmup_train) and then freezes it, as CARD does with its prior
-f_phi. fit then computes two tables once (fit_tables): the global,
-local and fused priors of every training row, and the time embedding of
-every step 0..T; each batch gathers its rows from them. Every batch
-draws one timestep per sample and, per branch (global, local, fused),
-an independent Gaussian noise batch. Each branch's draw is corrupted
-with the true class's noise level and the branch's own prior. The three
-corrupted batches are stacked into one batch of three times the rows
-and pushed through the shared denoiser in one pass; its output is split
-back into the branches and scored: MMD against the true noise for the
-global and local branches, mean squared error for the fused branch.
+(priors.warmup_train, with the config's optimizer) and then freezes it,
+as CARD does with its prior f_phi. fit then computes two tables once
+(fit_tables): the global, local and fused priors of every training row,
+stacked as (3, n, k), and the time embedding of every step 0..T; each
+batch gathers its rows from them. Every batch draws one timestep per
+sample and one (3, nb, k) Gaussian noise stack, one (nb, k) block per
+branch (global, local, fused). One broadcast call of
+diffusion.forward_kernel corrupts every branch with the true class's
+noise level and the branch's own prior. The stack is pushed through the
+shared denoiser as one batch of three times the rows, and its output is
+reshaped back into the branches and scored: MMD against the true noise
+for the global and local branches, mean squared error for the fused
+branch.
 
 batch_loss runs as plain numpy: the denoiser's forward pass keeps its
 activations, and a hand-derived backward pass through the losses and
@@ -23,16 +25,20 @@ not finite stops training with a ConfigError.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
-batch the timesteps and the three noise batches in branch order g, l,
-f. Resuming from a checkpoint therefore reproduces an uninterrupted
-run bitwise. Initialization has its own stream, (seed, 0); init_model
-gives its draw order.
+batch the timesteps and the noise stack, branch g, then l, then f in
+row-major order (one standard_normal((3, nb, k)) call gives the bits of
+three (nb, k) calls in that order). Resuming from a checkpoint
+therefore reproduces an uninterrupted run bitwise. Initialization has
+its own stream, (seed, 0); init_model gives its draw order.
 
 A checkpoint (version 2) holds the one prior network, the denoiser,
 Adam's moments of the denoiser blocks, the config and the training
-census. A version-1 file held a second, jointly trained copy of the
-prior; it loads with its post-warmup "prior_frozen" section as the
-prior and its jointly trained prior blocks and their moments dropped.
+census. In memory, Checkpoint.opt_state is the optimizer's own
+state_dict(), each moment one vector; only the file names the moments
+per block (named_views), and loading flattens them back. A version-1
+file held a second, jointly trained copy of the prior; it loads with
+its post-warmup "prior_frozen" section as the prior and its jointly
+trained prior blocks and their moments dropped.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import numpy as np
 from . import optim
 from .data import DatasetTable
 from .denoiser import DenoiserParams, time_embed_batch
+from .diffusion import forward_kernel
 from .errors import ConfigError
 from .losses import KernelConfig, LossReport, eps_loss, mmd_loss, total_loss
 from .priors import PriorNetParams, prior_bundle, warmup_train
@@ -184,16 +191,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BatchDraws:
-    """Pre-drawn randomness for one batch: timesteps and per-branch noise."""
+    """Pre-drawn randomness for one batch: timesteps and the noise stack."""
 
-    t: np.ndarray                  # (nb,) ints in [1, T]
-    eps: dict[str, np.ndarray]     # branch -> (nb, k)
+    t: np.ndarray    # (nb,) ints in [1, T]
+    eps: np.ndarray  # (3, nb, k); eps[i] is branch BRANCHES[i]'s noise
 
 
 @dataclass
 class Checkpoint:
     model: ModelParams
-    opt_state: dict
+    opt_state: dict  # the optimizer's state_dict()
     config: TrainConfig
     epoch: int
     counts: tuple[int, ...]
@@ -255,8 +262,7 @@ def noise_schedule(counts, cfg: TrainConfig) -> NoiseSchedule:
 def draw_batch_noise(rng, nb: int, k: int, T: int) -> BatchDraws:
     """Consume the epoch stream in the documented order."""
     t = rng.integers(1, T + 1, size=nb)
-    eps = {branch: rng.standard_normal((nb, k)) for branch in BRANCHES}
-    return BatchDraws(t=t, eps=eps)
+    return BatchDraws(t=t, eps=rng.standard_normal((len(BRANCHES), nb, k)))
 
 
 def fit_tables(prior: PriorNetParams, table: DatasetTable, T: int,
@@ -270,34 +276,30 @@ def fit_tables(prior: PriorNetParams, table: DatasetTable, T: int,
             time_embed_batch(np.arange(T + 1), T, time_dim))
 
 
-def batch_loss(batch: DatasetTable, priors: np.ndarray, t_table: np.ndarray,
+def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
                model: ModelParams, schedule: NoiseSchedule, cfg: TrainConfig,
                draws: BatchDraws) -> tuple[LossReport, np.ndarray]:
     """Evaluate the three-branch objective on one batch, and its gradient
     in the denoiser blocks as one vector in model.denoiser_blocks() order
     (named_views names its blocks).
 
-    priors holds the batch rows of fit_tables' priors, (3, nb, k), and
-    t_table is fit_tables' time embedding table; both enter as constants.
+    labels holds the batch's (nb,) class labels, priors its rows of
+    fit_tables' priors, (3, nb, k), and t_table is fit_tables' time
+    embedding table; the priors and t_table enter as constants.
     """
-    nb, k = batch.n, batch.k
+    n_branches, nb, k = priors.shape
+    gamma = schedule.gamma[labels, draws.t][:, None]
+    y_t = forward_kernel(gamma, np.eye(k)[labels], draws.eps, priors)
     # the branches run as one stacked batch: row block i, rows i * nb to
     # (i + 1) * nb - 1, holds branch BRANCHES[i]
-    gamma_t = schedule.gamma[batch.labels, draws.t]          # (nb,)
-    root = np.sqrt(gamma_t)[:, None]
-    noise_scale = np.sqrt(1.0 - gamma_t)[:, None]
-    onehot = batch.onehot
-    signal = np.concatenate([root * onehot + noise_scale * draws.eps[b] for b in BRANCHES])
-    stacked_priors = priors.reshape(len(BRANCHES) * nb, k)
-    y_t = signal + np.tile(1.0 - root, (len(BRANCHES), k)) * stacked_priors
-    acts = model.denoiser.forward(y_t, stacked_priors,
-                                  t_table[np.tile(draws.t, len(BRANCHES))])
-    eps_hat = {b: acts.out[i * nb:(i + 1) * nb] for i, b in enumerate(BRANCHES)}
+    acts = model.denoiser.forward(y_t.reshape(-1, k), priors.reshape(-1, k),
+                                  t_table[np.tile(draws.t, n_branches)])
+    eps_hat = acts.out.reshape(n_branches, nb, k)
 
     kernel = cfg.kernel_cfg()
-    l_g, g_g = mmd_loss(draws.eps["global"], eps_hat["global"], kernel, cfg.w)
-    l_l, g_l = mmd_loss(draws.eps["local"], eps_hat["local"], kernel, cfg.w)
-    l_eps, g_f = eps_loss(draws.eps["fused"], eps_hat["fused"])
+    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], kernel, cfg.w)
+    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], kernel, cfg.w)
+    l_eps, g_f = eps_loss(draws.eps[2], eps_hat[2])
     report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
                         L_total=total_loss(l_g, l_l, l_eps, cfg.w), w=cfg.w)
     return report, model.denoiser.backward(acts, np.concatenate([g_g, g_l, g_f]))
@@ -320,17 +322,23 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     log_path, each epoch appends one JSON record: the epoch's mean
     losses, the learning rate of its last step and the mean 2-norm of
     its steps' gradients.
+
+    A table with no rows, and a resumed model whose blocks do not have
+    the shapes cfg and the table imply, raise ConfigError before any
+    step.
     """
+    if table.n == 0:
+        raise ConfigError("the training table has no rows")
     counts = training_census(table).counts
     schedule = noise_schedule(counts, cfg)
 
     if resume is not None:
+        _checked(resume.model.blocks(), model_shapes(table.d, table.k, cfg), "resumed block")
         model = resume.model.copy()
         start_epoch = resume.epoch
     else:
         model = init_model(table.d, table.k, cfg)
-        model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
-                                   lr=cfg.learning_rate, optimizer=cfg.optimizer,
+        model.prior = warmup_train(model.prior, table, cfg.warmup_epochs, _make_opt(cfg),
                                    batch_size=cfg.batch_size, seed=cfg.seed)
         start_epoch = 0
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
@@ -341,10 +349,8 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     model.denoiser = DenoiserParams(**optim.unflatten(params, shapes))
     opt = _make_opt(cfg)
     if resume is not None:
-        opt.load_state_dict(_flat_opt_state(resume.opt_state, model))
-
-    n_batches = max(1, -(-table.n // cfg.batch_size))
-    total_steps = max(1, cfg.epochs * n_batches)
+        opt.load_state_dict(resume.opt_state)
+    total_steps = cfg.epochs * -(-table.n // cfg.batch_size)
 
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, 2, epoch])
@@ -353,12 +359,11 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         batches = 0
         for start in range(0, table.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = table.take(idx)
-            draws = draw_batch_noise(rng, batch.n, batch.k, cfg.T)
+            draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
             with np.errstate(over="ignore", invalid="ignore"):
                 # a non-finite loss is reported below, with its epoch and batch
-                report, grad = batch_loss(batch, priors[:, idx], t_table, model,
-                                          schedule, cfg, draws)
+                report, grad = batch_loss(table.labels[idx], priors[:, idx], t_table,
+                                          model, schedule, cfg, draws)
             if not np.isfinite(report.L_total):
                 bad = [name for name, g in named_views(model, grad).items()
                        if not np.isfinite(g).all()]
@@ -383,35 +388,14 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         if checkpoint_path is not None and cfg.checkpoint_every > 0 \
                 and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
             stem, ext = os.path.splitext(os.fspath(checkpoint_path))
-            save_checkpoint(Checkpoint(model, _named_opt_state(opt, model), cfg, done,
-                                       counts), f"{stem}.epoch{done}{ext}")
+            save_checkpoint(Checkpoint(model, opt.state_dict(), cfg, done, counts),
+                            f"{stem}.epoch{done}{ext}")
 
-    ckpt = Checkpoint(model=model, opt_state=_named_opt_state(opt, model), config=cfg,
+    ckpt = Checkpoint(model=model, opt_state=opt.state_dict(), config=cfg,
                       epoch=cfg.epochs, counts=counts)
     if checkpoint_path is not None:
         save_checkpoint(ckpt, checkpoint_path)
     return ckpt
-
-
-def _named_opt_state(opt, model: ModelParams) -> dict:
-    """The optimizer's state with Adam's moment vectors as blocks named as in
-    model.denoiser_blocks(), the form checkpoints hold."""
-    state = opt.state_dict()
-    named = {"step_count": state["step_count"]}
-    if isinstance(opt, optim.Adam):
-        for moment in ("m", "v"):
-            named[moment] = named_views(model, state[moment]) if moment in state else {}
-    return named
-
-
-def _flat_opt_state(state: dict, model: ModelParams) -> dict:
-    """Inverse of _named_opt_state: named moments back to one vector each."""
-    flat = {"step_count": state["step_count"]}
-    for moment in ("m", "v"):
-        if state.get(moment):
-            flat[moment] = optim.flatten(state[moment][name]
-                                         for name in model.denoiser_blocks())
-    return flat
 
 
 def _make_opt(cfg: TrainConfig):
@@ -460,11 +444,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     The JSON goes to a temporary file next to path, which is synced and
     then renamed over path, so a failed write leaves any existing file
-    at path as it was and removes the temporary file. A block or Adam
+    at path as it was and removes the temporary file. Adam's moment
+    vectors are written as blocks named by named_views. A block or Adam
     moment holding a non-finite value raises ConfigError naming path,
     and nothing is written.
     """
+    state = ckpt.opt_state
     try:
+        moments = {m: named_views(ckpt.model, state[m]) if m in state else {}
+                   for m in ("m", "v")}
         payload = {
             "version": CHECKPOINT_VERSION,
             "epoch": ckpt.epoch,
@@ -472,11 +460,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             "config": ckpt.config.to_dict(),
             "prior_mask_size": ckpt.model.prior.mask_size,
             "blocks": _blocks_to_jsonable(ckpt.model.blocks(), "block"),
-            "optimizer": {
-                "step_count": ckpt.opt_state["step_count"],
-                "m": _blocks_to_jsonable(ckpt.opt_state.get("m", {}), "Adam moment m"),
-                "v": _blocks_to_jsonable(ckpt.opt_state.get("v", {}), "Adam moment v"),
-            },
+            "optimizer": {"step_count": state["step_count"],
+                          **{m: _blocks_to_jsonable(named, f"Adam moment {m}")
+                             for m, named in moments.items()}},
         }
     except ConfigError as exc:
         raise ConfigError(f"{path}: not written: {exc}") from exc
@@ -549,8 +535,9 @@ def _checkpoint_from(payload) -> Checkpoint:
     opt_state = {"step_count": step_count}
     for moment, state in moments.items():
         _checked(state, moment_shapes, f"Adam moment {moment}")
-        if cfg.optimizer == "adam":
-            opt_state[moment] = state
+        if moment_shapes:
+            # the optimizer's form: one vector in denoiser block order
+            opt_state[moment] = optim.flatten(state[name] for name in moment_shapes)
 
     def group(prefix: str) -> dict[str, np.ndarray]:
         return {name[len(prefix) + 1:]: arr for name, arr in blocks.items()

@@ -60,30 +60,34 @@ def total_loss_graph(tape: Tape, l_g: Var, l_l: Var, l_eps: Var, w: float) -> Va
     return tape.add(tape.scale(tape.add(l_g, l_l), w), l_eps)
 
 
-def tape_batch_loss(batch, priors, model, schedule, cfg, draws):
+def tape_batch_loss(labels, priors, model, schedule, cfg, draws):
     """batch_loss's report and gradient blocks, named as in
-    model.denoiser_blocks(), from one tape; priors is the batch's
-    (3, nb, k) global, local and fused priors. The time embeddings are
-    computed per row, not gathered from a table."""
-    nb = batch.n
+    model.denoiser_blocks(), from one tape; labels is the batch's (nb,)
+    class labels and priors its (3, nb, k) global, local and fused priors.
+    The time embeddings are computed per row, not gathered from a table,
+    and the corruption is written out per branch."""
+    _, nb, k = priors.shape
     tape = Tape()
     den_graph = DenoiserGraph(tape, model.denoiser)
 
-    gamma_t = schedule.gamma[batch.labels, draws.t]
+    onehot = np.zeros((nb, k))
+    onehot[np.arange(nb), labels] = 1.0
+    gamma_t = schedule.gamma[labels, draws.t]
     root = np.sqrt(gamma_t)[:, None]
     noise_scale = np.sqrt(1.0 - gamma_t)[:, None]
-    signal = tape.const(np.concatenate([root * batch.onehot + noise_scale * draws.eps[b]
-                                        for b in BRANCHES]))
-    prior_coef = tape.const(np.tile(1.0 - root, (len(BRANCHES), batch.k)))
+    signal = tape.const(np.concatenate([root * onehot + noise_scale * draws.eps[i]
+                                        for i in range(len(BRANCHES))]))
+    prior_coef = tape.const(np.tile(1.0 - root, (len(BRANCHES), k)))
     prior_rows = tape.const(np.concatenate(list(priors)))
     y_t = tape.add(signal, tape.mul(prior_coef, prior_rows))
     stacked = den_graph.predict(y_t, prior_rows, np.tile(draws.t, len(BRANCHES)), cfg.T)
     eps_hat = {b: tape.rows(stacked, i * nb, (i + 1) * nb) for i, b in enumerate(BRANCHES)}
 
     kernel = cfg.kernel_cfg()
-    l_g = mmd_loss_graph(tape, tape.const(draws.eps["global"]), eps_hat["global"], kernel)
-    l_l = mmd_loss_graph(tape, tape.const(draws.eps["local"]), eps_hat["local"], kernel)
-    l_eps = eps_loss_graph(tape, tape.const(draws.eps["fused"]), eps_hat["fused"])
+    eps = dict(zip(BRANCHES, draws.eps))
+    l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], kernel)
+    l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], kernel)
+    l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
     l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
 
     report = LossReport(L_g=scalar(l_g), L_l=scalar(l_l), L_eps=scalar(l_eps),

@@ -36,15 +36,6 @@ def test_matmul_matches_triple_loop():
     assert np.allclose(out.value, expected, rtol=0, atol=1e-12)
 
 
-def test_matmul_trans_b():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((2, 4))
-    tape = Tape()
-    out = tape.matmul(tape.const(a), tape.const(b), trans_b=True)
-    assert np.allclose(out.value, a @ b.T, rtol=0, atol=0)
-
-
 def test_matmul_shape_error():
     tape = Tape()
     with pytest.raises(ShapeError):
@@ -136,7 +127,8 @@ def test_backward_requires_scalar_root():
 def test_gradient_check_per_op(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = rng.standard_normal((3, 4))
-    b = rng.standard_normal({"affine": (4, 4), "rbf_mean": (5, 4)}.get(op, (3, 4)))
+    b = rng.standard_normal({"matmul": (4, 3), "affine": (4, 4), "rbf_mean": (5, 4)}.get(
+        op, (3, 4)))
     operands = [a, b] + ([rng.standard_normal((1, 4))] if op == "affine" else [])
 
     def build():
@@ -144,7 +136,7 @@ def test_gradient_check_per_op(op):
         vs = [tape.param(x) for x in operands]
         av, bv = vs[:2]
         if op == "matmul":
-            out = tape.matmul(av, bv, trans_b=True)
+            out = tape.matmul(av, bv)
         elif op == "affine":
             out = tape.affine(av, bv, vs[2])
         elif op == "add":

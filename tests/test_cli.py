@@ -328,6 +328,30 @@ def test_sweep_pool_is_sized_from_cpu_count_and_cells(tmp_path, capsys, monkeypa
     assert sizes == [workers]  # four cells
 
 
+@pytest.mark.parametrize("fraction", ["1.0", "0", "-0.5", "nan"])
+def test_sweep_rejects_a_test_fraction_outside_the_unit_interval(tmp_path, capsys, fraction):
+    out = tmp_path / "sweep"
+    code, _, err = run(_SWEEP + ["--test-fraction", fraction, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: --test-fraction must lie in (0, 1), got {float(fraction)}\n"
+    assert not out.exists()
+
+
+def test_train_resume_rejects_a_model_the_flags_do_not_describe(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run(small_train_args(first, ["--hidden", "8"]), capsys)[0] == 0
+    for extra, block in ((["--hidden", "16"], "denoiser.fuse_w' has shape (6, 8), expected "
+                          "(6, 16)"),
+                         (["--hidden", "8", "--k", "4"], "prior.w2' has shape (32, 3), "
+                          "expected (32, 4)")):
+        out = tmp_path / "resumed"
+        code, _, err = run(small_train_args(out, [*extra, "--epochs", "4", "--resume",
+                                                  str(first / "checkpoint.json")]), capsys)
+        assert code == 1
+        assert err == f"error: resumed block '{block}\n"
+        assert not (out / "checkpoint.json").exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
@@ -451,6 +475,9 @@ CLI_FAILURES = {
     "train-beta1-lost-to-rounding": (None, ["train", *_SMALL, "--beta1", "1e-30"], 1),
     "sweep-infeasible-cell": (None, ["sweep", *_SMALL, "--alphas", "0.25", "--cs", "1,1e5"],
                               1),
+    # every class rounds to 0 training rows
+    "sweep-empty-training-split": (None, ["sweep", *_SMALL, "--alphas", "0.25", "--cs", "1",
+                                          "--test-fraction", "0.99"], 1),
     "train-seed-negative": (None, ["train", *_SMALL, "--seed", "-1"], 1),
     "train-data-seed-negative": (None, ["train", *_SMALL, "--data-seed", "-1"], 1),
     "sweep-seed-negative": (None, ["sweep", *_SMALL, "--seed", "-1"], 1),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adpm import optim
 from adpm.autodiff import Tape
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.priors import (PriorGraph, PriorNetParams, mlp_forward, prior_bundle,
@@ -153,7 +154,7 @@ def test_warmup_converges_on_separable_toy():
     table = two_blob_table()
     assert _logistic_fit_accuracy(table) >= 0.99  # data really is separable
     params = random_params(2, 8, 2, 2, seed=9)
-    trained = warmup_train(params, table, epochs=200, lr=0.01, seed=1)
+    trained = warmup_train(params, table, 200, optim.Adam(0.01), seed=1)
     preds = np.argmax(prior_bundle(trained, table.features).y_g, axis=1)
     acc = float(np.mean(preds == table.labels))
     assert acc >= 0.99
@@ -162,7 +163,7 @@ def test_warmup_converges_on_separable_toy():
 def test_warmup_zero_epochs_is_bitwise_noop():
     table = two_blob_table(n=10)
     params = random_params(2, 4, 2, 1, seed=10)
-    out = warmup_train(params, table, epochs=0)
+    out = warmup_train(params, table, 0, optim.Adam())
     for name, arr in params.blocks().items():
         assert np.array_equal(out.blocks()[name], arr)
 
@@ -173,8 +174,7 @@ def test_warmup_full_batch_descent_monotone():
     losses = [warmup_loss(params, table)]
     current = params
     for epoch in range(50):
-        current = warmup_train(current, table, epochs=1, lr=0.05,
-                               optimizer="sgd", seed=12)
+        current = warmup_train(current, table, 1, optim.Sgd(0.05), seed=12)
         losses.append(warmup_loss(current, table))
     diffs = np.diff(losses)
     assert (diffs <= 1e-6).all()

@@ -11,6 +11,7 @@ from adpm import optim
 from adpm.autodiff import Tape, scalar
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.denoiser import DenoiserParams, time_embed_batch
+from adpm.diffusion import forward_kernel, forward_sample
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError
 from adpm.inference import classify_dataset
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
@@ -44,7 +45,7 @@ def loss_and_grads(table, model, schedule, cfg, draws):
     """batch_loss on all of table, with fit's tables for it and the
     gradient as named blocks."""
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
-    report, grad = batch_loss(table, priors, t_table, model, schedule, cfg, draws)
+    report, grad = batch_loss(table.labels, priors, t_table, model, schedule, cfg, draws)
     return report, named_views(model, grad)
 
 
@@ -77,8 +78,7 @@ def test_fit_deterministic_bitwise():
     a = fit(table, cfg)
     b = fit(table, cfg)
     assert blocks_equal(a.model.blocks(), b.model.blocks())
-    assert a.opt_state["step_count"] == b.opt_state["step_count"]
-    assert blocks_equal(a.opt_state["m"], b.opt_state["m"])
+    assert blocks_equal(a.opt_state, b.opt_state)
 
 
 def test_infeasible_schedule_fails_before_any_mutation():
@@ -136,14 +136,63 @@ def test_batch_loss_matches_the_tape_bitwise(k, rows, cfg_kw):
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
     idx = np.arange(rows)
     draws = draw_batch_noise(np.random.default_rng(k + rows), batch.n, batch.k, cfg.T)
-    report, grad = batch_loss(batch, priors[:, idx], t_table, model, schedule, cfg, draws)
-    ref_report, ref_grads = tape_batch_loss(batch, priors[:, idx], model, schedule, cfg,
-                                            draws)
+    report, grad = batch_loss(batch.labels, priors[:, idx], t_table, model, schedule, cfg,
+                              draws)
+    ref_report, ref_grads = tape_batch_loss(batch.labels, priors[:, idx], model, schedule,
+                                            cfg, draws)
     assert report == ref_report
     grads = named_views(model, grad)
     assert list(grads) == list(ref_grads) and len(grads) == 12
     for name, ref in ref_grads.items():
         assert grads[name].tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("nb, k", [(32, 6), (29, 3), (1, 1), (5, 7)])
+def test_stacked_noise_draw_is_the_three_branch_draws_in_order(nb, k):
+    # the epoch-stream contract: one (3, nb, k) draw gives the bits of the
+    # timesteps and then three (nb, k) draws in branch order g, l, f, and
+    # leaves the stream where those draws leave it
+    stacked, sequential = (np.random.default_rng([5, 2, 1]) for _ in range(2))
+    draws = draw_batch_noise(stacked, nb, k, 40)
+    t = sequential.integers(1, 41, size=nb)
+    eps = [sequential.standard_normal((nb, k)) for _ in BRANCHES]
+    assert draws.t.tobytes() == t.tobytes()
+    assert draws.eps.shape == (len(BRANCHES), nb, k)
+    for branch, e in zip(draws.eps, eps):
+        assert branch.tobytes() == e.tobytes()
+    assert stacked.bit_generator.state == sequential.bit_generator.state
+    assert stacked.standard_normal(3).tobytes() == sequential.standard_normal(3).tobytes()
+
+
+def test_forward_sample_and_batch_loss_corrupt_through_forward_kernel(monkeypatch):
+    calls = []
+
+    def recording(gamma, y0, eps, prior):
+        calls.append(forward_kernel(gamma, y0, eps, prior))
+        return calls[-1]
+    monkeypatch.setattr("adpm.diffusion.forward_kernel", recording)
+    monkeypatch.setattr("adpm.trainer.forward_kernel", recording)
+    table, batch, cfg = _desk_batch(rows=8)
+    schedule = noise_schedule(table.class_counts(), cfg)
+    draw = forward_sample(schedule, 2, np.eye(table.k)[2], np.full(table.k, 0.1), 30,
+                          np.random.default_rng(0))
+    assert len(calls) == 1 and calls[0] is draw.y_t
+
+    # batch_loss corrupts the whole (3, nb, k) stack in one call and feeds
+    # that output to the denoiser
+    inputs = []
+    forward = DenoiserParams.forward
+
+    def recording_forward(self, y_t, *rest):
+        inputs.append(y_t)
+        return forward(self, y_t, *rest)
+    monkeypatch.setattr(DenoiserParams, "forward", recording_forward)
+    model = init_model(table.d, table.k, cfg)
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+    draws = draw_batch_noise(np.random.default_rng(1), batch.n, batch.k, cfg.T)
+    batch_loss(batch.labels, priors[:, :batch.n], t_table, model, schedule, cfg, draws)
+    assert len(calls) == 2 and calls[1].shape == (len(BRANCHES), batch.n, batch.k)
+    assert inputs[0].tobytes() == calls[1].tobytes()
 
 
 def test_fit_trains_on_the_whole_table_priors(monkeypatch):
@@ -155,9 +204,9 @@ def test_fit_trains_on_the_whole_table_priors(monkeypatch):
     seen = []
     original = batch_loss
 
-    def recording(batch, priors, t_table, *rest):
-        seen.append((batch, priors, t_table))
-        return original(batch, priors, t_table, *rest)
+    def recording(labels, priors, t_table, *rest):
+        seen.append((labels, priors, t_table))
+        return original(labels, priors, t_table, *rest)
     monkeypatch.setattr("adpm.trainer.batch_loss", recording)
     ckpt = fit(table, cfg)
     bundle = prior_bundle(ckpt.model.prior, table.features)
@@ -167,8 +216,8 @@ def test_fit_trains_on_the_whole_table_priors(monkeypatch):
         order = np.random.default_rng([cfg.seed, 2, epoch]).permutation(table.n)
         for start in range(0, table.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch, priors, used_table = seen[step]
-            assert np.array_equal(batch.features, table.features[idx])
+            labels, priors, used_table = seen[step]
+            assert np.array_equal(labels, table.labels[idx])
             for branch, rows in zip(priors, (bundle.y_g, bundle.y_l, bundle.y_f)):
                 assert branch.tobytes() == rows[idx].tobytes()
             assert used_table.tobytes() == t_table.tobytes()
@@ -190,7 +239,7 @@ def test_eps_term_gradient_is_additive_over_samples():
         y_f = prior_bundle(model.prior, sub.features).y_f
         gamma_t = schedule.gamma[sub.labels, draws.t[rows]]
         root = np.sqrt(gamma_t)[:, None]
-        eps = draws.eps["fused"][rows]
+        eps = draws.eps[BRANCHES.index("fused")][rows]
         y_t = root * sub.onehot + np.sqrt(1 - gamma_t)[:, None] * eps + (1.0 - root) * y_f
         acts = model.denoiser.forward(
             y_t, y_f, time_embed_batch(draws.t[rows], cfg.T, cfg.time_dim))
@@ -239,9 +288,9 @@ def test_log_grad_norm_is_the_mean_step_gradient_norm(tmp_path):
     norms = []
     for start in range(0, table.n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
-        batch = table.take(idx)
-        draws = draw_batch_noise(rng, batch.n, batch.k, cfg.T)
-        _, grad = batch_loss(batch, priors[:, idx], t_table, model, schedule, cfg, draws)
+        draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
+        _, grad = batch_loss(table.labels[idx], priors[:, idx], t_table, model, schedule, cfg,
+                             draws)
         norms.append(np.linalg.norm(grad))
         opt.step(params, grad, lr=optim.lr_at(opt.step_count, total, cfg.learning_rate,
                                                cfg.lr_warmup_frac))
@@ -256,8 +305,7 @@ def test_log_leaves_the_trained_bits_unchanged(tmp_path):
     quiet = fit(table, cfg)
     logged = fit(table, cfg, log_path=tmp_path / "log.jsonl")
     assert blocks_equal(quiet.model.blocks(), logged.model.blocks())
-    for moment in ("m", "v"):
-        assert blocks_equal(quiet.opt_state[moment], logged.opt_state[moment])
+    assert blocks_equal(quiet.opt_state, logged.opt_state)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -268,15 +316,14 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
     assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
-    # Adam keeps moments for the trained denoiser blocks only
-    for moment in ("m", "v"):
-        assert set(ckpt.opt_state[moment]) == set(ckpt.model.denoiser_blocks())
-        assert blocks_equal(loaded.opt_state[moment], ckpt.opt_state[moment])
-    assert loaded.opt_state["step_count"] == ckpt.opt_state["step_count"]
+    assert blocks_equal(loaded.opt_state, ckpt.opt_state)
     assert loaded.counts == ckpt.counts
     assert loaded.config == ckpt.config
     payload = json.loads(path.read_text())
     assert payload["version"] == 2 and "prior_frozen" not in payload
+    # Adam keeps moments for the trained denoiser blocks only, named per block
+    for moment in ("m", "v"):
+        assert set(payload["optimizer"][moment]) == set(ckpt.model.denoiser_blocks())
 
 
 @pytest.fixture(scope="module")
@@ -304,8 +351,7 @@ def test_legacy_attention_blocks_are_ignored_on_load(tmp_path, saved_run):
     path.write_text(json.dumps(payload))
     loaded = load_checkpoint(path)
     assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
-    assert blocks_equal(loaded.opt_state["m"], ckpt.opt_state["m"])
-    assert blocks_equal(loaded.opt_state["v"], ckpt.opt_state["v"])
+    assert blocks_equal(loaded.opt_state, ckpt.opt_state)
     a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
     assert np.array_equal(a.predictions, b.predictions)
     assert a.results.y0.tobytes() == b.results.y0.tobytes()
@@ -464,10 +510,10 @@ def test_save_checkpoint_refuses_non_finite_values(tmp_path, saved_run, section)
     _, ckpt, _ = saved_run
     model = ckpt.model.copy()
     opt_state = {"step_count": ckpt.opt_state["step_count"],
-                 "m": {n: a.copy() for n, a in ckpt.opt_state["m"].items()},
-                 "v": {n: a.copy() for n, a in ckpt.opt_state["v"].items()}}
+                 "m": ckpt.opt_state["m"].copy(), "v": ckpt.opt_state["v"].copy()}
     target = {"model": model.denoiser_blocks(), "prior": model.prior.blocks(),
-              "m": opt_state["m"], "v": opt_state["v"]}[section]
+              "m": named_views(model, opt_state["m"]),
+              "v": named_views(model, opt_state["v"])}[section]
     name = sorted(target)[-1]
     target[name][0, 0] = np.inf
     bad = Checkpoint(model, opt_state, ckpt.config, ckpt.epoch, ckpt.counts)
@@ -476,6 +522,48 @@ def test_save_checkpoint_refuses_non_finite_values(tmp_path, saved_run, section)
         save_checkpoint(bad, path)
     assert str(path) in str(info.value)
     assert os.listdir(tmp_path) == []
+
+
+def test_fit_rejects_an_empty_table_before_warmup(tmp_path, monkeypatch):
+    def no_warmup(*args, **kwargs):
+        raise AssertionError("fit warmed up on an empty table")
+    monkeypatch.setattr("adpm.trainer.warmup_train", no_warmup)
+    path = tmp_path / "ckpt.json"
+    empty = toy_table().take([])
+    with pytest.raises(ConfigError, match="^the training table has no rows$"):
+        fit(empty, toy_config(), checkpoint_path=path, log_path=tmp_path / "log.jsonl")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"cfg": {"hidden": 16}},
+     r"resumed block 'denoiser.fuse_w' has shape \(6, 8\), expected \(6, 16\)"),
+    ({"table": {"k": 4}}, r"resumed block 'prior.w2' has shape \(6, 3\), expected \(6, 4\)"),
+    ({"table": {"d": 5}}, r"resumed block 'prior.w1' has shape \(4, 6\), expected \(5, 6\)")],
+    ids=["wider-denoiser", "more-classes", "more-features"])
+def test_resume_rejects_blocks_the_config_does_not_describe(tmp_path, saved_run, monkeypatch,
+                                                            change, message):
+    _, ckpt, _ = saved_run
+    calls = []
+    monkeypatch.setattr("adpm.trainer.batch_loss", lambda *args: calls.append(args))
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        fit(toy_table(**change.get("table", {})), toy_config(**change.get("cfg", {})),
+            checkpoint_path=path, resume=ckpt)
+    assert calls == [] and os.listdir(tmp_path) == []
+
+
+def test_warmup_runs_adam_with_the_configs_settings():
+    table = toy_table()
+    cfg = toy_config(epochs=0, adam_beta1=0.5, adam_beta2=0.9, adam_eps=1e-3)
+    start = init_model(table.d, table.k, cfg).prior
+    ckpt = fit(table, cfg)
+    expected = warmup_train(start, table, cfg.warmup_epochs,
+                            optim.Adam(cfg.learning_rate, 0.5, 0.9, 1e-3),
+                            batch_size=cfg.batch_size, seed=cfg.seed)
+    assert blocks_equal(ckpt.model.prior.blocks(), expected.blocks())
+    default = fit(table, toy_config(epochs=0))
+    assert not blocks_equal(ckpt.model.prior.blocks(), default.model.prior.blocks())
 
 
 def test_fit_stops_when_the_loss_is_not_finite(tmp_path):
@@ -595,9 +683,7 @@ def test_resume_is_bitwise_equivalent(tmp_path):
     assert half.epoch == 3
     resumed = fit(table, full_cfg, resume=half)
     assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
-    assert resumed.opt_state["step_count"] == uninterrupted.opt_state["step_count"]
-    assert blocks_equal(resumed.opt_state["m"], uninterrupted.opt_state["m"])
-    assert blocks_equal(resumed.opt_state["v"], uninterrupted.opt_state["v"])
+    assert blocks_equal(resumed.opt_state, uninterrupted.opt_state)
 
 
 def test_resume_of_a_sgd_run_is_bitwise(tmp_path):
@@ -621,15 +707,14 @@ def test_version_2_checkpoint_of_the_block_wise_trainer_resumes():
     resumed = fit(table, cfg, resume=old)
     uninterrupted = fit(table, cfg)
     assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
-    for moment in ("m", "v"):
-        assert blocks_equal(resumed.opt_state[moment], uninterrupted.opt_state[moment])
+    assert blocks_equal(resumed.opt_state, uninterrupted.opt_state)
 
 
 def test_fit_freezes_the_prior_after_warmup(tmp_path):
     table = toy_table()
     cfg = toy_config(epochs=6, checkpoint_every=3)
     warm = warmup_train(init_model(table.d, table.k, cfg).prior, table, cfg.warmup_epochs,
-                        lr=cfg.learning_rate, optimizer=cfg.optimizer,
+                        optim.make_optimizer(cfg.optimizer, cfg.learning_rate),
                         batch_size=cfg.batch_size, seed=cfg.seed)
     path = tmp_path / "ckpt.json"
     fresh = fit(table, cfg, checkpoint_path=path)
@@ -667,8 +752,7 @@ def test_version_1_checkpoint_loads_its_frozen_prior(tmp_path, saved_run):
         json.loads(text)["blocks"]["prior.w1"]
     loaded = load_checkpoint(path)
     assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
-    for moment in ("m", "v"):
-        assert blocks_equal(loaded.opt_state[moment], ckpt.opt_state[moment])
+    assert blocks_equal(loaded.opt_state, ckpt.opt_state)
     a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
     assert np.array_equal(a.predictions, b.predictions)
     assert a.results.y0.tobytes() == b.results.y0.tobytes()
@@ -703,7 +787,7 @@ def test_lambda_override_reproduces_isotropic_reference_run():
         cfg.beta1, cfg.betaT, cfg.T))])
     model = init_model(table.d, table.k, cfg)
     model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
-                               lr=cfg.learning_rate, optimizer=cfg.optimizer,
+                               optim.Adam(cfg.learning_rate),
                                batch_size=cfg.batch_size, seed=cfg.seed)
     params = optim.flatten(model.denoiser.blocks().values())
     model.denoiser = DenoiserParams(**optim.unflatten(
