@@ -386,8 +386,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.n0 < 1 or args.n1 < 1:
-        raise CliUsage(f"--n0 and --n1 must be >= 1, got {args.n0} and {args.n1}")
+    for flag, value in (("--n0", args.n0), ("--n1", args.n1), ("--draws", args.draws),
+                        ("--mc-draws", args.mc_draws)):
+        if value < 1:
+            raise CliUsage(f"{flag} must be >= 1, got {value}")
     if args.pop_size < args.n0 + args.n1:
         raise CliUsage(f"--pop-size must be at least --n0 + --n1 = {args.n0 + args.n1}, "
                        f"got {args.pop_size}")

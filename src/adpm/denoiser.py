@@ -201,17 +201,11 @@ class Activations:
 
 
 def predict_noise(params: DenoiserParams, y_noisy, y_prior, t: int, T: int) -> np.ndarray:
-    """Noise prediction at step t, shared by all rows.
-
-    One input as 1-D arrays gives a 1-D result; (n, .) arrays give one
-    row per input.
-    """
-    y_noisy = np.asarray(y_noisy, dtype=np.float64)
-    noisy = np.atleast_2d(y_noisy)
-    prior = np.atleast_2d(np.asarray(y_prior, dtype=np.float64))
-    shape = (noisy.shape[0], params.k)
-    if noisy.shape != shape or prior.shape != shape:
+    """Noise prediction at step t, shared by all rows: (n, k) noisy labels
+    and their (n, k) priors give one (n, k) row per input."""
+    noisy = np.asarray(y_noisy, dtype=np.float64)
+    prior = np.asarray(y_prior, dtype=np.float64)
+    if noisy.ndim != 2 or noisy.shape[1] != params.k or prior.shape != noisy.shape:
         raise ShapeError(f"y_noisy and y_prior must both have shape (n, {params.k}), "
                          f"got {noisy.shape} and {prior.shape}")
-    out = params.forward(noisy, prior, time_embed(t, T, params.t_emb_dim)[None, :]).out
-    return out[0] if y_noisy.ndim == 1 else out
+    return params.forward(noisy, prior, time_embed(t, T, params.t_emb_dim)[None, :]).out

@@ -58,7 +58,6 @@ class ForwardDraw:
     """One corrupted label vector plus the Gaussian draw that made it."""
 
     t: int
-    branch: str
     y_t: np.ndarray
     eps: np.ndarray
 
@@ -97,8 +96,7 @@ class SampleBatch(Sequence):
                             trace=trace)
 
 
-def forward_sample(schedule: NoiseSchedule, class_j: int, y0, prior, t: int,
-                   rng, branch: str = "fused") -> ForwardDraw:
+def forward_sample(schedule: NoiseSchedule, class_j: int, y0, prior, t: int, rng) -> ForwardDraw:
     """Corrupt y0 to step t with class_j's noise level.
 
     t = 0 is allowed and returns y0 exactly (gamma^0 = 1). The Gaussian
@@ -113,7 +111,7 @@ def forward_sample(schedule: NoiseSchedule, class_j: int, y0, prior, t: int,
     prior = np.asarray(prior, dtype=np.float64)
     eps = rng.standard_normal(y0.shape)
     y_t = forward_kernel(schedule.gamma[class_j, t], y0, eps, prior)
-    return ForwardDraw(t=t, branch=branch, y_t=y_t, eps=eps)
+    return ForwardDraw(t=t, y_t=y_t, eps=eps)
 
 
 def forward_kernel(gamma, y0, eps, prior) -> np.ndarray:

@@ -67,10 +67,8 @@ class PriorNetParams:
 
 @dataclass(frozen=True)
 class PriorBundle:
-    """Global, local and fused prior probability vectors.
-
-    Each is a (k,) vector for one input or an (n, k) matrix for n inputs.
-    """
+    """Global, local and fused prior probabilities of n inputs, each an
+    (n, k) matrix."""
 
     y_g: np.ndarray
     y_l: np.ndarray
@@ -169,9 +167,3 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, 
             _, grads = _cross_entropy_grads(out, table.features[idx], onehot[idx])
             opt.step(flat, optim.flatten(grads.values()))
     return out
-
-
-def warmup_loss(params: PriorNetParams, table: DatasetTable) -> float:
-    """Full-dataset cross entropy of the prior classifier."""
-    loss, _ = _cross_entropy_grads(params, table.features, table.onehot)
-    return loss

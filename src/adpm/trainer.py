@@ -35,10 +35,8 @@ A checkpoint (version 2) holds the one prior network, the denoiser,
 Adam's moments of the denoiser blocks, the config and the training
 census. In memory, Checkpoint.opt_state is the optimizer's own
 state_dict(), each moment one vector; only the file names the moments
-per block (named_views), and loading flattens them back. A version-1
-file held a second, jointly trained copy of the prior; it loads with
-its post-warmup "prior_frozen" section as the prior and its jointly
-trained prior blocks and their moments dropped.
+per block (named_views), and loading flattens them back. Version 2 is
+the only format that loads.
 """
 
 from __future__ import annotations
@@ -62,10 +60,6 @@ from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_sched
                        lambda_vector, linear_beta)
 
 CHECKPOINT_VERSION = 2
-# the query/key projections of the former single-key attention and the former
-# feature encoder never got a gradient; checkpoints that still hold them load
-# with them dropped
-LEGACY_BLOCKS = ("denoiser.wq", "denoiser.wk", "encoder.w", "encoder.b")
 _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
                       "blocks", "optimizer")
 BRANCHES = ("global", "local", "fused")
@@ -323,9 +317,11 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     losses, the learning rate of its last step and the mean 2-norm of
     its steps' gradients.
 
-    A table with no rows, and a resumed model whose blocks do not have
-    the shapes cfg and the table imply, raise ConfigError before any
-    step.
+    A resume continues an uninterrupted run of cfg bitwise when cfg
+    equals the checkpoint's config; it may change any setting but the
+    optimizer and the model's shapes, and it may not start beyond
+    cfg.epochs. A table with no rows, and a resume that breaks one of
+    these rules, raise ConfigError before any step.
     """
     if table.n == 0:
         raise ConfigError("the training table has no rows")
@@ -333,6 +329,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     schedule = noise_schedule(counts, cfg)
 
     if resume is not None:
+        if resume.config.optimizer != cfg.optimizer:
+            raise ConfigError(f"cannot resume with {cfg.optimizer} after {resume.config.optimizer}")
+        if resume.epoch > cfg.epochs:
+            raise ConfigError(f"cannot resume at epoch {resume.epoch} of a {cfg.epochs}-epoch run")
         _checked(resume.model.blocks(), model_shapes(table.d, table.k, cfg), "resumed block")
         model = resume.model.copy()
         start_epoch = resume.epoch
@@ -415,11 +415,8 @@ def _blocks_to_jsonable(blocks: dict[str, np.ndarray], what: str) -> dict:
 def _blocks_from_jsonable(obj) -> dict[str, np.ndarray]:
     if not isinstance(obj, dict):
         raise ConfigError("a block section is not a JSON object")
-    out = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-           for name, entry in obj.items()}
-    for name in LEGACY_BLOCKS:
-        out.pop(name, None)
-    return out
+    return {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in obj.items()}
 
 
 def _checked(blocks: dict[str, np.ndarray], shapes: dict[str, tuple],
@@ -482,10 +479,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
     Raises ConfigError naming path unless the file is JSON of version 2
-    (or 1, read as the module docstring says) with every field, holds
-    every model block and denoiser Adam moment in the shape its config
-    and class counts imply, and holds only finite values. LEGACY_BLOCKS
-    are ignored.
+    with every field, holds exactly the model blocks and denoiser Adam
+    moments its config and class counts imply, each in its shape, and
+    holds only finite values.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -504,7 +500,7 @@ def _checkpoint_from(payload) -> Checkpoint:
         if key not in payload:
             raise ConfigError(f"checkpoint missing field {key!r}")
     version = payload["version"]
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version!r}")
     cfg = TrainConfig.from_dict(payload["config"])
     counts = tuple(int(c) for c in payload["counts"])
@@ -513,15 +509,6 @@ def _checkpoint_from(payload) -> Checkpoint:
     mask = int(payload["prior_mask_size"])
     blocks = _blocks_from_jsonable(payload["blocks"])
     moments = {m: _blocks_from_jsonable(payload["optimizer"][m]) for m in ("m", "v")}
-    if version == 1:
-        # the post-warmup prior replaces the jointly trained one
-        if "prior_frozen" not in payload:
-            raise ConfigError("version-1 checkpoint missing field 'prior_frozen'")
-        frozen = _blocks_from_jsonable(payload["prior_frozen"])
-        for section in (blocks, *moments.values()):
-            for name in [n for n in section if n.startswith("prior.")]:
-                del section[name]
-        blocks.update({f"prior.{name}": arr for name, arr in frozen.items()})
     # the feature dimension is stored only as the first prior layer's rows
     w1 = blocks.get("prior.w1")
     if w1 is None or w1.ndim != 2:

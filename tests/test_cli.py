@@ -352,6 +352,25 @@ def test_train_resume_rejects_a_model_the_flags_do_not_describe(tmp_path, capsys
         assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("first, snapshot, resumed, message", [
+    (["--optimizer", "sgd"], "checkpoint.epoch2.json", ["--optimizer", "adam", "--epochs", "4"],
+     "cannot resume with adam after sgd"),
+    ([], "checkpoint.json", ["--epochs", "2"],
+     "cannot resume at epoch 4 of a 2-epoch run")],
+    ids=["changed-optimizer", "epoch-beyond-config"])
+def test_train_resume_rejects_a_run_it_cannot_continue(tmp_path, capsys, first, snapshot,
+                                                       resumed, message):
+    full = tmp_path / "full"
+    assert run(small_train_args(full, [*first, "--epochs", "4", "--checkpoint-every", "2"]),
+               capsys)[0] == 0
+    out = tmp_path / "resumed"
+    code, _, err = run(small_train_args(out, [*resumed, "--resume", str(full / snapshot)]),
+                       capsys)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
@@ -427,7 +446,8 @@ def test_each_subcommand_keeps_its_option_strings():
         == expected
 
 
-# each case: the input file it writes (or None), the command and the exit code
+# each case: the input file it writes (or None, or a function that edits the
+# payload of a trained checkpoint into it), the command and the exit code
 _TINY = ["--synthetic", "--k", "3", "--head-count", "12", "--decay", "0.6", "--dim", "3",
          "--sample-steps", "5", "--epochs", "2", "--warmup-epochs", "1", "--seed", "1"]
 _SMALL = [*_TINY, "--T", "15", "--hidden", "6"]
@@ -458,6 +478,8 @@ CLI_FAILURES = {
     "bound-grid-directions-negative": (None, [*_BOUND, "--grid-directions", "-1"], 1),
     "bound-n0-zero": (None, [*_BOUND, "--n0", "0"], 2),
     "bound-n1-zero": (None, [*_BOUND, "--n1", "0"], 2),
+    "bound-draws-zero": (None, [*_BOUND, "--draws", "0"], 2),
+    "bound-mc-draws-zero": (None, [*_BOUND, "--mc-draws", "0"], 2),
     "bound-nan-alpha": (None, [*_BOUND, "--alpha", "nan"], 1),
     "bound-inf-alpha": (None, [*_BOUND, "--alpha", "inf"], 1),
     "bound-pop-size-zero": (None, [*_BOUND, "--pop-size", "0"], 2),
@@ -487,6 +509,13 @@ CLI_FAILURES = {
                                   "--seed", "-1"], 1),
     "sample-seed-negative": (None, ["sample", "--checkpoint", "{checkpoint}",
                                     "--data", "{test}", "--seed", "-1"], 1),
+    "eval-version-1-checkpoint": (lambda ckpt: {**ckpt, "version": 1},
+                                  ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
+    # a block of the former feature encoder
+    "eval-legacy-block-checkpoint": (
+        lambda ckpt: {**ckpt, "blocks": {**ckpt["blocks"],
+                                         "encoder.b": {"shape": [1, 6], "data": [0.25] * 6}}},
+        ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
 }
 
 
@@ -494,12 +523,14 @@ CLI_FAILURES = {
 def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
     content, argv, expected = CLI_FAILURES[case]
     path = tmp_path / "input"
-    if content is not None:
-        path.write_bytes(content)
     fill = {"{file}": str(path)}
-    if "{checkpoint}" in argv:
+    if "{test}" in argv:
         checkpoint, test_csv, _ = _trained_run(tmp_path, capsys)
         fill.update({"{checkpoint}": str(checkpoint), "{test}": str(test_csv)})
+    if callable(content):
+        path.write_text(json.dumps(content(json.loads(checkpoint.read_text()))))
+    elif content is not None:
+        path.write_bytes(content)
     out = tmp_path / "out"
     argv = [fill.get(arg, arg) for arg in argv]
     code, _, err = run([*argv, "--out", str(out)], capsys)
@@ -507,6 +538,15 @@ def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("error:") == 1
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--draws", "--mc-draws"])
+def test_bound_names_a_draw_count_below_one(tmp_path, capsys, flag):
+    out = tmp_path / "bound"
+    code, _, err = run([*_BOUND, flag, "0", "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {flag} must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_bound_report(tmp_path, capsys):

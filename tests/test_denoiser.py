@@ -74,15 +74,15 @@ def test_init_discards_two_draws_after_encoder():
 
 def test_predict_noise_zero_weights_zero_output():
     params = zero_params()
-    out = predict_noise(params, np.ones(3), np.ones(3), 5, 10)
-    assert np.array_equal(out, np.zeros(3))
+    out = predict_noise(params, np.ones((1, 3)), np.ones((1, 3)), 5, 10)
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_predict_noise_deterministic():
     params = make_params(seed=3)
     rng = np.random.default_rng(4)
     rng.standard_normal(6)  # the former cond draw, kept so yn and yp keep their values
-    yn, yp = rng.standard_normal(3), rng.dirichlet(np.ones(3))
+    yn, yp = rng.standard_normal((1, 3)), rng.dirichlet(np.ones(3), size=1)
     a = predict_noise(params, yn, yp, 7, 20)
     b = predict_noise(params, yn, yp, 7, 20)
     assert np.array_equal(a, b)
@@ -92,7 +92,7 @@ def test_predict_noise_time_sensitivity():
     params = make_params(seed=5)
     rng = np.random.default_rng(6)
     rng.standard_normal(6)  # the former cond draw
-    yn, yp = rng.standard_normal(3), rng.dirichlet(np.ones(3))
+    yn, yp = rng.standard_normal((1, 3)), rng.dirichlet(np.ones(3), size=1)
     a = predict_noise(params, yn, yp, 3, 20)
     b = predict_noise(params, yn, yp, 15, 20)
     assert float(np.linalg.norm(a - b)) > 0.0
@@ -112,8 +112,8 @@ def test_predict_noise_matches_tape_graph():
         got = predict_noise(params, yn, yp, t, 20)
         assert got.shape == (n, 3)
         assert np.abs(got - ref).max() <= 1e-12
-        assert np.array_equal(predict_noise(params, yn[0], yp[0], t, 20),
-                              predict_noise(params, yn[:1], yp[:1], t, 20)[0])
+        one = predict_noise(params, yn[:1], yp[:1], t, 20)
+        assert one.shape == (1, 3) and np.abs(one - ref[:1]).max() <= 1e-12
 
 
 def test_predict_noise_builds_no_tape(monkeypatch):
@@ -130,7 +130,7 @@ def test_predict_noise_rejects_mismatched_label_shapes():
     # a bare numpy ValueError
     params = make_params(seed=15)
     for noisy, prior in [((2, 3), (3, 3)), ((3, 3), (2, 3)), ((2, 3), (2, 4)),
-                         ((2, 4), (2, 4))]:
+                         ((2, 4), (2, 4)), ((3,), (3,)), ((1, 3), (3,))]:
         with pytest.raises(ShapeError):
             predict_noise(params, np.ones(noisy), np.ones(prior), 1, 10)
 
@@ -185,7 +185,7 @@ def test_predict_noise_permutation_equivariance():
     permuted = DenoiserParams(**blocks)
 
     rng.standard_normal(5)  # the former cond draw
-    yn, yp = rng.standard_normal(k), rng.dirichlet(np.ones(k))
+    yn, yp = rng.standard_normal((1, k)), rng.dirichlet(np.ones(k), size=1)
     base = predict_noise(params, yn, yp, 6, 12)
-    twisted = predict_noise(permuted, yn[perm], yp[perm], 6, 12)
-    assert np.allclose(twisted, base[perm], rtol=0, atol=1e-12)
+    twisted = predict_noise(permuted, yn[:, perm], yp[:, perm], 6, 12)
+    assert np.allclose(twisted, base[:, perm], rtol=0, atol=1e-12)

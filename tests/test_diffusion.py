@@ -211,15 +211,15 @@ def test_sample_isotropic_reference_trajectory():
     rng = np.random.default_rng(11)
     beta = sched.beta
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    y = rng.standard_normal(k)
+    y = rng.standard_normal((1, k))
     for t in range(T, 0, -1):
-        z = rng.standard_normal(k)
-        eps_hat = predict_noise(params, y, np.zeros(k), t, T)
+        z = rng.standard_normal((1, k))
+        eps_hat = predict_noise(params, y, np.zeros((1, k)), t, T)
         sigma = np.sqrt(beta[t - 1] * (1.0 - alpha_bar[t - 1]) / (1.0 - alpha_bar[t]))
         y = (y - beta[t - 1] / np.sqrt(1.0 - alpha_bar[t]) * eps_hat) \
             / np.sqrt(1.0 - beta[t - 1]) + sigma * z
     assert res.lam == 1.0
-    assert np.abs(res.y0 - y).max() < 1e-12
+    assert np.abs(res.y0 - y[0]).max() < 1e-12
 
 
 def test_signal_coefficient_ordering_across_classes():

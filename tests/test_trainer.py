@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -13,9 +14,8 @@ from adpm.data import LongTailSpec, generate_longtail
 from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.diffusion import forward_kernel, forward_sample
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError
-from adpm.inference import classify_dataset
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
-from adpm.trainer import (BRANCHES, LEGACY_BLOCKS, Checkpoint, TrainConfig, batch_loss,
+from adpm.trainer import (BRANCHES, Checkpoint, TrainConfig, batch_loss,
                           draw_batch_noise, fit, fit_tables, init_model, load_checkpoint,
                           model_shapes, named_views, noise_schedule, save_checkpoint)
 
@@ -335,26 +335,28 @@ def saved_run(tmp_path_factory):
     return table, ckpt, path.read_text()
 
 
-def test_legacy_attention_blocks_are_ignored_on_load(tmp_path, saved_run):
-    table, ckpt, text = saved_run
+def _as_version_1(payload):
+    payload["version"] = 1
+
+
+def _with_a_legacy_block(payload):
+    # earlier versions also stored the former query projection
+    h, d_att = payload["config"]["hidden"], payload["config"]["attn_dim"]
+    payload["blocks"]["denoiser.wq"] = {"shape": [h, d_att], "data": [0.25] * (h * d_att)}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_as_version_1, "unsupported checkpoint version 1"),
+    (_with_a_legacy_block, "unknown block 'denoiser.wq'")], ids=["version-1", "legacy-block"])
+def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, message):
+    _, _, text = saved_run
     payload = json.loads(text)
-    # earlier versions also stored the query/key projections and the feature
-    # encoder, with their moments, in these shapes
-    h, d_att = ckpt.config.hidden, ckpt.config.attn_dim
-    legacy = {"denoiser.wq": (h, d_att), "denoiser.wk": (h, d_att),
-              "encoder.w": (table.d, h), "encoder.b": (1, h)}
-    assert set(legacy) == set(LEGACY_BLOCKS)
-    for section in (payload["blocks"], payload["optimizer"]["m"], payload["optimizer"]["v"]):
-        for name, shape in legacy.items():
-            section[name] = {"shape": list(shape), "data": [0.25] * int(np.prod(shape))}
-    path = tmp_path / "legacy.json"
+    edit(payload)
+    path = tmp_path / "old.json"
     path.write_text(json.dumps(payload))
-    loaded = load_checkpoint(path)
-    assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
-    assert blocks_equal(loaded.opt_state, ckpt.opt_state)
-    a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
-    assert np.array_equal(a.predictions, b.predictions)
-    assert a.results.y0.tobytes() == b.results.y0.tobytes()
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_failed_checkpoint_write_keeps_existing_file(tmp_path, saved_run, monkeypatch):
@@ -553,6 +555,25 @@ def test_resume_rejects_blocks_the_config_does_not_describe(tmp_path, saved_run,
     assert calls == [] and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("first, resumed, message", [
+    ({"optimizer": "sgd", "epochs": 2}, {"optimizer": "adam", "epochs": 4},
+     "cannot resume with adam after sgd"),
+    ({"epochs": 4}, {"epochs": 2},
+     "cannot resume at epoch 4 of a 2-epoch run")],
+    ids=["changed-optimizer", "epoch-beyond-config"])
+def test_resume_rejects_a_run_the_config_cannot_continue(tmp_path, monkeypatch, first, resumed,
+                                                         message):
+    table = toy_table()
+    ckpt = fit(table, toy_config(**first))
+    calls = []
+    monkeypatch.setattr("adpm.trainer.batch_loss", lambda *args: calls.append(args))
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        fit(table, toy_config(**resumed), checkpoint_path=path,
+            log_path=tmp_path / "log.jsonl", resume=ckpt)
+    assert calls == [] and os.listdir(tmp_path) == []
+
+
 def test_warmup_runs_adam_with_the_configs_settings():
     table = toy_table()
     cfg = toy_config(epochs=0, adam_beta1=0.5, adam_beta2=0.9, adam_eps=1e-3)
@@ -724,47 +745,6 @@ def test_fit_freezes_the_prior_after_warmup(tmp_path):
         assert ckpt.prior_frozen is ckpt.model.prior
     assert not blocks_equal(fresh.model.denoiser_blocks(),
                             init_model(table.d, table.k, cfg).denoiser_blocks())
-
-
-def _as_version_1(text, prior_frozen=True):
-    """A version-1 payload made from a version-2 one: a different, jointly
-    trained prior in the blocks and in Adam's moments, and the loaded
-    prior as the post-warmup "prior_frozen" section."""
-    payload = json.loads(text)
-    payload["version"] = 1
-    prior = {name: entry for name, entry in payload["blocks"].items()
-             if name.startswith("prior.")}
-    if prior_frozen:
-        payload["prior_frozen"] = {name[len("prior."):]: entry for name, entry in prior.items()}
-    for section, shift in ((payload["blocks"], 0.5), (payload["optimizer"]["m"], 0.25),
-                           (payload["optimizer"]["v"], 0.125)):
-        for name, entry in prior.items():
-            section[name] = {"shape": entry["shape"],
-                             "data": [v + shift for v in entry["data"]]}
-    return json.dumps(payload)
-
-
-def test_version_1_checkpoint_loads_its_frozen_prior(tmp_path, saved_run):
-    table, ckpt, text = saved_run
-    path = tmp_path / "v1.json"
-    path.write_text(_as_version_1(text))
-    assert json.loads(path.read_text())["blocks"]["prior.w1"] != \
-        json.loads(text)["blocks"]["prior.w1"]
-    loaded = load_checkpoint(path)
-    assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
-    assert blocks_equal(loaded.opt_state, ckpt.opt_state)
-    a, b = classify_dataset(ckpt, table), classify_dataset(loaded, table)
-    assert np.array_equal(a.predictions, b.predictions)
-    assert a.results.y0.tobytes() == b.results.y0.tobytes()
-
-
-def test_version_1_checkpoint_without_frozen_prior_is_rejected(tmp_path, saved_run):
-    _, _, text = saved_run
-    path = tmp_path / "v1.json"
-    path.write_text(_as_version_1(text, prior_frozen=False))
-    with pytest.raises(ConfigError) as info:
-        load_checkpoint(path)
-    assert str(info.value) == f"{path}: version-1 checkpoint missing field 'prior_frozen'"
 
 
 def test_lambda_override_reproduces_isotropic_reference_run():
