@@ -267,10 +267,7 @@ def _training_run(args) -> tuple[TrainConfig, DatasetTable, str]:
 def cmd_train(args) -> int:
     cfg, table, out = _training_run(args)
     resume = load_checkpoint(args.resume) if args.resume else None
-    log_path = os.path.join(out, "train_log.jsonl")
-    if resume is None and os.path.exists(log_path):
-        os.remove(log_path)
-    ckpt = fit(table, cfg, log_path=log_path,
+    ckpt = fit(table, cfg, log_path=os.path.join(out, "train_log.jsonl"),
                checkpoint_path=os.path.join(out, "checkpoint.json"), resume=resume)
     _write(out, "resolved_config.json", {**cfg.to_dict(), "n": table.n, "d": table.d,
                                          "k": table.k, "counts": list(ckpt.counts)})

@@ -50,8 +50,9 @@ def time_embed_batch(ts, T: int, dim: int) -> np.ndarray:
 
 
 @dataclass
-class DenoiserParams:
-    """All trainable blocks of the noise-prediction network."""
+class DenoiserParams(optim.BlockTable):
+    """All trainable blocks of the noise-prediction network, laid out by
+    shapes()."""
 
     fuse_w: np.ndarray   # (2k, h)   label/prior concat -> latent
     fuse_b: np.ndarray   # (1, h)
@@ -66,21 +67,6 @@ class DenoiserParams:
     dec2_w: np.ndarray   # (h, k)
     dec2_b: np.ndarray   # (1, k)
 
-    def __post_init__(self):
-        h = self.fuse_w.shape[1]
-        checks = [
-            self.enc_w.shape == (h, h),
-            self.wv.shape[0] == h,
-            self.wo.shape == (self.wv.shape[1], h),
-            self.time_w.shape[1] == h,
-            self.dec1_w.shape == (h, h),
-            self.dec2_w.shape[0] == h,
-        ]
-        if not all(checks):
-            raise ShapeError("denoiser parameter blocks are mutually inconsistent")
-        if self.time_w.shape[0] % 2 != 0:
-            raise ConfigError(f"time embedding dimension must be even, got {self.time_w.shape[0]}")
-
     @property
     def k(self) -> int:
         return self.dec2_w.shape[1]
@@ -91,38 +77,20 @@ class DenoiserParams:
 
     @staticmethod
     def shapes(k: int, h: int, d_att: int, t_dim: int) -> dict[str, tuple[int, int]]:
-        """Block name -> shape, in blocks() order; init draws every block
-        in this shape."""
+        """Block name -> shape, in blocks() order."""
         return {"fuse_w": (2 * k, h), "fuse_b": (1, h), "enc_w": (h, h), "enc_b": (1, h),
                 "wv": (h, d_att), "wo": (d_att, h), "time_w": (t_dim, h), "time_b": (1, h),
                 "dec1_w": (h, h), "dec1_b": (1, h), "dec2_w": (h, k), "dec2_b": (1, k)}
 
+    def dims(self) -> tuple[int, int, int, int]:
+        """(k, h, d_att, t_dim), as the blocks give them."""
+        return (self.dec2_w.shape[-1], self.fuse_w.shape[-1], self.wv.shape[-1],
+                self.time_w.shape[0])
+
     @classmethod
     def init(cls, k: int, h: int, d_att: int, t_dim: int, rng) -> "DenoiserParams":
-        s = cls.shapes(k, h, d_att, t_dim)
-
-        def w(name):
-            return rng.standard_normal(s[name]) / np.sqrt(s[name][0])
-        fuse_w, enc_w = w("fuse_w"), w("enc_w")
-        # two (h, d_att) draws of the former query/key projections are
-        # discarded so every later block keeps its seeded values
-        w("wv"), w("wv")
-        return cls(
-            fuse_w=fuse_w, fuse_b=np.zeros(s["fuse_b"]),
-            enc_w=enc_w, enc_b=np.zeros(s["enc_b"]),
-            wv=w("wv"), wo=w("wo"),
-            time_w=w("time_w"), time_b=np.zeros(s["time_b"]),
-            dec1_w=w("dec1_w"), dec1_b=np.zeros(s["dec1_b"]),
-            dec2_w=w("dec2_w"), dec2_b=np.zeros(s["dec2_b"]),
-        )
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in (
-            "fuse_w", "fuse_b", "enc_w", "enc_b", "wv", "wo",
-            "time_w", "time_b", "dec1_w", "dec1_b", "dec2_w", "dec2_b")}
-
-    def copy(self) -> "DenoiserParams":
-        return DenoiserParams(**{k: v.copy() for k, v in self.blocks().items()})
+        """Weights drawn from rng in shapes() order, biases zero (BlockTable.draw)."""
+        return cls.draw((k, h, d_att, t_dim), rng)
 
     def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray,
                 t_rows: np.ndarray) -> "Activations":

@@ -1,18 +1,54 @@
 """Optimizers over one flat parameter vector, plus the learning-rate schedule.
 
-A model's named blocks live as reshaped views into one float64 vector
-(flatten, unflatten), and so do their gradients; Adam's moments are
-vectors of the same length. Every update is elementwise, so one pass
+Each network states its named blocks once, as a shape table (BlockTable).
+During training the blocks live as reshaped views into one float64
+vector (flatten, unflatten), and so do their gradients; Adam's moments
+are vectors of the same length. Every update is elementwise, so one pass
 over the vector gives each entry the bits a block-by-block update would.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
+
+
+class BlockTable:
+    """Base of a dataclass network whose blocks its shape table lays out.
+
+    A subclass defines shapes(*dims), block name -> shape, and dims(),
+    the dimensions its blocks imply. The table is the one statement of
+    the blocks: draw, blocks(), copy() and the shape check on
+    construction all follow it, in its order. A block whose name holds a
+    "w" is a weight; the others are biases.
+    """
+
+    def __post_init__(self):
+        """Raise ShapeError naming the first block, in table order, whose
+        shape is not the table's for the dimensions dims() reads."""
+        for name, shape in self.shapes(*self.dims()).items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ShapeError(f"{type(self).__name__} block {name!r} has shape {got}, "
+                                 f"expected {shape}")
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.shapes(*self.dims())}
+
+    def copy(self):
+        return dataclasses.replace(self, **{n: a.copy() for n, a in self.blocks().items()})
+
+    @classmethod
+    def draw(cls, dims: tuple[int, ...], rng, **fields):
+        """A network of these dims, with the other fields given: each weight
+        drawn from rng as standard_normal(shape) / sqrt(rows), in table
+        order, and each bias zeros."""
+        return cls(**{name: rng.standard_normal(s) / np.sqrt(s[0]) if "w" in name
+                      else np.zeros(s) for name, s in cls.shapes(*dims).items()}, **fields)
 
 
 def flatten(arrays) -> np.ndarray:

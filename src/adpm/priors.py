@@ -27,8 +27,9 @@ from .errors import ConfigError
 
 
 @dataclass
-class PriorNetParams:
-    """Weights of the prior classifier plus the local-mask size."""
+class PriorNetParams(optim.BlockTable):
+    """Weights of the prior classifier, laid out by shapes(), plus the
+    local-mask size."""
 
     w1: np.ndarray  # (d, hidden)
     b1: np.ndarray  # (1, hidden)
@@ -37,32 +38,24 @@ class PriorNetParams:
     mask_size: int
 
     def __post_init__(self):
+        super().__post_init__()
         d = self.w1.shape[0]
         if not (1 <= self.mask_size <= d):
             raise ConfigError(f"mask_size must lie in [1, {d}], got {self.mask_size}")
 
     @staticmethod
     def shapes(d: int, hidden: int, k: int) -> dict[str, tuple[int, int]]:
-        """Block name -> shape; init draws every block in this shape."""
+        """Block name -> shape, in blocks() order."""
         return {"w1": (d, hidden), "b1": (1, hidden), "w2": (hidden, k), "b2": (1, k)}
+
+    def dims(self) -> tuple[int, int, int]:
+        """(d, hidden, k), as the blocks give them."""
+        return self.w1.shape[0], self.w1.shape[-1], self.w2.shape[-1]
 
     @classmethod
     def init(cls, d: int, hidden: int, k: int, mask_size: int, rng) -> "PriorNetParams":
-        s = cls.shapes(d, hidden, k)
-        return cls(
-            w1=rng.standard_normal(s["w1"]) / np.sqrt(d),
-            b1=np.zeros(s["b1"]),
-            w2=rng.standard_normal(s["w2"]) / np.sqrt(hidden),
-            b2=np.zeros(s["b2"]),
-            mask_size=mask_size,
-        )
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def copy(self) -> "PriorNetParams":
-        return replace(self, w1=self.w1.copy(), b1=self.b1.copy(),
-                       w2=self.w2.copy(), b2=self.b2.copy())
+        """Weights drawn from rng in shapes() order, biases zero (BlockTable.draw)."""
+        return cls.draw((d, hidden, k), rng, mask_size=mask_size)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,11 @@ stream keyed by (seed, 2, e): first the shuffle permutation, then per
 batch the timesteps and the noise stack, branch g, then l, then f in
 row-major order (one standard_normal((3, nb, k)) call gives the bits of
 three (nb, k) calls in that order). Resuming from a checkpoint
-therefore reproduces an uninterrupted run bitwise. Initialization has
-its own stream, (seed, 0); init_model gives its draw order.
+therefore reproduces an uninterrupted run bitwise. Initialization
+draws from stream (seed, 0): the prior's weights, then the denoiser's,
+each network in its shapes() order (init_model). generate_longtail
+draws its feature noise from (data seed, 0), the same stream when the
+two seeds are equal.
 
 A checkpoint (version 2) holds the one prior network, the denoiser,
 Adam's moments of the denoiser blocks, the config and the training
@@ -208,15 +211,13 @@ class Checkpoint:
 def init_model(d: int, k: int, cfg: TrainConfig) -> ModelParams:
     """Seeded initialization from stream (seed, 0).
 
-    Draw order: the prior net, one discarded (d, hidden) draw, then the
-    denoiser. The discarded draw held the former feature encoder's
-    weights; keeping it gives the denoiser the values it had when the
-    encoder existed.
+    Draw order: the prior net's weights, then the denoiser's, each network
+    in its shapes() order (model_shapes' order); biases start at zero and
+    draw nothing.
     """
     rng = np.random.default_rng([cfg.seed, 0])
     mask = cfg.prior_mask if cfg.prior_mask is not None else max(1, d // 2)
     prior = PriorNetParams.init(d, cfg.prior_hidden, k, mask, rng)
-    rng.standard_normal((d, cfg.hidden))
     den = DenoiserParams.init(k, cfg.hidden, cfg.attn_dim, cfg.time_dim, rng)
     return ModelParams(prior, den)
 
@@ -313,15 +314,17 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     The schedule is built (and its feasibility checked) before any
     parameter is touched. The post-warmup prior net gives the training
     priors here and both y_f and the noise level at inference. With
-    log_path, each epoch appends one JSON record: the epoch's mean
-    losses, the learning rate of its last step and the mean 2-norm of
-    its steps' gradients.
+    log_path, fit first keeps only the log's records of epochs before
+    its start epoch (none for a fresh run), and then each epoch appends
+    one JSON record: the epoch's mean losses, the learning rate of its
+    last step and the mean 2-norm of its steps' gradients.
 
     A resume continues an uninterrupted run of cfg bitwise when cfg
-    equals the checkpoint's config; it may change any setting but the
-    optimizer and the model's shapes, and it may not start beyond
-    cfg.epochs. A table with no rows, and a resume that breaks one of
-    these rules, raise ConfigError before any step.
+    equals the checkpoint's config. It may change any setting but the
+    optimizer, the model's shapes and the frozen prior's prior_mask and
+    warmup_epochs, and it may not start beyond cfg.epochs. A table with
+    no rows, and a resume that breaks one of these rules, raise
+    ConfigError before any step, and nothing is written.
     """
     if table.n == 0:
         raise ConfigError("the training table has no rows")
@@ -333,6 +336,11 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
             raise ConfigError(f"cannot resume with {cfg.optimizer} after {resume.config.optimizer}")
         if resume.epoch > cfg.epochs:
             raise ConfigError(f"cannot resume at epoch {resume.epoch} of a {cfg.epochs}-epoch run")
+        for name in ("prior_mask", "warmup_epochs"):
+            old, new = getattr(resume.config, name), getattr(cfg, name)
+            if old != new:
+                raise ConfigError(f"cannot resume with {name}={new!r}: the checkpoint's prior "
+                                  f"was trained with {name}={old!r}")
         _checked(resume.model.blocks(), model_shapes(table.d, table.k, cfg), "resumed block")
         model = resume.model.copy()
         start_epoch = resume.epoch
@@ -341,6 +349,8 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         model.prior = warmup_train(model.prior, table, cfg.warmup_epochs, _make_opt(cfg),
                                    batch_size=cfg.batch_size, seed=cfg.seed)
         start_epoch = 0
+    if log_path is not None:
+        _keep_log_before(log_path, start_epoch)
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
     # the denoiser's blocks become views into one vector, which the
     # optimizer updates in one pass per step
@@ -396,6 +406,20 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     if checkpoint_path is not None:
         save_checkpoint(ckpt, checkpoint_path)
     return ckpt
+
+
+def _keep_log_before(path, epoch: int) -> None:
+    """Cut the JSON-lines log at path, if any, to its records of epochs
+    before epoch; a file that is not such a log raises ConfigError."""
+    kept = []
+    if epoch > 0 and os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                kept = [line for line in fh if json.loads(line)["epoch"] < epoch]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ConfigError(f"{path}: not a training log: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
 
 
 def _make_opt(cfg: TrainConfig):

@@ -130,6 +130,18 @@ def test_train_resume_matches_uninterrupted(tmp_path, capsys):
     assert a["optimizer"] == b["optimizer"]
 
 
+def test_train_resume_into_the_run_directory_keeps_one_log(tmp_path, capsys):
+    # the resumed run replaces the log's records from the snapshot's epoch on
+    out = tmp_path / "run"
+    args = small_train_args(out, ["--epochs", "4", "--checkpoint-every", "2"])
+    assert run(args, capsys)[0] == 0
+    uninterrupted = (out / "train_log.jsonl").read_bytes()
+    code, _, err = run(small_train_args(
+        out, ["--epochs", "4", "--resume", str(out / "checkpoint.epoch2.json")]), capsys)
+    assert code == 0, err
+    assert (out / "train_log.jsonl").read_bytes() == uninterrupted
+
+
 def test_train_without_out_is_usage_error(capsys):
     code, _, err = run(["train", "--synthetic", "--epochs", "1"], capsys)
     assert code == 2
@@ -356,8 +368,11 @@ def test_train_resume_rejects_a_model_the_flags_do_not_describe(tmp_path, capsys
     (["--optimizer", "sgd"], "checkpoint.epoch2.json", ["--optimizer", "adam", "--epochs", "4"],
      "cannot resume with adam after sgd"),
     ([], "checkpoint.json", ["--epochs", "2"],
-     "cannot resume at epoch 4 of a 2-epoch run")],
-    ids=["changed-optimizer", "epoch-beyond-config"])
+     "cannot resume at epoch 4 of a 2-epoch run"),
+    ([], "checkpoint.epoch2.json", ["--epochs", "4", "--warmup-epochs", "2"],
+     "cannot resume with warmup_epochs=2: the checkpoint's prior was trained with "
+     "warmup_epochs=1")],
+    ids=["changed-optimizer", "epoch-beyond-config", "changed-warmup-epochs"])
 def test_train_resume_rejects_a_run_it_cannot_continue(tmp_path, capsys, first, snapshot,
                                                        resumed, message):
     full = tmp_path / "full"
@@ -516,6 +531,13 @@ CLI_FAILURES = {
         lambda ckpt: {**ckpt, "blocks": {**ckpt["blocks"],
                                          "encoder.b": {"shape": [1, 6], "data": [0.25] * 6}}},
         ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
+    # {train} is the training split of {checkpoint}, a d = 3 run with the
+    # default mask of 1
+    "train-resume-changed-prior-mask": (
+        b'{"prior_mask": 3}', ["train", "--data", "{train}", "--T", "15", "--sample-steps", "5",
+                               "--epochs", "2", "--warmup-epochs", "1", "--hidden", "6",
+                               "--seed", "1", "--config", "{file}", "--resume", "{checkpoint}"],
+        1),
 }
 
 
@@ -524,9 +546,10 @@ def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
     content, argv, expected = CLI_FAILURES[case]
     path = tmp_path / "input"
     fill = {"{file}": str(path)}
-    if "{test}" in argv:
+    if {"{test}", "{train}"} & set(argv):
         checkpoint, test_csv, _ = _trained_run(tmp_path, capsys)
-        fill.update({"{checkpoint}": str(checkpoint), "{test}": str(test_csv)})
+        fill.update({"{checkpoint}": str(checkpoint), "{test}": str(test_csv),
+                     "{train}": str(tmp_path / "train.csv")})
     if callable(content):
         path.write_text(json.dumps(content(json.loads(checkpoint.read_text()))))
     elif content is not None:

@@ -57,21 +57,6 @@ def test_time_embed_validation():
         time_embed(11, 10, 4)
 
 
-def test_init_discards_two_draws_after_encoder():
-    # the seeded stream keeps two (h, d_att) draws between enc_w and wv,
-    # so checkpoints of earlier versions keep their values
-    k, h, d_att, t_dim = 3, 6, 4, 4
-    params = make_params(k, h, d_att, t_dim, seed=16)
-    rng = np.random.default_rng(16)
-    shapes = [(2 * k, h), (h, h), (h, d_att), (h, d_att), (h, d_att), (d_att, h),
-              (t_dim, h), (h, h), (h, k)]
-    draws = [rng.standard_normal(s) / np.sqrt(s[0]) for s in shapes]
-    weights = ["fuse_w", "enc_w", None, None, "wv", "wo", "time_w", "dec1_w", "dec2_w"]
-    for name, draw in zip(weights, draws):
-        if name is not None:
-            assert np.array_equal(getattr(params, name), draw), name
-
-
 def test_predict_noise_zero_weights_zero_output():
     params = zero_params()
     out = predict_noise(params, np.ones((1, 3)), np.ones((1, 3)), 5, 10)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from adpm.autodiff import Tape, scalar
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.diffusion import forward_kernel, forward_sample
-from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError
+from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError, ShapeError
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
 from adpm.trainer import (BRANCHES, Checkpoint, TrainConfig, batch_loss,
                           draw_batch_noise, fit, fit_tables, init_model, load_checkpoint,
@@ -57,19 +58,33 @@ def test_zero_epoch_run_leaves_parameters_unchanged():
     assert blocks_equal(ckpt.model.blocks(), before.blocks())
 
 
-def test_init_discards_one_draw_between_prior_and_denoiser():
-    # the (d, hidden) draw of the former feature encoder stays in the
-    # (seed, 0) stream, so the denoiser keeps its seeded values
+def test_init_draws_the_prior_then_the_denoiser_in_table_order():
+    # stream (seed, 0) yields the weights of the prior and then of the
+    # denoiser, each network in its shapes() order; biases draw nothing
     table = toy_table()
     cfg = toy_config(seed=3)
     model = init_model(table.d, table.k, cfg)
     rng = np.random.default_rng([cfg.seed, 0])
-    prior = PriorNetParams.init(table.d, cfg.prior_hidden, table.k,
-                                model.prior.mask_size, rng)
-    rng.standard_normal((table.d, cfg.hidden))
-    den = DenoiserParams.init(table.k, cfg.hidden, cfg.attn_dim, cfg.time_dim, rng)
-    assert blocks_equal(model.prior.blocks(), prior.blocks())
-    assert blocks_equal(model.denoiser.blocks(), den.blocks())
+    weights = {"prior.w1", "prior.w2", "denoiser.fuse_w", "denoiser.enc_w", "denoiser.wv",
+               "denoiser.wo", "denoiser.time_w", "denoiser.dec1_w", "denoiser.dec2_w"}
+    expected = {name: rng.standard_normal(shape) / np.sqrt(shape[0]) if name in weights
+                else np.zeros(shape)
+                for name, shape in model_shapes(table.d, table.k, cfg).items()}
+    assert list(model.blocks()) == list(expected)
+    assert blocks_equal(model.blocks(), expected)
+
+
+@pytest.mark.parametrize("how", ["extra-column", "flattened"])
+@pytest.mark.parametrize("block", list(model_shapes(4, 3, toy_config())))
+def test_a_mis_shaped_block_raises_shape_error(block, how):
+    # every block of both networks, biases included, is checked against
+    # the shape table of the dimensions the blocks give
+    network, name = block.split(".")
+    params = getattr(init_model(4, 3, toy_config()), network)
+    arr = getattr(params, name)
+    bad = np.zeros((arr.shape[0], arr.shape[1] + 1)) if how == "extra-column" else arr.ravel()
+    with pytest.raises(ShapeError, match=f"^{type(params).__name__} block "):
+        dataclasses.replace(params, **{name: bad})
 
 
 def test_fit_deterministic_bitwise():
@@ -559,8 +574,15 @@ def test_resume_rejects_blocks_the_config_does_not_describe(tmp_path, saved_run,
     ({"optimizer": "sgd", "epochs": 2}, {"optimizer": "adam", "epochs": 4},
      "cannot resume with adam after sgd"),
     ({"epochs": 4}, {"epochs": 2},
-     "cannot resume at epoch 4 of a 2-epoch run")],
-    ids=["changed-optimizer", "epoch-beyond-config"])
+     "cannot resume at epoch 4 of a 2-epoch run"),
+    ({}, {"prior_mask": 4},
+     "cannot resume with prior_mask=4: the checkpoint's prior was trained with "
+     "prior_mask=None"),
+    ({}, {"warmup_epochs": 5},
+     "cannot resume with warmup_epochs=5: the checkpoint's prior was trained with "
+     "warmup_epochs=2")],
+    ids=["changed-optimizer", "epoch-beyond-config", "changed-prior-mask",
+         "changed-warmup-epochs"])
 def test_resume_rejects_a_run_the_config_cannot_continue(tmp_path, monkeypatch, first, resumed,
                                                          message):
     table = toy_table()
@@ -572,6 +594,23 @@ def test_resume_rejects_a_run_the_config_cannot_continue(tmp_path, monkeypatch, 
         fit(table, toy_config(**resumed), checkpoint_path=path,
             log_path=tmp_path / "log.jsonl", resume=ckpt)
     assert calls == [] and os.listdir(tmp_path) == []
+
+
+def test_fit_keeps_the_log_records_before_its_start_epoch(tmp_path):
+    table = toy_table()
+    cfg = toy_config(epochs=4, checkpoint_every=2)
+    log = tmp_path / "log.jsonl"
+    fit(table, cfg, log_path=log, checkpoint_path=tmp_path / "ckpt.json")
+    uninterrupted = log.read_bytes()
+    snapshot = load_checkpoint(tmp_path / "ckpt.epoch2.json")
+    fit(table, cfg, log_path=log, resume=snapshot)
+    assert log.read_bytes() == uninterrupted
+    fit(table, cfg, log_path=log)  # a fresh run starts the log afresh
+    assert log.read_bytes() == uninterrupted
+    log.write_text("not json\n")
+    with pytest.raises(ConfigError, match="not a training log"):
+        fit(table, cfg, log_path=log, resume=snapshot)
+    assert log.read_text() == "not json\n"
 
 
 def test_warmup_runs_adam_with_the_configs_settings():
@@ -717,18 +756,25 @@ def test_resume_of_a_sgd_run_is_bitwise(tmp_path):
         assert resumed.opt_state == {"step_count": 12}
 
 
-def test_version_2_checkpoint_of_the_block_wise_trainer_resumes():
-    # written by the trainer before the flat vectors and the closed-form
-    # backward pass: the epoch-3 snapshot of a 6-epoch run of this config
-    # (k = 4, so no product has at most 3 output columns)
+def test_version_2_checkpoint_of_the_block_wise_trainer_resumes(tmp_path):
+    # both files come from earlier trainers and one 6-epoch run of this
+    # config (k = 4, so no product has at most 3 output columns): its
+    # epoch-3 snapshot, written by the block-wise trainer, and its final
+    # checkpoint, written by the trainer whose init still drew the deleted
+    # encoder and query/key weights. Resuming the snapshot gives the final
+    # checkpoint byte for byte.
     table = toy_table(k=4)
     cfg = toy_config(epochs=6, checkpoint_every=3)
     old = load_checkpoint(os.path.join(DATA, "checkpoint_v2_epoch3.json"))
+    final = os.path.join(DATA, "checkpoint_v2_epoch6.json")
     assert old.epoch == 3 and old.config == cfg
     resumed = fit(table, cfg, resume=old)
-    uninterrupted = fit(table, cfg)
-    assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
-    assert blocks_equal(resumed.opt_state, uninterrupted.opt_state)
+    expected = load_checkpoint(final)
+    assert blocks_equal(resumed.model.blocks(), expected.model.blocks())
+    assert blocks_equal(resumed.opt_state, expected.opt_state)
+    save_checkpoint(resumed, tmp_path / "resumed.json")
+    with open(final, "rb") as fh:
+        assert (tmp_path / "resumed.json").read_bytes() == fh.read()
 
 
 def test_fit_freezes_the_prior_after_warmup(tmp_path):
