@@ -14,7 +14,7 @@ from .diffusion import SampleBatch, SampleResult, forward_sample, reverse_step, 
 from .errors import (AdpmError, ConfigError, IngestionError,
                      ScheduleInfeasibleError, ShapeError, UsageError)
 from .inference import classify_dataset
-from .losses import KernelConfig, LossReport
+from .losses import LossReport
 from .metrics import (BoundReport, HypothesisGrid, MetricsReport, bound_check,
                       classification_metrics, empirical_rademacher)
 from .priors import PriorBundle, PriorNetParams, prior_bundle, warmup_train

@@ -147,7 +147,6 @@ def _train_flags(p):
                       ("warmup-epochs", int), ("lambda-override", float),
                       ("hidden", int), ("checkpoint-every", int)]:
         p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
 
 
 def _given(flags: dict) -> dict:

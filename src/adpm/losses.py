@@ -24,21 +24,6 @@ from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
-class KernelConfig:
-    """RBF kernel with a fixed or median-heuristic bandwidth."""
-
-    bandwidth: float = 1.0
-    bandwidth_mode: str = "fixed"  # or "median-heuristic"
-
-    def __post_init__(self):
-        if self.bandwidth_mode not in ("fixed", "median-heuristic"):
-            raise ConfigError(f"unknown bandwidth mode {self.bandwidth_mode!r}")
-        if self.bandwidth_mode == "fixed" and not (np.isfinite(self.bandwidth)
-                                                   and self.bandwidth > 0):
-            raise ConfigError(f"bandwidth must be finite and positive, got {self.bandwidth}")
-
-
-@dataclass(frozen=True)
 class LossReport:
     """Scalars of one training step; total = w * (L_g + L_l) + L_eps."""
 
@@ -47,22 +32,6 @@ class LossReport:
     L_eps: float
     L_total: float
     w: float
-
-
-def resolve_bandwidth(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> float:
-    """Bandwidth for one evaluation; the median heuristic uses the
-    median pairwise Euclidean distance of the stacked rows (1.0 when the
-    median is 0)."""
-    if cfg.bandwidth_mode == "fixed":
-        return cfg.bandwidth
-    stacked = np.concatenate([a, b], axis=0)
-    diff = stacked[:, None, :] - stacked[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    iu = np.triu_indices(stacked.shape[0], 1)
-    if iu[0].size == 0:
-        return 1.0
-    med = float(np.median(dist[iu]))
-    return med if med > 0.0 else 1.0
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -75,17 +44,16 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(sq * (-1.0 / (2.0 * sigma * sigma)))
 
 
-def mmd_loss(eps_true: np.ndarray, eps_pred: np.ndarray, cfg: KernelConfig,
+def mmd_loss(eps_true: np.ndarray, eps_pred: np.ndarray, sigma: float,
              weight: float = 1.0) -> tuple[float, np.ndarray]:
-    """V-statistic MMD between true and predicted noise batches, and the
-    gradient of weight * MMD in eps_pred.
+    """V-statistic MMD between true and predicted noise batches at RBF
+    bandwidth sigma, and the gradient of weight * MMD in eps_pred.
 
     A kernel mean m(A, B) with adjoint g has, with D = K g s / K.size and
     s = -1/(2 sigma^2), the gradients 2 (rowsum(D) A - D B) in A and
     2 (colsum(D) B - D^T A) in B; K(pred, pred) takes both, with adjoint
     weight, and K(pred, true) the first, with adjoint -2 weight.
     """
-    sigma = resolve_bandwidth(eps_true, eps_pred, cfg)
     k_tt = rbf_kernel(eps_true, eps_true, sigma)
     k_pt = rbf_kernel(eps_pred, eps_true, sigma)
     k_pp = rbf_kernel(eps_pred, eps_pred, sigma)

@@ -1,4 +1,4 @@
-"""Optimizers over one flat parameter vector, plus the learning-rate schedule.
+"""Adam over one flat parameter vector, plus the learning-rate schedule.
 
 Each network states its named blocks once, as a shape table (BlockTable).
 During training the blocks live as reshaped views into one float64
@@ -113,35 +113,6 @@ class Adam:
         if state.get("m") is not None:
             self.m = np.array(state["m"], dtype=np.float64)
             self.v = np.array(state["v"], dtype=np.float64)
-
-
-class Sgd:
-    """Plain gradient descent with the same interface as Adam."""
-
-    def __init__(self, lr: float = 1e-3):
-        self.lr = lr
-        self.step_count = 0
-
-    def step(self, params: np.ndarray, grads: np.ndarray, lr: float | None = None) -> None:
-        if lr is None:
-            lr = self.lr
-        self.step_count += 1
-        params -= lr * grads
-
-    def state_dict(self) -> dict:
-        return {"step_count": self.step_count}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.step_count = int(state["step_count"])
-
-
-def make_optimizer(kind: str, lr: float, *, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8):
-    if kind == "adam":
-        return Adam(lr, beta1, beta2, eps)
-    if kind == "sgd":
-        return Sgd(lr)
-    raise ConfigError(f"unknown optimizer {kind!r}")
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_frac: float = 0.1) -> float:

@@ -137,8 +137,8 @@ def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarr
 def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, *,
                  batch_size: int | None = None, seed: int = 0) -> PriorNetParams:
     """Cross-entropy pretraining of the prior classifier with opt, a fresh
-    optimizer (optim.make_optimizer) whose own learning rate every step
-    uses.
+    optimizer (fit passes an optim.Adam) whose own learning rate every
+    step uses.
 
     Returns a new parameter set; epochs=0 returns a bitwise copy of the
     input. Each epoch draws its shuffle from a stream keyed by (seed, 1,

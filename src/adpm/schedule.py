@@ -81,33 +81,34 @@ def imbalance_ratio(census: ClassCensus) -> tuple[Fraction, int]:
     return exact, exact.numerator // exact.denominator
 
 
-def class_proportions(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
-    """Normalized generalization-error shares p_j = (a n_j^-a + b) / sum.
+def _normalized(counts, alpha: float, a: float, b: float) -> np.ndarray:
+    """The weights a n_j^-alpha + b over their sum.
 
     The normalizer sums addends in sorted order, so permuting the counts
-    permutes the proportions bitwise.
+    permutes the result bitwise.
     """
-    n = np.asarray(census.counts, dtype=np.float64)
-    weights = cfg.a * n ** (-cfg.alpha) + cfg.b
+    weights = a * np.asarray(counts, dtype=np.float64) ** (-alpha) + b
     total = float(np.sort(weights).sum())
     if total == 0.0:
         raise ConfigError("class proportions are undefined for a = b = 0")
     return weights / total
 
 
+def class_proportions(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
+    """Normalized generalization-error shares p_j = (a n_j^-alpha + b) / sum."""
+    return _normalized(census.counts, cfg.alpha, cfg.a, cfg.b)
+
+
 def lambda_vector(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
     """Per-class noise levels; rare classes get strictly larger values.
 
     Uses the exact imbalance ratio, not its floored display value. The
-    normalizer sums in sorted order (see class_proportions), making the
-    map permutation-equivariant bitwise.
+    shares n_j^-alpha / sum are class_proportions' at a = 1, b = 0, so
+    the map is permutation-equivariant bitwise.
     """
     exact, _ = imbalance_ratio(census)
     nu = exact.numerator / exact.denominator
-    n = np.asarray(census.counts, dtype=np.float64)
-    frac = n ** (-cfg.alpha)
-    frac = frac / np.sort(frac).sum()
-    return cfg.c * nu * frac + 1.0
+    return cfg.c * nu * _normalized(census.counts, cfg.alpha, 1.0, 0.0) + 1.0
 
 
 def linear_beta(T: int, beta1: float, betaT: float) -> np.ndarray:

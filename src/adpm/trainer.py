@@ -1,11 +1,11 @@
 """Training loop: prior warmup, then the denoiser on anisotropic noising.
 
 fit first pretrains the prior network with cross entropy
-(priors.warmup_train, with the config's optimizer) and then freezes it,
-as CARD does with its prior f_phi. fit then computes two tables once
-(fit_tables): the global, local and fused priors of every training row,
-stacked as (3, n, k), and the time embedding of every step 0..T; each
-batch gathers its rows from them. Every batch draws one timestep per
+(priors.warmup_train, with Adam at the config's settings) and then
+freezes it, as CARD does with its prior f_phi. fit then computes two
+tables once (fit_tables): the global, local and fused priors of every
+training row, stacked as (3, n, k), and the time embedding of every
+step 0..T; each batch gathers its rows from them. Every batch draws one timestep per
 sample and one (3, nb, k) Gaussian noise stack, one (nb, k) block per
 branch (global, local, fused). One broadcast call of
 diffusion.forward_kernel corrupts every branch with the true class's
@@ -21,7 +21,9 @@ the denoiser gives the gradient of the 12 denoiser blocks. No library
 path builds an autodiff tape. The denoiser's blocks, their gradient and
 Adam's moments are each one float64 vector (the blocks are views into
 theirs), so one optimizer pass updates them all. A step whose loss is
-not finite stops training with a ConfigError.
+not finite stops training with a ConfigError. Adam is the only
+optimizer, and the MMD kernel's bandwidth is the config's fixed
+kernel_bandwidth.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
@@ -39,7 +41,10 @@ Adam's moments of the denoiser blocks, the config and the training
 census. In memory, Checkpoint.opt_state is the optimizer's own
 state_dict(), each moment one vector; only the file names the moments
 per block (named_views), and loading flattens them back. Version 2 is
-the only format that loads.
+the only format that loads. Files written before the optimizer and the
+kernel bandwidth became fixed also hold the config keys "optimizer" and
+"kernel_bandwidth_mode"; they load only at "adam" and "fixed", the
+values this trainer keeps, and the keys are dropped (RETIRED_KEYS).
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .data import DatasetTable
 from .denoiser import DenoiserParams, time_embed_batch
 from .diffusion import forward_kernel
 from .errors import ConfigError
-from .losses import KernelConfig, LossReport, eps_loss, mmd_loss, total_loss
+from .losses import LossReport, eps_loss, mmd_loss, total_loss
 from .priors import PriorNetParams, prior_bundle, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
                        lambda_vector, linear_beta)
@@ -66,6 +71,8 @@ CHECKPOINT_VERSION = 2
 _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
                       "blocks", "optimizer")
 BRANCHES = ("global", "local", "fused")
+# config keys of older checkpoints -> the one value this trainer keeps
+RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed"}
 
 
 @dataclass
@@ -84,7 +91,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     warmup_epochs: int = 15
     seed: int = 0
-    optimizer: str = "adam"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -96,7 +102,6 @@ class TrainConfig:
     prior_hidden: int = 32
     prior_mask: int | None = None  # None: half the feature count
     kernel_bandwidth: float = 1.0
-    kernel_bandwidth_mode: str = "fixed"
     checkpoint_every: int = 0  # epochs; 0 writes only at the end
 
     def __post_init__(self):
@@ -109,8 +114,6 @@ class TrainConfig:
             raise ConfigError("epoch counts must be non-negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         for name in ("sample_steps", "hidden", "attn_dim", "time_dim", "prior_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -118,19 +121,24 @@ class TrainConfig:
             raise ConfigError(f"time_dim must be even, got {self.time_dim}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if not (np.isfinite(self.w) and self.w > 0):
-            raise ConfigError(f"w must be finite and positive, got {self.w}")
+        # each comparison is False for NaN, so NaN fails every rule
+        for name, ok, rule in (
+                ("w", 0 < self.w < np.inf, "finite and positive"),
+                ("kernel_bandwidth", 0 < self.kernel_bandwidth < np.inf, "finite and positive"),
+                ("alpha", 0 <= self.alpha < np.inf, "finite and >= 0"),
+                ("c", 0 < self.c < np.inf, "finite and > 0"),
+                ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
+                ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
+                ("adam_eps", 0 < self.adam_eps < np.inf, "finite and > 0"),
+                ("lr_warmup_frac", 0 <= self.lr_warmup_frac <= 1, "in [0, 1]")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         lam = self.lambda_override
         if lam is not None and not (np.isfinite(lam) and lam > 0):
             raise ConfigError(f"lambda_override must be finite and positive, got {lam}")
-        self.kernel_cfg()  # rejects a bad kernel bandwidth or mode
 
     def noise_cfg(self) -> NoiseLevelConfig:
         return NoiseLevelConfig(alpha=self.alpha, c=self.c)
-
-    def kernel_cfg(self) -> KernelConfig:
-        return KernelConfig(bandwidth=self.kernel_bandwidth,
-                            bandwidth_mode=self.kernel_bandwidth_mode)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -160,8 +168,7 @@ def check_field_types(cls, obj, what: str = "config") -> None:
         if value is None and field.default is None:
             continue
         # annotations are strings such as "float" or "int | None"
-        typ = {"int": (int,), "float": (int, float), "str": (str,)}[
-            field.type.split(" | ")[0]]
+        typ = {"int": (int,), "float": (int, float)}[field.type.split(" | ")[0]]
         if isinstance(value, bool) or not isinstance(value, typ):
             raise ConfigError(f"{what} key {key!r} must be of type {field.type}, "
                               f"got {value!r}")
@@ -291,9 +298,8 @@ def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
                                   t_table[np.tile(draws.t, n_branches)])
     eps_hat = acts.out.reshape(n_branches, nb, k)
 
-    kernel = cfg.kernel_cfg()
-    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], kernel, cfg.w)
-    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], kernel, cfg.w)
+    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], cfg.kernel_bandwidth, cfg.w)
+    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], cfg.kernel_bandwidth, cfg.w)
     l_eps, g_f = eps_loss(draws.eps[2], eps_hat[2])
     report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
                         L_total=total_loss(l_g, l_l, l_eps, cfg.w), w=cfg.w)
@@ -321,10 +327,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
 
     A resume continues an uninterrupted run of cfg bitwise when cfg
     equals the checkpoint's config. It may change any setting but the
-    optimizer, the model's shapes and the frozen prior's prior_mask and
-    warmup_epochs, and it may not start beyond cfg.epochs. A table with
-    no rows, and a resume that breaks one of these rules, raise
-    ConfigError before any step, and nothing is written.
+    model's shapes and the frozen prior's prior_mask and warmup_epochs,
+    and it may not start beyond cfg.epochs. A table with no rows, and a
+    resume that breaks one of these rules, raise ConfigError before any
+    step, and nothing is written.
     """
     if table.n == 0:
         raise ConfigError("the training table has no rows")
@@ -332,8 +338,6 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     schedule = noise_schedule(counts, cfg)
 
     if resume is not None:
-        if resume.config.optimizer != cfg.optimizer:
-            raise ConfigError(f"cannot resume with {cfg.optimizer} after {resume.config.optimizer}")
         if resume.epoch > cfg.epochs:
             raise ConfigError(f"cannot resume at epoch {resume.epoch} of a {cfg.epochs}-epoch run")
         for name in ("prior_mask", "warmup_epochs"):
@@ -422,10 +426,8 @@ def _keep_log_before(path, epoch: int) -> None:
         fh.writelines(kept)
 
 
-def _make_opt(cfg: TrainConfig):
-    return optim.make_optimizer(cfg.optimizer, cfg.learning_rate,
-                                beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                                eps=cfg.adam_eps)
+def _make_opt(cfg: TrainConfig) -> optim.Adam:
+    return optim.Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
 def _blocks_to_jsonable(blocks: dict[str, np.ndarray], what: str) -> dict:
@@ -526,7 +528,12 @@ def _checkpoint_from(payload) -> Checkpoint:
     version = payload["version"]
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version!r}")
-    cfg = TrainConfig.from_dict(payload["config"])
+    config = payload["config"]
+    for key, kept in RETIRED_KEYS.items():
+        value = config.pop(key, kept) if isinstance(config, dict) else kept
+        if value != kept:
+            raise ConfigError(f"config key {key!r} must be {kept!r}, got {value!r}")
+    cfg = TrainConfig.from_dict(config)
     counts = tuple(int(c) for c in payload["counts"])
     if not counts or min(counts) < 1:
         raise ConfigError(f"class counts must be positive, got {list(counts)}")
@@ -542,7 +549,7 @@ def _checkpoint_from(payload) -> Checkpoint:
     step_count = int(payload["optimizer"]["step_count"])
     moment_shapes = ({name: shape for name, shape in shapes.items()
                       if name.startswith("denoiser.")}
-                     if cfg.optimizer == "adam" and step_count > 0 else {})
+                     if step_count > 0 else {})
     opt_state = {"step_count": step_count}
     for moment, state in moments.items():
         _checked(state, moment_shapes, f"Adam moment {moment}")

@@ -11,7 +11,7 @@ import numpy as np
 from adpm.autodiff import Tape, Var, scalar
 from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.errors import ConfigError, ShapeError
-from adpm.losses import KernelConfig, LossReport, resolve_bandwidth
+from adpm.losses import LossReport
 from adpm.trainer import BRANCHES
 
 
@@ -37,9 +37,9 @@ class DenoiserGraph:
         return tape.affine(h1, vars["dec2_w"], vars["dec2_b"])
 
 
-def mmd_loss_graph(tape: Tape, eps_true: Var, eps_pred: Var, cfg: KernelConfig) -> Var:
-    """V-statistic MMD between true and predicted noise batches."""
-    sigma = resolve_bandwidth(eps_true.value, eps_pred.value, cfg)
+def mmd_loss_graph(tape: Tape, eps_true: Var, eps_pred: Var, sigma: float) -> Var:
+    """V-statistic MMD between true and predicted noise batches at RBF
+    bandwidth sigma."""
     k_tt = tape.rbf_mean(eps_true, eps_true, sigma)
     k_tp = tape.rbf_mean(eps_pred, eps_true, sigma)
     k_pp = tape.rbf_mean(eps_pred, eps_pred, sigma)
@@ -83,10 +83,10 @@ def tape_batch_loss(labels, priors, model, schedule, cfg, draws):
     stacked = den_graph.predict(y_t, prior_rows, np.tile(draws.t, len(BRANCHES)), cfg.T)
     eps_hat = {b: tape.rows(stacked, i * nb, (i + 1) * nb) for i, b in enumerate(BRANCHES)}
 
-    kernel = cfg.kernel_cfg()
+    sigma = cfg.kernel_bandwidth
     eps = dict(zip(BRANCHES, draws.eps))
-    l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], kernel)
-    l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], kernel)
+    l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], sigma)
+    l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], sigma)
     l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
     l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
 

@@ -16,7 +16,7 @@ from adpm.data import LongTailSpec, generate_longtail, split_fractions
 
 from adpm.diffusion import forward_sample, reverse_step
 from adpm.inference import classify_dataset
-from adpm.losses import KernelConfig, mmd_loss
+from adpm.losses import mmd_loss
 from adpm.metrics import HypothesisGrid, bound_experiment, classification_metrics
 from adpm.schedule import (ClassCensus, NoiseLevelConfig, build_schedule,
                            imbalance_ratio, lambda_vector, linear_beta)
@@ -133,7 +133,7 @@ def test_c04_training_loss_gradient():
 def test_c05_mmd_axioms():
     def mmd(a, b):
         # the MMD term training runs
-        return mmd_loss(a, b, KernelConfig())[0]
+        return mmd_loss(a, b, TrainConfig().kernel_bandwidth)[0]
 
     rng = np.random.default_rng(102)
     worst_self, worst_sym, worst_neg = 0.0, 0.0, 0.0

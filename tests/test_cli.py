@@ -365,14 +365,12 @@ def test_train_resume_rejects_a_model_the_flags_do_not_describe(tmp_path, capsys
 
 
 @pytest.mark.parametrize("first, snapshot, resumed, message", [
-    (["--optimizer", "sgd"], "checkpoint.epoch2.json", ["--optimizer", "adam", "--epochs", "4"],
-     "cannot resume with adam after sgd"),
     ([], "checkpoint.json", ["--epochs", "2"],
      "cannot resume at epoch 4 of a 2-epoch run"),
     ([], "checkpoint.epoch2.json", ["--epochs", "4", "--warmup-epochs", "2"],
      "cannot resume with warmup_epochs=2: the checkpoint's prior was trained with "
      "warmup_epochs=1")],
-    ids=["changed-optimizer", "epoch-beyond-config", "changed-warmup-epochs"])
+    ids=["epoch-beyond-config", "changed-warmup-epochs"])
 def test_train_resume_rejects_a_run_it_cannot_continue(tmp_path, capsys, first, snapshot,
                                                        resumed, message):
     full = tmp_path / "full"
@@ -443,7 +441,7 @@ def test_each_subcommand_keeps_its_option_strings():
             "--separation", "--spread", "--data-seed"}
     train = {"--T", "--sample-steps", "--beta1", "--betaT", "--alpha", "--c", "--w",
              "--epochs", "--batch-size", "--learning-rate", "--warmup-epochs",
-             "--lambda-override", "--hidden", "--checkpoint-every", "--optimizer"}
+             "--lambda-override", "--hidden", "--checkpoint-every"}
     expected = {
         "schedule": common | {"--config", "--counts", "--data", "--alpha", "--c", "--a",
                               "--b", "--T", "--beta1", "--betaT"},
@@ -510,6 +508,16 @@ CLI_FAILURES = {
     "config-kernel-mode": (b'{"kernel_bandwidth_mode": "bogus"}',
                            ["train", *_SMALL, "--config", "{file}"], 1),
     "train-beta1-lost-to-rounding": (None, ["train", *_SMALL, "--beta1", "1e-30"], 1),
+    "config-nan-lr-warmup-frac": (b'{"lr_warmup_frac": NaN}',
+                                  ["train", *_SMALL, "--config", "{file}"], 1),
+    "config-adam-beta1-one": (b'{"adam_beta1": 1.0}', ["train", *_SMALL, "--config", "{file}"],
+                              1),
+    "config-nan-adam-beta2": (b'{"adam_beta2": NaN}', ["train", *_SMALL, "--config", "{file}"],
+                              1),
+    "config-negative-adam-eps": (b'{"adam_eps": -1}', ["train", *_SMALL, "--config", "{file}"],
+                                 1),
+    "config-nan-alpha-with-lambda-override": (b'{"alpha": NaN, "lambda_override": 1.0}',
+                                              ["train", *_SMALL, "--config", "{file}"], 1),
     "sweep-infeasible-cell": (None, ["sweep", *_SMALL, "--alphas", "0.25", "--cs", "1,1e5"],
                               1),
     # every class rounds to 0 training rows
@@ -526,6 +534,14 @@ CLI_FAILURES = {
                                     "--data", "{test}", "--seed", "-1"], 1),
     "eval-version-1-checkpoint": (lambda ckpt: {**ckpt, "version": 1},
                                   ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
+    # config values of the optimizer and the kernel bandwidth this code no longer runs
+    "eval-sgd-checkpoint": (lambda ckpt: {**ckpt, "config": {**ckpt["config"],
+                                                             "optimizer": "sgd"}},
+                            ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
+    "eval-median-bandwidth-checkpoint": (
+        lambda ckpt: {**ckpt, "config": {**ckpt["config"],
+                                         "kernel_bandwidth_mode": "median-heuristic"}},
+        ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
     # a block of the former feature encoder
     "eval-legacy-block-checkpoint": (
         lambda ckpt: {**ckpt, "blocks": {**ckpt["blocks"],
@@ -561,6 +577,22 @@ def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("error:") == 1
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"adam_beta1": 1.0}, "adam_beta1 must be in [0, 1), got 1.0"),
+    ({"adam_beta2": float("nan")}, "adam_beta2 must be in [0, 1), got nan"),
+    ({"optimizer": "adam"}, "unknown config keys: ['optimizer']"),
+    ({"kernel_bandwidth_mode": "fixed"}, "unknown config keys: ['kernel_bandwidth_mode']")],
+    ids=["adam-beta1-one", "nan-adam-beta2", "retired-optimizer", "retired-bandwidth-mode"])
+def test_train_names_the_config_value_it_rejects(tmp_path, capsys, config, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code, _, err = run(["train", *_SMALL, "--config", str(cfg_file), "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--draws", "--mc-draws"])

@@ -5,20 +5,20 @@ import pytest
 
 from adpm.autodiff import Tape, scalar
 from adpm.errors import ConfigError, ShapeError
-from adpm.losses import KernelConfig, eps_loss, mmd_loss, rbf_kernel, resolve_bandwidth, total_loss
+from adpm.losses import eps_loss, mmd_loss, rbf_kernel, total_loss
 
 from gradcheck import finite_diff, rel_err
 from tape_oracle import eps_loss_graph, mmd_loss_graph, total_loss_graph
 
 
-def rbf_kernel_mean(a, b, cfg=KernelConfig()):
+def rbf_kernel_mean(a, b, sigma=1.0):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return float(rbf_kernel(a, b, resolve_bandwidth(a, b, cfg)).mean())
+    return float(rbf_kernel(a, b, sigma).mean())
 
 
-def mmd_value(eps_true, eps_pred, cfg=KernelConfig()):
+def mmd_value(eps_true, eps_pred, sigma=1.0):
     return mmd_loss(np.asarray(eps_true, dtype=np.float64),
-                    np.asarray(eps_pred, dtype=np.float64), cfg)[0]
+                    np.asarray(eps_pred, dtype=np.float64), sigma)[0]
 
 
 def eps_value(eps_true, eps_pred):
@@ -54,7 +54,7 @@ def test_kernel_brute_force_oracle():
         for j in range(3):
             total += math.exp(-float(((a[i] - b[j]) ** 2).sum()) / (2 * sigma * sigma))
     expected = total / 15
-    got = rbf_kernel_mean(a, b, KernelConfig(bandwidth=sigma))
+    got = rbf_kernel_mean(a, b, sigma)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -92,16 +92,6 @@ def test_rbf_mean_matches_composed_kernel():
             assert abs(scalar(out) - value) <= 1e-12
             assert np.abs(grads[av] - ca).max() <= 1e-12
             assert np.abs(grads[bv] - cb).max() <= 1e-12
-
-
-def test_median_heuristic_bandwidth():
-    a = np.array([[0.0], [0.0]])
-    b = np.array([[0.0], [0.0]])
-    assert resolve_bandwidth(a, b, KernelConfig(bandwidth_mode="median-heuristic")) == 1.0
-    a = np.array([[0.0]])
-    b = np.array([[2.0]])
-    cfg = KernelConfig(bandwidth_mode="median-heuristic")
-    assert resolve_bandwidth(a, b, cfg) == pytest.approx(2.0)
 
 
 def test_mmd_identical_batches_is_zero():
@@ -171,29 +161,26 @@ def test_total_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     eps_true = rng.standard_normal((5, 3))
     pred = rng.standard_normal((5, 3))
-    cfg = KernelConfig()
 
     def total():
-        l_mmd = mmd_loss(eps_true, pred, cfg)[0]
+        l_mmd = mmd_loss(eps_true, pred, 1.0)[0]
         return total_loss(l_mmd, l_mmd, eps_loss(eps_true, pred)[0], 0.5)
 
     # L_g and L_l are the same MMD here, so its gradient counts twice
-    grad = mmd_loss(eps_true, pred, cfg, 0.5)[1] * 2.0 + eps_loss(eps_true, pred)[1]
+    grad = mmd_loss(eps_true, pred, 1.0, 0.5)[1] * 2.0 + eps_loss(eps_true, pred)[1]
     assert rel_err(grad, finite_diff(total, pred)).max() < 1e-4
 
 
-@pytest.mark.parametrize("cfg", [KernelConfig(), KernelConfig(bandwidth=0.7),
-                                 KernelConfig(bandwidth_mode="median-heuristic")],
-                         ids=["unit", "narrow", "median"])
+@pytest.mark.parametrize("sigma", [1.0, 0.7], ids=["unit", "narrow"])
 @pytest.mark.parametrize("weight", [1.0, 0.5, 0.3])
-def test_losses_match_the_tape_bitwise(cfg, weight):
+def test_losses_match_the_tape_bitwise(sigma, weight):
     # the numpy terms and their gradients are the tape's, bit for bit
     rng = np.random.default_rng(9)
     for rows in (1, 2, 7):
         eps_true = rng.standard_normal((rows, 3))
         pred = rng.standard_normal((rows, 3))
-        for loss, graph in ((lambda t, p: mmd_loss(t, p, cfg, weight),
-                             lambda tape, t, p: mmd_loss_graph(tape, t, p, cfg)),
+        for loss, graph in ((lambda t, p: mmd_loss(t, p, sigma, weight),
+                             lambda tape, t, p: mmd_loss_graph(tape, t, p, sigma)),
                             (lambda t, p: eps_loss(t, p, weight), eps_loss_graph)):
             value, grad = loss(eps_true, pred)
             tape = Tape()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adpm.errors import ConfigError
-from adpm.optim import Adam, Sgd, flatten, lr_at, make_optimizer, unflatten
+from adpm.optim import Adam, flatten, lr_at, unflatten
 
 
 def test_adam_zero_gradient_is_noop():
@@ -14,24 +14,17 @@ def test_adam_zero_gradient_is_noop():
     assert not opt.m.any() and not opt.v.any()
 
 
-def test_sgd_zero_gradient_is_noop():
-    params = np.array([1.0, -2.0])
-    before = params.copy()
-    Sgd(lr=0.1).step(params, np.zeros(2))
-    assert np.array_equal(params, before)
-
-
-def _round_trip(kind):
-    """Step an optimizer, copy its state into a fresh one, and check
-    that both take the next step alike."""
+def test_adam_state_round_trip():
+    # step Adam, copy its state into a fresh one, and check that both
+    # take the next step alike
     rng = np.random.default_rng(0)
     params = rng.standard_normal(9)
-    opt = make_optimizer(kind, 0.01)
+    opt = Adam(0.01)
     assert opt.state_dict() == {"step_count": 0}
     for _ in range(5):
         opt.step(params, rng.standard_normal(9))
     state = opt.state_dict()
-    clone = make_optimizer(kind, 0.01)
+    clone = Adam(0.01)
     clone.load_state_dict(state)
     assert clone.state_dict().keys() == state.keys()
     for key, value in state.items():
@@ -41,20 +34,10 @@ def _round_trip(kind):
     opt.step(a, g)
     clone.step(b, g)
     assert np.array_equal(a, b)
-    return opt, state
-
-
-def test_adam_state_round_trip():
-    opt, state = _round_trip("adam")
     assert state["m"].shape == state["v"].shape == (9,)
     # the state holds copies, not the optimizer's own moments
     state["m"][:] = 0.0
     assert opt.m.any()
-
-
-def test_sgd_state_round_trip():
-    _, state = _round_trip("sgd")
-    assert state == {"step_count": 5}
 
 
 def _blockwise_adam(blocks, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -99,11 +82,6 @@ def test_unflatten_gives_views_and_checks_the_length():
     assert np.array_equal(flatten(views.values()), vec)
     with pytest.raises(ConfigError, match="blocks hold 9 values, the vector 10"):
         unflatten(np.zeros(10), shapes)
-
-
-def test_make_optimizer_rejects_unknown():
-    with pytest.raises(ConfigError):
-        make_optimizer("lbfgs", 0.1)
 
 
 def test_lr_schedule_endpoints_and_max():

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from adpm import optim
 from adpm.autodiff import Tape, scalar
+from adpm.cli import DATA_DEFAULTS
 from adpm.data import LongTailSpec, generate_longtail
 from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.diffusion import forward_kernel, forward_sample
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError, ShapeError
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
-from adpm.trainer import (BRANCHES, Checkpoint, TrainConfig, batch_loss,
-                          draw_batch_noise, fit, fit_tables, init_model, load_checkpoint,
-                          model_shapes, named_views, noise_schedule, save_checkpoint)
+from adpm.trainer import (BRANCHES, RETIRED_KEYS, Checkpoint, TrainConfig, batch_loss,
+                          check_field_types, draw_batch_noise, fit, fit_tables, init_model,
+                          load_checkpoint, model_shapes, named_views, noise_schedule,
+                          save_checkpoint)
 
 from tape_oracle import (DenoiserGraph, eps_loss_graph, mmd_loss_graph, tape_batch_loss,
                          total_loss_graph)
@@ -106,7 +108,7 @@ def test_infeasible_schedule_fails_before_any_mutation():
 def test_full_batch_descent_loss_non_increasing():
     table = toy_table(k=2, head=12, decay=1.0, d=3)
     cfg = toy_config(T=20, sample_steps=5, batch_size=table.n, warmup_epochs=0,
-                     optimizer="sgd", learning_rate=2e-3, hidden=6, prior_hidden=4)
+                     learning_rate=2e-3, hidden=6, prior_hidden=4)
     model = init_model(table.d, table.k, cfg)
     schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(1), table.n, table.k, cfg.T)
@@ -142,8 +144,8 @@ def _desk_batch(k=6, rows=32, **cfg_kw):
 
 @pytest.mark.parametrize("k, rows, cfg_kw", [
     (6, 32, {}), (3, 32, {}), (6, 29, {}),
-    (6, 32, {"kernel_bandwidth_mode": "median-heuristic"}), (6, 32, {"w": 0.3})],
-    ids=["desk", "k3", "short-last-batch", "median-bandwidth", "w0.3"])
+    (6, 32, {"kernel_bandwidth": 0.7}), (6, 32, {"w": 0.3})],
+    ids=["desk", "k3", "short-last-batch", "bandwidth-0.7", "w0.3"])
 def test_batch_loss_matches_the_tape_bitwise(k, rows, cfg_kw):
     table, batch, cfg = _desk_batch(k, rows, **cfg_kw)
     model = init_model(table.d, table.k, cfg)
@@ -360,9 +362,21 @@ def _with_a_legacy_block(payload):
     payload["blocks"]["denoiser.wq"] = {"shape": [h, d_att], "data": [0.25] * (h * d_att)}
 
 
+def _with_sgd(payload):
+    payload["config"]["optimizer"] = "sgd"
+
+
+def _with_median_bandwidth(payload):
+    payload["config"]["kernel_bandwidth_mode"] = "median-heuristic"
+
+
 @pytest.mark.parametrize("edit, message", [
     (_as_version_1, "unsupported checkpoint version 1"),
-    (_with_a_legacy_block, "unknown block 'denoiser.wq'")], ids=["version-1", "legacy-block"])
+    (_with_a_legacy_block, "unknown block 'denoiser.wq'"),
+    (_with_sgd, "config key 'optimizer' must be 'adam', got 'sgd'"),
+    (_with_median_bandwidth,
+     "config key 'kernel_bandwidth_mode' must be 'fixed', got 'median-heuristic'")],
+    ids=["version-1", "legacy-block", "sgd-optimizer", "median-bandwidth"])
 def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, message):
     _, _, text = saved_run
     payload = json.loads(text)
@@ -372,6 +386,19 @@ def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, m
     with pytest.raises(ConfigError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_checkpoint_with_the_retired_keys_at_their_kept_values_loads(tmp_path, saved_run):
+    _, ckpt, text = saved_run
+    payload = json.loads(text)
+    assert not set(RETIRED_KEYS) & set(payload["config"])  # new files omit them
+    payload["config"].update(RETIRED_KEYS)
+    path = tmp_path / "older.json"
+    path.write_text(json.dumps(payload))
+    loaded = load_checkpoint(path)
+    assert loaded.config == ckpt.config
+    assert blocks_equal(loaded.model.blocks(), ckpt.model.blocks())
+    assert blocks_equal(loaded.opt_state, ckpt.opt_state)
 
 
 def test_failed_checkpoint_write_keeps_existing_file(tmp_path, saved_run, monkeypatch):
@@ -571,8 +598,6 @@ def test_resume_rejects_blocks_the_config_does_not_describe(tmp_path, saved_run,
 
 
 @pytest.mark.parametrize("first, resumed, message", [
-    ({"optimizer": "sgd", "epochs": 2}, {"optimizer": "adam", "epochs": 4},
-     "cannot resume with adam after sgd"),
     ({"epochs": 4}, {"epochs": 2},
      "cannot resume at epoch 4 of a 2-epoch run"),
     ({}, {"prior_mask": 4},
@@ -581,8 +606,7 @@ def test_resume_rejects_blocks_the_config_does_not_describe(tmp_path, saved_run,
     ({}, {"warmup_epochs": 5},
      "cannot resume with warmup_epochs=5: the checkpoint's prior was trained with "
      "warmup_epochs=2")],
-    ids=["changed-optimizer", "epoch-beyond-config", "changed-prior-mask",
-         "changed-warmup-epochs"])
+    ids=["epoch-beyond-config", "changed-prior-mask", "changed-warmup-epochs"])
 def test_resume_rejects_a_run_the_config_cannot_continue(tmp_path, monkeypatch, first, resumed,
                                                          message):
     table = toy_table()
@@ -686,15 +710,33 @@ def test_config_rejects_a_bad_lambda_override(lam):
 
 
 @pytest.mark.parametrize("kernel, reason", [
-    ({"kernel_bandwidth_mode": "bogus"}, "unknown bandwidth mode"),
     ({"kernel_bandwidth": 0.0}, "bandwidth must be finite and positive"),
     ({"kernel_bandwidth": float("nan")}, "bandwidth must be finite and positive")],
-    ids=["mode", "zero-bandwidth", "nan-bandwidth"])
+    ids=["zero-bandwidth", "nan-bandwidth"])
 def test_config_rejects_a_bad_kernel(kernel, reason):
     with pytest.raises(ConfigError, match=reason):
         TrainConfig(**kernel)
-    # the median heuristic ignores the fixed bandwidth
-    TrainConfig(kernel_bandwidth=0.0, kernel_bandwidth_mode="median-heuristic")
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, values, rule", [
+    ("adam_beta1", (1.0, -0.1, _NAN), "in [0, 1)"),
+    ("adam_beta2", (1.0, -0.1, _NAN), "in [0, 1)"),
+    ("adam_eps", (0.0, -1.0, _NAN, _INF), "finite and > 0"),
+    ("lr_warmup_frac", (1.5, -0.1, _NAN, _INF), "in [0, 1]"),
+    ("alpha", (-0.1, _NAN, _INF), "finite and >= 0"),
+    ("c", (0.0, -1.0, _NAN, _INF), "finite and > 0")])
+def test_config_rejects_a_bad_optimizer_or_noise_setting(name, values, rule):
+    # alpha and c are checked even when lambda_override replaces the noise levels
+    for value in values:
+        for lam in (None, 1.0):
+            with pytest.raises(ConfigError, match=rf"^{name} must be {re.escape(rule)}, got "):
+                TrainConfig(**{name: value, "lambda_override": lam})
+    # the interval ends the rule includes are accepted
+    TrainConfig(adam_beta1=0.0, adam_beta2=0.0, lr_warmup_frac=0.0, alpha=0.0)
+    TrainConfig(lr_warmup_frac=1.0)
 
 
 def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
@@ -706,7 +748,7 @@ def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
 
 def test_config_from_dict_checks_value_types():
     for bad in ({"T": "abc"}, {"hidden": "64"}, {"epochs": 1.5}, {"seed": True},
-                {"T": None}, {"optimizer": 1}, {"learning_rate": "0.1"}):
+                {"T": None}, {"adam_eps": "1e-8"}, {"learning_rate": "0.1"}):
         (key,) = bad
         with pytest.raises(ConfigError, match=f"config key {key!r}"):
             TrainConfig.from_dict(bad)
@@ -715,6 +757,14 @@ def test_config_from_dict_checks_value_types():
     assert cfg.learning_rate == 1 and cfg.prior_mask is None
     with pytest.raises(ConfigError, match="not a JSON object"):
         TrainConfig.from_dict([["T", 5]])
+
+
+@pytest.mark.parametrize("instance", [TrainConfig(), LongTailSpec(**DATA_DEFAULTS, seed=0)],
+                         ids=["TrainConfig", "LongTailSpec"])
+def test_check_field_types_accepts_every_default(instance):
+    # every field's annotation has a type rule that its default passes;
+    # LongTailSpec has no defaults, so its values are the CLI's defaults
+    check_field_types(type(instance), dataclasses.asdict(instance))
 
 
 def test_every_trained_block_gets_a_gradient():
@@ -746,23 +796,15 @@ def test_resume_is_bitwise_equivalent(tmp_path):
     assert blocks_equal(resumed.opt_state, uninterrupted.opt_state)
 
 
-def test_resume_of_a_sgd_run_is_bitwise(tmp_path):
-    table = toy_table()
-    cfg = toy_config(epochs=4, checkpoint_every=1, optimizer="sgd")
-    uninterrupted = fit(table, cfg, checkpoint_path=tmp_path / "ckpt.json")
-    for done in (1, 2, 3):
-        resumed = fit(table, cfg, resume=load_checkpoint(tmp_path / f"ckpt.epoch{done}.json"))
-        assert blocks_equal(resumed.model.blocks(), uninterrupted.model.blocks())
-        assert resumed.opt_state == {"step_count": 12}
-
-
 def test_version_2_checkpoint_of_the_block_wise_trainer_resumes(tmp_path):
     # both files come from earlier trainers and one 6-epoch run of this
     # config (k = 4, so no product has at most 3 output columns): its
     # epoch-3 snapshot, written by the block-wise trainer, and its final
     # checkpoint, written by the trainer whose init still drew the deleted
     # encoder and query/key weights. Resuming the snapshot gives the final
-    # checkpoint byte for byte.
+    # checkpoint's blocks and Adam state bitwise. Its file equals the final
+    # checkpoint's JSON but for the config keys this trainer no longer
+    # writes (RETIRED_KEYS).
     table = toy_table(k=4)
     cfg = toy_config(epochs=6, checkpoint_every=3)
     old = load_checkpoint(os.path.join(DATA, "checkpoint_v2_epoch3.json"))
@@ -773,15 +815,18 @@ def test_version_2_checkpoint_of_the_block_wise_trainer_resumes(tmp_path):
     assert blocks_equal(resumed.model.blocks(), expected.model.blocks())
     assert blocks_equal(resumed.opt_state, expected.opt_state)
     save_checkpoint(resumed, tmp_path / "resumed.json")
-    with open(final, "rb") as fh:
-        assert (tmp_path / "resumed.json").read_bytes() == fh.read()
+    with open(final, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for key in RETIRED_KEYS:
+        assert payload["config"].pop(key) == RETIRED_KEYS[key]
+    assert json.loads((tmp_path / "resumed.json").read_text()) == payload
 
 
 def test_fit_freezes_the_prior_after_warmup(tmp_path):
     table = toy_table()
     cfg = toy_config(epochs=6, checkpoint_every=3)
     warm = warmup_train(init_model(table.d, table.k, cfg).prior, table, cfg.warmup_epochs,
-                        optim.make_optimizer(cfg.optimizer, cfg.learning_rate),
+                        optim.Adam(cfg.learning_rate),
                         batch_size=cfg.batch_size, seed=cfg.seed)
     path = tmp_path / "ckpt.json"
     fresh = fit(table, cfg, checkpoint_path=path)
@@ -844,9 +889,9 @@ def test_lambda_override_reproduces_isotropic_reference_run():
                     1.0 - np.sqrt(ab)[:, None], (sub.n, sub.k)).copy())
                 y_t = tape.add(signal, tape.mul(coef, branch_prior[b]))
                 eps_hat[b] = den.predict(y_t, branch_prior[b], t, cfg.T)
-            kc = cfg.kernel_cfg()
-            l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], kc)
-            l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], kc)
+            sigma = cfg.kernel_bandwidth
+            l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], sigma)
+            l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], sigma)
             l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
             l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
             grads_by_var = tape.backward(l_total)
