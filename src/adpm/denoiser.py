@@ -11,12 +11,15 @@ noise magnitude at step t. The input features do not enter the network:
 it sees an input only through its prior.
 
 All layers are tanh-activated linear maps, run as plain numpy. The
-forward pass (DenoiserParams.forward) is the time projection
-(project_time) followed by the trunk, which takes the projected rows.
-Training runs both, keeps the activations and takes the gradient with
-the hand-derived backward pass (DenoiserParams.backward). The reverse
-sampler projects the time rows of its visited steps once per call and
-runs only the trunk at each step. No autodiff tape is built.
+forward pass (DenoiserParams.forward) concatenates the noisy labels with
+their priors and projects the time rows (project_time), then runs the
+trunk on both. Training runs forward, keeps the activations and takes
+the gradient with the hand-derived backward pass
+(DenoiserParams.backward). The reverse sampler projects the time rows
+of its visited steps once per call and runs only the trunk at each
+step, on one (n, 2k) input whose prior half it writes once and whose
+label half it overwrites with the chains' states. No autodiff tape is
+built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ def time_embed(t: int, T: int, dim: int) -> np.ndarray:
 
 
 def time_embed_batch(ts, T: int, dim: int) -> np.ndarray:
+    """Embeddings of the steps ts, one row each. Every entry is an
+    elementwise function of its step, so a row is bitwise the same
+    whichever other steps share the call."""
     if dim % 2 != 0 or dim < 2:
         raise ConfigError(f"time embedding dimension must be even, got {dim}")
     ts = np.asarray(ts, dtype=np.float64)
@@ -95,31 +101,33 @@ class DenoiserParams(optim.BlockTable):
     def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray,
                 t_rows: np.ndarray) -> "Activations":
         """Forward pass on (n, k) rows, keeping what backward reads: the
-        time projection of t_rows, then the trunk.
+        noisy rows beside their priors and the time projection of t_rows,
+        then the trunk.
 
         t_rows holds the rows' time embeddings, one row per input or a
         single row shared by all of them.
         """
-        return Activations(t_rows, *self.trunk(y_noisy, y_prior, self.project_time(t_rows)))
+        x = np.concatenate([y_noisy, y_prior], axis=1)
+        return Activations(t_rows, x, *self.trunk(x, self.project_time(t_rows)))
 
     def project_time(self, t_rows: np.ndarray) -> np.ndarray:
         """Learned projection of time embeddings, t_rows @ time_w + time_b."""
         return t_rows @ self.time_w + self.time_b
 
-    def trunk(self, y_noisy: np.ndarray, y_prior: np.ndarray, temb: np.ndarray) -> tuple:
-        """The network after the time projection: (n, k) rows and their
-        projected time rows temb (n rows, or one shared row) give
-        (x, fused, kv, kv_v, u, h1, out), out being the predicted noise.
+    def trunk(self, x: np.ndarray, temb: np.ndarray) -> tuple:
+        """The network after the time projection: x, the (n, 2k) rows of
+        noisy labels beside their priors, and their projected time rows
+        temb (n rows, or one shared row) give (fused, kv, kv_v, u, h1,
+        out), out being the predicted noise.
 
         The shapes are not checked; predict_noise and sample check them.
         """
-        x = np.concatenate([y_noisy, y_prior], axis=1)
         fused = x @ self.fuse_w + self.fuse_b
         kv = np.tanh(fused @ self.enc_w + self.enc_b)
         kv_v = kv @ self.wv
         u = kv_v @ self.wo + temb
         h1 = np.tanh(u @ self.dec1_w + self.dec1_b + temb)
-        return x, fused, kv, kv_v, u, h1, h1 @ self.dec2_w + self.dec2_b
+        return fused, kv, kv_v, u, h1, h1 @ self.dec2_w + self.dec2_b
 
     def backward(self, acts: "Activations", g_out: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss whose gradient in forward's output is

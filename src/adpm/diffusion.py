@@ -22,25 +22,30 @@ in forward_sample: class j runs at schedule.lam[j] with the gamma row
 schedule.gamma[j], and no level is recomputed here. The sampler steps
 the chains of n inputs together as one (n, k) matrix: each row keeps its
 own class and random stream, and one forward-only denoiser pass per step
-serves every row. What does not depend on the chains' states is
-computed once per call, before the loop: a table of the four
-coefficients c_f = (xi - zeta)/xi, c_eps = lam*beta^t/sqrt(xi), zeta and
-sigma for every class at the visited steps, in which each row looks its
-class up, and the projected time embeddings of the visited steps. Each
-step then runs the denoiser trunk once and one fused update
+serves every row. What depends only on the schedule, the step count and
+the time embedding width is memoized as a SamplerPlan (sampler_plan): the
+visited steps, a table of the four coefficients c_f = (xi - zeta)/xi,
+c_eps = lam*beta^t/sqrt(xi), zeta and sigma for every class at those
+steps, and the time embeddings of those steps only. Each call then
+projects the plan's time rows, looks each row's class up in the table
+once, and computes c_f y_f and sigma z of every step in one array
+operation each. Each step copies the states into the label half of an
+(n, 2k) input whose prior half is written once, runs the denoiser trunk
+on it once, and applies one in-place update
 
     y <- (y - c_f y_f - c_eps eps_hat) / zeta + sigma z.
 
-reverse_step is the one-step case of the same table, so the formula
-lives in one place. One input is a 1-row batch. An n-row pass runs its
-matmuls as one BLAS matrix product, not n single-row ones, so a row's
-y0 can differ from that of the same input sampled alone in its last
-bits (by up to about 2e-12 on the desk runs); the predicted classes did
-not change there.
+reverse_step is the one-step case of the same table and the same
+update (_update), so the formula lives in one place. One input is a
+1-row batch. An n-row pass runs its matmuls as one BLAS matrix product,
+not n single-row ones, so a row's y0 can differ from that of the same
+input sampled alone in its last bits (by up to about 2e-12 on the desk
+runs); the predicted classes did not change there.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -51,6 +56,8 @@ import numpy as np
 from .denoiser import DenoiserParams, predict_noise, time_embed_batch  # noqa: F401
 from .errors import ShapeError, UsageError
 from .schedule import NoiseSchedule, inference_lambda  # noqa: F401
+
+PLAN_CACHE_SIZE = 32  # distinct (schedule, steps, t_dim) plans sampler_plan keeps
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,8 @@ class SampleBatch(Sequence):
     """Outputs of n reverse chains stepped together, kept as arrays.
 
     Indexing with a row gives that chain's SampleResult, built on access,
-    so a batch holds no per-row objects; a slice gives a smaller batch.
+    so a batch holds no per-row objects; a slice gives a smaller batch
+    that holds copies of its rows.
     """
 
     y0: np.ndarray                                   # (n, k)
@@ -88,9 +96,10 @@ class SampleBatch(Sequence):
         return self.y0.shape[0]
 
     def __getitem__(self, r):
-        trace = None if self.trace is None else [(t, ys[r]) for t, ys in self.trace]
         if isinstance(r, slice):
-            return SampleBatch(y0=self.y0[r], lam=self.lam[r], trace=trace)
+            trace = None if self.trace is None else [(t, ys[r].copy()) for t, ys in self.trace]
+            return SampleBatch(y0=self.y0[r].copy(), lam=self.lam[r].copy(), trace=trace)
+        trace = None if self.trace is None else [(t, ys[r]) for t, ys in self.trace]
         y0 = self.y0[r]
         return SampleResult(y0=y0, pred_class=int(np.argmax(y0)), lam=float(self.lam[r]),
                             trace=trace)
@@ -133,9 +142,10 @@ def reverse_step(schedule: NoiseSchedule, class_j, t: int, y_t, y_f, eps_hat,
     if not (1 <= t <= schedule.T):
         raise UsageError(f"t must lie in [1, {schedule.T}], got {t}")
     classes = _class_index(schedule, class_j)
-    coef = _step_table(schedule, np.array([t]))[0]
-    y_t, y_f, eps_hat, z = (np.asarray(a, dtype=np.float64) for a in (y_t, y_f, eps_hat, z))
-    return _update(y_t, y_f, eps_hat, z, *coef[:, classes, None])
+    c_f, c_eps, zeta, sigma = _step_table(schedule, np.array([t]))[0][:, classes, None]
+    y, y_f, eps, z = (np.array(a, dtype=np.float64) for a in (y_t, y_f, eps_hat, z))
+    _update(y, c_f * y_f, c_eps, eps, zeta, sigma * z)
+    return y
 
 
 def _class_index(schedule: NoiseSchedule, classes) -> np.ndarray:
@@ -166,9 +176,15 @@ def _step_table(schedule: NoiseSchedule, ts: np.ndarray) -> np.ndarray:
     return np.stack([(xi - zeta) / xi, lam * beta_t / np.sqrt(xi), zeta, sigma], axis=1)
 
 
-def _update(y_t, y_f, eps_hat, z, c_f, c_eps, zeta, sigma) -> np.ndarray:
-    """The reverse update with one step's coefficients from _step_table."""
-    return (y_t - c_f * y_f - c_eps * eps_hat) / zeta + sigma * z
+def _update(y, shift, c_eps, eps_hat, zeta, kick) -> None:
+    """The reverse update y <- (y - shift - c_eps eps_hat) / zeta + kick,
+    in place, with one step's coefficients from _step_table, shift =
+    c_f y_f and kick = sigma z. eps_hat is overwritten."""
+    y -= shift
+    eps_hat *= c_eps
+    y -= eps_hat
+    y /= zeta
+    y += kick
 
 
 def sample_timesteps(T: int, steps: int) -> np.ndarray:
@@ -178,6 +194,32 @@ def sample_timesteps(T: int, steps: int) -> np.ndarray:
     if steps == 1:
         return np.array([T], dtype=np.int64)
     return np.round(np.linspace(T, 1, steps)).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class SamplerPlan:
+    """What a reverse chain needs of its schedule, step count and time
+    embedding width, whatever the rows: the visited steps ts, their
+    _step_table coefficients (S, 4, k) and their time embeddings
+    (S, t_dim), all read-only."""
+
+    ts: np.ndarray
+    coef: np.ndarray
+    t_rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
+def sampler_plan(schedule: NoiseSchedule, steps: int, t_dim: int) -> SamplerPlan:
+    """The plan of steps strided steps on schedule, memoized per
+    (schedule, steps, t_dim), each with its type; the cache keeps the
+    PLAN_CACHE_SIZE most recent. A bad step count or a singular visited
+    step raises UsageError, and nothing is cached."""
+    ts = sample_timesteps(schedule.T, steps)
+    plan = SamplerPlan(ts=ts, coef=_step_table(schedule, ts),
+                       t_rows=time_embed_batch(ts, schedule.T, t_dim))
+    for arr in (plan.ts, plan.coef, plan.t_rows):
+        arr.flags.writeable = False
+    return plan
 
 
 def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, rngs,
@@ -192,7 +234,8 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, rngs,
     steps < T the chains visit an evenly strided timestep subsequence and
     use the stored gamma values at those indices. Each row draws from its
     own generator in a fixed layout: k values for y^T, then k values of z
-    per step, even where sigma = 0.
+    per step, even where sigma = 0. The returned y0 and every trace
+    snapshot are arrays of their own.
     """
     y_f = np.asarray(y_f, dtype=np.float64)
     classes = _class_index(schedule, classes)
@@ -203,24 +246,32 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, rngs,
     n, k = y_f.shape
     if k != params.k:
         raise ShapeError(f"the denoiser predicts k={params.k} classes, y_f has k={k}")
-    # everything that does not depend on the chains' states is computed
-    # once, and every check runs before any generator advances
-    ts = sample_timesteps(schedule.T, steps)
-    coef = _step_table(schedule, ts)
-    # the visited rows of fit_tables' time table, projected as an (S, 1, .)
-    # stack: one 1-row product per step, the product predict_noise runs (a
-    # single (S, .) product would round differently)
-    t_table = time_embed_batch(np.arange(schedule.T + 1), schedule.T, params.t_emb_dim)
-    tembs = params.project_time(t_table[ts][:, None, :])
+    plan = sampler_plan(schedule, steps, params.t_emb_dim)
+    # the visited time rows projected as an (S, 1, .) stack: one 1-row
+    # product per step, the product predict_noise runs (a single (S, .)
+    # product would round differently); the blocks may change between
+    # calls, so this is not memoized
+    tembs = params.project_time(plan.t_rows[:, None, :])
     # noise[0] starts each chain, noise[i] is the z of the i-th step
-    noise = np.empty((ts.size + 1, n, k))
+    noise = np.empty((plan.ts.size + 1, n, k))
     for r, g in enumerate(rngs):
-        noise[:, r] = g.standard_normal((ts.size + 1, k))
+        noise[:, r] = g.standard_normal((plan.ts.size + 1, k))
+    # each row's coefficients at every step, (S, n, 1) each, and the two
+    # terms of the update that do not depend on the state, (S, n, k) each:
+    # shift = c_f y_f, and kick = sigma z written over the z's
+    c_f, c_eps, zeta, sigma = np.moveaxis(plan.coef[:, :, classes, None], 1, 0)
+    shift = c_f * y_f
+    kick = np.multiply(sigma, noise[1:], out=noise[1:])
+    # the trunk's input, the labels beside the priors; y stays a
+    # contiguous array of its own, since in-place updates of a strided
+    # view run row by row
+    x = np.empty((n, 2 * k))
+    x[:, k:] = y_f
     y = y_f + noise[0]
-    snapshots = [(schedule.T, y)] if trace else None
-    for i, t in enumerate(ts):
-        eps_hat = params.trunk(y, y_f, tembs[i])[-1]
-        y = _update(y, y_f, eps_hat, noise[i + 1], *coef[i][:, classes, None])
+    snapshots = [(schedule.T, y.copy())] if trace else None
+    for i, t in enumerate(plan.ts):
+        x[:, :k] = y
+        _update(y, shift[i], c_eps[i], params.trunk(x, tembs[i])[-1], zeta[i], kick[i])
         if trace:
-            snapshots.append((int(t) - 1, y))
+            snapshots.append((int(t) - 1, y.copy()))
     return SampleBatch(y0=y, lam=schedule.lam[classes], trace=snapshots)

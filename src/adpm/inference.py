@@ -7,16 +7,20 @@ net only: one global and one local pass give the global prior y_g and
 the fused prior y_f. Each row runs at the noise level of the class its
 global prior ranks first, looked up by class index in the checkpoint's
 schedule (with lambda_override set, every class of that schedule has
-the forced level). The chains of all rows then step together as one
-(n, k) matrix through the forward-only denoiser, so the prior and
-denoiser matmuls run as n-row BLAS products. Both networks run as plain
+the forced level). The schedule and the sampler's plan for the step
+count are memoized (trainer.noise_schedule, diffusion.sampler_plan), so
+repeated calls on one checkpoint build neither again; everything that
+reads the networks' blocks runs on every call. The chains of all rows
+then step together as one (n, k) matrix through the forward-only
+denoiser, so the prior and denoiser matmuls run as n-row BLAS products. Both networks run as plain
 numpy; no autodiff tape is built. For n >= 2 OpenBLAS computes a row of
 such a product the same way whatever n is, except for products with at
 most 3 output columns (k <= 3 classes at the default widths), where a
 row's last bits can depend on n. A 1-row table would take BLAS's
 single-row path instead, so it is padded to two rows, the pad row on
 its own copy of stream (seed, 3, 0), and the pad row is dropped from the
-output.
+output. steps and seed must be integers (a bool is not); anything else
+raises UsageError before any work.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
     if table.d != d_model:
         raise ConfigError(f"checkpoint was trained with d={d_model} features, "
                           f"dataset has d={table.d}")
-    steps = cfg.sample_steps if steps is None else steps
-    seed = cfg.seed if seed is None else seed
+    steps = cfg.sample_steps if steps is None else _integer("steps", steps)
+    seed = cfg.seed if seed is None else _integer("seed", seed)
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     schedule = noise_schedule(ckpt.counts, cfg)
@@ -62,7 +66,16 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
 
     rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
     results = sample(schedule, ckpt.model.denoiser, bundle.y_f, np.argmax(bundle.y_g, axis=1),
-                     rngs, steps, trace=trace)[:table.n]
+                     rngs, steps, trace=trace)
+    if table.n == 1:
+        results = results[:1]  # drop the pad row
     preds = np.argmax(results.y0, axis=1).astype(np.int64)
     prior_preds = np.argmax(bundle.y_f[:table.n], axis=1).astype(np.int64)
     return EvalOutput(predictions=preds, results=results, prior_predictions=prior_preds)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer raises UsageError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -142,9 +142,14 @@ def _gamma_row(lam: float, beta: np.ndarray, class_index: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Immutable bundle of beta, per-class lambda and the gamma table."""
+    """Immutable bundle of beta, per-class lambda and the gamma table.
+
+    build_schedule makes the three arrays read-only, so one schedule can
+    be shared by every caller. Schedules compare and hash by identity,
+    which lets the sampler key its memoized plans on them.
+    """
 
     beta: np.ndarray    # (T,)
     lam: np.ndarray     # (k,)
@@ -168,12 +173,15 @@ class NoiseSchedule:
 
 
 def build_schedule(beta: np.ndarray, lam: np.ndarray) -> NoiseSchedule:
-    """Validate feasibility and precompute the gamma table."""
-    beta = np.asarray(beta, dtype=np.float64)
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    """Validate feasibility and precompute the gamma table; the schedule
+    holds read-only copies of beta and lam."""
+    beta = np.array(beta, dtype=np.float64)
+    lam = np.atleast_1d(np.array(lam, dtype=np.float64))
     gamma = np.empty((lam.size, beta.size + 1))
     for j, lj in enumerate(lam):
         gamma[j] = _gamma_row(float(lj), beta, class_index=j)
+    for arr in (beta, lam, gamma):
+        arr.flags.writeable = False
     return NoiseSchedule(beta=beta, lam=lam, gamma=gamma)
 
 

@@ -50,6 +50,7 @@ values this trainer keeps, and the keys are dropped (RETIRED_KEYS).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import warnings
@@ -71,6 +72,7 @@ CHECKPOINT_VERSION = 2
 _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
                       "blocks", "optimizer")
 BRANCHES = ("global", "local", "fused")
+SCHEDULE_CACHE_SIZE = 16  # distinct schedules noise_schedule keeps
 # config keys of older checkpoints -> the one value this trainer keeps
 RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed"}
 
@@ -252,12 +254,25 @@ def training_census(table: DatasetTable) -> ClassCensus:
 
 def noise_schedule(counts, cfg: TrainConfig) -> NoiseSchedule:
     """cfg's schedule for a census of class counts: lambda_override for
-    every class if set, else the census's anisotropic noise levels."""
-    beta = linear_beta(cfg.T, cfg.beta1, cfg.betaT)
-    if cfg.lambda_override is not None:
-        lam = np.full(len(counts), float(cfg.lambda_override))
+    every class if set, else the census's anisotropic noise levels.
+
+    Memoized on the values that determine it (the counts and cfg's T,
+    beta1, betaT, alpha, c and lambda_override, each with its type), so
+    every call with the same values shares one read-only schedule; the
+    cache keeps the SCHEDULE_CACHE_SIZE most recent.
+    """
+    return _schedule(tuple(counts), cfg.T, cfg.beta1, cfg.betaT, cfg.alpha, cfg.c,
+                     cfg.lambda_override)
+
+
+@functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE, typed=True)
+def _schedule(counts: tuple, T: int, beta1: float, betaT: float, alpha: float, c: float,
+              lambda_override: float | None) -> NoiseSchedule:
+    beta = linear_beta(T, beta1, betaT)
+    if lambda_override is not None:
+        lam = np.full(len(counts), float(lambda_override))
     else:
-        lam = lambda_vector(ClassCensus(tuple(counts)), cfg.noise_cfg())
+        lam = lambda_vector(ClassCensus(counts), NoiseLevelConfig(alpha=alpha, c=c))
     return build_schedule(beta, lam)
 
 

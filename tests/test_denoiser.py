@@ -174,3 +174,14 @@ def test_predict_noise_permutation_equivariance():
     base = predict_noise(params, yn, yp, 6, 12)
     twisted = predict_noise(permuted, yn[:, perm], yp[:, perm], 6, 12)
     assert np.allclose(twisted, base[:, perm], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [7, 100, 1000])
+def test_time_rows_of_any_step_subset_equal_the_full_table_bitwise(T):
+    # the sampler embeds only its visited steps
+    from adpm.diffusion import sample_timesteps
+    for dim in (2, 4, 16, 32):
+        table = time_embed_batch(np.arange(T + 1), T, dim)
+        for steps in range(1, min(T, 60) + 1):
+            ts = sample_timesteps(T, steps)
+            assert time_embed_batch(ts, T, dim).tobytes() == table[ts].tobytes(), (dim, steps)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -166,11 +168,20 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
             assert a.tobytes() == b[0].tobytes()
 
 
+def _clear_caches():
+    import adpm.diffusion
+    import adpm.trainer
+    adpm.trainer._schedule.cache_clear()
+    adpm.diffusion.sampler_plan.cache_clear()
+
+
 def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained, monkeypatch):
     # structural guard on the sampler's cost, with no timing in it: work
     # that does not depend on the chains' states (the time projection)
-    # stays out of the loop, and the gamma rows are the k rows of the one
-    # schedule build, indexed by class; no level's row is computed again
+    # stays out of the loop; the gamma rows are the k rows of the one
+    # schedule build, indexed by class, and the step table is built once
+    # per plan; a second call on the same checkpoint builds neither
+    import adpm.diffusion
     import adpm.schedule
     from adpm.denoiser import DenoiserParams
     from adpm.schedule import NoiseSchedule
@@ -188,10 +199,86 @@ def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained,
     count(DenoiserParams, "project_time")
     count(NoiseSchedule, "gamma_for")
     count(adpm.schedule, "_gamma_row")
+    count(adpm.diffusion, "_step_table")
     ckpt, test = trained
     k = len(ckpt.counts)
+    steps = ckpt.config.sample_steps
+    _clear_caches()
     assert np.unique(classify_dataset(ckpt, test).results.lam).size > 1
-    assert calls == {"trunk": ckpt.config.sample_steps, "project_time": 1, "_gamma_row": k}
+    assert calls == {"trunk": steps, "project_time": 1, "_gamma_row": k, "_step_table": 1}
     calls.clear()
-    classify_dataset(ckpt, test.take([0]), steps=5)  # two rows at one level
-    assert calls == {"trunk": 5, "project_time": 1, "_gamma_row": k}
+    classify_dataset(ckpt, test)
+    assert calls == {"trunk": steps, "project_time": 1}
+    calls.clear()
+    classify_dataset(ckpt, test.take([0]), steps=5)  # two rows at one level, a new plan
+    assert calls == {"trunk": 5, "project_time": 1, "_step_table": 1}
+    assert adpm.diffusion.sampler_plan.cache_info().misses == 2
+
+
+def test_warm_caches_give_the_bits_of_cold_ones(trained):
+    ckpt, test = trained
+    warm = [classify_dataset(ckpt, rows, trace=True) for rows in (test, test.take([2]))]
+    _clear_caches()
+    cold = [classify_dataset(ckpt, rows, trace=True) for rows in (test, test.take([2]))]
+    for a, b in zip(warm, cold):
+        assert a.predictions.tobytes() == b.predictions.tobytes()
+        assert a.results.y0.tobytes() == b.results.y0.tobytes()
+        for (ta, sa), (tb, sb) in zip(a.results.trace, b.results.trace):
+            assert ta == tb and sa.tobytes() == sb.tobytes()
+
+
+def test_caches_stay_within_their_bounds():
+    import adpm.diffusion
+    import adpm.trainer
+    from adpm.denoiser import DenoiserParams
+    from adpm.diffusion import sample, sampler_plan
+
+    T = 60
+    for beta_t in np.linspace(0.01, 0.02, adpm.trainer.SCHEDULE_CACHE_SIZE + 5):
+        sched = noise_schedule((5, 3), TrainConfig(T=T, sample_steps=5, betaT=float(beta_t)))
+    assert adpm.trainer._schedule.cache_info().currsize == adpm.trainer.SCHEDULE_CACHE_SIZE
+    params = DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0))
+    assert T > adpm.diffusion.PLAN_CACHE_SIZE
+    for steps in range(1, T + 1):
+        sample(sched, params, np.full((1, 2), 0.5), [0], [np.random.default_rng(0)], steps)
+    assert sampler_plan.cache_info().currsize == adpm.diffusion.PLAN_CACHE_SIZE
+
+
+def test_outputs_are_arrays_of_their_own(trained):
+    # y0 is a C-contiguous array that owns its data, and no trace
+    # snapshot shares memory with another or with y0
+    ckpt, test = trained
+    for rows in (test, test.take([0])):
+        out = classify_dataset(ckpt, rows, trace=True)
+        y0 = out.results.y0
+        assert y0.flags.c_contiguous and y0.flags.owndata
+        arrays = [y0] + [s for _, s in out.results.trace]
+        assert len(arrays) == ckpt.config.sample_steps + 2
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("name,value", [("steps", 2.5), ("steps", True), ("steps", "3"),
+                                        ("steps", np.float64(3.0)), ("seed", 1.5),
+                                        ("seed", False), ("seed", "0")])
+def test_classify_rejects_a_step_count_or_seed_that_is_not_an_integer(trained, monkeypatch,
+                                                                      name, value):
+    import adpm.diffusion
+    import adpm.inference
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+    monkeypatch.setattr(adpm.inference, "prior_bundle", refuse)
+    monkeypatch.setattr(adpm.inference, "noise_schedule", refuse)
+    monkeypatch.setattr(adpm.diffusion, "sampler_plan", refuse)
+    ckpt, test = trained
+    with pytest.raises(UsageError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        classify_dataset(ckpt, test, **{name: value})
+
+
+def test_classify_accepts_numpy_integers(trained):
+    ckpt, test = trained
+    a = classify_dataset(ckpt, test, steps=5, seed=3)
+    b = classify_dataset(ckpt, test, steps=np.int64(5), seed=np.int32(3))
+    assert a.results.y0.tobytes() == b.results.y0.tobytes()

@@ -239,3 +239,19 @@ def test_inference_lambda_two_class_oracle():
     census = ClassCensus((100, 10))
     cfg = NoiseLevelConfig(alpha=0.5, c=5.0)
     assert inference_lambda([0.1, 2.0], census, cfg) == pytest.approx(38.987346332397896, abs=1e-11)
+
+
+def test_schedule_arrays_are_read_only():
+    # one schedule is shared by every caller, so no caller may write it
+    beta = linear_beta(10, 0.01, 0.05)
+    lam = np.array([1.0, 5.0])
+    sched = build_schedule(beta, lam)
+    for name in ("beta", "lam", "gamma"):
+        arr = getattr(sched, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+    # the caller's arrays are copied, not frozen
+    assert beta.flags.writeable and lam.flags.writeable
+    assert not np.shares_memory(beta, sched.beta) and not np.shares_memory(lam, sched.lam)

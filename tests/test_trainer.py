@@ -937,3 +937,23 @@ def test_train_step_reports_consistent_total():
     assert report.L_total == pytest.approx(cfg.w * (report.L_g + report.L_l)
                                            + report.L_eps, abs=1e-12)
     assert set(grads) == set(model.denoiser_blocks())
+
+
+def test_noise_schedule_is_memoized_on_the_values_that_determine_it():
+    cfg = TrainConfig(T=30, sample_steps=5)
+    sched = noise_schedule((9, 4, 2), cfg)
+    assert noise_schedule(np.array([9, 4, 2]), TrainConfig(T=30, sample_steps=7, seed=3,
+                                                          epochs=2)) is sched
+    for change in ({"T": 31}, {"beta1": 2e-4}, {"betaT": 0.01}, {"alpha": 0.5}, {"c": 4.0},
+                   {"lambda_override": 1.0}):
+        other = noise_schedule((9, 4, 2), TrainConfig(**{"T": 30, "sample_steps": 5, **change}))
+        assert other is not sched
+    assert noise_schedule((9, 4, 3), cfg) is not sched
+    # a config changed in place keys on its new values
+    cfg.betaT = 0.01
+    assert noise_schedule((9, 4, 2), cfg) is not sched
+    assert noise_schedule((9, 4, 2), cfg).beta[-1] == 0.01
+    # an equal value of another type is not served from the cache: a
+    # float T fails as it does with a cold cache
+    with pytest.raises(TypeError):
+        noise_schedule((9, 4, 2), TrainConfig(T=30.0, sample_steps=5))
