@@ -129,12 +129,10 @@ def generate_longtail(spec: LongTailSpec) -> DatasetTable:
     counts = spec.class_counts()
     means = class_means(spec)
     rng = np.random.default_rng([spec.seed, 0])
-    blocks = []
-    labels = []
-    for j, cnt in enumerate(counts):
-        blocks.append(means[j] + spec.spread * rng.standard_normal((cnt, spec.d)))
-        labels.extend([j] * cnt)
-    return DatasetTable(np.concatenate(blocks, axis=0), np.array(labels), spec.k)
+    blocks = [means[j] + spec.spread * rng.standard_normal((cnt, spec.d))
+              for j, cnt in enumerate(counts)]
+    labels = np.repeat(np.arange(spec.k, dtype=np.int64), counts)
+    return DatasetTable(np.concatenate(blocks, axis=0), labels, spec.k)
 
 
 def save_csv(table: DatasetTable, path) -> None:

@@ -7,8 +7,11 @@ The bound under test weighs per-class terms by proportions p_j:
 where R_{n_j} is the class-restricted empirical Rademacher complexity.
 The supremum over hypotheses is taken by exhaustive search over a
 finite grid of sign classifiers, which makes every term exactly
-computable at desk scale. Losses are error counts over class sizes, and
-an experiment scores its population once, not once per draw.
+computable at desk scale. Losses are exact error counts over class
+sizes: each class's rows are gathered once and scored in fixed blocks of
+rows, so no (H, n) score matrix is built. An experiment scores its
+population once, not once per draw. Samples are checked at the boundary:
+2-D finite features with the grid's width, and one label in {0, 1} per row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ShapeError, UsageError
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,16 @@ class HypothesisGrid:
         return cls(weights, biases)
 
 
-def _class_indices(labels, k: int) -> list[np.ndarray]:
-    labels = np.asarray(labels, dtype=np.int64)
+def _class_indices(labels, k: int, what: str = "sample") -> list[np.ndarray]:
+    """Row indices of each class 0..k-1; every label must be one of them."""
+    labels = np.asarray(labels)
     groups = [np.nonzero(labels == j)[0] for j in range(k)]
+    if sum(g.size for g in groups) != labels.size:
+        bad = labels[~np.isin(labels, np.arange(k))][0].item()
+        raise UsageError(f"{what}: labels must be integers from 0 to {k - 1}, got {bad!r}")
     empty = [j for j, g in enumerate(groups) if g.size == 0]
     if empty:
-        raise UsageError(f"classes {empty} have no samples")
+        raise UsageError(f"{what}: classes {empty} have no samples")
     return groups
 
 
@@ -146,16 +153,52 @@ def class_rademacher(x_class, grid: HypothesisGrid, draws: int, rng) -> float:
                                 np.array([1.0]), grid, draws, rng)
 
 
-def _class_losses(grid: HypothesisGrid, x, y: np.ndarray, groups) -> np.ndarray:
-    """(H, k) per-class 0/1 losses of every hypothesis on the rows (x, y).
+_BLOCK_ROWS = 8192  # rows per scoring product: a (H, 8192) block, never the (H, n) matrix
+
+
+def _class_rows(x, y, grid: HypothesisGrid, what: str) -> list[np.ndarray]:
+    """The rows of each class of the binary sample (x, y), in class order.
+
+    Rejects, naming the bad value, features that are not a finite (n, d)
+    float array with the grid's d, labels that do not match them row for
+    row, and labels outside {0, 1}. Well-typed input is not copied before
+    the per-class gather.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = grid.weights.shape[1]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"{what}: features must be (n, {d}), got shape {x.shape}")
+    y = np.asarray(y)
+    if y.shape != (x.shape[0],):
+        raise ShapeError(f"{what}: labels must have shape ({x.shape[0]},) to match the "
+                         f"features, got {y.shape}")
+    groups = _class_indices(y, 2, what)
+    finite = np.isfinite(x)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise UsageError(f"{what}: features must be finite, got {x[~finite][0]} in row {row}")
+    return [x[g] for g in groups]
+
+
+def _class_losses(grid: HypothesisGrid, parts) -> np.ndarray:
+    """(H, 2) per-class 0/1 losses of every hypothesis; parts[j] holds the
+    rows of class j.
 
     Each entry is a class's exact error count over its size, the bits of
     the mean of the per-sample loss (1 - y u)/2 with y, u in {-1, +1}.
     As a function of the output u on [-1, 1] that loss is Lipschitz with
-    constant 1/2 and bounded by 1.
+    constant 1/2 and bounded by 1. A class is scored in blocks of
+    _BLOCK_ROWS rows; each score has the bits of the whole-sample product,
+    and a class-0 row is an error where f = +1, a class-1 row where f = -1.
     """
-    wrong = (grid._scores(x) >= 0.0) != (y == 1)
-    return np.stack([wrong[:, g].sum(axis=1) / g.size for g in groups], axis=1)
+    losses = np.empty((grid.size, len(parts)))
+    for j, part in enumerate(parts):
+        positive = np.zeros(grid.size, dtype=np.int64)
+        for start in range(0, part.shape[0], _BLOCK_ROWS):
+            positive += (grid._scores(part[start:start + _BLOCK_ROWS]) >= 0.0).sum(axis=1)
+        errors = positive if j == 0 else part.shape[0] - positive
+        losses[:, j] = errors / part.shape[0]
+    return losses
 
 
 @dataclass(frozen=True)
@@ -183,24 +226,15 @@ def _population(pop_x, pop_y, grid: HypothesisGrid, delta: float, p):
                                and abs(p.sum() - 1.0) <= 1e-9):
         raise UsageError("p must be 2 finite, non-negative proportions summing to 1, "
                          f"got {np.array2string(p, threshold=6)}")
-    pop_y = np.asarray(pop_y, dtype=np.int64)
-    if pop_y.max(initial=0) > 1:
-        raise UsageError(f"bound_check handles binary tasks, got k={pop_y.max() + 1}")
-    return _class_losses(grid, pop_x, pop_y, _class_indices(pop_y, 2)), p
+    return _class_losses(grid, _class_rows(pop_x, pop_y, grid, "population")), p
 
 
-def _check_draw(train_x, train_y, lpop: np.ndarray, grid: HypothesisGrid, p,
+def _check_draw(parts, lpop: np.ndarray, grid: HypothesisGrid, p,
                 c_loss, lip, delta, draws: int, rng) -> BoundReport:
-    train_y = np.asarray(train_y, dtype=np.int64)
-    k = int(max(train_y.max(initial=0), 1)) + 1  # the population's labels are 0 and 1
-    if k != 2:
-        raise UsageError(f"bound_check handles binary tasks, got k={k}")
-    groups = _class_indices(train_y, k)
-    n_j = np.array([g.size for g in groups], dtype=np.float64)
-    lhat = _class_losses(grid, train_x, train_y, groups)
-
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
-    r = np.array([class_rademacher(train_x[g], grid, draws, rng) for g in groups])
+    """Check one training draw, given as the rows of each of its classes."""
+    n_j = np.array([part.shape[0] for part in parts], dtype=np.float64)
+    lhat = _class_losses(grid, parts)
+    r = np.array([class_rademacher(part, grid, draws, rng) for part in parts])
     deviation = c_loss * np.sqrt(np.log(1.0 / delta) / (2.0 * n_j))
 
     rhs = (p[None, :] * (lhat + 2.0 * lip * r[None, :] + deviation[None, :])).sum(axis=1)
@@ -216,13 +250,15 @@ def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
                 p=None, draws: int = 200, rng=None) -> BoundReport:
     """Check every grid hypothesis on one training draw.
 
-    Labels are binary {0, 1}. The left side is the p-weighted per-class
-    loss on the held-out population sample; the right side adds the
-    class complexity and deviation terms to the training losses.
+    Labels are binary {0, 1}, one per row of finite (n, d) features. The
+    left side is the p-weighted per-class loss on the held-out population
+    sample; the right side adds the class complexity and deviation terms
+    to the training losses.
     """
     lpop, p = _population(pop_x, pop_y, grid, delta, p)
     rng = np.random.default_rng(0) if rng is None else rng
-    return _check_draw(train_x, train_y, lpop, grid, p, c_loss, lip, delta, draws, rng)
+    return _check_draw(_class_rows(train_x, train_y, grid, "training set"), lpop, grid, p,
+                       c_loss, lip, delta, draws, rng)
 
 
 def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, *,
@@ -243,8 +279,8 @@ def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, 
     violating_draws = 0
     for i in range(n_draws):
         train_x, train_y = draw_fn(i)
-        report = _check_draw(train_x, train_y, lpop, grid, p, c_loss, lip, delta,
-                             mc_draws, np.random.default_rng([seed, 5, i]))
+        report = _check_draw(_class_rows(train_x, train_y, grid, f"draw {i}"), lpop, grid,
+                             p, c_loss, lip, delta, mc_draws, np.random.default_rng([seed, 5, i]))
         margins[i] = report.margins
         r_sum = report.r_per_class if r_sum is None else r_sum + report.r_per_class
         violating_draws += 0 if report.holds else 1

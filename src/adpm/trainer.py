@@ -139,9 +139,6 @@ class TrainConfig:
         if lam is not None and not (np.isfinite(lam) and lam > 0):
             raise ConfigError(f"lambda_override must be finite and positive, got {lam}")
 
-    def noise_cfg(self) -> NoiseLevelConfig:
-        return NoiseLevelConfig(alpha=self.alpha, c=self.c)
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

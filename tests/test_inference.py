@@ -7,7 +7,7 @@ from adpm.data import DatasetTable, LongTailSpec, generate_longtail, split_fract
 from adpm.errors import ConfigError, UsageError
 from adpm.inference import classify_dataset
 from adpm.priors import mlp_forward, prior_bundle
-from adpm.schedule import ClassCensus, inference_lambda
+from adpm.schedule import ClassCensus, NoiseLevelConfig, inference_lambda
 from adpm.trainer import TrainConfig, fit, noise_schedule
 
 import sampler_oracle
@@ -156,7 +156,7 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
         out = classify_dataset(ckpt, test.take([1]), trace=True)
         x = test.features[[1, 1]]
         lam = inference_lambda(mlp_forward(ckpt.model.prior, x)[1], ClassCensus(ckpt.counts),
-                               cfg.noise_cfg())
+                               NoiseLevelConfig(alpha=cfg.alpha, c=cfg.c))
         bundle = prior_bundle(ckpt.model.prior, x)
         y0, trace = sampler_oracle.sample(
             noise_schedule(ckpt.counts, cfg), ckpt.model.denoiser, bundle.y_f, lam,

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from adpm.errors import UsageError
+from adpm import metrics
+from adpm.errors import ShapeError, UsageError
 from adpm.metrics import (HypothesisGrid, bound_check, bound_experiment,
                           class_rademacher, classification_metrics,
                           confusion_matrix, empirical_rademacher)
@@ -133,6 +135,13 @@ def test_rademacher_rejects_empty_class():
     with pytest.raises(UsageError):
         empirical_rademacher(np.ones((3, 1)), np.zeros(3, dtype=int),
                              np.array([0.5, 0.5]),
+                             HypothesisGrid(np.zeros((2, 1)), np.array([1.0, -1.0])), 10,
+                             np.random.default_rng(0))
+
+
+def test_rademacher_rejects_a_label_outside_its_classes():
+    with pytest.raises(UsageError, match=r"labels must be integers from 0 to 1, got 2$"):
+        empirical_rademacher(np.ones((3, 1)), np.array([0, 1, 2]), np.array([0.5, 0.5]),
                              HypothesisGrid(np.zeros((2, 1)), np.array([1.0, -1.0])), 10,
                              np.random.default_rng(0))
 
@@ -275,8 +284,95 @@ def test_bound_experiment_scores_population_once():
     pop_x, pop_y = _two_blob_draw(400, 101, seed=26)
     bound_experiment(lambda i: _two_blob_draw(20, 9, seed=300 + i), 5, pop_x, pop_y, grid,
                      mc_draws=10, seed=27)
-    assert rows.count(501) == 1
-    assert sum(rows) == 501 + 5 * 2 * 29  # each draw: its losses, then its two classes
+    # the population's 501 rows once, class by class, before any draw; then
+    # each draw's 29 rows twice, class by class: its losses, then its complexities
+    assert rows == [400, 101] + [20, 9, 20, 9] * 5
+    assert sum(rows) == 501 + 5 * 2 * 29
+
+
+def test_blocked_class_losses_match_the_dense_form_bitwise():
+    # more than two blocks in each class, odd class sizes, rows interleaved,
+    # and rows scoring exactly 0.0 (sign(0) = +1) in both classes
+    block = metrics._BLOCK_ROWS
+    n0, n1 = 2 * block + 7, 2 * block + 1
+    rng = np.random.default_rng(33)
+    y = rng.permutation(np.array([0] * n0 + [1] * n1))
+    x = rng.standard_normal((n0 + n1, 2)) + np.where(y == 1, 0.5, -0.5)[:, None]
+    x[rng.choice(n0 + n1, 400, replace=False), 0] = 0.0
+    x[rng.choice(n0 + n1, 400, replace=False), 0] = 1.0
+    base = HypothesisGrid.linear(2, 6, [-1.0, 0.0, 0.7], seed=34).with_negation()
+    grid = HypothesisGrid(np.concatenate([[[1.0, 0.0], [1.0, 0.0]], base.weights]),
+                          np.concatenate([[0.0, -1.0], base.biases]))
+    scores = grid._scores(x)
+    assert (scores[:2, y == 0] == 0.0).any(axis=1).all()
+    assert (scores[:2, y == 1] == 0.0).any(axis=1).all()
+    wrong = (scores >= 0.0) != (y == 1)
+    want = np.stack([wrong[:, y == j].mean(axis=1) for j in (0, 1)], axis=1)
+    got = metrics._class_losses(grid, [x[y == 0], x[y == 1]])
+    assert got.tobytes() == want.tobytes()
+
+
+def _same(a):
+    return a
+
+
+def _nan_at_row_3(x):
+    x = x.copy()
+    x[3, 1] = np.nan
+    return x
+
+
+def _label_2_set_to(value):
+    def relabel(y):
+        y = y.astype(type(value))
+        y[2] = value
+        return y
+    return relabel
+
+
+BAD_SAMPLES = {
+    # name: (features edit, labels edit, error, message)
+    "features-1d": (lambda x: x[:, 0], _same, ShapeError,
+                    "features must be (n, 2), got shape (15,)"),
+    "features-3-columns": (lambda x: np.hstack([x, x[:, :1]]), _same, ShapeError,
+                           "features must be (n, 2), got shape (15, 3)"),
+    "labels-short": (_same, lambda y: y[:-1], ShapeError,
+                     "labels must have shape (15,) to match the features, got (14,)"),
+    "labels-minus-one": (_same, _label_2_set_to(-1), UsageError,
+                         "labels must be integers from 0 to 1, got -1"),
+    "labels-two": (_same, _label_2_set_to(2), UsageError,
+                   "labels must be integers from 0 to 1, got 2"),
+    "labels-half": (_same, _label_2_set_to(0.5), UsageError,
+                    "labels must be integers from 0 to 1, got 0.5"),
+    "labels-one-and-a-half": (_same, _label_2_set_to(1.5), UsageError,
+                              "labels must be integers from 0 to 1, got 1.5"),
+    "features-nan": (_nan_at_row_3, _same, UsageError,
+                     "features must be finite, got nan in row 3"),
+}
+
+
+BOUND_ENTRY_POINTS = {
+    # name: (the bad sample's name in the message, call with good (x, y) and bad (bx, by))
+    "check-population": ("population",
+                         lambda x, y, bx, by, g: bound_check(x, y, bx, by, g, draws=5)),
+    "check-training": ("training set",
+                       lambda x, y, bx, by, g: bound_check(bx, by, x, y, g, draws=5)),
+    "experiment-population": ("population", lambda x, y, bx, by, g: bound_experiment(
+        lambda i: (x, y), 2, bx, by, g, mc_draws=5)),
+    "experiment-draw": ("draw 1", lambda x, y, bx, by, g: bound_experiment(
+        lambda i: (bx, by) if i == 1 else (x, y), 2, x, y, g, mc_draws=5)),
+}
+
+
+@pytest.mark.parametrize("where", list(BOUND_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", list(BAD_SAMPLES))
+def test_bound_rejects_a_bad_sample_naming_the_value(bad, where):
+    x, y = _two_blob_draw(10, 5, seed=35)
+    edit_x, edit_y, error, message = BAD_SAMPLES[bad]
+    name, call = BOUND_ENTRY_POINTS[where]
+    grid = HypothesisGrid.linear(2, 2, [0.0], seed=36)
+    with pytest.raises(error, match="^" + re.escape(f"{name}: {message}")):
+        call(x, y, edit_x(x), edit_y(y), grid)
 
 
 @pytest.mark.parametrize("directions, thresholds", [(0, [0.0]), (-1, [0.0]), (3, [])])
