@@ -3,8 +3,8 @@
 Trains the full model on a synthetic six-class long tail (imbalance
 ratio ~ 16), classifies the held-out split by running the reverse chain
 per input, and compares against the lambda = 1 isotropic baseline
-trained identically. Takes a few seconds on one CPU. Run as
-`python demos/03_train_and_classify.py`.
+trained identically (c = 0 gives every class noise level 1). Takes a few
+seconds on one CPU. Run as `python demos/03_train_and_classify.py`.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ out = classify_dataset(ckpt, test)
 rep = classification_metrics(test.labels, out.predictions, test.k)
 
 print("training the lambda = 1 baseline ...")
-base_ckpt = fit(train, dataclasses.replace(cfg, lambda_override=1.0))
+base_ckpt = fit(train, dataclasses.replace(cfg, c=0.0))
 base_out = classify_dataset(base_ckpt, test)
 base_rep = classification_metrics(test.labels, base_out.predictions, test.k)
 

@@ -144,8 +144,8 @@ def _train_flags(p):
     for name, typ in [("T", int), ("sample-steps", int), ("beta1", float),
                       ("betaT", float), ("alpha", float), ("c", float), ("w", float),
                       ("epochs", int), ("batch-size", int), ("learning-rate", float),
-                      ("warmup-epochs", int), ("lambda-override", float),
-                      ("hidden", int), ("checkpoint-every", int)]:
+                      ("warmup-epochs", int), ("hidden", int),
+                      ("checkpoint-every", int)]:
         p.add_argument(f"--{name}", type=typ, default=None)
 
 
@@ -359,11 +359,9 @@ def cmd_sweep(args) -> int:
     jobs = []
     for i, alpha in enumerate(alphas):
         for j, c in enumerate(cs):
-            # alpha = 0 rows run the lambda = 1 baseline: the noise level
-            # is identical for every class, independent of c
-            cfg = dataclasses.replace(
-                base, alpha=alpha, c=c,
-                lambda_override=1.0 if alpha == 0 else base.lambda_override)
+            # alpha = 0 rows run the lambda = 1 baseline, c = 0, whatever
+            # their column's c
+            cfg = dataclasses.replace(base, alpha=alpha, c=0.0 if alpha == 0 else c)
             cell_dir = os.path.join(out, "cells", f"a{i}_c{j}")
             jobs.append((cfg, train, test, cell_dir))
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+arguments that count or seed something."""
+
+import numpy as np
 
 
 class AdpmError(Exception):
@@ -42,3 +45,10 @@ class IngestionError(AdpmError):
         if row is not None:
             message = f"{message} (row {row})"
         super().__init__(message)
+
+
+def as_integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer raises UsageError naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -6,9 +6,9 @@ which other rows share the table. The features pass through the prior
 net only: one global and one local pass give the global prior y_g and
 the fused prior y_f. Each row runs at the noise level of the class its
 global prior ranks first, looked up by class index in the checkpoint's
-schedule (with lambda_override set, every class of that schedule has
-the forced level). The schedule and the sampler's plan for the step
-count are memoized (trainer.noise_schedule, diffusion.sampler_plan), so
+schedule (a checkpoint trained with c = 0 has level 1 for every
+class). The schedule and the sampler's plan for the step count are
+memoized (trainer.noise_schedule, diffusion.sampler_plan), so
 repeated calls on one checkpoint build neither again; everything that
 reads the networks' blocks runs on every call. The chains of all rows
 then step together as one (n, k) matrix through the forward-only
@@ -17,10 +17,11 @@ numpy; no autodiff tape is built. For n >= 2 OpenBLAS computes a row of
 such a product the same way whatever n is, except for products with at
 most 3 output columns (k <= 3 classes at the default widths), where a
 row's last bits can depend on n. A 1-row table would take BLAS's
-single-row path instead, so it is padded to two rows, the pad row on
-its own copy of stream (seed, 3, 0), and the pad row is dropped from the
-output. steps and seed must be integers (a bool is not); anything else
-raises UsageError before any work.
+single-row path instead, so it is padded to two rows that share the
+one generator of stream (seed, 3, 0): the real row draws first, the pad
+row draws after it, and the pad row is dropped from the output. steps
+and seed must be integers (a bool is not); anything else raises
+UsageError before any work.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data import DatasetTable
 from .diffusion import SampleBatch, sample
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, as_integer
 from .priors import prior_bundle
 from .trainer import Checkpoint, noise_schedule
 
@@ -55,16 +56,18 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
     if table.d != d_model:
         raise ConfigError(f"checkpoint was trained with d={d_model} features, "
                           f"dataset has d={table.d}")
-    steps = cfg.sample_steps if steps is None else _integer("steps", steps)
-    seed = cfg.seed if seed is None else _integer("seed", seed)
+    steps = cfg.sample_steps if steps is None else as_integer("steps", steps)
+    seed = cfg.seed if seed is None else as_integer("seed", seed)
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     schedule = noise_schedule(ckpt.counts, cfg)
 
-    index = np.zeros(2, dtype=np.int64) if table.n == 1 else np.arange(table.n)
+    index = np.arange(table.n)
+    rngs = [np.random.default_rng([seed, 3, i]) for i in range(table.n)]
+    if table.n == 1:
+        # the pad row repeats row 0 and draws after it from its generator
+        index, rngs = np.zeros(2, dtype=np.int64), rngs * 2
     bundle = prior_bundle(ckpt.model.prior, table.features[index])
-
-    rngs = [np.random.default_rng([seed, 3, int(i)]) for i in index]
     results = sample(schedule, ckpt.model.denoiser, bundle.y_f, np.argmax(bundle.y_g, axis=1),
                      rngs, steps, trace=trace)
     if table.n == 1:
@@ -72,10 +75,3 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
     preds = np.argmax(results.y0, axis=1).astype(np.int64)
     prior_preds = np.argmax(bundle.y_f[:table.n], axis=1).astype(np.int64)
     return EvalOutput(predictions=preds, results=results, prior_predictions=prior_preds)
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a bool or a non-integer raises UsageError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return int(value)

@@ -10,8 +10,10 @@ finite grid of sign classifiers, which makes every term exactly
 computable at desk scale. Losses are exact error counts over class
 sizes: each class's rows are gathered once and scored in fixed blocks of
 rows, so no (H, n) score matrix is built. An experiment scores its
-population once, not once per draw. Samples are checked at the boundary:
-2-D finite features with the grid's width, and one label in {0, 1} per row.
+population once, not once per draw. Arguments are checked at the
+boundary, before any scoring: draw counts are integers >= 1, and samples
+are 2-D finite features with the grid's width and one label in {0, 1} per
+row.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ShapeError, UsageError, as_integer
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,14 @@ class HypothesisGrid:
         return cls(weights, biases)
 
 
+def _count(name: str, value) -> int:
+    """value as an int >= 1; anything else raises UsageError naming name."""
+    count = as_integer(name, value)
+    if count < 1:
+        raise UsageError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def _class_indices(labels, k: int, what: str = "sample") -> list[np.ndarray]:
     """Row indices of each class 0..k-1; every label must be one of them."""
     labels = np.asarray(labels)
@@ -134,8 +144,7 @@ def empirical_rademacher(x, labels, p, grid: HypothesisGrid, draws: int, rng) ->
     the suprema by p_j. The signs are one (draws, n) float64 matrix, and
     each class takes one (H, n_j) @ (n_j, draws) product of exact sums.
     """
-    if draws < 1:
-        raise UsageError(f"draws must be >= 1, got {draws}")
+    draws = _count("draws", draws)
     p = np.asarray(p, dtype=np.float64)
     groups = _class_indices(labels, p.size)
     outputs = grid.evaluate(x)  # (H, n)
@@ -250,11 +259,13 @@ def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
                 p=None, draws: int = 200, rng=None) -> BoundReport:
     """Check every grid hypothesis on one training draw.
 
-    Labels are binary {0, 1}, one per row of finite (n, d) features. The
+    Labels are binary {0, 1}, one per row of finite (n, d) features, and
+    draws, the Monte Carlo sign draws per class, is an integer >= 1. The
     left side is the p-weighted per-class loss on the held-out population
     sample; the right side adds the class complexity and deviation terms
     to the training losses.
     """
+    draws = _count("draws", draws)
     lpop, p = _population(pop_x, pop_y, grid, delta, p)
     rng = np.random.default_rng(0) if rng is None else rng
     return _check_draw(_class_rows(train_x, train_y, grid, "training set"), lpop, grid, p,
@@ -266,20 +277,28 @@ def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, 
                      p=None, mc_draws: int = 200, seed: int = 0) -> dict:
     """Repeat bound_check over independent training draws.
 
-    draw_fn(i) must return the i-th training set (features, labels). The
-    population is scored once, before the first draw. The report carries
-    the fraction of draws where any hypothesis violated the bound,
-    per-hypothesis margin statistics and the mean complexity estimates.
+    draw_fn(i) must return the i-th training set as a (features, labels)
+    pair. n_draws and mc_draws must be integers >= 1 and seed an integer
+    >= 0. The population is scored once, before the first draw. The
+    report carries the fraction of draws where any hypothesis violated
+    the bound, per-hypothesis margin statistics and the mean complexity
+    estimates.
     """
-    if n_draws < 1:
-        raise UsageError(f"n_draws must be >= 1, got {n_draws}")
+    n_draws, mc_draws = _count("n_draws", n_draws), _count("mc_draws", mc_draws)
+    if as_integer("seed", seed) < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     lpop, p = _population(pop_x, pop_y, grid, delta, p)
     margins = np.zeros((n_draws, grid.size))
     r_sum = None
     violating_draws = 0
     for i in range(n_draws):
-        train_x, train_y = draw_fn(i)
-        report = _check_draw(_class_rows(train_x, train_y, grid, f"draw {i}"), lpop, grid,
+        drawn = draw_fn(i)
+        if not isinstance(drawn, (tuple, list)) or len(drawn) != 2:
+            got = (f"a {type(drawn).__name__} of {len(drawn)}"
+                   if isinstance(drawn, (tuple, list)) else repr(drawn))
+            raise UsageError(f"draw {i}: draw_fn must return a (features, labels) pair, "
+                             f"got {got}")
+        report = _check_draw(_class_rows(*drawn, grid, f"draw {i}"), lpop, grid,
                              p, c_loss, lip, delta, mc_draws, np.random.default_rng([seed, 5, i]))
         margins[i] = report.margins
         r_sum = report.r_per_class if r_sum is None else r_sum + report.r_per_class

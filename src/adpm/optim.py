@@ -1,5 +1,8 @@
 """Adam over one flat parameter vector, plus the learning-rate schedule.
 
+Adam's betas and eps are Kingma & Ba (2015)'s defaults, and the schedule
+warms up over a fixed share of the steps; all four are constants.
+
 Each network states its named blocks once, as a shape table (BlockTable).
 During training the blocks live as reshaped views into one float64
 vector (flatten, unflatten), and so do their gradients; Adam's moments
@@ -15,6 +18,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
+WARMUP_FRAC = 0.1  # share of the steps lr_at warms up over
 
 
 class BlockTable:
@@ -75,12 +81,8 @@ class Adam:
     unchanged. The moments start as zeros at the first step.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -90,16 +92,16 @@ class Adam:
         if lr is None:
             lr = self.lr
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
+        c1 = 1.0 - BETA1 ** self.step_count
+        c2 = 1.0 - BETA2 ** self.step_count
         if self.m is None:
             self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grads
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grads * grads
-        params -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grads
+        v *= BETA2
+        v += (1.0 - BETA2) * grads * grads
+        params -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def state_dict(self) -> dict:
         """Step count, plus copies of the moments "m" and "v" once they exist."""
@@ -115,15 +117,16 @@ class Adam:
             self.v = np.array(state["v"], dtype=np.float64)
 
 
-def lr_at(step: int, total_steps: int, base_lr: float, warmup_frac: float = 0.1) -> float:
-    """Linear warmup to base_lr, then half-cycle cosine decay to zero.
+def lr_at(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup to base_lr over WARMUP_FRAC of the steps, then
+    half-cycle cosine decay to zero.
 
     lr(0) is the warmup start value base_lr / warmup_steps; the maximum,
     reached at the end of warmup, equals base_lr; lr(total_steps) = 0.
     """
     if total_steps < 1:
         raise ConfigError(f"total_steps must be >= 1, got {total_steps}")
-    warmup = max(1, round(warmup_frac * total_steps))
+    warmup = max(1, round(WARMUP_FRAC * total_steps))
     if step < warmup:
         return base_lr * (step + 1) / warmup
     span = max(1, total_steps - warmup)

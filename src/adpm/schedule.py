@@ -5,8 +5,8 @@ Class frequencies are turned into noise multipliers by
     lambda_j = c * nu * n_j^-alpha / sum_i n_i^-alpha + 1,
 
 where nu is the exact imbalance ratio max_j n_j / min_j n_j. Rare
-classes get larger lambda and therefore diffuse faster; lambda = 1
-everywhere recovers the isotropic chain. The surviving signal fraction
+classes get larger lambda and therefore diffuse faster; c = 0 gives
+lambda = 1 everywhere, the isotropic chain. The surviving signal fraction
 of class j after t steps is the cumulative product
 
     gamma_j^t = prod_{i<=t} (1 - lambda_j * beta^i),   gamma_j^0 = 1,
@@ -52,8 +52,9 @@ class NoiseLevelConfig:
     """Knobs of the frequency-to-noise map.
 
     alpha is the decay exponent shared by the noise levels and the
-    class-proportion weights; c controls how fast noise grows across
-    classes; a and b only enter the proportion weights a*n^-alpha + b.
+    class-proportion weights; c >= 0 controls how fast noise grows
+    across classes, and c = 0 gives every class lambda = 1; a and b only
+    enter the proportion weights a*n^-alpha + b.
     """
 
     alpha: float
@@ -67,8 +68,8 @@ class NoiseLevelConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.c <= 0:
-            raise ConfigError(f"c must be > 0, got {self.c}")
+        if self.c < 0:
+            raise ConfigError(f"c must be >= 0, got {self.c}")
         if self.a < 0 or self.b < 0:
             raise ConfigError(f"a and b must be >= 0, got a={self.a}, b={self.b}")
         if self.alpha > 1:
@@ -100,7 +101,9 @@ def class_proportions(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
 
 
 def lambda_vector(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
-    """Per-class noise levels; rare classes get strictly larger values.
+    """Per-class noise levels; for c > 0 rare classes get strictly
+    larger values, and c = 0 gives lambda = 1 exactly for every class,
+    the isotropic chain.
 
     Uses the exact imbalance ratio, not its floored display value. The
     shares n_j^-alpha / sum are class_proportions' at a = 1, b = 0, so

@@ -1,7 +1,7 @@
 """Training loop: prior warmup, then the denoiser on anisotropic noising.
 
 fit first pretrains the prior network with cross entropy
-(priors.warmup_train, with Adam at the config's settings) and then
+(priors.warmup_train, with Adam at the config's learning rate) and then
 freezes it, as CARD does with its prior f_phi. fit then computes two
 tables once (fit_tables): the global, local and fused priors of every
 training row, stacked as (3, n, k), and the time embedding of every
@@ -22,8 +22,11 @@ path builds an autodiff tape. The denoiser's blocks, their gradient and
 Adam's moments are each one float64 vector (the blocks are views into
 theirs), so one optimizer pass updates them all. A step whose loss is
 not finite stops training with a ConfigError. Adam is the only
-optimizer, and the MMD kernel's bandwidth is the config's fixed
-kernel_bandwidth.
+optimizer: it runs at the config's learning_rate with optim's constant
+betas and eps, and optim.lr_at's constant warmup fraction shapes the
+learning rate. The MMD kernel's bandwidth is the config's fixed
+kernel_bandwidth. The isotropic baseline (lambda = 1 for every class) is
+c = 0 of the noise-level formula.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
@@ -41,10 +44,11 @@ Adam's moments of the denoiser blocks, the config and the training
 census. In memory, Checkpoint.opt_state is the optimizer's own
 state_dict(), each moment one vector; only the file names the moments
 per block (named_views), and loading flattens them back. Version 2 is
-the only format that loads. Files written before the optimizer and the
-kernel bandwidth became fixed also hold the config keys "optimizer" and
-"kernel_bandwidth_mode"; they load only at "adam" and "fixed", the
-values this trainer keeps, and the keys are dropped (RETIRED_KEYS).
+the only format that loads. Files written by earlier trainers also hold
+config keys of settings that are now fixed. RETIRED_KEYS maps each to
+the value this trainer keeps; such a file loads only when every one
+holds its kept value, and the keys are dropped. A run trained with the
+lambda override set must be retrained with c = 0.
 """
 
 from __future__ import annotations
@@ -74,7 +78,9 @@ _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
 BRANCHES = ("global", "local", "fused")
 SCHEDULE_CACHE_SIZE = 16  # distinct schedules noise_schedule keeps
 # config keys of older checkpoints -> the one value this trainer keeps
-RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed"}
+RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed",
+                "adam_beta1": optim.BETA1, "adam_beta2": optim.BETA2, "adam_eps": optim.EPS,
+                "lr_warmup_frac": optim.WARMUP_FRAC, "lambda_override": None}
 
 
 @dataclass
@@ -93,11 +99,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     warmup_epochs: int = 15
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    lr_warmup_frac: float = 0.1
-    lambda_override: float | None = None
     hidden: int = 64
     attn_dim: int = 32
     time_dim: int = 32
@@ -128,16 +129,9 @@ class TrainConfig:
                 ("w", 0 < self.w < np.inf, "finite and positive"),
                 ("kernel_bandwidth", 0 < self.kernel_bandwidth < np.inf, "finite and positive"),
                 ("alpha", 0 <= self.alpha < np.inf, "finite and >= 0"),
-                ("c", 0 < self.c < np.inf, "finite and > 0"),
-                ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
-                ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
-                ("adam_eps", 0 < self.adam_eps < np.inf, "finite and > 0"),
-                ("lr_warmup_frac", 0 <= self.lr_warmup_frac <= 1, "in [0, 1]")):
+                ("c", 0 <= self.c < np.inf, "finite and >= 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        lam = self.lambda_override
-        if lam is not None and not (np.isfinite(lam) and lam > 0):
-            raise ConfigError(f"lambda_override must be finite and positive, got {lam}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -250,27 +244,22 @@ def training_census(table: DatasetTable) -> ClassCensus:
 
 
 def noise_schedule(counts, cfg: TrainConfig) -> NoiseSchedule:
-    """cfg's schedule for a census of class counts: lambda_override for
-    every class if set, else the census's anisotropic noise levels.
+    """cfg's schedule for a census of class counts, at the census's noise
+    levels; c = 0 gives the isotropic chain, lambda = 1 for every class.
 
     Memoized on the values that determine it (the counts and cfg's T,
-    beta1, betaT, alpha, c and lambda_override, each with its type), so
-    every call with the same values shares one read-only schedule; the
-    cache keeps the SCHEDULE_CACHE_SIZE most recent.
+    beta1, betaT, alpha and c, each with its type), so every call with
+    the same values shares one read-only schedule; the cache keeps the
+    SCHEDULE_CACHE_SIZE most recent.
     """
-    return _schedule(tuple(counts), cfg.T, cfg.beta1, cfg.betaT, cfg.alpha, cfg.c,
-                     cfg.lambda_override)
+    return _schedule(tuple(counts), cfg.T, cfg.beta1, cfg.betaT, cfg.alpha, cfg.c)
 
 
 @functools.lru_cache(maxsize=SCHEDULE_CACHE_SIZE, typed=True)
-def _schedule(counts: tuple, T: int, beta1: float, betaT: float, alpha: float, c: float,
-              lambda_override: float | None) -> NoiseSchedule:
-    beta = linear_beta(T, beta1, betaT)
-    if lambda_override is not None:
-        lam = np.full(len(counts), float(lambda_override))
-    else:
-        lam = lambda_vector(ClassCensus(counts), NoiseLevelConfig(alpha=alpha, c=c))
-    return build_schedule(beta, lam)
+def _schedule(counts: tuple, T: int, beta1: float, betaT: float, alpha: float,
+              c: float) -> NoiseSchedule:
+    lam = lambda_vector(ClassCensus(counts), NoiseLevelConfig(alpha=alpha, c=c))
+    return build_schedule(linear_beta(T, beta1, betaT), lam)
 
 
 def draw_batch_noise(rng, nb: int, k: int, T: int) -> BatchDraws:
@@ -362,7 +351,8 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
         start_epoch = resume.epoch
     else:
         model = init_model(table.d, table.k, cfg)
-        model.prior = warmup_train(model.prior, table, cfg.warmup_epochs, _make_opt(cfg),
+        model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
+                                   optim.Adam(cfg.learning_rate),
                                    batch_size=cfg.batch_size, seed=cfg.seed)
         start_epoch = 0
     if log_path is not None:
@@ -373,7 +363,7 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     shapes = {name: arr.shape for name, arr in model.denoiser.blocks().items()}
     params = optim.flatten(model.denoiser.blocks().values())
     model.denoiser = DenoiserParams(**optim.unflatten(params, shapes))
-    opt = _make_opt(cfg)
+    opt = optim.Adam(cfg.learning_rate)
     if resume is not None:
         opt.load_state_dict(resume.opt_state)
     total_steps = cfg.epochs * -(-table.n // cfg.batch_size)
@@ -397,8 +387,7 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
                     f"training diverged at epoch {epoch}, batch {batches}: L_total is "
                     f"{report.L_total}; first non-finite gradient block: "
                     f"{bad[0] if bad else 'none'}")
-            lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
-                             cfg.lr_warmup_frac)
+            lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate)
             opt.step(params, grad, lr=lr)
             sums[:4] += (report.L_g, report.L_l, report.L_eps, report.L_total)
             if log_path is not None:
@@ -436,10 +425,6 @@ def _keep_log_before(path, epoch: int) -> None:
                 raise ConfigError(f"{path}: not a training log: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
-
-
-def _make_opt(cfg: TrainConfig) -> optim.Adam:
-    return optim.Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
 def _blocks_to_jsonable(blocks: dict[str, np.ndarray], what: str) -> dict:

@@ -176,14 +176,13 @@ def test_c06_gamma_feasibility_and_ordering():
         assert (np.diff(sched.gamma[order], axis=0) <= 1e-15).all()
     report(6, "50 random schedules satisfy the recurrence and class ordering")
 
-def _desk_run(seed, lam_override):
+def _desk_run(seed, c):
     spec = LongTailSpec(k=6, head_count=100, decay=0.57, d=8, separation=6.0,
                         spread=1.0, seed=seed)
     table = generate_longtail(spec)
     train, test = split_fractions(table, (0.7, 0.3), seed=seed)
-    cfg = TrainConfig(T=100, sample_steps=25, alpha=1.0 / 6.0, c=5.0, epochs=80,
-                      beta1=1e-4, betaT=0.004, warmup_epochs=60, seed=seed,
-                      lambda_override=lam_override)
+    cfg = TrainConfig(T=100, sample_steps=25, alpha=1.0 / 6.0, c=c, epochs=80,
+                      beta1=1e-4, betaT=0.004, warmup_epochs=60, seed=seed)
     ckpt = fit(train, cfg)
     out = classify_dataset(ckpt, test, steps=25)
     rep = classification_metrics(test.labels, out.predictions, test.k)
@@ -193,8 +192,8 @@ def test_c07_end_to_end_desk_scale():
     t0 = time.monotonic()
     accs, f1_aniso, f1_iso = [], [], []
     for seed in range(5):
-        acc, f1 = _desk_run(seed, None)
-        _, f1_base = _desk_run(seed, 1.0)
+        acc, f1 = _desk_run(seed, 5.0)
+        _, f1_base = _desk_run(seed, 0.0)  # c = 0: the lambda = 1 baseline
         accs.append(acc)
         f1_aniso.append(f1)
         f1_iso.append(f1_base)

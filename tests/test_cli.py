@@ -155,11 +155,11 @@ def test_train_bad_csv_cites_row(tmp_path, capsys):
     assert "row 2" in err
 
 
-def test_train_rejects_a_nan_lambda_override(tmp_path, capsys):
+def test_train_rejects_a_nan_c(tmp_path, capsys):
     out = tmp_path / "run"
-    code, _, err = run(small_train_args(out, ["--lambda-override", "nan"]), capsys)
+    code, _, err = run(small_train_args(out, ["--c", "nan"]), capsys)
     assert code == 1
-    assert err == "error: lambda_override must be finite and positive, got nan\n"
+    assert err == "error: c must be finite and >= 0, got nan\n"
     assert not (out / "checkpoint.json").exists()
 
 
@@ -315,8 +315,7 @@ def test_sweep_worker_pool_matches_serial(tmp_path, capsys):
         row = [repr(alpha)]
         for c in (1.0, 2.0):
             cfg = TrainConfig(T=10, sample_steps=3, epochs=1, warmup_epochs=1, hidden=4,
-                              seed=4, alpha=alpha, c=c,
-                              lambda_override=1.0 if alpha == 0 else None)
+                              seed=4, alpha=alpha, c=0.0 if alpha == 0 else c)
             preds = classify_dataset(fit(train, cfg), test).predictions
             row.append(repr(classification_metrics(test.labels, preds, test.k).macro_f1))
         expected.append(row)
@@ -441,7 +440,7 @@ def test_each_subcommand_keeps_its_option_strings():
             "--separation", "--spread", "--data-seed"}
     train = {"--T", "--sample-steps", "--beta1", "--betaT", "--alpha", "--c", "--w",
              "--epochs", "--batch-size", "--learning-rate", "--warmup-epochs",
-             "--lambda-override", "--hidden", "--checkpoint-every"}
+             "--hidden", "--checkpoint-every"}
     expected = {
         "schedule": common | {"--config", "--counts", "--data", "--alpha", "--c", "--a",
                               "--b", "--T", "--beta1", "--betaT"},
@@ -508,6 +507,7 @@ CLI_FAILURES = {
     "config-kernel-mode": (b'{"kernel_bandwidth_mode": "bogus"}',
                            ["train", *_SMALL, "--config", "{file}"], 1),
     "train-beta1-lost-to-rounding": (None, ["train", *_SMALL, "--beta1", "1e-30"], 1),
+    # keys of settings that are now fixed, unknown to a config file
     "config-nan-lr-warmup-frac": (b'{"lr_warmup_frac": NaN}',
                                   ["train", *_SMALL, "--config", "{file}"], 1),
     "config-adam-beta1-one": (b'{"adam_beta1": 1.0}', ["train", *_SMALL, "--config", "{file}"],
@@ -534,7 +534,10 @@ CLI_FAILURES = {
                                     "--data", "{test}", "--seed", "-1"], 1),
     "eval-version-1-checkpoint": (lambda ckpt: {**ckpt, "version": 1},
                                   ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
-    # config values of the optimizer and the kernel bandwidth this code no longer runs
+    # config values of settings this code no longer runs
+    "eval-lambda-override-checkpoint": (
+        lambda ckpt: {**ckpt, "config": {**ckpt["config"], "lambda_override": 1.0}},
+        ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
     "eval-sgd-checkpoint": (lambda ckpt: {**ckpt, "config": {**ckpt["config"],
                                                              "optimizer": "sgd"}},
                             ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
@@ -580,11 +583,16 @@ def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"adam_beta1": 1.0}, "adam_beta1 must be in [0, 1), got 1.0"),
-    ({"adam_beta2": float("nan")}, "adam_beta2 must be in [0, 1), got nan"),
+    # every retired key is unknown to a config file, whatever its value
+    ({"adam_beta1": 1.0}, "unknown config keys: ['adam_beta1']"),
+    ({"adam_beta2": float("nan")}, "unknown config keys: ['adam_beta2']"),
+    ({"adam_eps": 1e-8}, "unknown config keys: ['adam_eps']"),
+    ({"lr_warmup_frac": 0.1}, "unknown config keys: ['lr_warmup_frac']"),
+    ({"lambda_override": 1.0}, "unknown config keys: ['lambda_override']"),
     ({"optimizer": "adam"}, "unknown config keys: ['optimizer']"),
     ({"kernel_bandwidth_mode": "fixed"}, "unknown config keys: ['kernel_bandwidth_mode']")],
-    ids=["adam-beta1-one", "nan-adam-beta2", "retired-optimizer", "retired-bandwidth-mode"])
+    ids=["adam-beta1-one", "nan-adam-beta2", "adam-eps", "lr-warmup-frac",
+         "lambda-override-one", "retired-optimizer", "retired-bandwidth-mode"])
 def test_train_names_the_config_value_it_rejects(tmp_path, capsys, config, message):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))

@@ -150,7 +150,8 @@ def test_empty_table(trained):
 
 
 def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped):
-    # a 1-row table runs as two copies of the row, each on stream (seed, 3, 0)
+    # a 1-row table runs as two copies of the row; the real row draws the
+    # first values of stream (seed, 3, 0), as row 0 of the oracle does
     for ckpt, test in (trained, desk_shaped):
         cfg = ckpt.config
         out = classify_dataset(ckpt, test.take([1]), trace=True)
@@ -166,6 +167,15 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
         assert [t for t, _ in out.results[0].trace] == [t for t, _ in trace]
         for (_, a), (_, b) in zip(out.results[0].trace, trace):
             assert a.tobytes() == b[0].tobytes()
+
+
+def test_one_row_table_builds_one_generator(trained, monkeypatch):
+    # the pad row draws after the real row from the same generator
+    ckpt, test = trained
+    seeds, build = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or build(seed))
+    classify_dataset(ckpt, test.take([1]), seed=4)
+    assert seeds == [[4, 3, 0]]
 
 
 def _clear_caches():

@@ -375,6 +375,62 @@ def test_bound_rejects_a_bad_sample_naming_the_value(bad, where):
         call(x, y, edit_x(x), edit_y(y), grid)
 
 
+BAD_ARGUMENTS = {
+    # name: (call with a good sample (x, y) and grid g, message)
+    "n-draws-float": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2.5, x, y, g,
+                                                       mc_draws=5),
+                      "n_draws must be an integer, got 2.5"),
+    "n-draws-bool": (lambda x, y, g: bound_experiment(lambda i: (x, y), True, x, y, g,
+                                                      mc_draws=5),
+                     "n_draws must be an integer, got True"),
+    "mc-draws-float": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2, x, y, g,
+                                                        mc_draws=2.5),
+                       "mc_draws must be an integer, got 2.5"),
+    "mc-draws-bool": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2, x, y, g,
+                                                       mc_draws=True),
+                      "mc_draws must be an integer, got True"),
+    "mc-draws-zero": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2, x, y, g,
+                                                       mc_draws=0),
+                      "mc_draws must be >= 1, got 0"),
+    "seed-float": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2, x, y, g, mc_draws=5,
+                                                    seed=1.5),
+                   "seed must be an integer, got 1.5"),
+    "seed-negative": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2, x, y, g,
+                                                       mc_draws=5, seed=-1),
+                      "seed must be >= 0, got -1"),
+    "check-draws-float": (lambda x, y, g: bound_check(x, y, x, y, g, draws=2.5),
+                          "draws must be an integer, got 2.5"),
+    "check-draws-zero": (lambda x, y, g: bound_check(x, y, x, y, g, draws=0),
+                         "draws must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_bound_rejects_a_bad_count_before_any_scoring(monkeypatch, case):
+    x, y = _two_blob_draw(10, 5, seed=37)
+    grid = HypothesisGrid.linear(2, 2, [0.0], seed=38)
+    call, message = BAD_ARGUMENTS[case]
+
+    def no_scoring(*args):
+        raise AssertionError("a sample was scored")
+
+    monkeypatch.setattr(metrics, "_class_losses", no_scoring)
+    with pytest.raises(UsageError, match="^" + re.escape(message) + "$"):
+        call(x, y, grid)
+
+
+@pytest.mark.parametrize("result, got", [(None, "None"), ("triple", "a tuple of 3"),
+                                         ("single", "a list of 1")],
+                         ids=["none", "triple", "single"])
+def test_bound_rejects_a_draw_that_is_not_a_pair(result, got):
+    x, y = _two_blob_draw(10, 5, seed=39)
+    grid = HypothesisGrid.linear(2, 2, [0.0], seed=40)
+    drawn = {None: None, "triple": (x, y, y), "single": [x]}[result]
+    with pytest.raises(UsageError, match="^" + re.escape(
+            f"draw 1: draw_fn must return a (features, labels) pair, got {got}") + "$"):
+        bound_experiment(lambda i: drawn if i == 1 else (x, y), 2, x, y, grid, mc_draws=5)
+
+
 @pytest.mark.parametrize("directions, thresholds", [(0, [0.0]), (-1, [0.0]), (3, [])])
 def test_grid_rejects_no_directions_or_thresholds(directions, thresholds):
     with pytest.raises(UsageError):

@@ -255,3 +255,14 @@ def test_schedule_arrays_are_read_only():
     # the caller's arrays are copied, not frozen
     assert beta.flags.writeable and lam.flags.writeable
     assert not np.shares_memory(beta, sched.beta) and not np.shares_memory(lam, sched.lam)
+
+
+@given(counts_strategy, st.floats(min_value=0.0, max_value=1.0))
+def test_c_zero_gives_the_isotropic_chain_bitwise(counts, alpha):
+    lam = lambda_vector(ClassCensus(tuple(counts)), NoiseLevelConfig(alpha=alpha, c=0.0))
+    ones = np.full(len(counts), 1.0)
+    assert lam.tobytes() == ones.tobytes()
+    beta = linear_beta(40, 1e-4, 0.02)
+    assert build_schedule(beta, lam).gamma.tobytes() == build_schedule(beta, ones).gamma.tobytes()
+    with pytest.raises(ConfigError, match="^c must be >= 0, got -1e-300$"):
+        NoiseLevelConfig(alpha=alpha, c=-1e-300)

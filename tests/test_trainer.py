@@ -280,8 +280,7 @@ def test_fit_writes_log_records(tmp_path):
         assert abs(r["L_total"] - (0.5 * (r["L_g"] + r["L_l"]) + r["L_eps"])) < 1e-12
         # the learning rate of the epoch's last step
         last = (r["epoch"] + 1) * steps_per_epoch - 1
-        assert r["lr"] == optim.lr_at(last, 5 * steps_per_epoch, cfg.learning_rate,
-                                      cfg.lr_warmup_frac)
+        assert r["lr"] == optim.lr_at(last, 5 * steps_per_epoch, cfg.learning_rate)
         assert np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
 
 
@@ -309,8 +308,7 @@ def test_log_grad_norm_is_the_mean_step_gradient_norm(tmp_path):
         _, grad = batch_loss(table.labels[idx], priors[:, idx], t_table, model, schedule, cfg,
                              draws)
         norms.append(np.linalg.norm(grad))
-        opt.step(params, grad, lr=optim.lr_at(opt.step_count, total, cfg.learning_rate,
-                                               cfg.lr_warmup_frac))
+        opt.step(params, grad, lr=optim.lr_at(opt.step_count, total, cfg.learning_rate))
     assert params.tobytes() == optim.flatten(ckpt.model.denoiser.blocks().values()).tobytes()
     (record,) = [json.loads(line) for line in log.read_text().splitlines()]
     assert record["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-12)
@@ -362,21 +360,28 @@ def _with_a_legacy_block(payload):
     payload["blocks"]["denoiser.wq"] = {"shape": [h, d_att], "data": [0.25] * (h * d_att)}
 
 
-def _with_sgd(payload):
-    payload["config"]["optimizer"] = "sgd"
+def _config_with(key, value):
+    def edit(payload):
+        payload["config"][key] = value
+    return edit
 
 
-def _with_median_bandwidth(payload):
-    payload["config"]["kernel_bandwidth_mode"] = "median-heuristic"
-
-
+# each retired config key at another value than the one this trainer keeps
 @pytest.mark.parametrize("edit, message", [
     (_as_version_1, "unsupported checkpoint version 1"),
     (_with_a_legacy_block, "unknown block 'denoiser.wq'"),
-    (_with_sgd, "config key 'optimizer' must be 'adam', got 'sgd'"),
-    (_with_median_bandwidth,
-     "config key 'kernel_bandwidth_mode' must be 'fixed', got 'median-heuristic'")],
-    ids=["version-1", "legacy-block", "sgd-optimizer", "median-bandwidth"])
+    (_config_with("optimizer", "sgd"), "config key 'optimizer' must be 'adam', got 'sgd'"),
+    (_config_with("kernel_bandwidth_mode", "median-heuristic"),
+     "config key 'kernel_bandwidth_mode' must be 'fixed', got 'median-heuristic'"),
+    (_config_with("adam_beta1", 0.5), "config key 'adam_beta1' must be 0.9, got 0.5"),
+    (_config_with("adam_beta2", 0.99), "config key 'adam_beta2' must be 0.999, got 0.99"),
+    (_config_with("adam_eps", 1e-6), "config key 'adam_eps' must be 1e-08, got 1e-06"),
+    (_config_with("lr_warmup_frac", 0.0),
+     "config key 'lr_warmup_frac' must be 0.1, got 0.0"),
+    (_config_with("lambda_override", 1.0),
+     "config key 'lambda_override' must be None, got 1.0")],
+    ids=["version-1", "legacy-block", "sgd-optimizer", "median-bandwidth", "adam-beta1",
+         "adam-beta2", "adam-eps", "lr-warmup-frac", "lambda-override-one"])
 def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, message):
     _, _, text = saved_run
     payload = json.loads(text)
@@ -638,12 +643,12 @@ def test_fit_keeps_the_log_records_before_its_start_epoch(tmp_path):
 
 
 def test_warmup_runs_adam_with_the_configs_settings():
+    # the learning rate is the config's only Adam setting
     table = toy_table()
-    cfg = toy_config(epochs=0, adam_beta1=0.5, adam_beta2=0.9, adam_eps=1e-3)
+    cfg = toy_config(epochs=0, learning_rate=3e-3)
     start = init_model(table.d, table.k, cfg).prior
     ckpt = fit(table, cfg)
-    expected = warmup_train(start, table, cfg.warmup_epochs,
-                            optim.Adam(cfg.learning_rate, 0.5, 0.9, 1e-3),
+    expected = warmup_train(start, table, cfg.warmup_epochs, optim.Adam(3e-3),
                             batch_size=cfg.batch_size, seed=cfg.seed)
     assert blocks_equal(ckpt.model.prior.blocks(), expected.blocks())
     default = fit(table, toy_config(epochs=0))
@@ -701,12 +706,18 @@ def test_config_rejects_a_bad_loss_weight(w):
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
-def test_config_rejects_a_bad_lambda_override(lam):
-    with pytest.raises(ConfigError, match="lambda_override must be finite and positive"):
-        TrainConfig(lambda_override=lam)
-    # a checkpoint's config goes through the same check
-    with pytest.raises(ConfigError, match="lambda_override must be finite and positive"):
+def test_config_rejects_a_bad_lambda_override(tmp_path, saved_run, lam):
+    # the override is retired (c = 0 is the lambda = 1 baseline): a config
+    # naming it is rejected, and a checkpoint's config unless it holds None
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['lambda_override'\]$"):
         TrainConfig.from_dict({"lambda_override": lam})
+    payload = json.loads(saved_run[2])
+    payload["config"]["lambda_override"] = lam
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: config key 'lambda_override' must be None, got {lam!r}"
 
 
 @pytest.mark.parametrize("kernel, reason", [
@@ -721,42 +732,45 @@ def test_config_rejects_a_bad_kernel(kernel, reason):
 _NAN, _INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("name, values, rule", [
-    ("adam_beta1", (1.0, -0.1, _NAN), "in [0, 1)"),
-    ("adam_beta2", (1.0, -0.1, _NAN), "in [0, 1)"),
-    ("adam_eps", (0.0, -1.0, _NAN, _INF), "finite and > 0"),
-    ("lr_warmup_frac", (1.5, -0.1, _NAN, _INF), "in [0, 1]"),
-    ("alpha", (-0.1, _NAN, _INF), "finite and >= 0"),
-    ("c", (0.0, -1.0, _NAN, _INF), "finite and > 0")])
-def test_config_rejects_a_bad_optimizer_or_noise_setting(name, values, rule):
-    # alpha and c are checked even when lambda_override replaces the noise levels
+@pytest.mark.parametrize("name, values", [
+    ("alpha", (-0.1, _NAN, _INF)),
+    ("c", (-1.0, -1e-300, _NAN, _INF))], ids=["alpha", "c"])
+def test_config_rejects_a_bad_noise_setting(name, values):
+    # alpha is checked in the c = 0 baseline too, where it leaves lambda at 1
     for value in values:
-        for lam in (None, 1.0):
-            with pytest.raises(ConfigError, match=rf"^{name} must be {re.escape(rule)}, got "):
-                TrainConfig(**{name: value, "lambda_override": lam})
-    # the interval ends the rule includes are accepted
-    TrainConfig(adam_beta1=0.0, adam_beta2=0.0, lr_warmup_frac=0.0, alpha=0.0)
-    TrainConfig(lr_warmup_frac=1.0)
+        for c in (5.0, 0.0):
+            with pytest.raises(ConfigError, match=rf"^{name} must be finite and >= 0, got "):
+                TrainConfig(**{"c": c, name: value})
+    # the interval end the rule includes is accepted; c = 0 is the lambda = 1 baseline
+    TrainConfig(alpha=0.0, c=0.0)
 
 
 def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
     path = tmp_path / "ckpt.json"
     with pytest.raises(ConfigError, match=r"lambda\*beta\^1 = 1e-30 is too small for class 0"):
-        fit(toy_table(), toy_config(beta1=1e-30, lambda_override=1.0), checkpoint_path=path)
+        fit(toy_table(), toy_config(beta1=1e-30, c=0.0), checkpoint_path=path)
     assert os.listdir(tmp_path) == []
 
 
 def test_config_from_dict_checks_value_types():
     for bad in ({"T": "abc"}, {"hidden": "64"}, {"epochs": 1.5}, {"seed": True},
-                {"T": None}, {"adam_eps": "1e-8"}, {"learning_rate": "0.1"}):
+                {"T": None}, {"kernel_bandwidth": "1.0"}, {"learning_rate": "0.1"}):
         (key,) = bad
         with pytest.raises(ConfigError, match=f"config key {key!r}"):
             TrainConfig.from_dict(bad)
-    cfg = TrainConfig.from_dict({"learning_rate": 1, "lambda_override": None,
-                                 "prior_mask": None, "alpha": 0.5})
+    cfg = TrainConfig.from_dict({"learning_rate": 1, "prior_mask": None, "alpha": 0.5})
     assert cfg.learning_rate == 1 and cfg.prior_mask is None
     with pytest.raises(ConfigError, match="not a JSON object"):
         TrainConfig.from_dict([["T", 5]])
+
+
+def test_train_config_keeps_its_nineteen_settings():
+    # Adam's betas and eps, the warmup fraction and the lambda override are
+    # constants or c = 0, not settings
+    assert [field.name for field in dataclasses.fields(TrainConfig)] == [
+        "T", "sample_steps", "beta1", "betaT", "alpha", "c", "w", "epochs", "batch_size",
+        "learning_rate", "warmup_epochs", "seed", "hidden", "attn_dim", "time_dim",
+        "prior_hidden", "prior_mask", "kernel_bandwidth", "checkpoint_every"]
 
 
 @pytest.mark.parametrize("instance", [TrainConfig(), LongTailSpec(**DATA_DEFAULTS, seed=0)],
@@ -838,13 +852,13 @@ def test_fit_freezes_the_prior_after_warmup(tmp_path):
                             init_model(table.d, table.k, cfg).denoiser_blocks())
 
 
-def test_lambda_override_reproduces_isotropic_reference_run():
+def test_c_zero_reproduces_isotropic_reference_run():
     """An independently assembled isotropic training loop, with alpha-bar
     products and corruption coefficients recomputed from beta alone, must
-    produce the same loss curve as the lambda_override=1 configuration."""
+    produce the same loss curve as the c = 0 configuration."""
     table = toy_table(k=2, head=20, decay=0.5, d=3, seed=6)
     cfg = toy_config(T=25, sample_steps=5, epochs=4, batch_size=8,
-                     warmup_epochs=1, lambda_override=1.0, hidden=6,
+                     warmup_epochs=1, c=0.0, hidden=6,
                      prior_hidden=4, attn_dim=3)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -895,8 +909,7 @@ def test_lambda_override_reproduces_isotropic_reference_run():
             l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
             l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
             grads_by_var = tape.backward(l_total)
-            lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate,
-                             cfg.lr_warmup_frac)
+            lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate)
             opt.step(params, optim.flatten(grads_by_var[var] for var in den.vars.values()),
                      lr=lr)
             totals.append(scalar(l_total))
@@ -945,7 +958,7 @@ def test_noise_schedule_is_memoized_on_the_values_that_determine_it():
     assert noise_schedule(np.array([9, 4, 2]), TrainConfig(T=30, sample_steps=7, seed=3,
                                                           epochs=2)) is sched
     for change in ({"T": 31}, {"beta1": 2e-4}, {"betaT": 0.01}, {"alpha": 0.5}, {"c": 4.0},
-                   {"lambda_override": 1.0}):
+                   {"c": 0.0}):
         other = noise_schedule((9, 4, 2), TrainConfig(**{"T": 30, "sample_steps": 5, **change}))
         assert other is not sched
     assert noise_schedule((9, 4, 3), cfg) is not sched
