@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Subcommands: schedule, train, eval, sample, sweep, bound. Every
-subcommand takes --seed and --out. schedule, train, sweep and bound also
-take --config, a JSON object of TrainConfig fields with an optional
-"synthetic" section of LongTailSpec fields. Each setting is its field's
-default, overridden by the config file, overridden in turn by its flag
-when the flag is given. With --out, outputs are files in that directory
-(plus resolved_config.json); without it, data goes to stdout. sweep
-trains its cells in a pool of one process per CPU, never more processes
-than cells. Exit codes: 0 success, 2 usage error, 1 runtime failure.
+subcommand takes --out, and every one but schedule, which draws nothing,
+takes --seed. schedule, train, sweep and bound also take --config, a
+JSON object of TrainConfig fields with an optional "synthetic" section
+of LongTailSpec fields. Each setting is its field's default, overridden
+by the config file, overridden in turn by its flag when the flag is
+given. sweep takes its alpha and c values from --alphas and --cs, so it
+has no --alpha or --c flag. With --out, outputs are files in that
+directory (plus resolved_config.json); without it, data goes to stdout.
+sweep trains its cells in a pool of one process per CPU, never more
+processes than cells. Exit codes: 0 success, 2 usage error, 1 runtime
+failure; each failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -44,11 +47,18 @@ class CliUsage(Exception):
     """Bad invocation; reported on stderr with exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad invocation in one line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the diagnostics
+    except SystemExit as exc:  # the parser already printed the diagnostic
         return int(exc.code or 0)
     try:
         return args.func(args)
@@ -58,33 +68,30 @@ def main(argv=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="adpm",
-                                     description="anisotropic label diffusion toolkit")
+    parser = _Parser(prog="adpm", description="anisotropic label diffusion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, seed=True):
         if config:
             p.add_argument("--config", help="JSON file with defaults for these flags")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("schedule", help="noise levels and gamma table for a census")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--counts", help="comma-separated class counts, e.g. 845,52")
     p.add_argument("--data", help="CSV dataset to take the census from")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
+    _flags(p, float, "alpha", "c", "beta1", "betaT")
+    _flags(p, int, "T")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--beta1", type=float, default=None)
-    p.add_argument("--betaT", type=float, default=None)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("train", help="fit the model on a dataset")
     common(p)
     _data_flags(p)
-    _train_flags(p)
+    _train_flags(p, "alpha", "c")
     p.add_argument("--resume", help="checkpoint file to continue from")
     p.set_defaults(func=cmd_train)
 
@@ -105,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="record per-step snapshots")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("sweep", help="F1 grid over (alpha, c) combinations")
+    # no abbreviations: --alpha would otherwise be read as --alphas
+    p = sub.add_parser("sweep", help="F1 grid over (alpha, c) combinations",
+                       allow_abbrev=False)
     common(p)
     _data_flags(p)
     _train_flags(p)
@@ -131,22 +140,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flags(p, typ, *names):
+    """One --name flag of type typ per name, None unless given."""
+    for name in names:
+        p.add_argument(f"--{name}", type=typ, default=None)
+
+
 def _data_flags(p):
     p.add_argument("--data", help="CSV dataset path")
     p.add_argument("--synthetic", action="store_true", help="generate a long-tail mixture")
-    for name, typ in [("k", int), ("head-count", int), ("decay", float), ("dim", int),
-                      ("separation", float), ("spread", float)]:
-        p.add_argument(f"--{name}", type=typ, default=None)
+    _flags(p, int, "k", "head-count", "dim")
+    _flags(p, float, "decay", "separation", "spread")
     p.add_argument("--data-seed", type=int, default=None, help="defaults to --seed")
 
 
-def _train_flags(p):
-    for name, typ in [("T", int), ("sample-steps", int), ("beta1", float),
-                      ("betaT", float), ("alpha", float), ("c", float), ("w", float),
-                      ("epochs", int), ("batch-size", int), ("learning-rate", float),
-                      ("warmup-epochs", int), ("hidden", int),
-                      ("checkpoint-every", int)]:
-        p.add_argument(f"--{name}", type=typ, default=None)
+def _train_flags(p, *noise_levels):
+    """The TrainConfig flags, with alpha and c where named in noise_levels."""
+    _flags(p, int, "T", "sample-steps", "epochs", "batch-size", "warmup-epochs", "hidden",
+           "checkpoint-every")
+    _flags(p, float, "beta1", "betaT", *noise_levels, "w", "learning-rate")
 
 
 def _given(flags: dict) -> dict:
@@ -373,7 +385,9 @@ def cmd_sweep(args) -> int:
 
     _write(out, "f1_matrix.csv", [["alpha"] + [repr(c) for c in cs]] + [
         [repr(alpha)] + [repr(float(v)) for v in matrix[i]] for i, alpha in enumerate(alphas)])
-    _write(out, "resolved_config.json", {**base.to_dict(), "alphas": alphas, "cs": cs,
+    # each cell's alpha and c come from alphas and cs, not from the base config
+    shared = {key: value for key, value in base.to_dict().items() if key not in ("alpha", "c")}
+    _write(out, "resolved_config.json", {**shared, "alphas": alphas, "cs": cs,
                                          "test_fraction": args.test_fraction})
     print(f"sweep matrix written to {os.path.join(out, 'f1_matrix.csv')}")
     return 0
@@ -384,6 +398,8 @@ def cmd_bound(args) -> int:
                         ("--mc-draws", args.mc_draws)):
         if value < 1:
             raise CliUsage(f"{flag} must be >= 1, got {value}")
+    if args.n1 > args.n0:
+        raise CliUsage(f"--n1 must be at most --n0 = {args.n0}, got {args.n1}")
     if args.pop_size < args.n0 + args.n1:
         raise CliUsage(f"--pop-size must be at least --n0 + --n1 = {args.n0 + args.n1}, "
                        f"got {args.pop_size}")

@@ -191,8 +191,6 @@ def sample_timesteps(T: int, steps: int) -> np.ndarray:
     """Descending timestep subsequence, endpoints T and 1 included."""
     if not (1 <= steps <= T):
         raise UsageError(f"steps must lie in [1, {T}], got {steps}")
-    if steps == 1:
-        return np.array([T], dtype=np.int64)
     return np.round(np.linspace(T, 1, steps)).astype(np.int64)
 
 

@@ -9,7 +9,8 @@ with K(X, Y) the mean RBF kernel value over all row pairs. The total
 objective is w * (L_g + L_l) + L_eps, where L_eps is the batch-mean
 squared error of the fused branch. Each term returns its value and its
 gradient in the predicted noise, weighted by the term's weight in the
-total, as plain numpy: no autodiff tape is built. The gradients are the
+total (w for an MMD term, 1 for L_eps), as plain numpy: no autodiff tape
+is built. The gradients are the
 expressions, in the order, that a reverse-mode tape over the same ops
 computes, so they keep that tape's bits.
 """
@@ -67,15 +68,13 @@ def mmd_loss(eps_true: np.ndarray, eps_pred: np.ndarray, sigma: float,
     return float(value), grad
 
 
-def eps_loss(eps_true: np.ndarray, eps_pred: np.ndarray,
-             weight: float = 1.0) -> tuple[float, np.ndarray]:
-    """Batch mean of squared row differences, and the gradient of
-    weight times it in eps_pred."""
+def eps_loss(eps_true: np.ndarray, eps_pred: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch mean of squared row differences, and its gradient in eps_pred."""
     if eps_true.shape != eps_pred.shape:
         raise ShapeError(f"shapes differ: {eps_true.shape} vs {eps_pred.shape}")
     diff = eps_pred - eps_true
     scale = 1.0 / eps_true.shape[0]
-    return float(np.sum(diff * diff)) * scale, 2.0 * (weight * scale) * diff
+    return float(np.sum(diff * diff)) * scale, 2.0 * scale * diff
 
 
 def total_loss(l_g: float, l_l: float, l_eps: float, w: float) -> float:

@@ -4,20 +4,25 @@ The bound under test weighs per-class terms by proportions p_j:
 
     L(f) <= sum_j p_j ( Lhat_j(f) + 2 L_ell R_{n_j} + c_loss sqrt(log(1/delta) / (2 n_j)) ),
 
-where R_{n_j} is the class-restricted empirical Rademacher complexity.
+where R_{n_j} is the class-restricted empirical Rademacher complexity,
+L_ell the loss's Lipschitz constant and c_loss its bound. The checker
+scores the 0/1 loss, for which L_ell = 1/2 and c_loss = 1, so its class
+term is Lhat_j + R_{n_j} + sqrt(log(1/delta) / (2 n_j)).
 The supremum over hypotheses is taken by exhaustive search over a
 finite grid of sign classifiers, which makes every term exactly
 computable at desk scale. Losses are exact error counts over class
 sizes: each class's rows are gathered once and scored in fixed blocks of
 rows, so no (H, n) score matrix is built. An experiment scores its
 population once, not once per draw. Arguments are checked at the
-boundary, before any scoring: draw counts are integers >= 1, and samples
+boundary, before any scoring: draw counts are integers >= 1, delta is a
+real number in (0, 1), p holds two numeric proportions, and samples
 are 2-D finite features with the grid's width and one label in {0, 1} per
 row.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,27 +231,28 @@ def _population(pop_x, pop_y, grid: HypothesisGrid, delta: float, p):
     """Check what every draw shares; return the population's (H, 2)
     per-class losses and the class proportions.
     """
-    if not (0.0 < delta < 1.0):
-        raise UsageError(f"delta must lie in (0, 1), got {delta}")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < 1:
+        raise UsageError(f"delta must be a real number in (0, 1), got {delta!r}")
     if grid.size == 0:
         raise UsageError("the hypothesis grid is empty")
-    p = np.full(2, 0.5) if p is None else np.asarray(p, dtype=np.float64)
-    if p.shape != (2,) or not (np.isfinite(p).all() and (p >= 0.0).all()
-                               and abs(p.sum() - 1.0) <= 1e-9):
+    p = np.full(2, 0.5) if p is None else np.asarray(p)
+    # the kind check comes first: the value checks need a numeric array
+    if p.dtype.kind not in "iuf" or p.shape != (2,) or not (
+            np.isfinite(p).all() and (p >= 0.0).all() and abs(p.sum() - 1.0) <= 1e-9):
         raise UsageError("p must be 2 finite, non-negative proportions summing to 1, "
                          f"got {np.array2string(p, threshold=6)}")
-    return _class_losses(grid, _class_rows(pop_x, pop_y, grid, "population")), p
+    return _class_losses(grid, _class_rows(pop_x, pop_y, grid, "population")), p.astype(float)
 
 
-def _check_draw(parts, lpop: np.ndarray, grid: HypothesisGrid, p,
-                c_loss, lip, delta, draws: int, rng) -> BoundReport:
+def _check_draw(parts, lpop: np.ndarray, grid: HypothesisGrid, p, delta, draws: int,
+                rng) -> BoundReport:
     """Check one training draw, given as the rows of each of its classes."""
     n_j = np.array([part.shape[0] for part in parts], dtype=np.float64)
     lhat = _class_losses(grid, parts)
     r = np.array([class_rademacher(part, grid, draws, rng) for part in parts])
-    deviation = c_loss * np.sqrt(np.log(1.0 / delta) / (2.0 * n_j))
+    deviation = np.sqrt(np.log(1.0 / delta) / (2.0 * n_j))
 
-    rhs = (p[None, :] * (lhat + 2.0 * lip * r[None, :] + deviation[None, :])).sum(axis=1)
+    rhs = (p[None, :] * (lhat + r[None, :] + deviation[None, :])).sum(axis=1)
     lhs = (p[None, :] * lpop).sum(axis=1)
     margins = rhs - lhs
     violations = int((margins < 0.0).sum())
@@ -255,8 +261,7 @@ def _check_draw(parts, lpop: np.ndarray, grid: HypothesisGrid, p,
 
 
 def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
-                c_loss: float = 1.0, lip: float = 0.5, delta: float = 0.05,
-                p=None, draws: int = 200, rng=None) -> BoundReport:
+                delta: float = 0.05, p=None, draws: int = 200, rng=None) -> BoundReport:
     """Check every grid hypothesis on one training draw.
 
     Labels are binary {0, 1}, one per row of finite (n, d) features, and
@@ -269,12 +274,11 @@ def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
     lpop, p = _population(pop_x, pop_y, grid, delta, p)
     rng = np.random.default_rng(0) if rng is None else rng
     return _check_draw(_class_rows(train_x, train_y, grid, "training set"), lpop, grid, p,
-                       c_loss, lip, delta, draws, rng)
+                       delta, draws, rng)
 
 
 def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, *,
-                     c_loss: float = 1.0, lip: float = 0.5, delta: float = 0.05,
-                     p=None, mc_draws: int = 200, seed: int = 0) -> dict:
+                     delta: float = 0.05, p=None, mc_draws: int = 200, seed: int = 0) -> dict:
     """Repeat bound_check over independent training draws.
 
     draw_fn(i) must return the i-th training set as a (features, labels)
@@ -298,8 +302,8 @@ def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, 
                    if isinstance(drawn, (tuple, list)) else repr(drawn))
             raise UsageError(f"draw {i}: draw_fn must return a (features, labels) pair, "
                              f"got {got}")
-        report = _check_draw(_class_rows(*drawn, grid, f"draw {i}"), lpop, grid,
-                             p, c_loss, lip, delta, mc_draws, np.random.default_rng([seed, 5, i]))
+        report = _check_draw(_class_rows(*drawn, grid, f"draw {i}"), lpop, grid, p, delta,
+                             mc_draws, np.random.default_rng([seed, 5, i]))
         margins[i] = report.margins
         r_sum = report.r_per_class if r_sum is None else r_sum + report.r_per_class
         violating_draws += 0 if report.holds else 1

@@ -135,10 +135,10 @@ def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarr
 
 
 def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, *,
-                 batch_size: int | None = None, seed: int = 0) -> PriorNetParams:
+                 batch_size: int, seed: int = 0) -> PriorNetParams:
     """Cross-entropy pretraining of the prior classifier with opt, a fresh
     optimizer (fit passes an optim.Adam) whose own learning rate every
-    step uses.
+    step uses, on shuffled batches of batch_size rows.
 
     Returns a new parameter set; epochs=0 returns a bitwise copy of the
     input. Each epoch draws its shuffle from a stream keyed by (seed, 1,
@@ -154,9 +154,8 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, 
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, 1, epoch])
         order = rng.permutation(table.n)
-        step = table.n if batch_size is None else batch_size
-        for start in range(0, table.n, step):
-            idx = order[start:start + step]
+        for start in range(0, table.n, batch_size):
+            idx = order[start:start + batch_size]
             _, grads = _cross_entropy_grads(out, table.features[idx], onehot[idx])
             opt.step(flat, optim.flatten(grads.values()))
     return out

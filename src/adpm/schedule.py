@@ -83,7 +83,9 @@ def imbalance_ratio(census: ClassCensus) -> tuple[Fraction, int]:
 
 
 def _normalized(counts, alpha: float, a: float, b: float) -> np.ndarray:
-    """The weights a n_j^-alpha + b over their sum.
+    """The weights a n_j^-alpha + b over their sum. A zero sum, from
+    a = b = 0 or from every n_j^-alpha underflowing at a large alpha,
+    raises ConfigError.
 
     The normalizer sums addends in sorted order, so permuting the counts
     permutes the result bitwise.
@@ -91,7 +93,9 @@ def _normalized(counts, alpha: float, a: float, b: float) -> np.ndarray:
     weights = a * np.asarray(counts, dtype=np.float64) ** (-alpha) + b
     total = float(np.sort(weights).sum())
     if total == 0.0:
-        raise ConfigError("class proportions are undefined for a = b = 0")
+        raise ConfigError(f"class proportions are undefined: the weights a n_j^-alpha + b "
+                          f"sum to 0, as a = b = 0 or n_j^-alpha underflows to 0 at "
+                          f"alpha={alpha}")
     return weights / total
 
 
@@ -120,8 +124,6 @@ def linear_beta(T: int, beta1: float, betaT: float) -> np.ndarray:
         raise ConfigError(f"T must be >= 1, got {T}")
     if not (0.0 < beta1 <= betaT < 1.0):
         raise ConfigError(f"need 0 < beta1 <= betaT < 1, got {beta1}, {betaT}")
-    if T == 1:
-        return np.array([beta1])
     return np.linspace(beta1, betaT, T)
 
 

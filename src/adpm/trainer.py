@@ -24,8 +24,8 @@ theirs), so one optimizer pass updates them all. A step whose loss is
 not finite stops training with a ConfigError. Adam is the only
 optimizer: it runs at the config's learning_rate with optim's constant
 betas and eps, and optim.lr_at's constant warmup fraction shapes the
-learning rate. The MMD kernel's bandwidth is the config's fixed
-kernel_bandwidth. The isotropic baseline (lambda = 1 for every class) is
+learning rate. The MMD kernel's bandwidth is the constant
+KERNEL_BANDWIDTH. The isotropic baseline (lambda = 1 for every class) is
 c = 0 of the noise-level formula.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
@@ -77,10 +77,12 @@ _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
                       "blocks", "optimizer")
 BRANCHES = ("global", "local", "fused")
 SCHEDULE_CACHE_SIZE = 16  # distinct schedules noise_schedule keeps
+KERNEL_BANDWIDTH = 1.0  # sigma of the MMD terms' RBF kernel
 # config keys of older checkpoints -> the one value this trainer keeps
 RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed",
                 "adam_beta1": optim.BETA1, "adam_beta2": optim.BETA2, "adam_eps": optim.EPS,
-                "lr_warmup_frac": optim.WARMUP_FRAC, "lambda_override": None}
+                "lr_warmup_frac": optim.WARMUP_FRAC, "lambda_override": None,
+                "kernel_bandwidth": KERNEL_BANDWIDTH}
 
 
 @dataclass
@@ -104,7 +106,6 @@ class TrainConfig:
     time_dim: int = 32
     prior_hidden: int = 32
     prior_mask: int | None = None  # None: half the feature count
-    kernel_bandwidth: float = 1.0
     checkpoint_every: int = 0  # epochs; 0 writes only at the end
 
     def __post_init__(self):
@@ -127,7 +128,6 @@ class TrainConfig:
         # each comparison is False for NaN, so NaN fails every rule
         for name, ok, rule in (
                 ("w", 0 < self.w < np.inf, "finite and positive"),
-                ("kernel_bandwidth", 0 < self.kernel_bandwidth < np.inf, "finite and positive"),
                 ("alpha", 0 <= self.alpha < np.inf, "finite and >= 0"),
                 ("c", 0 <= self.c < np.inf, "finite and >= 0")):
             if not ok:
@@ -299,8 +299,8 @@ def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
                                   t_table[np.tile(draws.t, n_branches)])
     eps_hat = acts.out.reshape(n_branches, nb, k)
 
-    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], cfg.kernel_bandwidth, cfg.w)
-    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], cfg.kernel_bandwidth, cfg.w)
+    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], KERNEL_BANDWIDTH, cfg.w)
+    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], KERNEL_BANDWIDTH, cfg.w)
     l_eps, g_f = eps_loss(draws.eps[2], eps_hat[2])
     report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
                         L_total=total_loss(l_g, l_l, l_eps, cfg.w), w=cfg.w)

@@ -12,7 +12,7 @@ from adpm.autodiff import Tape, Var, scalar
 from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.errors import ConfigError, ShapeError
 from adpm.losses import LossReport
-from adpm.trainer import BRANCHES
+from adpm.trainer import BRANCHES, KERNEL_BANDWIDTH
 
 
 class DenoiserGraph:
@@ -83,7 +83,7 @@ def tape_batch_loss(labels, priors, model, schedule, cfg, draws):
     stacked = den_graph.predict(y_t, prior_rows, np.tile(draws.t, len(BRANCHES)), cfg.T)
     eps_hat = {b: tape.rows(stacked, i * nb, (i + 1) * nb) for i, b in enumerate(BRANCHES)}
 
-    sigma = cfg.kernel_bandwidth
+    sigma = KERNEL_BANDWIDTH
     eps = dict(zip(BRANCHES, draws.eps))
     l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], sigma)
     l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], sigma)

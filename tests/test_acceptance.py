@@ -20,8 +20,8 @@ from adpm.losses import mmd_loss
 from adpm.metrics import HypothesisGrid, bound_experiment, classification_metrics
 from adpm.schedule import (ClassCensus, NoiseLevelConfig, build_schedule,
                            imbalance_ratio, lambda_vector, linear_beta)
-from adpm.trainer import (TrainConfig, batch_loss, draw_batch_noise, fit, fit_tables,
-                          init_model, named_views, noise_schedule)
+from adpm.trainer import (KERNEL_BANDWIDTH, TrainConfig, batch_loss, draw_batch_noise, fit,
+                          fit_tables, init_model, named_views, noise_schedule)
 
 def report(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
@@ -133,7 +133,7 @@ def test_c04_training_loss_gradient():
 def test_c05_mmd_axioms():
     def mmd(a, b):
         # the MMD term training runs
-        return mmd_loss(a, b, TrainConfig().kernel_bandwidth)[0]
+        return mmd_loss(a, b, KERNEL_BANDWIDTH)[0]
 
     rng = np.random.default_rng(102)
     worst_self, worst_sym, worst_neg = 0.0, 0.0, 0.0

@@ -294,6 +294,10 @@ def test_sweep_alpha_zero_row_constant(tmp_path, capsys):
     assert alpha0[0] == alpha0[1]  # exact equality on the baseline row
     assert len(rows) == 3
     assert (out / "cells" / "a1_c1" / "checkpoint.json").exists()
+    # the cells' alpha and c are the grid's; no base value is recorded
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert (resolved["alphas"], resolved["cs"]) == ([0.0, 0.25], [1.0, 4.0])
+    assert not {"alpha", "c"} & set(resolved)
 
 
 _SWEEP = ["sweep", "--synthetic", "--k", "2", "--head-count", "8", "--decay", "0.5",
@@ -438,13 +442,15 @@ def test_each_subcommand_keeps_its_option_strings():
     common = {"-h", "--help", "--seed", "--out"}
     data = {"--data", "--synthetic", "--k", "--head-count", "--decay", "--dim",
             "--separation", "--spread", "--data-seed"}
-    train = {"--T", "--sample-steps", "--beta1", "--betaT", "--alpha", "--c", "--w",
+    train = {"--T", "--sample-steps", "--beta1", "--betaT", "--w",
              "--epochs", "--batch-size", "--learning-rate", "--warmup-epochs",
              "--hidden", "--checkpoint-every"}
+    # schedule draws nothing, so it has no --seed; sweep takes alpha and c
+    # from --alphas and --cs only
     expected = {
-        "schedule": common | {"--config", "--counts", "--data", "--alpha", "--c", "--a",
-                              "--b", "--T", "--beta1", "--betaT"},
-        "train": common | data | train | {"--config", "--resume"},
+        "schedule": common - {"--seed"} | {"--config", "--counts", "--data", "--alpha", "--c",
+                                           "--a", "--b", "--T", "--beta1", "--betaT"},
+        "train": common | data | train | {"--alpha", "--c", "--config", "--resume"},
         "eval": common | {"--checkpoint", "--data", "--steps", "--dump-embeddings"},
         "sample": common | {"--checkpoint", "--data", "--steps", "--trace"},
         "sweep": common | data | train | {"--config", "--alphas", "--cs", "--test-fraction"},
@@ -497,6 +503,13 @@ CLI_FAILURES = {
     "bound-pop-size-zero": (None, [*_BOUND, "--pop-size", "0"], 2),
     "bound-pop-size-negative": (None, [*_BOUND, "--pop-size", "-5"], 2),
     "bound-pop-size-below-draw": (None, [*_BOUND, "--pop-size", "59"], 2),
+    "bound-n1-above-n0": (None, [*_BOUND, "--n0", "20", "--n1", "40"], 2),
+    # flags these subcommands do not have: schedule draws nothing, and
+    # sweep's cells take alpha and c from --alphas and --cs (sweep reads no
+    # flag as the prefix of another)
+    "schedule-seed": (None, ["schedule", "--counts", "5,3", "--seed", "1"], 2),
+    "sweep-alpha": (None, ["sweep", *_SMALL, "--alpha", "0.5"], 2),
+    "sweep-c": (None, ["sweep", *_SMALL, "--c", "3"], 2),
     "train-hidden-negative": (None, ["train", *_SMALL, "--hidden", "-1"], 1),
     "train-hidden-zero": (None, ["train", *_SMALL, "--hidden", "0"], 1),
     "train-sample-steps-zero": (None, ["train", *_SMALL, "--sample-steps", "0"], 1),

@@ -121,6 +121,10 @@ def test_sample_timesteps_strided():
     assert ts[0] == 100 and ts[-1] == 1 and len(ts) == 25
     assert (np.diff(ts) < 0).all()
     assert np.array_equal(sample_timesteps(10, 10), np.arange(10, 0, -1))
+    # one step visits T alone
+    for T in (1, 2, 5, 100, 1000):
+        one = sample_timesteps(T, 1)
+        assert one.dtype == np.int64 and one.tobytes() == np.array([T], np.int64).tobytes()
 
 
 def _sampler_fixture(k=3, T=40, seed=5):

@@ -179,14 +179,16 @@ def test_losses_match_the_tape_bitwise(sigma, weight):
     for rows in (1, 2, 7):
         eps_true = rng.standard_normal((rows, 3))
         pred = rng.standard_normal((rows, 3))
-        for loss, graph in ((lambda t, p: mmd_loss(t, p, sigma, weight),
-                             lambda tape, t, p: mmd_loss_graph(tape, t, p, sigma)),
-                            (lambda t, p: eps_loss(t, p, weight), eps_loss_graph)):
+        # L_eps enters the total with weight 1
+        for loss, graph, term_weight in (
+                (lambda t, p: mmd_loss(t, p, sigma, weight),
+                 lambda tape, t, p: mmd_loss_graph(tape, t, p, sigma), weight),
+                (eps_loss, eps_loss_graph, 1.0)):
             value, grad = loss(eps_true, pred)
             tape = Tape()
             pv = tape.param(pred)
             root = graph(tape, tape.const(eps_true), pv)
-            weighted = tape.scale(root, weight)
+            weighted = tape.scale(root, term_weight)
             assert value == scalar(root)
             assert grad.tobytes() == tape.backward(weighted)[pv].tobytes()
     for l_g, l_l, l_eps in rng.uniform(0.01, 2.0, size=(5, 3)):

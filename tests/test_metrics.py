@@ -157,14 +157,15 @@ def _two_blob_draw(n0, n1, seed):
 
 def test_bound_zero_loss_trivially_holds():
     x, y = _two_blob_draw(20, 10, seed=11)
-    # sign(x0) and its negation classify the blobs; losses are tiny, with
-    # c_loss = 0 the deviation term vanishes, and closure under negation
-    # keeps the complexity estimate non-negative
+    # sign(x0) and its negation classify the blobs; losses are tiny, and
+    # closure under negation keeps the complexity estimate non-negative, so
+    # the bound holds even without its p-weighted deviation term
     grid = HypothesisGrid(np.array([[1.0, 0.0]]), np.array([0.0])).with_negation()
-    report = bound_check(x, y, x, y, grid, c_loss=0.0, lip=0.5, delta=0.05,
-                         draws=100, rng=np.random.default_rng(12))
+    report = bound_check(x, y, x, y, grid, delta=0.05, draws=100,
+                         rng=np.random.default_rng(12))
     assert report.holds
-    assert (report.margins >= 0.0).all()
+    deviation = np.sqrt(np.log(1.0 / 0.05) / (2.0 * np.array([20.0, 10.0])))
+    assert (report.margins - 0.5 * deviation.sum() >= 0.0).all()
 
 
 def test_bound_per_class_restriction_matches_public_estimator():
@@ -226,9 +227,13 @@ def test_batched_rademacher_matches_per_draw_loop_bitwise():
 
 
 def _per_draw_bound_experiment(draw_fn, n_draws, pop_x, pop_y, grid, p, mc_draws, seed,
-                               c_loss=1.0, lip=0.5, delta=0.05):
+                               delta=0.05):
     # every draw scores the population again and takes float means of the
-    # per-sample losses (1 - y u)/2, the arithmetic the counts replace
+    # per-sample losses (1 - y u)/2, the arithmetic the counts replace; the
+    # right side keeps the general form, at that loss's bound c_loss = 1 and
+    # Lipschitz constant lip = 1/2
+    c_loss, lip = 1.0, 0.5
+
     def class_means(x, y):
         losses = (1.0 - grid.evaluate(x) * (2.0 * y - 1.0)[None, :]) / 2.0
         return np.stack([losses[:, y == j].mean(axis=1) for j in (0, 1)], axis=1)
@@ -375,6 +380,7 @@ def test_bound_rejects_a_bad_sample_naming_the_value(bad, where):
         call(x, y, edit_x(x), edit_y(y), grid)
 
 
+_P_MESSAGE = "p must be 2 finite, non-negative proportions summing to 1, got "
 BAD_ARGUMENTS = {
     # name: (call with a good sample (x, y) and grid g, message)
     "n-draws-float": (lambda x, y, g: bound_experiment(lambda i: (x, y), 2.5, x, y, g,
@@ -402,6 +408,21 @@ BAD_ARGUMENTS = {
                           "draws must be an integer, got 2.5"),
     "check-draws-zero": (lambda x, y, g: bound_check(x, y, x, y, g, draws=0),
                          "draws must be >= 1, got 0"),
+    # a delta or p of the wrong type
+    "experiment-delta-string": (lambda x, y, g: bound_experiment(
+        lambda i: (x, y), 2, x, y, g, delta="x", mc_draws=5),
+        "delta must be a real number in (0, 1), got 'x'"),
+    "experiment-delta-none": (lambda x, y, g: bound_experiment(
+        lambda i: (x, y), 2, x, y, g, delta=None, mc_draws=5),
+        "delta must be a real number in (0, 1), got None"),
+    "check-delta-bool": (lambda x, y, g: bound_check(x, y, x, y, g, delta=True, draws=5),
+                         "delta must be a real number in (0, 1), got True"),
+    "experiment-p-string": (lambda x, y, g: bound_experiment(
+        lambda i: (x, y), 2, x, y, g, p="ab", mc_draws=5), _P_MESSAGE + "'ab'"),
+    "check-p-strings": (lambda x, y, g: bound_check(x, y, x, y, g, p=["0.5", "0.5"], draws=5),
+                        _P_MESSAGE + "['0.5' '0.5']"),
+    "check-p-none-entry": (lambda x, y, g: bound_check(x, y, x, y, g, p=[1.0, None], draws=5),
+                           _P_MESSAGE + "[1.0 None]"),
 }
 
 

@@ -154,7 +154,8 @@ def test_warmup_converges_on_separable_toy():
     table = two_blob_table()
     assert _logistic_fit_accuracy(table) >= 0.99  # data really is separable
     params = random_params(2, 8, 2, 2, seed=9)
-    trained = warmup_train(params, table, 200, optim.Adam(0.01), seed=1)
+    trained = warmup_train(params, table, 200, optim.Adam(0.01), batch_size=table.n,
+                           seed=1)
     preds = np.argmax(prior_bundle(trained, table.features).y_g, axis=1)
     acc = float(np.mean(preds == table.labels))
     assert acc >= 0.99
@@ -163,7 +164,7 @@ def test_warmup_converges_on_separable_toy():
 def test_warmup_zero_epochs_is_bitwise_noop():
     table = two_blob_table(n=10)
     params = random_params(2, 4, 2, 1, seed=10)
-    out = warmup_train(params, table, 0, optim.Adam())
+    out = warmup_train(params, table, 0, optim.Adam(), batch_size=4)
     for name, arr in params.blocks().items():
         assert np.array_equal(out.blocks()[name], arr)
 
@@ -192,7 +193,9 @@ def test_warmup_full_batch_descent_monotone():
     losses = [cross_entropy(params, table)]
     current = params
     for epoch in range(50):
-        current = warmup_train(current, table, 1, GradientDescent(0.05), seed=12)
+        # one batch of every row: a full-batch step per epoch
+        current = warmup_train(current, table, 1, GradientDescent(0.05),
+                               batch_size=table.n, seed=12)
         losses.append(cross_entropy(current, table))
     diffs = np.diff(losses)
     assert (diffs <= 1e-6).all()

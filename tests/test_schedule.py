@@ -53,9 +53,22 @@ def test_class_proportions_single_class():
     assert np.array_equal(p, [1.0])
 
 
+@pytest.mark.filterwarnings("ignore:alpha=2000.0 is outside")
 def test_class_proportions_zero_weights_rejected():
-    with pytest.raises(ConfigError):
-        class_proportions(ClassCensus((3, 4)), NoiseLevelConfig(alpha=0.5, c=1.0, a=0.0, b=0.0))
+    # a large alpha underflows every n_j^-alpha to 0 with a = 1 and b = 0,
+    # so the message names that cause next to a = b = 0
+    for call, alpha in (
+            (lambda: class_proportions(ClassCensus((3, 4)), NoiseLevelConfig(
+                alpha=0.5, c=1.0, a=0.0, b=0.0)), "0.5"),
+            (lambda: lambda_vector(ClassCensus((2, 3)),
+                                   NoiseLevelConfig(alpha=2000.0, c=0.0)), "2000.0"),
+            (lambda: class_proportions(ClassCensus((2, 3)),
+                                       NoiseLevelConfig(alpha=2000.0, c=5.0)), "2000.0")):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == ("class proportions are undefined: the weights "
+                                   "a n_j^-alpha + b sum to 0, as a = b = 0 or n_j^-alpha "
+                                   f"underflows to 0 at alpha={alpha}")
 
 
 def test_alpha_outside_unit_interval_warns():
@@ -127,6 +140,10 @@ def test_linear_beta_cases():
     step = (0.02 - 0.0001) / 999
     assert np.allclose(np.diff(beta), step, rtol=0, atol=1e-15)
     assert np.array_equal(linear_beta(1, 0.3, 0.3), [0.3])
+    # a one-step schedule is beta1 alone, whatever betaT
+    for beta1, betaT in ((0.3, 0.3), (1e-4, 0.02), (0.1, 0.9)):
+        one = linear_beta(1, beta1, betaT)
+        assert one.dtype == np.float64 and one.tobytes() == np.array([beta1]).tobytes()
 
 
 def test_linear_beta_range_violations():

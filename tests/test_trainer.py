@@ -17,10 +17,10 @@ from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.diffusion import forward_kernel, forward_sample
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError, ShapeError
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
-from adpm.trainer import (BRANCHES, RETIRED_KEYS, Checkpoint, TrainConfig, batch_loss,
-                          check_field_types, draw_batch_noise, fit, fit_tables, init_model,
-                          load_checkpoint, model_shapes, named_views, noise_schedule,
-                          save_checkpoint)
+from adpm.trainer import (BRANCHES, KERNEL_BANDWIDTH, RETIRED_KEYS, Checkpoint, TrainConfig,
+                          batch_loss, check_field_types, draw_batch_noise, fit, fit_tables,
+                          init_model, load_checkpoint, model_shapes, named_views,
+                          noise_schedule, save_checkpoint)
 
 from tape_oracle import (DenoiserGraph, eps_loss_graph, mmd_loss_graph, tape_batch_loss,
                          total_loss_graph)
@@ -143,9 +143,8 @@ def _desk_batch(k=6, rows=32, **cfg_kw):
 
 
 @pytest.mark.parametrize("k, rows, cfg_kw", [
-    (6, 32, {}), (3, 32, {}), (6, 29, {}),
-    (6, 32, {"kernel_bandwidth": 0.7}), (6, 32, {"w": 0.3})],
-    ids=["desk", "k3", "short-last-batch", "bandwidth-0.7", "w0.3"])
+    (6, 32, {}), (3, 32, {}), (6, 29, {}), (6, 32, {"w": 0.3})],
+    ids=["desk", "k3", "short-last-batch", "w0.3"])
 def test_batch_loss_matches_the_tape_bitwise(k, rows, cfg_kw):
     table, batch, cfg = _desk_batch(k, rows, **cfg_kw)
     model = init_model(table.d, table.k, cfg)
@@ -379,9 +378,12 @@ def _config_with(key, value):
     (_config_with("lr_warmup_frac", 0.0),
      "config key 'lr_warmup_frac' must be 0.1, got 0.0"),
     (_config_with("lambda_override", 1.0),
-     "config key 'lambda_override' must be None, got 1.0")],
+     "config key 'lambda_override' must be None, got 1.0"),
+    (_config_with("kernel_bandwidth", 0.7),
+     "config key 'kernel_bandwidth' must be 1.0, got 0.7")],
     ids=["version-1", "legacy-block", "sgd-optimizer", "median-bandwidth", "adam-beta1",
-         "adam-beta2", "adam-eps", "lr-warmup-frac", "lambda-override-one"])
+         "adam-beta2", "adam-eps", "lr-warmup-frac", "lambda-override-one",
+         "kernel-bandwidth-0.7"])
 def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, message):
     _, _, text = saved_run
     payload = json.loads(text)
@@ -720,15 +722,6 @@ def test_config_rejects_a_bad_lambda_override(tmp_path, saved_run, lam):
     assert str(info.value) == f"{path}: config key 'lambda_override' must be None, got {lam!r}"
 
 
-@pytest.mark.parametrize("kernel, reason", [
-    ({"kernel_bandwidth": 0.0}, "bandwidth must be finite and positive"),
-    ({"kernel_bandwidth": float("nan")}, "bandwidth must be finite and positive")],
-    ids=["zero-bandwidth", "nan-bandwidth"])
-def test_config_rejects_a_bad_kernel(kernel, reason):
-    with pytest.raises(ConfigError, match=reason):
-        TrainConfig(**kernel)
-
-
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -754,7 +747,7 @@ def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
 
 def test_config_from_dict_checks_value_types():
     for bad in ({"T": "abc"}, {"hidden": "64"}, {"epochs": 1.5}, {"seed": True},
-                {"T": None}, {"kernel_bandwidth": "1.0"}, {"learning_rate": "0.1"}):
+                {"T": None}, {"w": "0.5"}, {"learning_rate": "0.1"}):
         (key,) = bad
         with pytest.raises(ConfigError, match=f"config key {key!r}"):
             TrainConfig.from_dict(bad)
@@ -764,13 +757,13 @@ def test_config_from_dict_checks_value_types():
         TrainConfig.from_dict([["T", 5]])
 
 
-def test_train_config_keeps_its_nineteen_settings():
-    # Adam's betas and eps, the warmup fraction and the lambda override are
-    # constants or c = 0, not settings
+def test_train_config_keeps_its_eighteen_settings():
+    # Adam's betas and eps, the warmup fraction, the lambda override and the
+    # MMD kernel's bandwidth are constants or c = 0, not settings
     assert [field.name for field in dataclasses.fields(TrainConfig)] == [
         "T", "sample_steps", "beta1", "betaT", "alpha", "c", "w", "epochs", "batch_size",
         "learning_rate", "warmup_epochs", "seed", "hidden", "attn_dim", "time_dim",
-        "prior_hidden", "prior_mask", "kernel_bandwidth", "checkpoint_every"]
+        "prior_hidden", "prior_mask", "checkpoint_every"]
 
 
 @pytest.mark.parametrize("instance", [TrainConfig(), LongTailSpec(**DATA_DEFAULTS, seed=0)],
@@ -903,7 +896,7 @@ def test_c_zero_reproduces_isotropic_reference_run():
                     1.0 - np.sqrt(ab)[:, None], (sub.n, sub.k)).copy())
                 y_t = tape.add(signal, tape.mul(coef, branch_prior[b]))
                 eps_hat[b] = den.predict(y_t, branch_prior[b], t, cfg.T)
-            sigma = cfg.kernel_bandwidth
+            sigma = KERNEL_BANDWIDTH
             l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], sigma)
             l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], sigma)
             l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
