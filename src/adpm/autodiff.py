@@ -33,14 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, UsageError
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a C-contiguous 2-D float64 array, or raise ShapeError."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got shape {a.shape}")
-    return a
+from .priors import as_matrix
 
 
 class Var:

@@ -7,8 +7,10 @@ JSON object of TrainConfig fields with an optional "synthetic" section
 of LongTailSpec fields. Each setting is its field's default, overridden
 by the config file, overridden in turn by its flag when the flag is
 given. sweep takes its alpha and c values from --alphas and --cs, so it
-has no --alpha or --c flag. With --out, outputs are files in that
-directory (plus resolved_config.json); without it, data goes to stdout.
+has no --alpha or --c flag. No subcommand reads a flag as the prefix of
+another, so --epoch is an unknown flag, not --epochs. With --out,
+outputs are files in that directory (plus resolved_config.json);
+without it, data goes to stdout.
 sweep trains its cells in a pool of one process per CPU, never more
 processes than cells. Exit codes: 0 success, 2 usage error, 1 runtime
 failure; each failure prints one line on stderr.
@@ -48,7 +50,12 @@ class CliUsage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad invocation in one line."""
+    """An argument parser that reports a bad invocation in one line and
+    reads no flag as the prefix of another (--epoch is not --epochs).
+    Subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -112,9 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="record per-step snapshots")
     p.set_defaults(func=cmd_sample)
 
-    # no abbreviations: --alpha would otherwise be read as --alphas
-    p = sub.add_parser("sweep", help="F1 grid over (alpha, c) combinations",
-                       allow_abbrev=False)
+    p = sub.add_parser("sweep", help="F1 grid over (alpha, c) combinations")
     common(p)
     _data_flags(p)
     _train_flags(p)
@@ -158,7 +163,7 @@ def _train_flags(p, *noise_levels):
     """The TrainConfig flags, with alpha and c where named in noise_levels."""
     _flags(p, int, "T", "sample-steps", "epochs", "batch-size", "warmup-epochs", "hidden",
            "checkpoint-every")
-    _flags(p, float, "beta1", "betaT", *noise_levels, "w", "learning-rate")
+    _flags(p, float, "beta1", "betaT", *noise_levels, "learning-rate")
 
 
 def _given(flags: dict) -> dict:

@@ -26,13 +26,13 @@ from .errors import ConfigError, ShapeError
 
 @dataclass(frozen=True)
 class LossReport:
-    """Scalars of one training step; total = w * (L_g + L_l) + L_eps."""
+    """Scalars of one training step; total = w * (L_g + L_l) + L_eps,
+    with trainer.MMD_WEIGHT as w."""
 
     L_g: float
     L_l: float
     L_eps: float
     L_total: float
-    w: float
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:

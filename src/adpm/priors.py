@@ -10,8 +10,8 @@ The network is trained once, by warmup_train's cross entropy, and then
 frozen: fit computes the priors of every training row once and the
 diffusion training loop takes them as constants, and inference reads
 the same network. Every pass runs as plain numpy (mlp_forward,
-prior_bundle); PriorGraph only copies prior_bundle's values onto a tape
-as constants.
+prior_bundle); PriorGraph only copies prior_bundle's values onto a
+caller's tape as constants, so importing the library loads no tape.
 """
 
 from __future__ import annotations
@@ -21,9 +21,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optim
-from .autodiff import Tape, as_matrix
 from .data import DatasetTable
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
+
+
+def as_matrix(x) -> np.ndarray:
+    """Coerce to a C-contiguous 2-D float64 array, or raise ShapeError."""
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D array, got shape {a.shape}")
+    return a
 
 
 @dataclass
@@ -105,13 +112,14 @@ def prior_bundle(params: PriorNetParams, x) -> PriorBundle:
 
 
 class PriorGraph:
-    """prior_bundle's three values of x.value as const leaves of tape.
+    """prior_bundle's three values of x.value as const leaves of tape, an
+    autodiff.Tape the caller built (this module does not import the tape).
 
     perfbench/workloads.py still reads y_f through this name; it goes
     once the benchmark calls prior_bundle itself.
     """
 
-    def __init__(self, tape: Tape, params: PriorNetParams, x):
+    def __init__(self, tape, params: PriorNetParams, x):
         bundle = prior_bundle(params, x.value)
         self.y_g, self.y_l, self.y_f = (tape.const(v) for v in
                                         (bundle.y_g, bundle.y_l, bundle.y_f))

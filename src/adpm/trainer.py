@@ -25,7 +25,9 @@ not finite stops training with a ConfigError. Adam is the only
 optimizer: it runs at the config's learning_rate with optim's constant
 betas and eps, and optim.lr_at's constant warmup fraction shapes the
 learning rate. The MMD kernel's bandwidth is the constant
-KERNEL_BANDWIDTH. The isotropic baseline (lambda = 1 for every class) is
+KERNEL_BANDWIDTH, and the MMD terms' weight w the constant MMD_WEIGHT.
+The prior's local branch keeps half the feature count (at least one
+coordinate). The isotropic baseline (lambda = 1 for every class) is
 c = 0 of the noise-level formula.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
@@ -78,11 +80,12 @@ _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
 BRANCHES = ("global", "local", "fused")
 SCHEDULE_CACHE_SIZE = 16  # distinct schedules noise_schedule keeps
 KERNEL_BANDWIDTH = 1.0  # sigma of the MMD terms' RBF kernel
+MMD_WEIGHT = 0.5  # w of the objective w * (L_g + L_l) + L_eps
 # config keys of older checkpoints -> the one value this trainer keeps
 RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed",
                 "adam_beta1": optim.BETA1, "adam_beta2": optim.BETA2, "adam_eps": optim.EPS,
                 "lr_warmup_frac": optim.WARMUP_FRAC, "lambda_override": None,
-                "kernel_bandwidth": KERNEL_BANDWIDTH}
+                "kernel_bandwidth": KERNEL_BANDWIDTH, "w": MMD_WEIGHT, "prior_mask": None}
 
 
 @dataclass
@@ -95,7 +98,6 @@ class TrainConfig:
     betaT: float = 0.02
     alpha: float = 1.0 / 6.0
     c: float = 5.0
-    w: float = 0.5
     epochs: int = 300
     batch_size: int = 32
     learning_rate: float = 1e-3
@@ -105,7 +107,6 @@ class TrainConfig:
     attn_dim: int = 32
     time_dim: int = 32
     prior_hidden: int = 32
-    prior_mask: int | None = None  # None: half the feature count
     checkpoint_every: int = 0  # epochs; 0 writes only at the end
 
     def __post_init__(self):
@@ -126,12 +127,9 @@ class TrainConfig:
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         # each comparison is False for NaN, so NaN fails every rule
-        for name, ok, rule in (
-                ("w", 0 < self.w < np.inf, "finite and positive"),
-                ("alpha", 0 <= self.alpha < np.inf, "finite and >= 0"),
-                ("c", 0 <= self.c < np.inf, "finite and >= 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        for name in ("alpha", "c"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -147,8 +145,7 @@ def check_field_types(cls, obj, what: str = "config") -> None:
     """Raise ConfigError unless obj is a dict whose keys are fields of the
     dataclass cls and whose values have their field's type.
 
-    An int is accepted for a float field, and None only where the
-    field's default is None.
+    An int is accepted for a float field.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} is not a JSON object")
@@ -158,10 +155,8 @@ def check_field_types(cls, obj, what: str = "config") -> None:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     for key, value in obj.items():
         field = fields[key]
-        if value is None and field.default is None:
-            continue
-        # annotations are strings such as "float" or "int | None"
-        typ = {"int": (int,), "float": (int, float)}[field.type.split(" | ")[0]]
+        # annotations are the strings "int" and "float"
+        typ = {"int": (int,), "float": (int, float)}[field.type]
         if isinstance(value, bool) or not isinstance(value, typ):
             raise ConfigError(f"{what} key {key!r} must be of type {field.type}, "
                               f"got {value!r}")
@@ -209,15 +204,15 @@ class Checkpoint:
 
 
 def init_model(d: int, k: int, cfg: TrainConfig) -> ModelParams:
-    """Seeded initialization from stream (seed, 0).
+    """Seeded initialization from stream (seed, 0); the prior's local
+    branch keeps max(1, d // 2) coordinates.
 
     Draw order: the prior net's weights, then the denoiser's, each network
     in its shapes() order (model_shapes' order); biases start at zero and
     draw nothing.
     """
     rng = np.random.default_rng([cfg.seed, 0])
-    mask = cfg.prior_mask if cfg.prior_mask is not None else max(1, d // 2)
-    prior = PriorNetParams.init(d, cfg.prior_hidden, k, mask, rng)
+    prior = PriorNetParams.init(d, cfg.prior_hidden, k, max(1, d // 2), rng)
     den = DenoiserParams.init(k, cfg.hidden, cfg.attn_dim, cfg.time_dim, rng)
     return ModelParams(prior, den)
 
@@ -299,11 +294,11 @@ def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
                                   t_table[np.tile(draws.t, n_branches)])
     eps_hat = acts.out.reshape(n_branches, nb, k)
 
-    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], KERNEL_BANDWIDTH, cfg.w)
-    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], KERNEL_BANDWIDTH, cfg.w)
+    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], KERNEL_BANDWIDTH, MMD_WEIGHT)
+    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], KERNEL_BANDWIDTH, MMD_WEIGHT)
     l_eps, g_f = eps_loss(draws.eps[2], eps_hat[2])
     report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
-                        L_total=total_loss(l_g, l_l, l_eps, cfg.w), w=cfg.w)
+                        L_total=total_loss(l_g, l_l, l_eps, MMD_WEIGHT))
     return report, model.denoiser.backward(acts, np.concatenate([g_g, g_l, g_f]))
 
 
@@ -328,10 +323,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
 
     A resume continues an uninterrupted run of cfg bitwise when cfg
     equals the checkpoint's config. It may change any setting but the
-    model's shapes and the frozen prior's prior_mask and warmup_epochs,
-    and it may not start beyond cfg.epochs. A table with no rows, and a
-    resume that breaks one of these rules, raise ConfigError before any
-    step, and nothing is written.
+    model's shapes and the frozen prior's warmup_epochs, and it may not
+    start beyond cfg.epochs. A table with no rows, and a resume that
+    breaks one of these rules, raise ConfigError before any step, and
+    nothing is written.
     """
     if table.n == 0:
         raise ConfigError("the training table has no rows")
@@ -341,11 +336,10 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     if resume is not None:
         if resume.epoch > cfg.epochs:
             raise ConfigError(f"cannot resume at epoch {resume.epoch} of a {cfg.epochs}-epoch run")
-        for name in ("prior_mask", "warmup_epochs"):
-            old, new = getattr(resume.config, name), getattr(cfg, name)
-            if old != new:
-                raise ConfigError(f"cannot resume with {name}={new!r}: the checkpoint's prior "
-                                  f"was trained with {name}={old!r}")
+        if resume.config.warmup_epochs != cfg.warmup_epochs:
+            raise ConfigError(f"cannot resume with warmup_epochs={cfg.warmup_epochs!r}: the "
+                              f"checkpoint's prior was trained with "
+                              f"warmup_epochs={resume.config.warmup_epochs!r}")
         _checked(resume.model.blocks(), model_shapes(table.d, table.k, cfg), "resumed block")
         model = resume.model.copy()
         start_epoch = resume.epoch

@@ -12,7 +12,7 @@ from adpm.autodiff import Tape, Var, scalar
 from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.errors import ConfigError, ShapeError
 from adpm.losses import LossReport
-from adpm.trainer import BRANCHES, KERNEL_BANDWIDTH
+from adpm.trainer import BRANCHES, KERNEL_BANDWIDTH, MMD_WEIGHT
 
 
 class DenoiserGraph:
@@ -88,10 +88,10 @@ def tape_batch_loss(labels, priors, model, schedule, cfg, draws):
     l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], sigma)
     l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], sigma)
     l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
-    l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
+    l_total = total_loss_graph(tape, l_g, l_l, l_eps, MMD_WEIGHT)
 
     report = LossReport(L_g=scalar(l_g), L_l=scalar(l_l), L_eps=scalar(l_eps),
-                        L_total=scalar(l_total), w=cfg.w)
+                        L_total=scalar(l_total))
     grads_by_var = tape.backward(l_total)
     return report, {f"denoiser.{name}": grads_by_var[var]
                     for name, var in den_graph.vars.items()}

@@ -75,9 +75,8 @@ def test_c03_forward_marginal_monte_carlo():
         j = int(rng.integers(0, 3))
         t = int(rng.integers(1, 51))
         gamma = sched.gamma[j, t]
-        draws = np.empty((n, 3))
-        for i in range(n):
-            draws[i] = forward_sample(sched, j, y0, prior, t, rng).y_t
+        # one (n, 3) draw gives the bits of n (3,) draws, row by row
+        draws = forward_sample(sched, j, np.tile(y0, (n, 1)), prior, t, rng).y_t
         expected = np.sqrt(gamma) * y0 + (1.0 - np.sqrt(gamma)) * prior
         se = np.sqrt((1.0 - gamma) / n)
         mean_err = np.abs(draws.mean(axis=0) - expected).max()

@@ -1,11 +1,28 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import adpm
 from adpm.autodiff import Tape, scalar
 from adpm.errors import ShapeError, UsageError
 from adpm.priors import _softmax_rows
 
 from gradcheck import finite_diff, rel_err
+
+
+def test_importing_the_library_loads_no_tape():
+    # no library path builds a tape, so a fresh interpreter's import adpm
+    # leaves the tape module unloaded
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(adpm.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, adpm; "
+                           "print(adpm.__file__); print('adpm.autodiff' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [adpm.__file__, "False"]
 
 
 def test_matmul_identity():

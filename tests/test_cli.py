@@ -442,7 +442,7 @@ def test_each_subcommand_keeps_its_option_strings():
     common = {"-h", "--help", "--seed", "--out"}
     data = {"--data", "--synthetic", "--k", "--head-count", "--decay", "--dim",
             "--separation", "--spread", "--data-seed"}
-    train = {"--T", "--sample-steps", "--beta1", "--betaT", "--w",
+    train = {"--T", "--sample-steps", "--beta1", "--betaT",
              "--epochs", "--batch-size", "--learning-rate", "--warmup-epochs",
              "--hidden", "--checkpoint-every"}
     # schedule draws nothing, so it has no --seed; sweep takes alpha and c
@@ -515,8 +515,14 @@ CLI_FAILURES = {
     "train-sample-steps-zero": (None, ["train", *_SMALL, "--sample-steps", "0"], 1),
     "train-checkpoint-every-negative": (None, ["train", *_SMALL, "--checkpoint-every", "-1"],
                                         1),
-    "train-w-zero": (None, ["train", *_SMALL, "--w", "0"], 1),
-    "train-w-nan": (None, ["train", *_SMALL, "--w", "nan"], 1),
+    # the MMD weight is the constant trainer.MMD_WEIGHT, not a flag
+    "train-w-zero": (None, ["train", *_SMALL, "--w", "0"], 2),
+    "train-w-nan": (None, ["train", *_SMALL, "--w", "nan"], 2),
+    "sweep-w": (None, ["sweep", *_SMALL, "--w", "0.3"], 2),
+    # no flag is read as the prefix of another
+    "train-epoch-prefix": (None, ["train", *_SMALL, "--epoch", "1"], 2),
+    "eval-step-prefix": (None, ["eval", "--checkpoint", "ckpt.json", "--data", "test.csv",
+                                "--step", "5"], 2),
     "config-kernel-mode": (b'{"kernel_bandwidth_mode": "bogus"}',
                            ["train", *_SMALL, "--config", "{file}"], 1),
     "train-beta1-lost-to-rounding": (None, ["train", *_SMALL, "--beta1", "1e-30"], 1),
@@ -563,8 +569,8 @@ CLI_FAILURES = {
         lambda ckpt: {**ckpt, "blocks": {**ckpt["blocks"],
                                          "encoder.b": {"shape": [1, 6], "data": [0.25] * 6}}},
         ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
-    # {train} is the training split of {checkpoint}, a d = 3 run with the
-    # default mask of 1
+    # {train} is the training split of {checkpoint}; the local-prior mask
+    # is fixed at half the feature count, so a config naming it is unknown
     "train-resume-changed-prior-mask": (
         b'{"prior_mask": 3}', ["train", "--data", "{train}", "--T", "15", "--sample-steps", "5",
                                "--epochs", "2", "--warmup-epochs", "1", "--hidden", "6",
@@ -603,9 +609,12 @@ def test_cli_failure_is_one_error_line(tmp_path, capsys, case):
     ({"lr_warmup_frac": 0.1}, "unknown config keys: ['lr_warmup_frac']"),
     ({"lambda_override": 1.0}, "unknown config keys: ['lambda_override']"),
     ({"optimizer": "adam"}, "unknown config keys: ['optimizer']"),
-    ({"kernel_bandwidth_mode": "fixed"}, "unknown config keys: ['kernel_bandwidth_mode']")],
+    ({"kernel_bandwidth_mode": "fixed"}, "unknown config keys: ['kernel_bandwidth_mode']"),
+    ({"w": 0.5}, "unknown config keys: ['w']"),
+    ({"prior_mask": None}, "unknown config keys: ['prior_mask']")],
     ids=["adam-beta1-one", "nan-adam-beta2", "adam-eps", "lr-warmup-frac",
-         "lambda-override-one", "retired-optimizer", "retired-bandwidth-mode"])
+         "lambda-override-one", "retired-optimizer", "retired-bandwidth-mode", "w",
+         "prior-mask"])
 def test_train_names_the_config_value_it_rejects(tmp_path, capsys, config, message):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))

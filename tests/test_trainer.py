@@ -17,9 +17,9 @@ from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.diffusion import forward_kernel, forward_sample
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError, ShapeError
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
-from adpm.trainer import (BRANCHES, KERNEL_BANDWIDTH, RETIRED_KEYS, Checkpoint, TrainConfig,
-                          batch_loss, check_field_types, draw_batch_noise, fit, fit_tables,
-                          init_model, load_checkpoint, model_shapes, named_views,
+from adpm.trainer import (BRANCHES, KERNEL_BANDWIDTH, MMD_WEIGHT, RETIRED_KEYS, Checkpoint,
+                          TrainConfig, batch_loss, check_field_types, draw_batch_noise, fit,
+                          fit_tables, init_model, load_checkpoint, model_shapes, named_views,
                           noise_schedule, save_checkpoint)
 
 from tape_oracle import (DenoiserGraph, eps_loss_graph, mmd_loss_graph, tape_batch_loss,
@@ -134,19 +134,18 @@ def test_fit_builds_no_tape(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["ckpt.epoch2.json", "ckpt.json", "log.jsonl"]
 
 
-def _desk_batch(k=6, rows=32, **cfg_kw):
+def _desk_batch(k=6, rows=32):
     """A batch of the desk workload's shapes (d = 8, default widths)."""
     table = generate_longtail(LongTailSpec(k=k, head_count=100, decay=0.57, d=8,
                                            separation=6.0, spread=1.0, seed=0))
-    cfg = TrainConfig(T=100, sample_steps=25, betaT=0.004, **cfg_kw)
+    cfg = TrainConfig(T=100, sample_steps=25, betaT=0.004)
     return table, table.take(np.arange(rows)), cfg
 
 
-@pytest.mark.parametrize("k, rows, cfg_kw", [
-    (6, 32, {}), (3, 32, {}), (6, 29, {}), (6, 32, {"w": 0.3})],
-    ids=["desk", "k3", "short-last-batch", "w0.3"])
-def test_batch_loss_matches_the_tape_bitwise(k, rows, cfg_kw):
-    table, batch, cfg = _desk_batch(k, rows, **cfg_kw)
+@pytest.mark.parametrize("k, rows", [(6, 32), (3, 32), (6, 29)],
+                         ids=["desk", "k3", "short-last-batch"])
+def test_batch_loss_matches_the_tape_bitwise(k, rows):
+    table, batch, cfg = _desk_batch(k, rows)
     model = init_model(table.d, table.k, cfg)
     schedule = noise_schedule(table.class_counts(), cfg)
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
@@ -380,10 +379,11 @@ def _config_with(key, value):
     (_config_with("lambda_override", 1.0),
      "config key 'lambda_override' must be None, got 1.0"),
     (_config_with("kernel_bandwidth", 0.7),
-     "config key 'kernel_bandwidth' must be 1.0, got 0.7")],
+     "config key 'kernel_bandwidth' must be 1.0, got 0.7"),
+    (_config_with("prior_mask", 2), "config key 'prior_mask' must be None, got 2")],
     ids=["version-1", "legacy-block", "sgd-optimizer", "median-bandwidth", "adam-beta1",
          "adam-beta2", "adam-eps", "lr-warmup-frac", "lambda-override-one",
-         "kernel-bandwidth-0.7"])
+         "kernel-bandwidth-0.7", "prior-mask-2"])
 def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, message):
     _, _, text = saved_run
     payload = json.loads(text)
@@ -607,13 +607,10 @@ def test_resume_rejects_blocks_the_config_does_not_describe(tmp_path, saved_run,
 @pytest.mark.parametrize("first, resumed, message", [
     ({"epochs": 4}, {"epochs": 2},
      "cannot resume at epoch 4 of a 2-epoch run"),
-    ({}, {"prior_mask": 4},
-     "cannot resume with prior_mask=4: the checkpoint's prior was trained with "
-     "prior_mask=None"),
     ({}, {"warmup_epochs": 5},
      "cannot resume with warmup_epochs=5: the checkpoint's prior was trained with "
      "warmup_epochs=2")],
-    ids=["epoch-beyond-config", "changed-prior-mask", "changed-warmup-epochs"])
+    ids=["epoch-beyond-config", "changed-warmup-epochs"])
 def test_resume_rejects_a_run_the_config_cannot_continue(tmp_path, monkeypatch, first, resumed,
                                                          message):
     table = toy_table()
@@ -702,9 +699,18 @@ def test_config_rejects_a_negative_seed():
 
 
 @pytest.mark.parametrize("w", [0.0, -0.5, float("nan"), float("inf")])
-def test_config_rejects_a_bad_loss_weight(w):
-    with pytest.raises(ConfigError, match="w must be finite and positive"):
-        TrainConfig(w=w)
+def test_config_rejects_a_bad_loss_weight(tmp_path, saved_run, w):
+    # the weight is retired (the constant MMD_WEIGHT): a config naming it is
+    # rejected, and a checkpoint's config unless it holds MMD_WEIGHT
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['w'\]$"):
+        TrainConfig.from_dict({"w": w})
+    payload = json.loads(saved_run[2])
+    payload["config"]["w"] = w
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: config key 'w' must be 0.5, got {w!r}"
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
@@ -747,23 +753,24 @@ def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
 
 def test_config_from_dict_checks_value_types():
     for bad in ({"T": "abc"}, {"hidden": "64"}, {"epochs": 1.5}, {"seed": True},
-                {"T": None}, {"w": "0.5"}, {"learning_rate": "0.1"}):
+                {"T": None}, {"c": None}, {"beta1": "0.5"}, {"learning_rate": "0.1"}):
         (key,) = bad
         with pytest.raises(ConfigError, match=f"config key {key!r}"):
             TrainConfig.from_dict(bad)
-    cfg = TrainConfig.from_dict({"learning_rate": 1, "prior_mask": None, "alpha": 0.5})
-    assert cfg.learning_rate == 1 and cfg.prior_mask is None
+    cfg = TrainConfig.from_dict({"learning_rate": 1, "alpha": 0.5})
+    assert cfg.learning_rate == 1 and cfg.alpha == 0.5
     with pytest.raises(ConfigError, match="not a JSON object"):
         TrainConfig.from_dict([["T", 5]])
 
 
-def test_train_config_keeps_its_eighteen_settings():
-    # Adam's betas and eps, the warmup fraction, the lambda override and the
-    # MMD kernel's bandwidth are constants or c = 0, not settings
+def test_train_config_keeps_its_sixteen_settings():
+    # Adam's betas and eps, the warmup fraction, the lambda override, the
+    # MMD kernel's bandwidth and weight and the local-prior mask are
+    # constants or c = 0, not settings
     assert [field.name for field in dataclasses.fields(TrainConfig)] == [
-        "T", "sample_steps", "beta1", "betaT", "alpha", "c", "w", "epochs", "batch_size",
+        "T", "sample_steps", "beta1", "betaT", "alpha", "c", "epochs", "batch_size",
         "learning_rate", "warmup_epochs", "seed", "hidden", "attn_dim", "time_dim",
-        "prior_hidden", "prior_mask", "checkpoint_every"]
+        "prior_hidden", "checkpoint_every"]
 
 
 @pytest.mark.parametrize("instance", [TrainConfig(), LongTailSpec(**DATA_DEFAULTS, seed=0)],
@@ -900,7 +907,7 @@ def test_c_zero_reproduces_isotropic_reference_run():
             l_g = mmd_loss_graph(tape, tape.const(eps["global"]), eps_hat["global"], sigma)
             l_l = mmd_loss_graph(tape, tape.const(eps["local"]), eps_hat["local"], sigma)
             l_eps = eps_loss_graph(tape, tape.const(eps["fused"]), eps_hat["fused"])
-            l_total = total_loss_graph(tape, l_g, l_l, l_eps, cfg.w)
+            l_total = total_loss_graph(tape, l_g, l_l, l_eps, MMD_WEIGHT)
             grads_by_var = tape.backward(l_total)
             lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate)
             opt.step(params, optim.flatten(grads_by_var[var] for var in den.vars.values()),
@@ -940,7 +947,7 @@ def test_train_step_reports_consistent_total():
     schedule = noise_schedule(table.class_counts(), cfg)
     draws = draw_batch_noise(np.random.default_rng(3), table.n, table.k, cfg.T)
     report, grads = loss_and_grads(table, model, schedule, cfg, draws)
-    assert report.L_total == pytest.approx(cfg.w * (report.L_g + report.L_l)
+    assert report.L_total == pytest.approx(MMD_WEIGHT * (report.L_g + report.L_l)
                                            + report.L_eps, abs=1e-12)
     assert set(grads) == set(model.denoiser_blocks())
 
