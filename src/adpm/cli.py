@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="CSV dataset to take the census from")
     _flags(p, float, "alpha", "c", "beta1", "betaT")
     _flags(p, int, "T")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.0)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("train", help="fit the model on a dataset")
@@ -240,7 +238,7 @@ def cmd_schedule(args) -> int:
     s, _ = settings(args)
 
     census = ClassCensus(counts)
-    noise = NoiseLevelConfig(alpha=s["alpha"], c=s["c"], a=args.a, b=args.b)
+    noise = NoiseLevelConfig(alpha=s["alpha"], c=s["c"])
     beta = linear_beta(s["T"], s["beta1"], s["betaT"])
 
     exact, floored = imbalance_ratio(census)
@@ -253,8 +251,8 @@ def cmd_schedule(args) -> int:
         for j in range(census.k)])
     if args.out is not None:
         _write(args.out, "resolved_config.json", {
-            "counts": list(counts), "alpha": noise.alpha, "c": noise.c, "a": noise.a,
-            "b": noise.b, "T": s["T"], "beta1": float(beta[0]), "betaT": float(beta[-1])})
+            "counts": list(counts), "alpha": noise.alpha, "c": noise.c, "T": s["T"],
+            "beta1": float(beta[0]), "betaT": float(beta[-1])})
 
     # the noise levels are always well defined; the gamma table needs
     # lambda_j * beta^t < 1, and main reports it as an error when it is not

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, UsageError
+from .errors import ConfigError, IngestionError, UsageError, check_fields
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ class LongTailSpec:
     seed: int
 
     def __post_init__(self):
+        check_fields(self)
         if self.k < 1 or self.head_count < 1 or self.d < 1:
             raise ConfigError(f"k, head_count and d must be >= 1: {self}")
         if not (0.0 < self.decay <= 1.0):

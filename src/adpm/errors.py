@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer check of
-arguments that count or seed something."""
+"""Exception types shared across the package, and the type rule of
+config fields and of arguments that count or seed something."""
+
+import dataclasses
 
 import numpy as np
 
@@ -47,8 +49,35 @@ class IngestionError(AdpmError):
         super().__init__(message)
 
 
+# the types each field annotation accepts, and the plain Python types a
+# field stores; the config dataclasses' modules postpone annotations, so
+# field.type is the string "int" or "float"
+_FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
+_PLAIN_TYPES = {"int": (int,), "float": (float, int)}
+
+
+def fits_type(annotation: str, value) -> bool:
+    """Whether value fits a field annotated "int", as a Python or NumPy
+    integer, or "float", as a Python or NumPy real number. A bool fits
+    neither."""
+    return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[annotation])
+
+
+def check_fields(instance) -> None:
+    """Raise ConfigError naming the first field of the dataclass instance
+    whose value does not fit its annotation (fits_type). A fitting value
+    that is not a plain int or float, such as a NumPy scalar, is stored
+    as the plain number it equals, so the instance serializes to JSON."""
+    for field in dataclasses.fields(instance):
+        value = getattr(instance, field.name)
+        if type(value) not in _PLAIN_TYPES[field.type]:
+            if not fits_type(field.type, value):
+                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
+            object.__setattr__(instance, field.name, _PLAIN_TYPES[field.type][0](value))
+
+
 def as_integer(name: str, value) -> int:
     """value as an int; a bool or a non-integer raises UsageError naming name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not fits_type("int", value):
         raise UsageError(f"{name} must be an integer, got {value!r}")
     return int(value)

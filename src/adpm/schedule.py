@@ -2,9 +2,10 @@
 
 Class frequencies are turned into noise multipliers by
 
-    lambda_j = c * nu * n_j^-alpha / sum_i n_i^-alpha + 1,
+    lambda_j = c * nu * p_j + 1,   p_j = n_j^-alpha / sum_i n_i^-alpha,
 
-where nu is the exact imbalance ratio max_j n_j / min_j n_j. Rare
+where nu is the exact imbalance ratio max_j n_j / min_j n_j and p_j is
+the class share that the generalization bound weighs. Rare
 classes get larger lambda and therefore diffuse faster; c = 0 gives
 lambda = 1 everywhere, the isotropic chain. The surviving signal fraction
 of class j after t steps is the cumulative product
@@ -42,36 +43,28 @@ class ClassCensus:
     def k(self) -> int:
         return len(self.counts)
 
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class NoiseLevelConfig:
     """Knobs of the frequency-to-noise map.
 
-    alpha is the decay exponent shared by the noise levels and the
-    class-proportion weights; c >= 0 controls how fast noise grows
-    across classes, and c = 0 gives every class lambda = 1; a and b only
-    enter the proportion weights a*n^-alpha + b.
+    alpha is the decay exponent of the class shares p_j ∝ n_j^-alpha,
+    which both the noise levels and the bound use; c >= 0 controls how
+    fast noise grows across classes, and c = 0 gives every class
+    lambda = 1.
     """
 
     alpha: float
     c: float
-    a: float = 1.0
-    b: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "c", "a", "b"):
+        for name in ("alpha", "c"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.c < 0:
             raise ConfigError(f"c must be >= 0, got {self.c}")
-        if self.a < 0 or self.b < 0:
-            raise ConfigError(f"a and b must be >= 0, got a={self.a}, b={self.b}")
         if self.alpha > 1:
             warnings.warn(f"alpha={self.alpha} is outside the usual [0, 1] range")
 
@@ -82,40 +75,34 @@ def imbalance_ratio(census: ClassCensus) -> tuple[Fraction, int]:
     return exact, exact.numerator // exact.denominator
 
 
-def _normalized(counts, alpha: float, a: float, b: float) -> np.ndarray:
-    """The weights a n_j^-alpha + b over their sum. A zero sum, from
-    a = b = 0 or from every n_j^-alpha underflowing at a large alpha,
-    raises ConfigError.
+def class_proportions(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
+    """Class shares p_j = n_j^-alpha / sum_i n_i^-alpha, the weights of
+    the generalization bound and the shares lambda_vector scales.
 
     The normalizer sums addends in sorted order, so permuting the counts
-    permutes the result bitwise.
+    permutes the result bitwise. A zero sum, from every n_j^-alpha
+    underflowing at a large alpha, raises ConfigError.
     """
-    weights = a * np.asarray(counts, dtype=np.float64) ** (-alpha) + b
+    weights = np.asarray(census.counts, dtype=np.float64) ** (-cfg.alpha)
     total = float(np.sort(weights).sum())
     if total == 0.0:
-        raise ConfigError(f"class proportions are undefined: the weights a n_j^-alpha + b "
-                          f"sum to 0, as a = b = 0 or n_j^-alpha underflows to 0 at "
-                          f"alpha={alpha}")
+        raise ConfigError(f"class proportions are undefined: n_j^-alpha underflows to 0 "
+                          f"for every class at alpha={cfg.alpha}")
     return weights / total
 
 
-def class_proportions(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
-    """Normalized generalization-error shares p_j = (a n_j^-alpha + b) / sum."""
-    return _normalized(census.counts, cfg.alpha, cfg.a, cfg.b)
-
-
 def lambda_vector(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
-    """Per-class noise levels; for c > 0 rare classes get strictly
-    larger values, and c = 0 gives lambda = 1 exactly for every class,
-    the isotropic chain.
+    """Per-class noise levels lambda_j = c nu p_j + 1; for c > 0 rare
+    classes get strictly larger values, and c = 0 gives lambda = 1
+    exactly for every class, the isotropic chain.
 
-    Uses the exact imbalance ratio, not its floored display value. The
-    shares n_j^-alpha / sum are class_proportions' at a = 1, b = 0, so
-    the map is permutation-equivariant bitwise.
+    Uses the exact imbalance ratio, not its floored display value, and
+    the shares of class_proportions, so the map is
+    permutation-equivariant bitwise.
     """
     exact, _ = imbalance_ratio(census)
     nu = exact.numerator / exact.denominator
-    return cfg.c * nu * _normalized(census.counts, cfg.alpha, 1.0, 0.0) + 1.0
+    return cfg.c * nu * class_proportions(census, cfg) + 1.0
 
 
 def linear_beta(T: int, beta1: float, betaT: float) -> np.ndarray:

@@ -68,7 +68,7 @@ from . import optim
 from .data import DatasetTable
 from .denoiser import DenoiserParams, time_embed_batch
 from .diffusion import forward_kernel
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, fits_type
 from .losses import LossReport, eps_loss, mmd_loss, total_loss
 from .priors import PriorNetParams, prior_bundle, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
@@ -110,6 +110,7 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs; 0 writes only at the end
 
     def __post_init__(self):
+        check_fields(self)
         if self.sample_steps > self.T:
             raise ConfigError(f"sample_steps {self.sample_steps} exceeds T {self.T}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0) \
@@ -143,23 +144,16 @@ class TrainConfig:
 
 def check_field_types(cls, obj, what: str = "config") -> None:
     """Raise ConfigError unless obj is a dict whose keys are fields of the
-    dataclass cls and whose values have their field's type.
-
-    An int is accepted for a float field.
-    """
+    dataclass cls and whose values fit their field's type (fits_type)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} is not a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(fields)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(types)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     for key, value in obj.items():
-        field = fields[key]
-        # annotations are the strings "int" and "float"
-        typ = {"int": (int,), "float": (int, float)}[field.type]
-        if isinstance(value, bool) or not isinstance(value, typ):
-            raise ConfigError(f"{what} key {key!r} must be of type {field.type}, "
-                              f"got {value!r}")
+        if not fits_type(types[key], value):
+            raise ConfigError(f"{what} key {key!r} must be of type {types[key]}, got {value!r}")
 
 
 @dataclass
@@ -275,7 +269,7 @@ def fit_tables(prior: PriorNetParams, table: DatasetTable, T: int,
 
 
 def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
-               model: ModelParams, schedule: NoiseSchedule, cfg: TrainConfig,
+               model: ModelParams, schedule: NoiseSchedule,
                draws: BatchDraws) -> tuple[LossReport, np.ndarray]:
     """Evaluate the three-branch objective on one batch, and its gradient
     in the denoiser blocks as one vector in model.denoiser_blocks() order
@@ -373,7 +367,7 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
             with np.errstate(over="ignore", invalid="ignore"):
                 # a non-finite loss is reported below, with its epoch and batch
                 report, grad = batch_loss(table.labels[idx], priors[:, idx], t_table,
-                                          model, schedule, cfg, draws)
+                                          model, schedule, draws)
             if not np.isfinite(report.L_total):
                 bad = [name for name, g in named_views(model, grad).items()
                        if not np.isfinite(g).all()]

@@ -102,7 +102,7 @@ def test_c04_training_loss_gradient():
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
 
     def loss():
-        return batch_loss(table.labels, priors, t_table, model, sched, cfg, draws)
+        return batch_loss(table.labels, priors, t_table, model, sched, draws)
     grads = named_views(model, loss()[1])
 
     # the prior is frozen after warmup, so the denoiser's blocks are the

@@ -68,6 +68,23 @@ def test_schedule_feasible_writes_gamma(tmp_path, capsys):
     assert (np.diff(gamma_tail) < 0).all()
 
 
+@pytest.mark.parametrize("counts, alpha, c", [("845,52", "0.1667", "2"),
+                                              ("300,40,7,7,2", "0.5", "0.75")])
+def test_schedule_rows_satisfy_the_noise_level_formula(tmp_path, capsys, counts, alpha, c):
+    # lambda_j = c nu p_j + 1 holds bitwise on the printed p_j
+    out = tmp_path / "sched"
+    code, _, err = run(["schedule", "--counts", counts, "--alpha", alpha, "--c", c,
+                        "--T", "10", "--out", str(out)], capsys)
+    assert code == 0, err
+    with open(out / "schedule.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    n = [int(r[1]) for r in rows]
+    nu = Fraction(max(n), min(n))
+    scale = float(c) * (nu.numerator / nu.denominator)
+    for _, _, p_j, lam_j in rows:
+        assert float(lam_j) == scale * float(p_j) + 1.0
+
+
 def test_schedule_alpha_zero_equal_lambdas(tmp_path, capsys):
     code, stdout, _ = run(["schedule", "--counts", "40,20,10", "--alpha", "0",
                            "--c", "3", "--T", "10"], capsys)
@@ -449,7 +466,7 @@ def test_each_subcommand_keeps_its_option_strings():
     # from --alphas and --cs only
     expected = {
         "schedule": common - {"--seed"} | {"--config", "--counts", "--data", "--alpha", "--c",
-                                           "--a", "--b", "--T", "--beta1", "--betaT"},
+                                           "--T", "--beta1", "--betaT"},
         "train": common | data | train | {"--alpha", "--c", "--config", "--resume"},
         "eval": common | {"--checkpoint", "--data", "--steps", "--dump-embeddings"},
         "sample": common | {"--checkpoint", "--data", "--steps", "--trace"},
@@ -508,6 +525,9 @@ CLI_FAILURES = {
     # sweep's cells take alpha and c from --alphas and --cs (sweep reads no
     # flag as the prefix of another)
     "schedule-seed": (None, ["schedule", "--counts", "5,3", "--seed", "1"], 2),
+    # the class shares are n_j^-alpha over their sum, with no weight knobs
+    "schedule-a": (None, ["schedule", "--counts", "845,52", "--a", "1"], 2),
+    "schedule-b": (None, ["schedule", "--counts", "845,52", "--b", "1"], 2),
     "sweep-alpha": (None, ["sweep", *_SMALL, "--alpha", "0.5"], 2),
     "sweep-c": (None, ["sweep", *_SMALL, "--c", "3"], 2),
     "train-hidden-negative": (None, ["train", *_SMALL, "--hidden", "-1"], 1),

@@ -62,6 +62,14 @@ def test_spec_validation():
         spec(seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [("k", 2.5), ("head_count", 10.0), ("seed", True),
+                                          ("d", np.float64(3.0)), ("decay", "0.5"),
+                                          ("spread", None)])
+def test_spec_checks_field_types_when_built(field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must be of type "):
+        spec(**{field: value})
+
+
 def test_onehot_rows_sum_to_one():
     table = generate_longtail(spec(k=3, head_count=10, d=3))
     assert np.array_equal(table.onehot.sum(axis=1), np.ones(table.n))

@@ -42,7 +42,7 @@ def test_class_proportions_uniform_at_alpha_zero():
 
 
 def test_class_proportions_two_class_oracle():
-    # counts {100, 10}, alpha = 1/2, a = 1, b = 0; recomputed with mpmath
+    # counts {100, 10}, alpha = 1/2; recomputed with mpmath
     p = class_proportions(ClassCensus((100, 10)), NoiseLevelConfig(alpha=0.5, c=1.0))
     assert np.allclose(p, [0.24025307335204215, 0.7597469266479578], rtol=0, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -55,20 +55,15 @@ def test_class_proportions_single_class():
 
 @pytest.mark.filterwarnings("ignore:alpha=2000.0 is outside")
 def test_class_proportions_zero_weights_rejected():
-    # a large alpha underflows every n_j^-alpha to 0 with a = 1 and b = 0,
-    # so the message names that cause next to a = b = 0
-    for call, alpha in (
-            (lambda: class_proportions(ClassCensus((3, 4)), NoiseLevelConfig(
-                alpha=0.5, c=1.0, a=0.0, b=0.0)), "0.5"),
-            (lambda: lambda_vector(ClassCensus((2, 3)),
-                                   NoiseLevelConfig(alpha=2000.0, c=0.0)), "2000.0"),
-            (lambda: class_proportions(ClassCensus((2, 3)),
-                                       NoiseLevelConfig(alpha=2000.0, c=5.0)), "2000.0")):
+    # a large alpha underflows every n_j^-alpha to 0, so the shares are 0/0
+    for call in (lambda: lambda_vector(ClassCensus((2, 3)),
+                                       NoiseLevelConfig(alpha=2000.0, c=0.0)),
+                 lambda: class_proportions(ClassCensus((2, 3)),
+                                           NoiseLevelConfig(alpha=2000.0, c=5.0))):
         with pytest.raises(ConfigError) as info:
             call()
-        assert str(info.value) == ("class proportions are undefined: the weights "
-                                   "a n_j^-alpha + b sum to 0, as a = b = 0 or n_j^-alpha "
-                                   f"underflows to 0 at alpha={alpha}")
+        assert str(info.value) == ("class proportions are undefined: n_j^-alpha underflows "
+                                   "to 0 for every class at alpha=2000.0")
 
 
 def test_alpha_outside_unit_interval_warns():
@@ -78,7 +73,7 @@ def test_alpha_outside_unit_interval_warns():
         NoiseLevelConfig(alpha=-0.1, c=1.0)
 
 
-@pytest.mark.parametrize("field", ["alpha", "c", "a", "b"])
+@pytest.mark.parametrize("field", ["alpha", "c"])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_noise_level_config_rejects_non_finite_values(field, value):
     kwargs = {"alpha": 0.5, "c": 1.0, field: value}
@@ -120,6 +115,18 @@ def test_lambda_properties(counts, alpha):
     n = np.asarray(counts)
     order = np.argsort(n)
     assert (np.diff(lam[order]) <= 1e-12).all()
+
+
+@given(counts_strategy, st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=50.0))
+def test_lambda_is_built_from_the_class_proportions(counts, alpha, c):
+    # lambda_j = c nu p_j + 1 with the very p_j the bound weighs
+    census = ClassCensus(tuple(counts))
+    cfg = NoiseLevelConfig(alpha=alpha, c=c)
+    exact, _ = imbalance_ratio(census)
+    nu = exact.numerator / exact.denominator
+    expected = c * nu * class_proportions(census, cfg) + 1.0
+    assert lambda_vector(census, cfg).tobytes() == expected.tobytes()
 
 
 @given(st.permutations(range(6)))

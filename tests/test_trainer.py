@@ -48,7 +48,7 @@ def loss_and_grads(table, model, schedule, cfg, draws):
     """batch_loss on all of table, with fit's tables for it and the
     gradient as named blocks."""
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
-    report, grad = batch_loss(table.labels, priors, t_table, model, schedule, cfg, draws)
+    report, grad = batch_loss(table.labels, priors, t_table, model, schedule, draws)
     return report, named_views(model, grad)
 
 
@@ -151,8 +151,7 @@ def test_batch_loss_matches_the_tape_bitwise(k, rows):
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
     idx = np.arange(rows)
     draws = draw_batch_noise(np.random.default_rng(k + rows), batch.n, batch.k, cfg.T)
-    report, grad = batch_loss(batch.labels, priors[:, idx], t_table, model, schedule, cfg,
-                              draws)
+    report, grad = batch_loss(batch.labels, priors[:, idx], t_table, model, schedule, draws)
     ref_report, ref_grads = tape_batch_loss(batch.labels, priors[:, idx], model, schedule,
                                             cfg, draws)
     assert report == ref_report
@@ -205,7 +204,7 @@ def test_forward_sample_and_batch_loss_corrupt_through_forward_kernel(monkeypatc
     model = init_model(table.d, table.k, cfg)
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
     draws = draw_batch_noise(np.random.default_rng(1), batch.n, batch.k, cfg.T)
-    batch_loss(batch.labels, priors[:, :batch.n], t_table, model, schedule, cfg, draws)
+    batch_loss(batch.labels, priors[:, :batch.n], t_table, model, schedule, draws)
     assert len(calls) == 2 and calls[1].shape == (len(BRANCHES), batch.n, batch.k)
     assert inputs[0].tobytes() == calls[1].tobytes()
 
@@ -303,8 +302,7 @@ def test_log_grad_norm_is_the_mean_step_gradient_norm(tmp_path):
     for start in range(0, table.n, cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
         draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
-        _, grad = batch_loss(table.labels[idx], priors[:, idx], t_table, model, schedule, cfg,
-                             draws)
+        _, grad = batch_loss(table.labels[idx], priors[:, idx], t_table, model, schedule, draws)
         norms.append(np.linalg.norm(grad))
         opt.step(params, grad, lr=optim.lr_at(opt.step_count, total, cfg.learning_rate))
     assert params.tobytes() == optim.flatten(ckpt.model.denoiser.blocks().values()).tobytes()
@@ -763,6 +761,29 @@ def test_config_from_dict_checks_value_types():
         TrainConfig.from_dict([["T", 5]])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"T": 30, "sample_steps": 5, "warmup_epochs": 1, "epochs": 2.5}, {"T": "30"},
+    {"seed": True}, {"batch_size": 4.0}, {"hidden": np.float64(6.0)}, {"c": None},
+    {"alpha": np.True_}, {"learning_rate": "0.1"}],
+    ids=["float-epochs", "string-T", "bool-seed", "float-batch-size", "numpy-float-hidden",
+         "none-c", "numpy-bool-alpha", "string-learning-rate"])
+def test_config_checks_field_types_when_built(kwargs):
+    # the type rule runs before the range rules, which would raise a bare
+    # TypeError on a string, and fit, which would fail after the warmup
+    field = list(kwargs)[-1]
+    with pytest.raises(ConfigError, match=rf"^{field} must be of type "):
+        TrainConfig(**kwargs)
+
+
+def test_config_keeps_numpy_numbers_as_python_ones():
+    cfg = toy_config(T=np.int64(30), seed=np.uint8(3), learning_rate=np.float32(0.5),
+                     c=np.float64(2.0))
+    assert [type(v) for v in (cfg.T, cfg.seed, cfg.learning_rate, cfg.c)] == [int, int,
+                                                                           float, float]
+    assert json.loads(json.dumps(cfg.to_dict())) == toy_config(
+        T=30, seed=3, learning_rate=0.5, c=2.0).to_dict()
+
+
 def test_train_config_keeps_its_sixteen_settings():
     # Adam's betas and eps, the warmup fraction, the lambda override, the
     # MMD kernel's bandwidth and weight and the local-prior mask are
@@ -967,6 +988,9 @@ def test_noise_schedule_is_memoized_on_the_values_that_determine_it():
     assert noise_schedule((9, 4, 2), cfg) is not sched
     assert noise_schedule((9, 4, 2), cfg).beta[-1] == 0.01
     # an equal value of another type is not served from the cache: a
-    # float T fails as it does with a cold cache
+    # float T, which only a change in place can set, fails as it does
+    # with a cold cache
+    cfg = TrainConfig(T=30, sample_steps=5)
+    cfg.T = 30.0
     with pytest.raises(TypeError):
-        noise_schedule((9, 4, 2), TrainConfig(T=30.0, sample_steps=5))
+        noise_schedule((9, 4, 2), cfg)
