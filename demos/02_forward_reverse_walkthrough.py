@@ -50,7 +50,7 @@ print("\nisotropic reduction, max |diff| =", float(np.abs(ours - classic).max())
 # One full reverse chain (an untrained denoiser, so the endpoint is
 # driven by the prior): a 1-row batch at the level of the class the prior
 # ranks first. The trace records every intermediate state.
-params = DenoiserParams.init(3, 16, 8, 8, np.random.default_rng(1))
+params = DenoiserParams.draw((3, 16, 8, 8), np.random.default_rng(1))
 res = sample(sched, params, prior[None, :], [int(np.argmax(prior))],
              [np.random.default_rng(2)], steps=12, trace=True)[0]
 print(f"\nreverse chain with {len(res.trace) - 1} strided steps, "

@@ -93,11 +93,6 @@ class DenoiserParams(optim.BlockTable):
         return (self.dec2_w.shape[-1], self.fuse_w.shape[-1], self.wv.shape[-1],
                 self.time_w.shape[0])
 
-    @classmethod
-    def init(cls, k: int, h: int, d_att: int, t_dim: int, rng) -> "DenoiserParams":
-        """Weights drawn from rng in shapes() order, biases zero (BlockTable.draw)."""
-        return cls.draw((k, h, d_att, t_dim), rng)
-
     def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray,
                 t_rows: np.ndarray) -> "Activations":
         """Forward pass on (n, k) rows, keeping what backward reads: the
@@ -140,9 +135,8 @@ class DenoiserParams(optim.BlockTable):
         """
         n = g_out.shape[0]
         ones_t = np.ones((n, 1)).T
-        blocks = self.blocks()
-        flat = np.empty(sum(arr.size for arr in blocks.values()))
-        grads = optim.unflatten(flat, {name: arr.shape for name, arr in blocks.items()})
+        flat = np.empty(sum(arr.size for arr in self.blocks().values()))
+        grads = self.views(flat)
 
         def affine(g, x, name):
             np.matmul(x.T, g, out=grads[f"{name}_w"])

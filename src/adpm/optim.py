@@ -4,10 +4,11 @@ Adam's betas and eps are Kingma & Ba (2015)'s defaults, and the schedule
 warms up over a fixed share of the steps; all four are constants.
 
 Each network states its named blocks once, as a shape table (BlockTable).
-During training the blocks live as reshaped views into one float64
-vector (flatten, unflatten), and so do their gradients; Adam's moments
-are vectors of the same length. Every update is elementwise, so one pass
-over the vector gives each entry the bits a block-by-block update would.
+The table also lays out the flat vector: during training the blocks
+live as reshaped views into one float64 vector (BlockTable.flat), and so
+do their gradients (BlockTable.views); Adam's moments are vectors of the
+same length. Every update is elementwise, so one pass over the vector
+gives each entry the bits a block-by-block update would.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ class BlockTable:
 
     A subclass defines shapes(*dims), block name -> shape, and dims(),
     the dimensions its blocks imply. The table is the one statement of
-    the blocks: draw, blocks(), copy() and the shape check on
-    construction all follow it, in its order. A block whose name holds a
-    "w" is a weight; the others are biases.
+    the blocks: draw, blocks(), copy(), the flat vector of flat() and
+    views(), and the shape check on construction all follow it, in its
+    order. A block whose name holds a "w" is a weight; the others are
+    biases.
     """
 
     def __post_init__(self):
@@ -48,13 +50,24 @@ class BlockTable:
     def copy(self):
         return dataclasses.replace(self, **{n: a.copy() for n, a in self.blocks().items()})
 
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """vec as views named and shaped like the blocks, back to back in
+        table order; a vec of another length raises ConfigError."""
+        return unflatten(vec, self.shapes(*self.dims()))
+
+    def flat(self):
+        """A copy of the network whose blocks are views into one new
+        float64 vector, and that vector."""
+        vec = flatten(self.blocks().values())
+        return dataclasses.replace(self, **self.views(vec)), vec
+
     @classmethod
-    def draw(cls, dims: tuple[int, ...], rng, **fields):
-        """A network of these dims, with the other fields given: each weight
-        drawn from rng as standard_normal(shape) / sqrt(rows), in table
-        order, and each bias zeros."""
+    def draw(cls, dims: tuple[int, ...], rng):
+        """A network of these dims: each weight drawn from rng as
+        standard_normal(shape) / sqrt(rows), in table order, and each bias
+        zeros."""
         return cls(**{name: rng.standard_normal(s) / np.sqrt(s[0]) if "w" in name
-                      else np.zeros(s) for name, s in cls.shapes(*dims).items()}, **fields)
+                      else np.zeros(s) for name, s in cls.shapes(*dims).items()})
 
 
 def flatten(arrays) -> np.ndarray:

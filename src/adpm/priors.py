@@ -2,27 +2,32 @@
 
 The prior network is a one-hidden-layer softmax classifier. Its global
 branch scores the full feature vector; the local branch re-scores the
-input masked to its most salient coordinates (salience of coordinate i
-is |x_i| * sum_h |W1[i, h]|), a tabular stand-in for attention-cropped
-regions. The fused prior is the componentwise mean of the two.
+input masked to its max(1, d // 2) most salient coordinates (salience of
+coordinate i is |x_i| * sum_h |W1[i, h]|), a tabular stand-in for
+attention-cropped regions. The fused prior is the componentwise mean of
+the two. The mask size is a property derived from W1's d rows, so the
+four blocks are the whole network.
 
 The network is trained once, by warmup_train's cross entropy, and then
-frozen: fit computes the priors of every training row once and the
-diffusion training loop takes them as constants, and inference reads
-the same network. Every pass runs as plain numpy (mlp_forward,
+frozen. Warmup runs on the network's flat form (BlockTable.flat): the
+blocks and the gradient are each one vector, and _cross_entropy_grads
+writes its gradient into the blocks' views of it. Once trained, fit
+computes the priors of every training row once and the diffusion
+training loop takes them as constants, and inference reads the same
+network. Every pass runs as plain numpy (mlp_forward,
 prior_bundle); PriorGraph only copies prior_bundle's values onto a
 caller's tape as constants, so importing the library loads no tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import optim
 from .data import DatasetTable
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 
 def as_matrix(x) -> np.ndarray:
@@ -35,20 +40,18 @@ def as_matrix(x) -> np.ndarray:
 
 @dataclass
 class PriorNetParams(optim.BlockTable):
-    """Weights of the prior classifier, laid out by shapes(), plus the
-    local-mask size."""
+    """Weights of the prior classifier, laid out by shapes()."""
 
     w1: np.ndarray  # (d, hidden)
     b1: np.ndarray  # (1, hidden)
     w2: np.ndarray  # (hidden, k)
     b2: np.ndarray  # (1, k)
-    mask_size: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        d = self.w1.shape[0]
-        if not (1 <= self.mask_size <= d):
-            raise ConfigError(f"mask_size must lie in [1, {d}], got {self.mask_size}")
+    @property
+    def mask_size(self) -> int:
+        """Coordinates the local branch keeps: half the feature count d,
+        at least one."""
+        return max(1, self.w1.shape[0] // 2)
 
     @staticmethod
     def shapes(d: int, hidden: int, k: int) -> dict[str, tuple[int, int]]:
@@ -58,11 +61,6 @@ class PriorNetParams(optim.BlockTable):
     def dims(self) -> tuple[int, int, int]:
         """(d, hidden, k), as the blocks give them."""
         return self.w1.shape[0], self.w1.shape[-1], self.w2.shape[-1]
-
-    @classmethod
-    def init(cls, d: int, hidden: int, k: int, mask_size: int, rng) -> "PriorNetParams":
-        """Weights drawn from rng in shapes() order, biases zero (BlockTable.draw)."""
-        return cls.draw((d, hidden, k), rng, mask_size=mask_size)
 
 
 @dataclass(frozen=True)
@@ -125,21 +123,24 @@ class PriorGraph:
                                         (bundle.y_g, bundle.y_l, bundle.y_f))
 
 
-def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarray):
-    """Loss and analytic gradients of the softmax cross entropy."""
+def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarray,
+                         out: np.ndarray) -> float:
+    """Loss of the softmax cross entropy; its analytic gradient is written
+    into out, a vector laid out like params' blocks (views)."""
     n = x.shape[0]
+    grads = params.views(out)
     hidden, logits = mlp_forward(params, x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
     loss = float(-(onehot * (shifted - np.log(e.sum(axis=1, keepdims=True)))).sum() / n)
     dlogits = (probs - onehot) / n
-    gw2 = hidden.T @ dlogits
-    gb2 = dlogits.sum(axis=0, keepdims=True)
+    np.matmul(hidden.T, dlogits, out=grads["w2"])
+    dlogits.sum(axis=0, keepdims=True, out=grads["b2"])
     dhidden = (dlogits @ params.w2.T) * (1.0 - hidden ** 2)
-    gw1 = x.T @ dhidden
-    gb1 = dhidden.sum(axis=0, keepdims=True)
-    return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    np.matmul(x.T, dhidden, out=grads["w1"])
+    dhidden.sum(axis=0, keepdims=True, out=grads["b1"])
+    return loss
 
 
 def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, *,
@@ -154,16 +155,16 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, 
     """
     if epochs == 0:
         return params.copy()
-    # the blocks are views into one vector, so each step is one optimizer pass
-    flat = optim.flatten(params.blocks().values())
-    out = replace(params, **optim.unflatten(
-        flat, {name: arr.shape for name, arr in params.blocks().items()}))
+    # the blocks and the gradient are each one vector, so each step is
+    # one optimizer pass
+    out, flat = params.flat()
+    grad = np.empty_like(flat)
     onehot = table.onehot
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, 1, epoch])
         order = rng.permutation(table.n)
         for start in range(0, table.n, batch_size):
             idx = order[start:start + batch_size]
-            _, grads = _cross_entropy_grads(out, table.features[idx], onehot[idx])
-            opt.step(flat, optim.flatten(grads.values()))
+            _cross_entropy_grads(out, table.features[idx], onehot[idx], grad)
+            opt.step(flat, grad)
     return out

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleInfeasibleError
+from .errors import ConfigError, ScheduleInfeasibleError, check_fields
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,14 @@ class NoiseLevelConfig:
     alpha is the decay exponent of the class shares p_j ∝ n_j^-alpha,
     which both the noise levels and the bound use; c >= 0 controls how
     fast noise grows across classes, and c = 0 gives every class
-    lambda = 1.
+    lambda = 1. Both must be real numbers (errors.check_fields).
     """
 
     alpha: float
     c: float
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("alpha", "c"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

@@ -19,15 +19,17 @@ batch_loss runs as plain numpy: the denoiser's forward pass keeps its
 activations, and a hand-derived backward pass through the losses and
 the denoiser gives the gradient of the 12 denoiser blocks. No library
 path builds an autodiff tape. The denoiser's blocks, their gradient and
-Adam's moments are each one float64 vector (the blocks are views into
-theirs), so one optimizer pass updates them all. A step whose loss is
-not finite stops training with a ConfigError. Adam is the only
-optimizer: it runs at the config's learning_rate with optim's constant
-betas and eps, and optim.lr_at's constant warmup fraction shapes the
-learning rate. The MMD kernel's bandwidth is the constant
-KERNEL_BANDWIDTH, and the MMD terms' weight w the constant MMD_WEIGHT.
-The prior's local branch keeps half the feature count (at least one
-coordinate). The isotropic baseline (lambda = 1 for every class) is
+Adam's moments are each one float64 vector (BlockTable.flat makes the
+blocks views into theirs, and views names the others), so one optimizer
+pass updates them all. A step whose loss is not finite stops training
+with a ConfigError. Adam is the only optimizer: it runs at the config's
+learning_rate with optim's constant betas and eps, and optim.lr_at's
+constant warmup fraction shapes the learning rate. The MMD kernel's
+bandwidth is the constant KERNEL_BANDWIDTH, and the MMD terms' weight w
+the constant MMD_WEIGHT. The prior's local branch keeps half the feature
+count (at least one coordinate), a property of the prior network. The
+config is frozen, so every value a run reads passed TrainConfig's
+checks. The isotropic baseline (lambda = 1 for every class) is
 c = 0 of the noise-level formula.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
@@ -50,7 +52,10 @@ the only format that loads. Files written by earlier trainers also hold
 config keys of settings that are now fixed. RETIRED_KEYS maps each to
 the value this trainer keeps; such a file loads only when every one
 holds its kept value, and the keys are dropped. A run trained with the
-lambda override set must be retrained with c = 0.
+lambda override set must be retrained with c = 0. Earlier files also
+hold the field prior_mask_size, which the first prior layer now implies
+(PriorNetParams.mask_size, max(1, d // 2)): such a file loads only when
+the field holds that value, and new files omit it.
 """
 
 from __future__ import annotations
@@ -75,8 +80,7 @@ from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_sched
                        lambda_vector, linear_beta)
 
 CHECKPOINT_VERSION = 2
-_CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "prior_mask_size",
-                      "blocks", "optimizer")
+_CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "blocks", "optimizer")
 BRANCHES = ("global", "local", "fused")
 SCHEDULE_CACHE_SIZE = 16  # distinct schedules noise_schedule keeps
 KERNEL_BANDWIDTH = 1.0  # sigma of the MMD terms' RBF kernel
@@ -88,7 +92,7 @@ RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed",
                 "kernel_bandwidth": KERNEL_BANDWIDTH, "w": MMD_WEIGHT, "prior_mask": None}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run."""
 
@@ -197,28 +201,30 @@ class Checkpoint:
         return self.model.prior
 
 
+def _networks(d: int, k: int, cfg: TrainConfig) -> dict[str, tuple[type, tuple[int, ...]]]:
+    """ModelParams field -> (network class, its dims) for d features, k
+    classes and cfg's widths, in blocks() order."""
+    return {"prior": (PriorNetParams, (d, cfg.prior_hidden, k)),
+            "denoiser": (DenoiserParams, (k, cfg.hidden, cfg.attn_dim, cfg.time_dim))}
+
+
 def init_model(d: int, k: int, cfg: TrainConfig) -> ModelParams:
-    """Seeded initialization from stream (seed, 0); the prior's local
-    branch keeps max(1, d // 2) coordinates.
+    """Seeded initialization from stream (seed, 0).
 
     Draw order: the prior net's weights, then the denoiser's, each network
     in its shapes() order (model_shapes' order); biases start at zero and
     draw nothing.
     """
     rng = np.random.default_rng([cfg.seed, 0])
-    prior = PriorNetParams.init(d, cfg.prior_hidden, k, max(1, d // 2), rng)
-    den = DenoiserParams.init(k, cfg.hidden, cfg.attn_dim, cfg.time_dim, rng)
-    return ModelParams(prior, den)
+    return ModelParams(**{name: net.draw(dims, rng)
+                          for name, (net, dims) in _networks(d, k, cfg).items()})
 
 
 def model_shapes(d: int, k: int, cfg: TrainConfig) -> dict[str, tuple[int, int]]:
     """Block name -> shape of init_model(d, k, cfg), in blocks() order,
     computed without drawing or allocating anything."""
-    shapes = {f"prior.{name}": shape for name, shape in
-              PriorNetParams.shapes(d, cfg.prior_hidden, k).items()}
-    shapes.update({f"denoiser.{name}": shape for name, shape in DenoiserParams.shapes(
-        k, cfg.hidden, cfg.attn_dim, cfg.time_dim).items()})
-    return shapes
+    return {f"{name}.{block}": shape for name, (net, dims) in _networks(d, k, cfg).items()
+            for block, shape in net.shapes(*dims).items()}
 
 
 def training_census(table: DatasetTable) -> ClassCensus:
@@ -299,8 +305,7 @@ def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
 def named_views(model: ModelParams, vec: np.ndarray) -> dict[str, np.ndarray]:
     """A vector laid out like the denoiser's blocks (a batch_loss gradient
     or an Adam moment) as views named as in model.denoiser_blocks()."""
-    return optim.unflatten(vec, {name: arr.shape for name, arr in
-                                 model.denoiser_blocks().items()})
+    return {f"denoiser.{name}": view for name, view in model.denoiser.views(vec).items()}
 
 
 def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
@@ -348,9 +353,7 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
     # the denoiser's blocks become views into one vector, which the
     # optimizer updates in one pass per step
-    shapes = {name: arr.shape for name, arr in model.denoiser.blocks().items()}
-    params = optim.flatten(model.denoiser.blocks().values())
-    model.denoiser = DenoiserParams(**optim.unflatten(params, shapes))
+    model.denoiser, params = model.denoiser.flat()
     opt = optim.Adam(cfg.learning_rate)
     if resume is not None:
         opt.load_state_dict(resume.opt_state)
@@ -466,7 +469,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             "epoch": ckpt.epoch,
             "counts": list(ckpt.counts),
             "config": ckpt.config.to_dict(),
-            "prior_mask_size": ckpt.model.prior.mask_size,
             "blocks": _blocks_to_jsonable(ckpt.model.blocks(), "block"),
             "optimizer": {"step_count": state["step_count"],
                           **{m: _blocks_to_jsonable(named, f"Adam moment {m}")
@@ -522,7 +524,6 @@ def _checkpoint_from(payload) -> Checkpoint:
     counts = tuple(int(c) for c in payload["counts"])
     if not counts or min(counts) < 1:
         raise ConfigError(f"class counts must be positive, got {list(counts)}")
-    mask = int(payload["prior_mask_size"])
     blocks = _blocks_from_jsonable(payload["blocks"])
     moments = {m: _blocks_from_jsonable(payload["optimizer"][m]) for m in ("m", "v")}
     # the feature dimension is stored only as the first prior layer's rows
@@ -546,9 +547,11 @@ def _checkpoint_from(payload) -> Checkpoint:
         return {name[len(prefix) + 1:]: arr for name, arr in blocks.items()
                 if name.startswith(prefix + ".")}
 
-    model = ModelParams(
-        prior=PriorNetParams(mask_size=mask, **group("prior")),
-        denoiser=DenoiserParams(**group("denoiser")),
-    )
+    model = ModelParams(**{name: net(**group(name)) for name, (net, _) in
+                           _networks(w1.shape[0], len(counts), cfg).items()})
+    mask = payload.get("prior_mask_size", model.prior.mask_size)
+    if mask != model.prior.mask_size:
+        raise ConfigError(f"retired field 'prior_mask_size' must be "
+                          f"{model.prior.mask_size}, got {mask!r}")
     return Checkpoint(model=model, opt_state=opt_state, config=cfg,
                       epoch=int(payload["epoch"]), counts=counts)

@@ -271,6 +271,19 @@ def test_eval_truncated_checkpoint_is_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_eval_reads_the_retired_mask_size_field_only_at_its_derived_value(tmp_path, capsys):
+    # the run has d = 3 features, so its local prior keeps max(1, 3 // 2) = 1
+    ckpt, test_csv, _ = _trained_run(tmp_path, capsys)
+    payload = json.loads(ckpt.read_text())
+    assert "prior_mask_size" not in payload
+    for value, expected in ((1, 0), (2, 1)):
+        ckpt.write_text(json.dumps({**payload, "prior_mask_size": value}))
+        code, _, err = run(["eval", "--checkpoint", str(ckpt), "--data", str(test_csv),
+                            "--out", str(tmp_path / f"eval{value}")], capsys)
+        assert code == expected, err
+    assert err == f"error: {ckpt}: retired field 'prior_mask_size' must be 1, got 2\n"
+
+
 def test_sample_records_and_trace(tmp_path, capsys):
     ckpt, test_csv, test = _trained_run(tmp_path, capsys)
     three = tmp_path / "three.csv"

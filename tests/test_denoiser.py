@@ -6,14 +6,13 @@ import pytest
 from adpm.autodiff import Tape, scalar
 from adpm.denoiser import DenoiserParams, predict_noise, time_embed, time_embed_batch
 from adpm.errors import ConfigError, ShapeError
-from adpm.optim import unflatten
 
 from gradcheck import finite_diff, rel_err
 from tape_oracle import DenoiserGraph
 
 
 def make_params(k=3, h=6, d_att=4, t_dim=4, seed=0):
-    return DenoiserParams.init(k, h, d_att, t_dim, np.random.default_rng(seed))
+    return DenoiserParams.draw((k, h, d_att, t_dim), np.random.default_rng(seed))
 
 
 def zero_params(k=3, h=6, d_att=4, t_dim=4):
@@ -132,7 +131,7 @@ def _backward_of_sum_sq(params, yn, yp, t_rows):
     """Gradient blocks of the sum of squared outputs, from backward."""
     acts = params.forward(yn, yp, t_rows)
     grad = params.backward(acts, 2.0 * acts.out)
-    return unflatten(grad, {name: arr.shape for name, arr in params.blocks().items()})
+    return params.views(grad)
 
 
 def test_predict_noise_gradients_match_finite_differences():

@@ -131,7 +131,7 @@ def _sampler_fixture(k=3, T=40, seed=5):
     census = ClassCensus((60, 20, 8))
     cfg = NoiseLevelConfig(alpha=0.25, c=2.0)
     sched = build_schedule(linear_beta(T, 0.001, 0.02), lambda_vector(census, cfg))
-    params = DenoiserParams.init(k, 6, 4, 4, np.random.default_rng(seed))
+    params = DenoiserParams.draw((k, 6, 4, 4), np.random.default_rng(seed))
     return sched, params
 
 
@@ -207,7 +207,7 @@ def test_sample_isotropic_reference_trajectory():
     # coded isotropic chain fed the identical random stream
     k, T, steps = 3, 30, 30
     sched = build_schedule(linear_beta(T, 0.001, 0.02), np.array([1.0] * k))
-    params = DenoiserParams.init(k, 6, 4, 4, np.random.default_rng(9))
+    params = DenoiserParams.draw((k, 6, 4, 4), np.random.default_rng(9))
 
     res = sample(sched, params, np.zeros((1, k)), [2], [np.random.default_rng(11)],
                  steps=steps)[0]
@@ -267,7 +267,7 @@ def test_sample_singular_visited_step_fails_before_loop(monkeypatch):
     sched = NoiseSchedule(beta=base.beta, lam=base.lam, gamma=gamma)
     assert 10 in sample_timesteps(sched.T, 5)
     _fails_before_any_generator_advances(
-        sched, DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0)), np.zeros((3, 2)),
+        sched, DenoiserParams.draw((2, 4, 2, 4), np.random.default_rng(0)), np.zeros((3, 2)),
         np.array([0, 1, 1]), 5, UsageError, "singular at t=10")
 
 
@@ -347,7 +347,7 @@ def test_prior_argmax_picks_the_level_inference_lambda_picks(seed):
         k = int(rng.integers(2, census.k + 1))
         logits = _adversarial_logits(rng, n, k)
         params = PriorNetParams(w1=40.0 * np.eye(n), b1=np.zeros((1, n)), w2=logits,
-                                b2=np.zeros((1, k)), mask_size=1)
+                                b2=np.zeros((1, k)))
         assert mlp_forward(params, np.eye(n))[1].tobytes() == logits.tobytes()
         y_g = prior_bundle(params, np.eye(n)).y_g
         sub = ClassCensus(census.counts[:k])

@@ -247,7 +247,7 @@ def test_caches_stay_within_their_bounds():
     for beta_t in np.linspace(0.01, 0.02, adpm.trainer.SCHEDULE_CACHE_SIZE + 5):
         sched = noise_schedule((5, 3), TrainConfig(T=T, sample_steps=5, betaT=float(beta_t)))
     assert adpm.trainer._schedule.cache_info().currsize == adpm.trainer.SCHEDULE_CACHE_SIZE
-    params = DenoiserParams.init(2, 4, 2, 4, np.random.default_rng(0))
+    params = DenoiserParams.draw((2, 4, 2, 4), np.random.default_rng(0))
     assert T > adpm.diffusion.PLAN_CACHE_SIZE
     for steps in range(1, T + 1):
         sample(sched, params, np.full((1, 2), 0.5), [0], [np.random.default_rng(0)], steps)

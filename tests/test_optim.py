@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adpm.denoiser import DenoiserParams
 from adpm.errors import ConfigError
 from adpm.optim import Adam, flatten, lr_at, unflatten
 
@@ -82,6 +83,21 @@ def test_unflatten_gives_views_and_checks_the_length():
     assert np.array_equal(flatten(views.values()), vec)
     with pytest.raises(ConfigError, match="blocks hold 9 values, the vector 10"):
         unflatten(np.zeros(10), shapes)
+
+
+def test_flat_copies_the_network_into_one_vector_of_views():
+    params = DenoiserParams.draw((3, 5, 2, 4), np.random.default_rng(3))
+    net, vec = params.flat()
+    assert vec.tobytes() == flatten(params.blocks().values()).tobytes()
+    for name, arr in net.blocks().items():
+        assert arr.base is vec and arr.tobytes() == params.blocks()[name].tobytes()
+    vec += 1.0  # the copy moves with its vector; the network it came from does not
+    assert net.fuse_w[0, 0] == params.fuse_w[0, 0] + 1.0
+    views = net.views(np.arange(vec.size, dtype=np.float64))
+    assert list(views) == list(params.blocks())
+    assert all(views[name].shape == arr.shape for name, arr in params.blocks().items())
+    with pytest.raises(ConfigError):
+        net.views(np.zeros(vec.size + 1))
 
 
 def test_lr_schedule_endpoints_and_max():

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adpm import optim
 from adpm.autodiff import Tape
 from adpm.data import LongTailSpec, generate_longtail
-from adpm.priors import (PriorGraph, PriorNetParams, mlp_forward, prior_bundle,
-                         salience_mask, warmup_train)
+from adpm.denoiser import DenoiserParams
+from adpm.priors import (PriorGraph, PriorNetParams, _cross_entropy_grads, mlp_forward,
+                         prior_bundle, salience_mask, warmup_train)
+
+from gradcheck import finite_diff, rel_err
 
 
 def composed_priors(params, x):
@@ -26,15 +31,13 @@ def composed_priors(params, x):
     return y_g, y_l, (y_g + y_l) * 0.5, logits(x)
 
 
-def zero_params(d=3, hidden=4, k=3, m=None):
+def zero_params(d=3, hidden=4, k=3):
     return PriorNetParams(w1=np.zeros((d, hidden)), b1=np.zeros((1, hidden)),
-                          w2=np.zeros((hidden, k)), b2=np.zeros((1, k)),
-                          mask_size=m if m is not None else d)
+                          w2=np.zeros((hidden, k)), b2=np.zeros((1, k)))
 
 
-def random_params(d, hidden, k, m, seed=0):
-    rng = np.random.default_rng(seed)
-    return PriorNetParams.init(d, hidden, k, m, rng)
+def random_params(d, hidden, k, seed=0):
+    return PriorNetParams.draw((d, hidden, k), np.random.default_rng(seed))
 
 
 def global_prior(params, x):
@@ -47,7 +50,7 @@ def local_prior(params, x):
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_numpy_priors_match_tape_bitwise(n):
-    params = random_params(6, 5, 4, 3, seed=13)
+    params = random_params(6, 5, 4, seed=13)
     x = np.random.default_rng(14).standard_normal((n, 6)) * 2
     bundle = prior_bundle(params, x)
     assert bundle.y_g.shape == (n, 4)
@@ -58,7 +61,7 @@ def test_numpy_priors_match_tape_bitwise(n):
 
 
 def test_prior_graph_puts_the_bundle_on_the_tape_as_constants():
-    params = random_params(6, 5, 4, 3, seed=13)
+    params = random_params(6, 5, 4, seed=13)
     x = np.random.default_rng(15).standard_normal((5, 6))
     tape = Tape()
     graph = PriorGraph(tape, params, tape.const(x))
@@ -77,7 +80,7 @@ def test_zero_weights_give_uniform_priors():
 
 def test_priors_live_on_simplex():
     rng = np.random.default_rng(1)
-    params = random_params(5, 8, 4, 2, seed=2)
+    params = random_params(5, 8, 4, seed=2)
     for _ in range(50):
         x = rng.standard_normal(5) * 3
         for vec in (global_prior(params, x), local_prior(params, x)):
@@ -86,10 +89,12 @@ def test_priors_live_on_simplex():
 
 
 def test_local_full_mask_equals_global_bitwise():
-    params = random_params(6, 5, 3, 6, seed=3)
+    # at d = 1 the mask keeps max(1, 0) = 1 coordinate: all of them
+    params = random_params(1, 5, 3, seed=3)
+    assert params.mask_size == 1
     rng = np.random.default_rng(4)
     for _ in range(10):
-        x = rng.standard_normal(6)
+        x = rng.standard_normal(1)
         assert np.array_equal(local_prior(params, x), global_prior(params, x))
 
 
@@ -98,26 +103,40 @@ def test_local_mask_picks_dominant_feature():
     params = PriorNetParams(w1=np.array([[0.1, 0.1], [1.0, 1.0]]),
                             b1=np.zeros((1, 2)),
                             w2=np.array([[0.7, -0.4], [0.2, 0.9]]),
-                            b2=np.zeros((1, 2)), mask_size=1)
+                            b2=np.zeros((1, 2)))
     x = np.array([1.0, 0.9])
     assert np.array_equal(salience_mask(params, x), [[0.0, 1.0]])
     masked = np.array([0.0, 0.9])
-    full = PriorNetParams(**{**params.blocks()}, mask_size=2)
-    assert np.array_equal(local_prior(params, x), global_prior(full, masked))
+    assert np.array_equal(local_prior(params, x), global_prior(params, masked))
+
+
+@pytest.mark.parametrize("d, kept", [(1, 1), (2, 1), (3, 1), (4, 2), (7, 3), (8, 4)])
+def test_mask_size_is_derived_from_the_feature_count(d, kept):
+    assert zero_params(d=d).mask_size == kept
+    assert int(salience_mask(zero_params(d=d), np.ones((1, d))).sum()) == kept
+
+
+def test_the_four_blocks_are_the_whole_prior_network():
+    assert [f.name for f in dataclasses.fields(PriorNetParams)] == ["w1", "b1", "w2", "b2"]
+    with pytest.raises(TypeError):
+        PriorNetParams(**zero_params(d=6).blocks(), mask_size=3)
+    # both networks are drawn from their shape table, with no wrapper
+    assert not hasattr(PriorNetParams, "init") and not hasattr(DenoiserParams, "init")
 
 
 def test_salience_ties_break_to_lower_index():
-    params = PriorNetParams(w1=np.ones((3, 2)), b1=np.zeros((1, 2)),
-                            w2=np.zeros((2, 2)), b2=np.zeros((1, 2)), mask_size=2)
-    mask = salience_mask(params, np.array([1.0, 1.0, 1.0]))
-    assert np.array_equal(mask, [[1.0, 1.0, 0.0]])
+    # d = 4 keeps 2 of 4 equally salient coordinates
+    params = PriorNetParams(w1=np.ones((4, 2)), b1=np.zeros((1, 2)),
+                            w2=np.zeros((2, 2)), b2=np.zeros((1, 2)))
+    mask = salience_mask(params, np.array([1.0, 1.0, 1.0, 1.0]))
+    assert np.array_equal(mask, [[1.0, 1.0, 0.0, 0.0]])
 
 
 def test_fuse_cases_and_symmetry():
     # the fused prior is the componentwise mean of the global and local ones
     u = np.full((1, 4), 0.25)
     assert np.array_equal(prior_bundle(zero_params(k=4), np.ones((1, 3))).y_f, u)
-    params = random_params(5, 6, 5, 2, seed=5)
+    params = random_params(5, 6, 5, seed=5)
     x = np.random.default_rng(5).standard_normal((20, 5)) * 3
     bundle = prior_bundle(params, x)
     assert not np.array_equal(bundle.y_g, bundle.y_l)
@@ -126,7 +145,7 @@ def test_fuse_cases_and_symmetry():
 
 
 def test_bundle_sums_to_one():
-    params = random_params(4, 6, 3, 2, seed=6)
+    params = random_params(4, 6, 3, seed=6)
     bundle = prior_bundle(params, np.array([[0.5, -1.0, 2.0, 0.1]]))
     for vec in (bundle.y_g, bundle.y_l, bundle.y_f):
         assert abs(vec.sum() - 1.0) < 1e-12
@@ -153,7 +172,7 @@ def _logistic_fit_accuracy(table):
 def test_warmup_converges_on_separable_toy():
     table = two_blob_table()
     assert _logistic_fit_accuracy(table) >= 0.99  # data really is separable
-    params = random_params(2, 8, 2, 2, seed=9)
+    params = random_params(2, 8, 2, seed=9)
     trained = warmup_train(params, table, 200, optim.Adam(0.01), batch_size=table.n,
                            seed=1)
     preds = np.argmax(prior_bundle(trained, table.features).y_g, axis=1)
@@ -163,10 +182,24 @@ def test_warmup_converges_on_separable_toy():
 
 def test_warmup_zero_epochs_is_bitwise_noop():
     table = two_blob_table(n=10)
-    params = random_params(2, 4, 2, 1, seed=10)
+    params = random_params(2, 4, 2, seed=10)
     out = warmup_train(params, table, 0, optim.Adam(), batch_size=4)
     for name, arr in params.blocks().items():
         assert np.array_equal(out.blocks()[name], arr)
+
+
+def test_cross_entropy_flat_gradient_matches_finite_differences():
+    table = generate_longtail(LongTailSpec(k=3, head_count=6, decay=0.5, d=3,
+                                           separation=1.0, spread=1.0, seed=2))
+    params, vec = random_params(3, 4, 3, seed=7).flat()
+    grad = np.full_like(vec, np.nan)
+    loss = _cross_entropy_grads(params, table.features, table.onehot, grad)
+    assert loss == pytest.approx(cross_entropy(params, table), abs=1e-12)
+
+    def f():
+        return _cross_entropy_grads(params, table.features, table.onehot, np.empty_like(vec))
+    # the blocks are views into vec, so each perturbation of vec moves one weight
+    assert rel_err(grad, finite_diff(f, vec)).max() < 1e-6
 
 
 def cross_entropy(params, table):
@@ -189,7 +222,7 @@ class GradientDescent:
 
 def test_warmup_full_batch_descent_monotone():
     table = two_blob_table(n=30)
-    params = random_params(2, 6, 2, 2, seed=11)
+    params = random_params(2, 6, 2, seed=11)
     losses = [cross_entropy(params, table)]
     current = params
     for epoch in range(50):

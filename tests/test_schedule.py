@@ -81,6 +81,17 @@ def test_noise_level_config_rejects_non_finite_values(field, value):
         NoiseLevelConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"alpha": "0.5", "c": 1.0}, {"alpha": 0.5, "c": None},
+                                    {"alpha": True, "c": 1.0}],
+                         ids=["string-alpha", "none-c", "bool-alpha"])
+def test_noise_level_config_checks_field_types(kwargs):
+    # the type rule runs before the range rules, whose np.isfinite would
+    # raise a bare TypeError on a string or None and accept a bool
+    field = next(name for name, value in kwargs.items() if type(value) is not float)
+    with pytest.raises(ConfigError, match=rf"^{field} must be of type float, got "):
+        NoiseLevelConfig(**kwargs)
+
+
 @given(counts_strategy)
 def test_proportions_sum_to_one(counts):
     p = class_proportions(ClassCensus(tuple(counts)), NoiseLevelConfig(alpha=0.5, c=1.0))

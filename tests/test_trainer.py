@@ -17,10 +17,11 @@ from adpm.denoiser import DenoiserParams, time_embed_batch
 from adpm.diffusion import forward_kernel, forward_sample
 from adpm.errors import AdpmError, ConfigError, ScheduleInfeasibleError, ShapeError
 from adpm.priors import PriorNetParams, prior_bundle, warmup_train
-from adpm.trainer import (BRANCHES, KERNEL_BANDWIDTH, MMD_WEIGHT, RETIRED_KEYS, Checkpoint,
-                          TrainConfig, batch_loss, check_field_types, draw_batch_noise, fit,
-                          fit_tables, init_model, load_checkpoint, model_shapes, named_views,
-                          noise_schedule, save_checkpoint)
+from adpm.trainer import (_CHECKPOINT_FIELDS, BRANCHES, KERNEL_BANDWIDTH, MMD_WEIGHT,
+                          RETIRED_KEYS, Checkpoint, TrainConfig, batch_loss,
+                          check_field_types, draw_batch_noise, fit, fit_tables, init_model,
+                          load_checkpoint, model_shapes, named_views, noise_schedule,
+                          save_checkpoint)
 
 from tape_oracle import (DenoiserGraph, eps_loss_graph, mmd_loss_graph, tape_batch_loss,
                          total_loss_graph)
@@ -291,9 +292,7 @@ def test_log_grad_norm_is_the_mean_step_gradient_norm(tmp_path):
     model.prior = ckpt.model.prior
     priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
     schedule = noise_schedule(table.class_counts(), cfg)
-    params = optim.flatten(model.denoiser.blocks().values())
-    model.denoiser = DenoiserParams(**optim.unflatten(
-        params, {n: a.shape for n, a in model.denoiser.blocks().items()}))
+    model.denoiser, params = model.denoiser.flat()
     opt = optim.Adam(cfg.learning_rate)
     rng = np.random.default_rng([cfg.seed, 2, 0])
     order = rng.permutation(table.n)
@@ -378,10 +377,15 @@ def _config_with(key, value):
      "config key 'lambda_override' must be None, got 1.0"),
     (_config_with("kernel_bandwidth", 0.7),
      "config key 'kernel_bandwidth' must be 1.0, got 0.7"),
-    (_config_with("prior_mask", 2), "config key 'prior_mask' must be None, got 2")],
+    (_config_with("prior_mask", 2), "config key 'prior_mask' must be None, got 2"),
+    # the retired field holds the mask size, which d = 4 now implies: 2
+    (lambda payload: payload.update(prior_mask_size=1),
+     "retired field 'prior_mask_size' must be 2, got 1"),
+    (lambda payload: payload.update(prior_mask_size=4),
+     "retired field 'prior_mask_size' must be 2, got 4")],
     ids=["version-1", "legacy-block", "sgd-optimizer", "median-bandwidth", "adam-beta1",
          "adam-beta2", "adam-eps", "lr-warmup-frac", "lambda-override-one",
-         "kernel-bandwidth-0.7", "prior-mask-2"])
+         "kernel-bandwidth-0.7", "prior-mask-2", "prior-mask-size-1", "prior-mask-size-4"])
 def test_checkpoint_of_a_retired_format_is_rejected(tmp_path, saved_run, edit, message):
     _, _, text = saved_run
     payload = json.loads(text)
@@ -397,7 +401,9 @@ def test_checkpoint_with_the_retired_keys_at_their_kept_values_loads(tmp_path, s
     _, ckpt, text = saved_run
     payload = json.loads(text)
     assert not set(RETIRED_KEYS) & set(payload["config"])  # new files omit them
+    assert list(payload) == list(_CHECKPOINT_FIELDS)  # and the retired prior_mask_size
     payload["config"].update(RETIRED_KEYS)
+    payload["prior_mask_size"] = 2
     path = tmp_path / "older.json"
     path.write_text(json.dumps(payload))
     loaded = load_checkpoint(path)
@@ -784,6 +790,16 @@ def test_config_keeps_numpy_numbers_as_python_ones():
         T=30, seed=3, learning_rate=0.5, c=2.0).to_dict()
 
 
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("T", "30"), ("seed", 1)])
+def test_config_is_frozen_so_every_value_is_checked(field, value):
+    # a field set after construction would skip every check; a new value
+    # goes through dataclasses.replace, which checks it
+    cfg = toy_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    assert cfg == toy_config()
+
+
 def test_train_config_keeps_its_sixteen_settings():
     # Adam's betas and eps, the warmup fraction, the lambda override, the
     # MMD kernel's bandwidth and weight and the local-prior mask are
@@ -839,7 +855,8 @@ def test_version_2_checkpoint_of_the_block_wise_trainer_resumes(tmp_path):
     # encoder and query/key weights. Resuming the snapshot gives the final
     # checkpoint's blocks and Adam state bitwise. Its file equals the final
     # checkpoint's JSON but for the config keys this trainer no longer
-    # writes (RETIRED_KEYS).
+    # writes (RETIRED_KEYS) and the retired field prior_mask_size, which
+    # holds the derived max(1, d // 2) = 2.
     table = toy_table(k=4)
     cfg = toy_config(epochs=6, checkpoint_every=3)
     old = load_checkpoint(os.path.join(DATA, "checkpoint_v2_epoch3.json"))
@@ -854,6 +871,7 @@ def test_version_2_checkpoint_of_the_block_wise_trainer_resumes(tmp_path):
         payload = json.load(fh)
     for key in RETIRED_KEYS:
         assert payload["config"].pop(key) == RETIRED_KEYS[key]
+    assert payload.pop("prior_mask_size") == 2
     assert json.loads((tmp_path / "resumed.json").read_text()) == payload
 
 
@@ -895,9 +913,7 @@ def test_c_zero_reproduces_isotropic_reference_run():
     model.prior = warmup_train(model.prior, table, cfg.warmup_epochs,
                                optim.Adam(cfg.learning_rate),
                                batch_size=cfg.batch_size, seed=cfg.seed)
-    params = optim.flatten(model.denoiser.blocks().values())
-    model.denoiser = DenoiserParams(**optim.unflatten(
-        params, {n: a.shape for n, a in model.denoiser.blocks().items()}))
+    model.denoiser, params = model.denoiser.flat()
     opt = optim.Adam(cfg.learning_rate)
     n_batches = -(-table.n // cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -983,14 +999,12 @@ def test_noise_schedule_is_memoized_on_the_values_that_determine_it():
         other = noise_schedule((9, 4, 2), TrainConfig(**{"T": 30, "sample_steps": 5, **change}))
         assert other is not sched
     assert noise_schedule((9, 4, 3), cfg) is not sched
-    # a config changed in place keys on its new values
-    cfg.betaT = 0.01
-    assert noise_schedule((9, 4, 2), cfg) is not sched
-    assert noise_schedule((9, 4, 2), cfg).beta[-1] == 0.01
-    # an equal value of another type is not served from the cache: a
-    # float T, which only a change in place can set, fails as it does
-    # with a cold cache
-    cfg = TrainConfig(T=30, sample_steps=5)
-    cfg.T = 30.0
-    with pytest.raises(TypeError):
-        noise_schedule((9, 4, 2), cfg)
+    # a config rebuilt with a new value keys on it
+    changed = dataclasses.replace(cfg, betaT=0.01)
+    assert noise_schedule((9, 4, 2), changed) is not sched
+    assert noise_schedule((9, 4, 2), changed).beta[-1] == 0.01
+    # an equal value of another type is not served from the cache
+    assert noise_schedule((9, 4, 2), dataclasses.replace(cfg, c=5)) is not sched
+    # the config is frozen, so no value reaches the cache unchecked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.T = 30.0
