@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DatasetTable, LongTailSpec, generate_longtail, load_csv, split_fractions
-from .errors import AdpmError, ConfigError
+from .errors import AdpmError, ConfigError, check_at_least
 from .inference import classify_dataset
 from .metrics import HypothesisGrid, bound_experiment, classification_metrics
 from .schedule import (ClassCensus, NoiseLevelConfig, build_schedule, class_proportions,
@@ -262,44 +262,51 @@ def cmd_schedule(args) -> int:
     return 0
 
 
-def _training_run(args) -> tuple[TrainConfig, DatasetTable, str]:
-    """The config, dataset and output directory of train and sweep."""
+def _training_run(args) -> tuple[TrainConfig, DatasetTable, str, dict]:
+    """The config, dataset, output directory and data source of train and
+    sweep. The source is {"data": the CSV path}, or {"synthetic": the
+    LongTailSpec fields}, whose seed is the data seed."""
     values, spec = settings(args)
     cfg = TrainConfig(**values)
     if args.data:
-        table = load_csv(args.data)
+        table, source = load_csv(args.data), {"data": args.data}
     elif spec is not None:
-        table = generate_longtail(LongTailSpec(**spec))
+        spec = LongTailSpec(**spec)
+        table, source = generate_longtail(spec), {"synthetic": dataclasses.asdict(spec)}
     else:
         raise CliUsage("provide --data or --synthetic (or a config with a synthetic section)")
     if args.out is None:
         raise CliUsage(f"{args.command} needs --out for its outputs")
     os.makedirs(args.out, exist_ok=True)
-    return cfg, table, args.out
+    return cfg, table, args.out, source
 
 
 def cmd_train(args) -> int:
-    cfg, table, out = _training_run(args)
+    cfg, table, out, source = _training_run(args)
     resume = load_checkpoint(args.resume) if args.resume else None
     ckpt = fit(table, cfg, log_path=os.path.join(out, "train_log.jsonl"),
                checkpoint_path=os.path.join(out, "checkpoint.json"), resume=resume)
     _write(out, "resolved_config.json", {**cfg.to_dict(), "n": table.n, "d": table.d,
-                                         "k": table.k, "counts": list(ckpt.counts)})
+                                         "k": table.k, "counts": list(ckpt.counts), **source})
     print(f"trained {ckpt.epoch} epochs; checkpoint at {os.path.join(out, 'checkpoint.json')}")
     return 0
 
 
 def _classify(args):
-    """Checkpoint, test table and sampler output of eval and sample."""
+    """Test table, sampler output and resolved settings of eval and sample:
+    the checkpoint and data paths, and the step count and seed used."""
     ckpt = load_checkpoint(args.checkpoint)
     table = load_csv(args.data, k=len(ckpt.counts))
     output = classify_dataset(ckpt, table, steps=args.steps, seed=args.seed,
                               trace=getattr(args, "trace", False))
-    return ckpt, table, output
+    resolved = {"checkpoint": args.checkpoint, "data": args.data,
+                "steps": ckpt.config.sample_steps if args.steps is None else args.steps,
+                "seed": ckpt.config.seed if args.seed is None else args.seed}
+    return table, output, resolved
 
 
 def cmd_eval(args) -> int:
-    ckpt, table, output = _classify(args)
+    table, output, resolved = _classify(args)
     report = classification_metrics(table.labels, output.predictions, table.k)
     payload = report.to_jsonable()
     payload["n"] = table.n
@@ -307,7 +314,7 @@ def cmd_eval(args) -> int:
         table.labels, output.prior_predictions, table.k).macro_f1
     payload["sampler_prior_agreement"] = float(
         np.mean(output.predictions == output.prior_predictions))
-    payload["steps"] = args.steps if args.steps is not None else ckpt.config.sample_steps
+    payload["steps"] = resolved["steps"]
 
     _write(args.out, "metrics.json", payload)
     if args.out is None:
@@ -320,14 +327,12 @@ def cmd_eval(args) -> int:
         _write(args.out, "embeddings.csv", [[f"y{j}" for j in range(table.k)] + ["pred", "label"]] + [
             [repr(float(v)) for v in res.y0] + [res.pred_class, int(label)]
             for res, label in zip(output.results, table.labels)])
-    _write(args.out, "resolved_config.json", {
-        "checkpoint": args.checkpoint, "data": args.data, "steps": payload["steps"],
-        "seed": args.seed if args.seed is not None else ckpt.config.seed})
+    _write(args.out, "resolved_config.json", resolved)
     return 0
 
 
 def cmd_sample(args) -> int:
-    _, _, output = _classify(args)
+    _, output, resolved = _classify(args)
     records = []
     for i, res in enumerate(output.results):
         record = {"index": i, "pred_class": res.pred_class, "lambda": res.lam,
@@ -338,8 +343,7 @@ def cmd_sample(args) -> int:
 
     _write(args.out, "samples.json", records)
     if args.out is not None:
-        _write(args.out, "resolved_config.json", {"checkpoint": args.checkpoint,
-                                             "data": args.data, "trace": bool(args.trace)})
+        _write(args.out, "resolved_config.json", {**resolved, "trace": bool(args.trace)})
     return 0
 
 
@@ -364,7 +368,7 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 def cmd_sweep(args) -> int:
     if not 0 < args.test_fraction < 1:
         raise CliUsage(f"--test-fraction must lie in (0, 1), got {args.test_fraction}")
-    base, table, out = _training_run(args)
+    base, table, out, source = _training_run(args)
     alphas = _parse_floats("--alphas", args.alphas)
     cs = _parse_floats("--cs", args.cs)
 
@@ -391,7 +395,7 @@ def cmd_sweep(args) -> int:
     # each cell's alpha and c come from alphas and cs, not from the base config
     shared = {key: value for key, value in base.to_dict().items() if key not in ("alpha", "c")}
     _write(out, "resolved_config.json", {**shared, "alphas": alphas, "cs": cs,
-                                         "test_fraction": args.test_fraction})
+                                         "test_fraction": args.test_fraction, **source})
     print(f"sweep matrix written to {os.path.join(out, 'f1_matrix.csv')}")
     return 0
 
@@ -399,8 +403,7 @@ def cmd_sweep(args) -> int:
 def cmd_bound(args) -> int:
     for flag, value in (("--n0", args.n0), ("--n1", args.n1), ("--draws", args.draws),
                         ("--mc-draws", args.mc_draws)):
-        if value < 1:
-            raise CliUsage(f"{flag} must be >= 1, got {value}")
+        check_at_least(flag, value, 1, CliUsage)
     if args.n1 > args.n0:
         raise CliUsage(f"--n1 must be at most --n0 = {args.n0}, got {args.n1}")
     if args.pop_size < args.n0 + args.n1:
@@ -408,8 +411,7 @@ def cmd_bound(args) -> int:
                        f"got {args.pop_size}")
     s, _ = settings(args)
     seed = s["seed"]
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_at_least("seed", seed, 0, ConfigError)
 
     def blob_spec(n0, n1, data_seed):
         return LongTailSpec(k=2, head_count=n0, decay=n1 / n0, d=args.dim,
@@ -436,9 +438,11 @@ def cmd_bound(args) -> int:
     _write(args.out, "bound_report.json", report)
     if args.out is None:
         return 0
-    _write(args.out, "resolved_config.json", {"n0": args.n0, "n1": args.n1, "dim": args.dim,
-                                         "draws": args.draws, "delta": args.delta,
-                                         "seed": seed, "alpha": s["alpha"]})
+    _write(args.out, "resolved_config.json", {
+        "n0": args.n0, "n1": args.n1, "dim": args.dim, "separation": args.separation,
+        "draws": args.draws, "pop_size": args.pop_size, "delta": args.delta,
+        "mc_draws": args.mc_draws, "grid_directions": args.grid_directions, "seed": seed,
+        "alpha": s["alpha"]})
     print(f"violation rate {report['violation_rate']:.3f} over {args.draws} draws")
     return 0
 

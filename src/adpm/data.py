@@ -2,7 +2,8 @@
 
 The synthetic generator draws an isotropic Gaussian blob per class, with
 class sizes decaying geometrically so a single knob controls the
-imbalance ratio. CSV files use the header ``f0,...,f{d-1},label`` with
+imbalance ratio; its spec, LongTailSpec, checks its fields when built.
+CSV files use the header ``f0,...,f{d-1},label`` with
 floats written in shortest round-trip decimal.
 """
 
@@ -68,6 +69,11 @@ class LongTailSpec:
     Class j receives round(head_count * decay^j) samples (at least one),
     drawn from an isotropic Gaussian of the given spread around class
     means placed at pairwise distance >= separation.
+
+    Checked when built: every field has its type and every float is
+    finite, k, head_count and d are >= 1, separation and seed >= 0
+    (errors.check_fields), decay lies in (0, 1] and spread is > 0; a bad
+    value raises ConfigError naming it.
     """
 
     k: int
@@ -79,15 +85,11 @@ class LongTailSpec:
     seed: int
 
     def __post_init__(self):
-        check_fields(self)
-        if self.k < 1 or self.head_count < 1 or self.d < 1:
-            raise ConfigError(f"k, head_count and d must be >= 1: {self}")
+        check_fields(self, {"k": 1, "head_count": 1, "d": 1, "separation": 0, "seed": 0})
         if not (0.0 < self.decay <= 1.0):
             raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.spread <= 0.0 or self.separation < 0.0:
-            raise ConfigError(f"need spread > 0 and separation >= 0: {self}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.spread <= 0:
+            raise ConfigError(f"spread must be > 0, got {self.spread}")
 
     def class_counts(self) -> list[int]:
         return [max(1, round(self.head_count * self.decay ** j)) for j in range(self.k)]

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the type rule of
-config fields and of arguments that count or seed something."""
+"""Exception types shared across the package, and the rules every
+config field and every argument that counts or seeds something obeys:
+its type (fits_type), finiteness for a real number, and a lower bound
+stated once in a caller's table or call (check_at_least)."""
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -63,21 +66,39 @@ def fits_type(annotation: str, value) -> bool:
     return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[annotation])
 
 
-def check_fields(instance) -> None:
-    """Raise ConfigError naming the first field of the dataclass instance
-    whose value does not fit its annotation (fits_type). A fitting value
-    that is not a plain int or float, such as a NumPy scalar, is stored
-    as the plain number it equals, so the instance serializes to JSON."""
+def check_at_least(name: str, value, bound, error: type[Exception]) -> None:
+    """Raise error "name must be >= bound, got value" unless value >= bound."""
+    if not value >= bound:
+        raise error(f"{name} must be >= {bound}, got {value}")
+
+
+def check_fields(instance, at_least: dict) -> None:
+    """Check each field of the dataclass instance, in field order, and
+    raise ConfigError naming the first that breaks a rule: its value must
+    fit its annotation (fits_type), a real number must be finite, and a
+    field named in at_least must be at least its bound there. A fitting
+    value that is not a plain int or float, such as a NumPy scalar, is
+    stored as the plain number it equals, so the instance serializes to
+    JSON."""
     for field in dataclasses.fields(instance):
-        value = getattr(instance, field.name)
+        name, value = field.name, getattr(instance, field.name)
         if type(value) not in _PLAIN_TYPES[field.type]:
             if not fits_type(field.type, value):
-                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
-            object.__setattr__(instance, field.name, _PLAIN_TYPES[field.type][0](value))
+                raise ConfigError(f"{name} must be of type {field.type}, got {value!r}")
+            value = _PLAIN_TYPES[field.type][0](value)
+            object.__setattr__(instance, name, value)
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if name in at_least:
+            check_at_least(name, value, at_least[name], ConfigError)
 
 
-def as_integer(name: str, value) -> int:
-    """value as an int; a bool or a non-integer raises UsageError naming name."""
+def as_integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int; a bool, a non-integer or a value below minimum
+    raises UsageError naming name."""
     if not fits_type("int", value):
         raise UsageError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None:
+        check_at_least(name, value, minimum, UsageError)
+    return value

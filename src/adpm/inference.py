@@ -20,8 +20,8 @@ row's last bits can depend on n. A 1-row table would take BLAS's
 single-row path instead, so it is padded to two rows that share the
 one generator of stream (seed, 3, 0): the real row draws first, the pad
 row draws after it, and the pad row is dropped from the output. steps
-and seed must be integers (a bool is not); anything else raises
-UsageError before any work.
+and seed must be integers (a bool is not), and seed >= 0
+(errors.as_integer); anything else raises UsageError before any work.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import DatasetTable
 from .diffusion import SampleBatch, sample
-from .errors import ConfigError, UsageError, as_integer
+from .errors import ConfigError, as_integer
 from .priors import prior_bundle
 from .trainer import Checkpoint, noise_schedule
 
@@ -57,9 +57,7 @@ def classify_dataset(ckpt: Checkpoint, table: DatasetTable, *,
         raise ConfigError(f"checkpoint was trained with d={d_model} features, "
                           f"dataset has d={table.d}")
     steps = cfg.sample_steps if steps is None else as_integer("steps", steps)
-    seed = cfg.seed if seed is None else as_integer("seed", seed)
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    seed = cfg.seed if seed is None else as_integer("seed", seed, 0)
     schedule = noise_schedule(ckpt.counts, cfg)
 
     index = np.arange(table.n)

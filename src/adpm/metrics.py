@@ -55,6 +55,10 @@ def confusion_matrix(y_true, y_pred, k: int) -> np.ndarray:
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
         raise UsageError(f"label arrays differ: {y_true.shape} vs {y_pred.shape}")
+    for name, labels in (("y_true", y_true), ("y_pred", y_pred)):
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            bad = labels[(labels < 0) | (labels >= k)][0]
+            raise UsageError(f"{name}: labels must be integers from 0 to {k - 1}, got {bad}")
     cm = np.zeros((k, k), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm
@@ -63,7 +67,8 @@ def confusion_matrix(y_true, y_pred, k: int) -> np.ndarray:
 def classification_metrics(y_true, y_pred, k: int) -> MetricsReport:
     """Accuracy, per-class precision/recall/F1 and macro-F1.
 
-    Ratios with a zero denominator are reported as 0.
+    Ratios with a zero denominator are reported as 0. A true or predicted
+    label outside [0, k) raises UsageError naming the first one.
     """
     cm = confusion_matrix(y_true, y_pred, k)
     tp = np.diag(cm).astype(np.float64)
@@ -120,14 +125,6 @@ class HypothesisGrid:
         return cls(weights, biases)
 
 
-def _count(name: str, value) -> int:
-    """value as an int >= 1; anything else raises UsageError naming name."""
-    count = as_integer(name, value)
-    if count < 1:
-        raise UsageError(f"{name} must be >= 1, got {count}")
-    return count
-
-
 def _class_indices(labels, k: int, what: str = "sample") -> list[np.ndarray]:
     """Row indices of each class 0..k-1; every label must be one of them."""
     labels = np.asarray(labels)
@@ -149,7 +146,7 @@ def empirical_rademacher(x, labels, p, grid: HypothesisGrid, draws: int, rng) ->
     the suprema by p_j. The signs are one (draws, n) float64 matrix, and
     each class takes one (H, n_j) @ (n_j, draws) product of exact sums.
     """
-    draws = _count("draws", draws)
+    draws = as_integer("draws", draws, 1)
     p = np.asarray(p, dtype=np.float64)
     groups = _class_indices(labels, p.size)
     outputs = grid.evaluate(x)  # (H, n)
@@ -270,7 +267,7 @@ def bound_check(train_x, train_y, pop_x, pop_y, grid: HypothesisGrid, *,
     sample; the right side adds the class complexity and deviation terms
     to the training losses.
     """
-    draws = _count("draws", draws)
+    draws = as_integer("draws", draws, 1)
     lpop, p = _population(pop_x, pop_y, grid, delta, p)
     rng = np.random.default_rng(0) if rng is None else rng
     return _check_draw(_class_rows(train_x, train_y, grid, "training set"), lpop, grid, p,
@@ -288,9 +285,8 @@ def bound_experiment(draw_fn, n_draws: int, pop_x, pop_y, grid: HypothesisGrid, 
     the bound, per-hypothesis margin statistics and the mean complexity
     estimates.
     """
-    n_draws, mc_draws = _count("n_draws", n_draws), _count("mc_draws", mc_draws)
-    if as_integer("seed", seed) < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    n_draws, mc_draws = as_integer("n_draws", n_draws, 1), as_integer("mc_draws", mc_draws, 1)
+    as_integer("seed", seed, 0)
     lpop, p = _population(pop_x, pop_y, grid, delta, p)
     margins = np.zeros((n_draws, grid.size))
     r_sum = None

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_at_least
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 WARMUP_FRAC = 0.1  # share of the steps lr_at warms up over
@@ -137,8 +137,7 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
     lr(0) is the warmup start value base_lr / warmup_steps; the maximum,
     reached at the end of warmup, equals base_lr; lr(total_steps) = 0.
     """
-    if total_steps < 1:
-        raise ConfigError(f"total_steps must be >= 1, got {total_steps}")
+    check_at_least("total_steps", total_steps, 1, ConfigError)
     warmup = max(1, round(WARMUP_FRAC * total_steps))
     if step < warmup:
         return base_lr * (step + 1) / warmup

@@ -12,7 +12,9 @@ of class j after t steps is the cumulative product
 
     gamma_j^t = prod_{i<=t} (1 - lambda_j * beta^i),   gamma_j^0 = 1,
 
-which requires lambda_j * beta^t < 1 for every step.
+which requires lambda_j * beta^t < 1 for every step. The step variances
+beta^t run linearly from beta1 to betaT, and check_beta_range states the
+rule 0 < beta1 <= betaT < 1 that linear_beta and TrainConfig both apply.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleInfeasibleError, check_fields
+from .errors import ConfigError, ScheduleInfeasibleError, check_at_least, check_fields
 
 
 @dataclass(frozen=True)
@@ -51,21 +53,15 @@ class NoiseLevelConfig:
     alpha is the decay exponent of the class shares p_j ∝ n_j^-alpha,
     which both the noise levels and the bound use; c >= 0 controls how
     fast noise grows across classes, and c = 0 gives every class
-    lambda = 1. Both must be real numbers (errors.check_fields).
+    lambda = 1. Both must be finite real numbers >= 0
+    (errors.check_fields); an alpha above 1 warns.
     """
 
     alpha: float
     c: float
 
     def __post_init__(self):
-        check_fields(self)
-        for name in ("alpha", "c"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.c < 0:
-            raise ConfigError(f"c must be >= 0, got {self.c}")
+        check_fields(self, {"alpha": 0, "c": 0})
         if self.alpha > 1:
             warnings.warn(f"alpha={self.alpha} is outside the usual [0, 1] range")
 
@@ -108,11 +104,16 @@ def lambda_vector(census: ClassCensus, cfg: NoiseLevelConfig) -> np.ndarray:
 
 def linear_beta(T: int, beta1: float, betaT: float) -> np.ndarray:
     """Arithmetic progression of step variances, endpoints included."""
-    if T < 1:
-        raise ConfigError(f"T must be >= 1, got {T}")
+    check_at_least("T", T, 1, ConfigError)
+    check_beta_range(beta1, betaT)
+    return np.linspace(beta1, betaT, T)
+
+
+def check_beta_range(beta1: float, betaT: float) -> None:
+    """Raise ConfigError unless 0 < beta1 <= betaT < 1, the endpoints of a
+    linear_beta progression; NaN breaks the rule."""
     if not (0.0 < beta1 <= betaT < 1.0):
         raise ConfigError(f"need 0 < beta1 <= betaT < 1, got {beta1}, {betaT}")
-    return np.linspace(beta1, betaT, T)
 
 
 def _gamma_row(lam: float, beta: np.ndarray, class_index: int) -> np.ndarray:

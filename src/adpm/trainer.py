@@ -29,8 +29,12 @@ bandwidth is the constant KERNEL_BANDWIDTH, and the MMD terms' weight w
 the constant MMD_WEIGHT. The prior's local branch keeps half the feature
 count (at least one coordinate), a property of the prior network. The
 config is frozen, so every value a run reads passed TrainConfig's
-checks. The isotropic baseline (lambda = 1 for every class) is
-c = 0 of the noise-level formula.
+checks: errors.check_fields applies the type rule, finiteness and the
+lower bounds of _AT_LEAST to every field, and only the rules a bound
+cannot state are written out (sample_steps <= T, learning_rate > 0, an
+even time_dim, and schedule.check_beta_range, the rule linear_beta
+applies to the betas). The isotropic baseline (lambda = 1 for every
+class) is c = 0 of the noise-level formula.
 
 Reproducibility contract: all stochasticity of epoch e comes from a
 stream keyed by (seed, 2, e): first the shuffle permutation, then per
@@ -77,7 +81,7 @@ from .errors import ConfigError, check_fields, fits_type
 from .losses import LossReport, eps_loss, mmd_loss, total_loss
 from .priors import PriorNetParams, prior_bundle, warmup_train
 from .schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
-                       lambda_vector, linear_beta)
+                       check_beta_range, lambda_vector, linear_beta)
 
 CHECKPOINT_VERSION = 2
 _CHECKPOINT_FIELDS = ("version", "epoch", "counts", "config", "blocks", "optimizer")
@@ -92,9 +96,16 @@ RETIRED_KEYS = {"optimizer": "adam", "kernel_bandwidth_mode": "fixed",
                 "kernel_bandwidth": KERNEL_BANDWIDTH, "w": MMD_WEIGHT, "prior_mask": None}
 
 
+# TrainConfig's lower bounds; check_fields also rejects a non-finite float
+_AT_LEAST = {"sample_steps": 1, "batch_size": 1, "hidden": 1, "attn_dim": 1, "time_dim": 1,
+             "prior_hidden": 1, "epochs": 0, "warmup_epochs": 0, "seed": 0,
+             "checkpoint_every": 0, "alpha": 0, "c": 0}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run, checked when built (see the
+    module docstring); a bad value raises ConfigError naming it."""
 
     T: int = 1000
     sample_steps: int = 250
@@ -114,27 +125,14 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs; 0 writes only at the end
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, _AT_LEAST)
         if self.sample_steps > self.T:
             raise ConfigError(f"sample_steps {self.sample_steps} exceeds T {self.T}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0) \
-                or self.batch_size < 1:
-            raise ConfigError("learning_rate must be finite and positive and batch_size >= 1")
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ConfigError("epoch counts must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("sample_steps", "hidden", "attn_dim", "time_dim", "prior_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.time_dim % 2:
             raise ConfigError(f"time_dim must be even, got {self.time_dim}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        # each comparison is False for NaN, so NaN fails every rule
-        for name in ("alpha", "c"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        check_beta_range(self.beta1, self.betaT)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -492,7 +490,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
     Raises ConfigError naming path unless the file is JSON of version 2
-    with every field, holds exactly the model blocks and denoiser Adam
+    with every field, holds a config TrainConfig accepts and class counts
+    ClassCensus accepts, holds exactly the model blocks and denoiser Adam
     moments its config and class counts imply, each in its shape, and
     holds only finite values.
     """
@@ -521,9 +520,7 @@ def _checkpoint_from(payload) -> Checkpoint:
         if value != kept:
             raise ConfigError(f"config key {key!r} must be {kept!r}, got {value!r}")
     cfg = TrainConfig.from_dict(config)
-    counts = tuple(int(c) for c in payload["counts"])
-    if not counts or min(counts) < 1:
-        raise ConfigError(f"class counts must be positive, got {list(counts)}")
+    counts = ClassCensus(tuple(payload["counts"])).counts
     blocks = _blocks_from_jsonable(payload["blocks"])
     moments = {m: _blocks_from_jsonable(payload["optimizer"][m]) for m in ("m", "v")}
     # the feature dimension is stored only as the first prior layer's rows

@@ -176,7 +176,7 @@ def test_train_rejects_a_nan_c(tmp_path, capsys):
     out = tmp_path / "run"
     code, _, err = run(small_train_args(out, ["--c", "nan"]), capsys)
     assert code == 1
-    assert err == "error: c must be finite and >= 0, got nan\n"
+    assert err == "error: c must be finite, got nan\n"
     assert not (out / "checkpoint.json").exists()
 
 
@@ -309,6 +309,32 @@ def test_sample_deterministic(tmp_path, capsys):
     assert (out1 / "samples.json").read_bytes() == (out2 / "samples.json").read_bytes()
 
 
+def test_sample_records_the_steps_and_seed_it_used(tmp_path, capsys):
+    # the run trained with --sample-steps 5 and --seed 1
+    ckpt, test_csv, _ = _trained_run(tmp_path, capsys)
+    for flags, steps, seed in (([], 5, 1), (["--steps", "3", "--seed", "9"], 3, 9)):
+        out = tmp_path / f"sample{steps}"
+        code, _, err = run(["sample", "--checkpoint", str(ckpt), "--data", str(test_csv),
+                            *flags, "--out", str(out)], capsys)
+        assert code == 0, err
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved == {"checkpoint": str(ckpt), "data": str(test_csv), "steps": steps,
+                            "seed": seed, "trace": False}
+
+
+def test_train_records_its_data_source(tmp_path, capsys):
+    _trained_run(tmp_path, capsys)
+    resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
+    assert resolved["data"] == str(tmp_path / "train.csv") and "synthetic" not in resolved
+    out = tmp_path / "synthetic"
+    code, _, err = run(small_train_args(out, ["--data-seed", "7", "--spread", "0.5"]), capsys)
+    assert code == 0, err
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["synthetic"] == {"k": 3, "head_count": 12, "decay": 0.6, "d": 3,
+                                     "separation": 6.0, "spread": 0.5, "seed": 7}
+    assert "data" not in resolved and resolved["seed"] == 1
+
+
 def test_sweep_alpha_zero_row_constant(tmp_path, capsys):
     out = tmp_path / "sweep"
     code, _, err = run(["sweep", "--synthetic", "--k", "3", "--head-count", "10",
@@ -328,6 +354,9 @@ def test_sweep_alpha_zero_row_constant(tmp_path, capsys):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert (resolved["alphas"], resolved["cs"]) == ([0.0, 0.25], [1.0, 4.0])
     assert not {"alpha", "c"} & set(resolved)
+    # and the data it split: the synthetic spec, whose seed is the run's
+    assert resolved["synthetic"] == {"k": 3, "head_count": 10, "decay": 0.6, "d": 3,
+                                     "separation": 6.0, "spread": 1.0, "seed": 2}
 
 
 _SWEEP = ["sweep", "--synthetic", "--k", "2", "--head-count", "8", "--decay", "0.5",
@@ -665,6 +694,21 @@ def test_bound_names_a_draw_count_below_one(tmp_path, capsys, flag):
     assert code == 2
     assert err == f"error: {flag} must be >= 1, got 0\n"
     assert not out.exists()
+
+
+def test_bound_reruns_bitwise_from_its_resolved_config(tmp_path, capsys):
+    first, again = tmp_path / "first", tmp_path / "again"
+    code, _, err = run(["bound", "--n0", "30", "--n1", "12", "--dim", "3", "--separation", "3.5",
+                        "--draws", "3", "--pop-size", "900", "--delta", "0.1",
+                        "--mc-draws", "7", "--grid-directions", "5", "--seed", "4",
+                        "--alpha", "0.25", "--out", str(first)], capsys)
+    assert code == 0, err
+    resolved = json.loads((first / "resolved_config.json").read_text())
+    flags = [arg for key, value in resolved.items()
+             for arg in (f"--{key.replace('_', '-')}", str(value))]
+    code, _, err = run(["bound", *flags, "--out", str(again)], capsys)
+    assert code == 0, err
+    assert (again / "bound_report.json").read_bytes() == (first / "bound_report.json").read_bytes()
 
 
 def test_bound_report(tmp_path, capsys):

@@ -69,6 +69,18 @@ def test_metrics_length_mismatch():
         confusion_matrix([0, 1], [0], 2)
 
 
+@pytest.mark.parametrize("y_true, y_pred, message", [
+    ([0, -1], [0, 1], "y_true: labels must be integers from 0 to 1, got -1"),
+    ([0, 1, 1], [0, 5, 2], "y_pred: labels must be integers from 0 to 1, got 5"),
+    ([2, 0], [0, 0], "y_true: labels must be integers from 0 to 1, got 2")],
+    ids=["negative-true", "large-pred", "true-equal-to-k"])
+def test_metrics_reject_a_label_outside_the_classes(y_true, y_pred, message):
+    # a -1 would wrap to the last class, and a label >= k index past the matrix
+    with pytest.raises(UsageError) as info:
+        classification_metrics(y_true, y_pred, 2)
+    assert str(info.value) == message
+
+
 def _mean_abs_sign_sum(n: int) -> float:
     # E|S_n| for S_n a sum of n independent signs:
     # n * C(n-1, floor((n-1)/2)) / 2^(n-1)

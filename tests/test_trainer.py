@@ -741,9 +741,11 @@ _NAN, _INF = float("nan"), float("inf")
 def test_config_rejects_a_bad_noise_setting(name, values):
     # alpha is checked in the c = 0 baseline too, where it leaves lambda at 1
     for value in values:
+        rule = "must be finite" if value != value or value == _INF else "must be >= 0"
         for c in (5.0, 0.0):
-            with pytest.raises(ConfigError, match=rf"^{name} must be finite and >= 0, got "):
+            with pytest.raises(ConfigError) as info:
                 TrainConfig(**{"c": c, name: value})
+            assert str(info.value) == f"{name} {rule}, got {value}"
     # the interval end the rule includes is accepted; c = 0 is the lambda = 1 baseline
     TrainConfig(alpha=0.0, c=0.0)
 
@@ -753,6 +755,39 @@ def test_fit_rejects_a_beta1_lost_to_rounding(tmp_path):
     with pytest.raises(ConfigError, match=r"lambda\*beta\^1 = 1e-30 is too small for class 0"):
         fit(toy_table(), toy_config(beta1=1e-30, c=0.0), checkpoint_path=path)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("beta1, betaT", [(5.0, 0.001), (0.0, 0.02), (0.02, 0.01),
+                                          (1e-4, 1.0), (-1e-4, 0.02)])
+def test_config_applies_the_beta_rule_when_built(beta1, betaT):
+    # the rule linear_beta applies, so a config that fit could not schedule
+    # is not built
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(beta1=beta1, betaT=betaT)
+    assert str(info.value) == f"need 0 < beta1 <= betaT < 1, got {beta1}, {betaT}"
+
+
+def test_checkpoint_with_betas_out_of_order_is_rejected(tmp_path, saved_run):
+    payload = json.loads(saved_run[2])
+    payload["config"].update(beta1=5.0, betaT=0.001)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: need 0 < beta1 <= betaT < 1, got 5.0, 0.001"
+
+
+@pytest.mark.parametrize("counts, shown", [([20.7, 12, 6], "(20.7, 12, 6)"),
+                                           ([24, 0, 6], "(24, 0, 6)")],
+                         ids=["fraction", "zero"])
+def test_checkpoint_class_counts_obey_the_census_rule(tmp_path, saved_run, counts, shown):
+    payload = json.loads(saved_run[2])
+    payload["counts"] = counts
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: class counts must be positive integers, got {shown}"
 
 
 def test_config_from_dict_checks_value_types():
