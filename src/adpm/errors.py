@@ -75,11 +75,11 @@ def check_at_least(name: str, value, bound, error: type[Exception]) -> None:
 def check_fields(instance, at_least: dict) -> None:
     """Check each field of the dataclass instance, in field order, and
     raise ConfigError naming the first that breaks a rule: its value must
-    fit its annotation (fits_type), a real number must be finite, and a
-    field named in at_least must be at least its bound there. A fitting
-    value that is not a plain int or float, such as a NumPy scalar, is
-    stored as the plain number it equals, so the instance serializes to
-    JSON."""
+    fit its annotation (fits_type), a float field must be finite (an int
+    there must convert to a finite float), and a field named in at_least
+    must be at least its bound there. A fitting value that is not a plain
+    int or float, such as a NumPy scalar, is stored as the plain number it
+    equals, so the instance serializes to JSON."""
     for field in dataclasses.fields(instance):
         name, value = field.name, getattr(instance, field.name)
         if type(value) not in _PLAIN_TYPES[field.type]:
@@ -87,8 +87,14 @@ def check_fields(instance, at_least: dict) -> None:
                 raise ConfigError(f"{name} must be of type {field.type}, got {value!r}")
             value = _PLAIN_TYPES[field.type][0](value)
             object.__setattr__(instance, name, value)
-        if type(value) is float and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+        if field.type == "float":
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the largest float
+                raise ConfigError(f"{name} must be finite, got an int of "
+                                  f"{value.bit_length()} bits, too large for a float") from None
+            if not finite:
+                raise ConfigError(f"{name} must be finite, got {value}")
         if name in at_least:
             check_at_least(name, value, at_least[name], ConfigError)
 

@@ -11,12 +11,20 @@ term is Lhat_j + R_{n_j} + sqrt(log(1/delta) / (2 n_j)).
 The supremum over hypotheses is taken by exhaustive search over a
 finite grid of sign classifiers, which makes every term exactly
 computable at desk scale. Losses are exact error counts over class
-sizes: each class's rows are gathered once and scored in fixed blocks of
-rows, so no (H, n) score matrix is built. An experiment scores its
-population once, not once per draw. Arguments are checked at the
-boundary, before any scoring: draw counts are integers >= 1, delta is a
-real number in (0, 1), p holds two numeric proportions, and samples
-are 2-D finite features with the grid's width and one label in {0, 1} per
+sizes. An experiment scores its population once, not once per draw:
+each class's rows are gathered once and projected, in fixed blocks of
+rows, onto the grid's m distinct directions up to sign (the c09 grid has
+48 hypotheses over 8 directions), and each hypothesis counts the
+projections on its side of its threshold. As fl(s + b) >= 0 exactly
+where s >= -b, and negating a weight row negates its product exactly,
+the counts are those of the (H, block) scores whenever each projection
+has the bits of its score; no (H, n) score matrix is built. Each
+training draw's rows are scored once, and their +-1 outputs give both
+its losses and its complexity. Arguments are checked at the boundary,
+before any scoring: draw counts are integers >= 1, delta is a real
+number in (0, 1), p holds two numeric proportions, the grid holds a
+finite real (H, d) weight array and (H,) bias vector, and samples are
+2-D finite features with the grid's width and one label in {0, 1} per
 row.
 """
 
@@ -51,16 +59,13 @@ class MetricsReport:
 
 
 def confusion_matrix(y_true, y_pred, k: int) -> np.ndarray:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise UsageError(f"label arrays differ: {y_true.shape} vs {y_pred.shape}")
     for name, labels in (("y_true", y_true), ("y_pred", y_pred)):
-        if labels.size and (labels.min() < 0 or labels.max() >= k):
-            bad = labels[(labels < 0) | (labels >= k)][0]
-            raise UsageError(f"{name}: labels must be integers from 0 to {k - 1}, got {bad}")
+        _reject_labels_outside(labels, k, name)
     cm = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cm, (y_true, y_pred), 1)
+    np.add.at(cm, (y_true.astype(np.int64), y_pred.astype(np.int64)), 1)
     return cm
 
 
@@ -68,7 +73,8 @@ def classification_metrics(y_true, y_pred, k: int) -> MetricsReport:
     """Accuracy, per-class precision/recall/F1 and macro-F1.
 
     Ratios with a zero denominator are reported as 0. A true or predicted
-    label outside [0, k) raises UsageError naming the first one.
+    label that is not an integer in [0, k), such as 0.7, -1 or k, raises
+    UsageError naming the first one.
     """
     cm = confusion_matrix(y_true, y_pred, k)
     tp = np.diag(cm).astype(np.float64)
@@ -125,17 +131,44 @@ class HypothesisGrid:
         return cls(weights, biases)
 
 
+def _reject_labels_outside(labels: np.ndarray, k: int, what: str) -> None:
+    """Raise UsageError naming the first label that is not one of 0..k-1."""
+    ok = np.isin(labels, np.arange(k))
+    if not ok.all():
+        bad = labels[~ok][:1].tolist()[0]  # a plain Python value
+        raise UsageError(f"{what}: labels must be integers from 0 to {k - 1}, got {bad!r}")
+
+
 def _class_indices(labels, k: int, what: str = "sample") -> list[np.ndarray]:
     """Row indices of each class 0..k-1; every label must be one of them."""
     labels = np.asarray(labels)
     groups = [np.nonzero(labels == j)[0] for j in range(k)]
     if sum(g.size for g in groups) != labels.size:
-        bad = labels[~np.isin(labels, np.arange(k))][0].item()
-        raise UsageError(f"{what}: labels must be integers from 0 to {k - 1}, got {bad!r}")
+        _reject_labels_outside(labels, k, what)
     empty = [j for j, g in enumerate(groups) if g.size == 0]
     if empty:
         raise UsageError(f"{what}: classes {empty} have no samples")
     return groups
+
+
+def _complexity(classes, p) -> float:
+    """sum_j p_j sup_f (1/n_j) sum_{i in class j} sigma_i f(x_i), averaged
+    over the sign draws.
+
+    classes[j] pairs class j's (H, n_j) +-1 grid outputs with its
+    (draws, n_j) signs. Each class takes one (H, n_j) @ (n_j, draws)
+    product of exact sums, and the draws are averaged through their
+    running total, in order.
+    """
+    values = np.zeros(classes[0][1].shape[0])
+    for weight, (outputs, signs) in zip(p, classes):
+        values += weight * ((outputs @ signs.T).max(axis=0) / outputs.shape[1])
+    return np.cumsum(values)[-1] / values.size
+
+
+def _signs(rng, draws: int, n: int) -> np.ndarray:
+    """(draws, n) uniform +-1 signs as float64."""
+    return rng.integers(0, 2, size=(draws, n)) * 2.0 - 1.0
 
 
 def empirical_rademacher(x, labels, p, grid: HypothesisGrid, draws: int, rng) -> float:
@@ -143,18 +176,14 @@ def empirical_rademacher(x, labels, p, grid: HypothesisGrid, draws: int, rng) ->
 
     Each draw assigns uniform +-1 signs, takes the per-class supremum of
     (1/n_j) sum_{i in class j} sigma_i f(x_i) over the grid, and weighs
-    the suprema by p_j. The signs are one (draws, n) float64 matrix, and
-    each class takes one (H, n_j) @ (n_j, draws) product of exact sums.
+    the suprema by p_j. The signs are one (draws, n) float64 matrix.
     """
     draws = as_integer("draws", draws, 1)
     p = np.asarray(p, dtype=np.float64)
     groups = _class_indices(labels, p.size)
     outputs = grid.evaluate(x)  # (H, n)
-    signs = rng.integers(0, 2, size=(draws, outputs.shape[1])) * 2.0 - 1.0
-    values = np.zeros(draws)
-    for j, g in enumerate(groups):
-        values += p[j] * ((outputs[:, g] @ signs[:, g].T).max(axis=0) / g.size)
-    return np.cumsum(values)[-1] / draws  # the running total over draws, in order
+    signs = _signs(rng, draws, outputs.shape[1])
+    return _complexity([(outputs[:, g], signs[:, g]) for g in groups], p)
 
 
 def class_rademacher(x_class, grid: HypothesisGrid, draws: int, rng) -> float:
@@ -164,7 +193,7 @@ def class_rademacher(x_class, grid: HypothesisGrid, draws: int, rng) -> float:
                                 np.array([1.0]), grid, draws, rng)
 
 
-_BLOCK_ROWS = 8192  # rows per scoring product: a (H, 8192) block, never the (H, n) matrix
+_BLOCK_ROWS = 8192  # rows per population product: (m, 8192), never (H, n) or (m, n)
 
 
 def _class_rows(x, y, grid: HypothesisGrid, what: str) -> list[np.ndarray]:
@@ -191,24 +220,69 @@ def _class_rows(x, y, grid: HypothesisGrid, what: str) -> list[np.ndarray]:
     return [x[g] for g in groups]
 
 
+def _error_rates(j: int, positive: np.ndarray, n: int) -> np.ndarray:
+    """Class j's 0/1 loss of each hypothesis from its count of f = +1
+    outputs over the class's n rows: a class-0 row is an error where
+    f = +1, a class-1 row where f = -1.
+
+    Each loss is an exact error count over n, the bits of the mean of the
+    per-sample loss (1 - y u)/2 with y, u in {-1, +1}. As a function of
+    the output u on [-1, 1] that loss is Lipschitz with constant 1/2 and
+    bounded by 1.
+    """
+    return (positive if j == 0 else n - positive) / n
+
+
+def _directions(weights: np.ndarray):
+    """The distinct rows of weights up to sign, as (U, which, sign) with
+    weights[h] == sign[h] * U[which[h]].
+
+    A row's sign is that of its first nonzero entry, and +1 for a zero
+    row. U has two rows or more when weights has: numpy hands a product
+    with one row to gemv, whose sums may round otherwise than the gemm
+    that scores a grid of several rows.
+    """
+    rows = np.arange(weights.shape[0])
+    sign = np.where(weights[rows, np.argmax(weights != 0.0, axis=1)] < 0.0, -1.0, 1.0)
+    unique, which = np.unique(weights * sign[:, None], axis=0, return_inverse=True)
+    if unique.shape[0] == 1 < rows.size:
+        unique = np.concatenate([unique, unique])
+    return unique, which.reshape(-1), sign
+
+
 def _class_losses(grid: HypothesisGrid, parts) -> np.ndarray:
     """(H, 2) per-class 0/1 losses of every hypothesis; parts[j] holds the
     rows of class j.
 
-    Each entry is a class's exact error count over its size, the bits of
-    the mean of the per-sample loss (1 - y u)/2 with y, u in {-1, +1}.
-    As a function of the output u on [-1, 1] that loss is Lipschitz with
-    constant 1/2 and bounded by 1. A class is scored in blocks of
-    _BLOCK_ROWS rows; each score has the bits of the whole-sample product,
-    and a class-0 row is an error where f = +1, a class-1 row where f = -1.
+    Hypothesis h gives a row f = +1 where fl(s + b_h) >= 0, s being the
+    row's product with h's weights. A sum of two doubles is zero only when
+    they cancel exactly, and rounding keeps its sign, so that holds
+    exactly where s >= -b_h. Round-to-nearest is symmetric, so negating a
+    weight row negates its product exactly. Each block of _BLOCK_ROWS
+    rows is therefore projected once onto the grid's m distinct
+    directions up to sign, an (m, block) product, and h counts the
+    projections p onto its direction with p >= -b_h if its sign is +1 and
+    p <= b_h if it is -1. So the counts equal those of the (H, block)
+    scores wherever a projection has the bits of the matching score. The
+    BLAS does not promise that: OpenBLAS may round a block's last columns
+    differently for a product of m rows than for one of H rows, and a row
+    whose score lies within one rounding of a threshold may then count
+    on the other side. Integer-valued samples and grids give exact
+    products, and the seeded c09 and benchmark reports keep every bit.
     """
+    directions, which, sign = _directions(grid.weights)
+    biases = grid.biases.astype(np.float64)  # as the scores add them; -b of an int can wrap
+    upper = sign < 0.0
+    limits = np.where(upper, biases, -biases)
     losses = np.empty((grid.size, len(parts)))
     for j, part in enumerate(parts):
         positive = np.zeros(grid.size, dtype=np.int64)
         for start in range(0, part.shape[0], _BLOCK_ROWS):
-            positive += (grid._scores(part[start:start + _BLOCK_ROWS]) >= 0.0).sum(axis=1)
-        errors = positive if j == 0 else part.shape[0] - positive
-        losses[:, j] = errors / part.shape[0]
+            projections = directions @ part[start:start + _BLOCK_ROWS].T
+            for h, (u, limit) in enumerate(zip(which, limits)):
+                p = projections[u]
+                positive[h] += np.count_nonzero(p <= limit if upper[h] else p >= limit)
+        losses[:, j] = _error_rates(j, positive, part.shape[0])
     return losses
 
 
@@ -224,12 +298,35 @@ class BoundReport:
     holds: bool
 
 
+def _check_grid(grid: HypothesisGrid) -> None:
+    """Reject, naming the bad value, weights that are not a finite real
+    (H, d) array with d >= 1 and biases that are not a finite real (H,)
+    vector."""
+    for name, value in (("weights", grid.weights), ("biases", grid.biases)):
+        if not isinstance(value, np.ndarray) or value.dtype.kind not in "iuf":
+            got = f"dtype {value.dtype}" if isinstance(value, np.ndarray) else type(value).__name__
+            raise UsageError(f"grid {name} must be a NumPy array of real numbers, got {got}")
+    weights, biases = grid.weights, grid.biases
+    if weights.ndim != 2 or weights.shape[1] == 0:
+        raise ShapeError(f"grid weights must be (H, d) with d >= 1, got shape {weights.shape}")
+    if biases.shape != weights.shape[:1]:
+        raise ShapeError(f"grid biases must have shape ({weights.shape[0]},) to match the "
+                         f"weights, got {biases.shape}")
+    for name, value in (("weights", weights), ("biases", biases)):
+        finite = np.isfinite(value)
+        if not finite.all():
+            row = int(np.argmin(finite.reshape(len(value), -1).all(axis=1)))
+            raise UsageError(f"grid {name} must be finite, got {value[~finite][0]} "
+                             f"in row {row}")
+
+
 def _population(pop_x, pop_y, grid: HypothesisGrid, delta: float, p):
     """Check what every draw shares; return the population's (H, 2)
     per-class losses and the class proportions.
     """
     if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < 1:
         raise UsageError(f"delta must be a real number in (0, 1), got {delta!r}")
+    _check_grid(grid)
     if grid.size == 0:
         raise UsageError("the hypothesis grid is empty")
     p = np.full(2, 0.5) if p is None else np.asarray(p)
@@ -243,10 +340,18 @@ def _population(pop_x, pop_y, grid: HypothesisGrid, delta: float, p):
 
 def _check_draw(parts, lpop: np.ndarray, grid: HypothesisGrid, p, delta, draws: int,
                 rng) -> BoundReport:
-    """Check one training draw, given as the rows of each of its classes."""
-    n_j = np.array([part.shape[0] for part in parts], dtype=np.float64)
-    lhat = _class_losses(grid, parts)
-    r = np.array([class_rademacher(part, grid, draws, rng) for part in parts])
+    """Check one training draw, given as the rows of each of its classes.
+
+    Each class's rows are scored once, by grid.evaluate: its +-1 outputs
+    give the class's losses and, with signs drawn class by class, its
+    complexity.
+    """
+    outputs = [grid.evaluate(part) for part in parts]
+    n_j = np.array([o.shape[1] for o in outputs], dtype=np.float64)
+    lhat = np.stack([_error_rates(j, np.count_nonzero(o > 0.0, axis=1), o.shape[1])
+                     for j, o in enumerate(outputs)], axis=1)
+    r = np.array([_complexity([(o, _signs(rng, draws, o.shape[1]))], (1.0,))
+                  for o in outputs])
     deviation = np.sqrt(np.log(1.0 / delta) / (2.0 * n_j))
 
     rhs = (p[None, :] * (lhat + r[None, :] + deviation[None, :])).sum(axis=1)

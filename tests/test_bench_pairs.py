@@ -66,3 +66,45 @@ def test_an_incorrect_run_stops_with_exit_1(tmp_path, monkeypatch, capsys):
     assert calls[0][2:] == ["--workload", "bound", "--seed", "1", "--seconds", "35",
                             "--trace", "0"]
     assert "run failed" in capsys.readouterr().err
+
+
+def _fake_run(tree, job_samples, calls):
+    # a run that exits 0 with a correct summary and writes its detail file
+    def run(argv, **kwargs):
+        calls.append(argv)
+        out = tree / "perfbench" / "out"
+        out.mkdir(exist_ok=True)
+        (out / "bound-seed3-trace0.json").write_text(
+            json.dumps({"summary": {"job_samples_s": job_samples}}))
+        summary = {"correct": True, "attempted": 4, "failed": 0,
+                   "metrics": {"peak_rss_mb": {"value": 52.5, "unit": "MB"}}}
+        return subprocess.CompletedProcess(argv, 0, stdout="bound ...\n" + json.dumps(summary),
+                                           stderr="")
+    return run
+
+
+def test_a_run_reports_the_passes_its_detail_file_holds(tmp_path, monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        _fake_run(tmp_path, [0.01, 0.02, 0.015], calls))
+    got = bench_pairs.run_once(tmp_path, "bound", 3, 35)
+    assert got == {"peak_rss_mb": 52.5, "passes": 3} and len(calls) == 1
+
+
+def test_a_run_whose_detail_file_holds_no_pass_list_fails(tmp_path, monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_run(tmp_path, None, []))
+    with pytest.raises(bench_pairs.RunFailed, match="no pass count"):
+        bench_pairs.run_once(tmp_path, "bound", 3, 35)
+
+
+def test_the_rss_row_shows_both_sides_median_pass_counts():
+    pairs = [({**p, "passes": n}, {**c, "passes": m})
+             for (p, c), n, m in zip(_pairs(), [1700, 1676, 1735, 1690],
+                                     [2350, 2327, 2372, 2330])]
+    rows = {row["metric"]: row for row in bench_pairs.summarize(pairs, METRICS)}
+    assert rows["peak_rss_mb"]["passes"] == (1695.0, 2340.0)
+    assert all("passes" not in row for name, row in rows.items() if name != "peak_rss_mb")
+    line = bench_pairs.format_row("bound", rows["peak_rss_mb"])
+    assert line.endswith("won 0/4 passes 1695 -> 2340")

@@ -46,6 +46,26 @@ def test_every_float_field_must_be_finite(cls, base, name, value):
     assert str(info.value) == f"{name} must be finite, got {float(value)}"
 
 
+@pytest.mark.parametrize("cls, base, name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [10**400, -(2**1024)], ids=["10**400", "-2**1024"])
+def test_every_float_field_rejects_an_int_beyond_the_largest_float(cls, base, name, value):
+    with pytest.raises(ConfigError) as info:
+        cls(**{**base, name: value})
+    assert str(info.value) == (f"{name} must be finite, got an int of {value.bit_length()} "
+                               "bits, too large for a float")
+
+
+@pytest.mark.parametrize("cls, base, name", [
+    param for param in FLOAT_FIELDS if param.id in (
+        "TrainConfig-alpha", "TrainConfig-c", "LongTailSpec-separation",
+        "LongTailSpec-spread", "NoiseLevelConfig-c")])
+def test_an_int_that_fits_a_float_field_is_stored_as_it_was_given(cls, base, name):
+    # the largest int that rounds to a finite float, in fields with no upper limit
+    value = 2**1024 - 2**970 - 1
+    got = getattr(cls(**{**base, name: value}), name)
+    assert type(got) is int and got == value
+
+
 @pytest.mark.parametrize("cls, base, name, bound", BOUNDED_FIELDS)
 def test_every_bounded_field_rejects_one_step_below_its_bound(cls, base, name, bound):
     below = bound - 1 if cls.__dataclass_fields__[name].type == "int" \

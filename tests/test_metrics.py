@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adpm import metrics
 from adpm.errors import ShapeError, UsageError
@@ -72,13 +74,29 @@ def test_metrics_length_mismatch():
 @pytest.mark.parametrize("y_true, y_pred, message", [
     ([0, -1], [0, 1], "y_true: labels must be integers from 0 to 1, got -1"),
     ([0, 1, 1], [0, 5, 2], "y_pred: labels must be integers from 0 to 1, got 5"),
-    ([2, 0], [0, 0], "y_true: labels must be integers from 0 to 1, got 2")],
-    ids=["negative-true", "large-pred", "true-equal-to-k"])
+    ([2, 0], [0, 0], "y_true: labels must be integers from 0 to 1, got 2"),
+    ([0.7, 1.9], [0, 1], "y_true: labels must be integers from 0 to 1, got 0.7"),
+    ([0, 1], [1.0, 0.5], "y_pred: labels must be integers from 0 to 1, got 0.5"),
+    ([0, float("nan")], [0, 1], "y_true: labels must be integers from 0 to 1, got nan"),
+    ([0, None], [0, 1], "y_true: labels must be integers from 0 to 1, got None"),
+    (np.array(["0", "1"]), [0, 1], "y_true: labels must be integers from 0 to 1, got '0'")],
+    ids=["negative-true", "large-pred", "true-equal-to-k", "fractional-true",
+         "fractional-pred", "nan-true", "none-true", "string-true"])
 def test_metrics_reject_a_label_outside_the_classes(y_true, y_pred, message):
-    # a -1 would wrap to the last class, and a label >= k index past the matrix
+    # a -1 would wrap to the last class, a label >= k index past the matrix,
+    # and a fractional label would be truncated to a class
     with pytest.raises(UsageError) as info:
         classification_metrics(y_true, y_pred, 2)
     assert str(info.value) == message
+
+
+def test_metrics_take_integer_valued_labels_of_any_numeric_type():
+    want = classification_metrics([0, 1, 1, 2], [0, 1, 2, 2], 3)
+    for y_true, y_pred in (([0.0, 1.0, 1.0, 2.0], [0, 1, 2, 2]),
+                           (np.array([0, 1, 1, 2], dtype=np.uint8), [0.0, 1.0, 2.0, 2.0])):
+        got = classification_metrics(y_true, y_pred, 3)
+        assert got.confusion.tolist() == want.confusion.tolist()
+        assert got.macro_f1 == want.macro_f1 and got.accuracy == want.accuracy
 
 
 def _mean_abs_sign_sum(n: int) -> float:
@@ -286,25 +304,100 @@ def test_bound_experiment_matches_per_draw_oracle_bitwise():
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-def test_bound_experiment_scores_population_once():
-    rows = []
+def test_bound_experiment_scores_population_once(monkeypatch):
+    events = []
 
-    class CountingWeights(np.ndarray):
-        # records how many rows each product with the grid's weights scores
+    class Counting(np.ndarray):
+        # records the rows of each product with this matrix on the left
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul and inputs[0] is self:
-                rows.append(inputs[1].shape[-1])
+                events.append((self.tag, inputs[1].shape[-1]))
             return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
 
+    def counting(a, tag):
+        view = a.view(Counting)
+        view.tag = tag
+        return view
+
+    directions = metrics._directions
+
+    def counting_directions(weights):
+        unique, which, sign = directions(weights)
+        return counting(unique, "population"), which, sign
+
+    monkeypatch.setattr(metrics, "_directions", counting_directions)
     base = HypothesisGrid.linear(2, 4, [-1.0, 0.0, 1.0], seed=25).with_negation()
-    grid = HypothesisGrid(base.weights.view(CountingWeights), base.biases)
+    grid = HypothesisGrid(counting(base.weights, "grid"), base.biases)
     pop_x, pop_y = _two_blob_draw(400, 101, seed=26)
-    bound_experiment(lambda i: _two_blob_draw(20, 9, seed=300 + i), 5, pop_x, pop_y, grid,
-                     mc_draws=10, seed=27)
-    # the population's 501 rows once, class by class, before any draw; then
-    # each draw's 29 rows twice, class by class: its losses, then its complexities
-    assert rows == [400, 101] + [20, 9, 20, 9] * 5
-    assert sum(rows) == 501 + 5 * 2 * 29
+
+    def draw(i):
+        events.append(("draw", i))
+        return _two_blob_draw(20, 9, seed=300 + i)
+
+    bound_experiment(draw, 5, pop_x, pop_y, grid, mc_draws=10, seed=27)
+    # the population's 501 rows are projected once, class by class, onto the
+    # grid's directions before any draw; then each draw's 29 rows are scored
+    # once, class by class, for both its losses and its complexities
+    assert events == [("population", 400), ("population", 101)] + [
+        event for i in range(5) for event in (("draw", i), ("grid", 20), ("grid", 9))]
+
+
+def _dense_class_losses(grid, parts):
+    # the whole (H, n_j) score matrix of each class, the form the blocks replace
+    return np.stack([((grid._scores(part) >= 0.0) != (j == 1)).mean(axis=1)
+                     for j, part in enumerate(parts)], axis=1)
+
+
+@st.composite
+def _grids_and_parts(draw):
+    # integer-valued weights, biases and features, so products are exact and
+    # rows score exactly 0.0; rows repeat, negate and zero out directions
+    d = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3).map(float)
+    bases = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        bases.append([0.0] * d)
+    rows = draw(st.lists(st.tuples(st.sampled_from(range(len(bases))), st.sampled_from([-1.0, 1.0]),
+                                   st.integers(-6, 6).map(float)), min_size=1, max_size=14))
+    weights = np.array([[sign * w for w in bases[i]] for i, sign, _ in rows])
+    grid = HypothesisGrid(weights.reshape(len(rows), d), np.array([b for _, _, b in rows]))
+    parts = [np.array(draw(st.lists(st.lists(st.integers(-4, 4).map(float), min_size=d,
+                                                 max_size=d), min_size=1, max_size=30)))
+             for _ in range(2)]
+    return grid, [part.reshape(-1, d) for part in parts], draw(st.integers(1, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grids_and_parts())
+def test_grouped_counts_match_the_dense_scores_bitwise(case):
+    grid, parts, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BLOCK_ROWS", block)  # parts span several blocks
+        got = metrics._class_losses(grid, parts)
+    assert got.tobytes() == _dense_class_losses(grid, parts).tobytes()
+
+
+def test_an_integer_grid_counts_as_its_float_scores():
+    # the scores add the biases as floats; negating an unsigned bias would wrap
+    grid = HypothesisGrid(np.array([[1, 0], [-1, 0], [0, 2]]), np.array([0, 1, 3], dtype=np.uint8))
+    parts = [np.array([[-1.0, 0.0], [0.0, -1.5], [2.0, 1.0]]), np.array([[1.0, -1.0], [-2.0, 0.5]])]
+    assert metrics._class_losses(grid, parts).tobytes() == \
+        _dense_class_losses(grid, parts).tobytes()
+
+
+@pytest.mark.parametrize("weights, unique, which, sign", [
+    # a row and its negation share one direction, whose first nonzero entry
+    # is positive; a lone direction is stacked twice
+    ([[1.0, -2.0], [-1.0, 2.0]], [[1.0, -2.0], [1.0, -2.0]], [0, 0], [1.0, -1.0]),
+    ([[0.0, -3.0], [-0.0, 3.0], [0.0, 0.0], [2.0, 1.0], [0.0, -3.0]],
+     [[0.0, 0.0], [0.0, 3.0], [2.0, 1.0]], [1, 1, 0, 2, 1], [-1.0, 1.0, 1.0, 1.0, -1.0]),
+    ([[-0.5]], [[0.5]], [0], [-1.0])],
+    ids=["negated-pair", "zero-and-repeated-rows", "one-row"])
+def test_directions_factor_the_weights(weights, unique, which, sign):
+    got_unique, got_which, got_sign = metrics._directions(np.array(weights))
+    assert got_unique.tolist() == unique and got_which.tolist() == which
+    assert got_sign.tolist() == sign
+    assert np.array_equal(got_unique[got_which] * got_sign[:, None], weights)
 
 
 def test_blocked_class_losses_match_the_dense_form_bitwise():
@@ -450,6 +543,61 @@ def test_bound_rejects_a_bad_count_before_any_scoring(monkeypatch, case):
     monkeypatch.setattr(metrics, "_class_losses", no_scoring)
     with pytest.raises(UsageError, match="^" + re.escape(message) + "$"):
         call(x, y, grid)
+
+
+def _grid_with(weights=None, biases=None):
+    def edit(g):
+        return HypothesisGrid(g.weights if weights is None else weights(g.weights),
+                              g.biases if biases is None else biases(g.biases))
+    return edit
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+BAD_GRIDS = {
+    # name: (grid edit, error, message)
+    "weights-1d": (_grid_with(weights=lambda w: w[0]), ShapeError,
+                   "grid weights must be (H, d) with d >= 1, got shape (2,)"),
+    "weights-no-columns": (_grid_with(weights=lambda w: w[:, :0]), ShapeError,
+                           "grid weights must be (H, d) with d >= 1, got shape (2, 0)"),
+    "weights-list": (_grid_with(weights=lambda w: w.tolist()), UsageError,
+                     "grid weights must be a NumPy array of real numbers, got list"),
+    "weights-strings": (_grid_with(weights=lambda w: w.astype(str)), UsageError,
+                        "grid weights must be a NumPy array of real numbers, got dtype <U"),
+    "weights-nan": (_grid_with(weights=lambda w: _set(w, (1, 0), np.nan)), UsageError,
+                    "grid weights must be finite, got nan in row 1"),
+    "biases-short": (_grid_with(biases=lambda b: b[:1]), ShapeError,
+                     "grid biases must have shape (2,) to match the weights, got (1,)"),
+    "biases-column": (_grid_with(biases=lambda b: b[:, None]), ShapeError,
+                      "grid biases must have shape (2,) to match the weights, got (2, 1)"),
+    "biases-inf": (_grid_with(biases=lambda b: _set(b, 0, np.inf)), UsageError,
+                   "grid biases must be finite, got inf in row 0"),
+    "biases-none": (_grid_with(biases=lambda b: None), UsageError,
+                    "grid biases must be a NumPy array of real numbers, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("where", ["check", "experiment"])
+@pytest.mark.parametrize("case", list(BAD_GRIDS))
+def test_bound_rejects_a_bad_grid_before_any_scoring(monkeypatch, case, where):
+    x, y = _two_blob_draw(10, 5, seed=43)
+    edit, error, message = BAD_GRIDS[case]
+    grid = edit(HypothesisGrid.linear(2, 2, [0.0], seed=44))
+
+    def no_scoring(*args):
+        raise AssertionError("a sample was scored")
+
+    monkeypatch.setattr(metrics, "_class_losses", no_scoring)
+    monkeypatch.setattr(HypothesisGrid, "evaluate", no_scoring)
+    with pytest.raises(error, match="^" + re.escape(message)):
+        if where == "check":
+            bound_check(x, y, x, y, grid, draws=5)
+        else:
+            bound_experiment(lambda i: (x, y), 2, x, y, grid, mc_draws=5)
 
 
 @pytest.mark.parametrize("result, got", [(None, "None"), ("triple", "a tuple of 3"),

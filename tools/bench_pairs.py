@@ -18,9 +18,14 @@ parent's, and the pairs the change won (ties count for neither). A row
 is flagged ``worse`` when the change's median is worse than the
 parent's by more than the metric's bound, and ``unresolved`` when the
 parent's own interquartile range, relative to its median, is wider than
-the bound. A run that fails, or reports ``correct: false``, stops the
-script with exit status 1. Nothing under ``perfbench/`` is edited; each
-run writes its details to its own tree's ``perfbench/out/``.
+the bound. The harness keeps every pass, so ``peak_rss_mb`` grows with
+the pass count whatever the library does; its row also shows each side's
+median pass count, read from the run's detail file
+``perfbench/out/<workload>-seed<s>-trace0.json`` as the length of
+``summary.job_samples_s``. A run that fails, reports ``correct: false``
+or leaves no readable detail file stops the script with exit status 1.
+Nothing under ``perfbench/`` is edited; each run writes its details to
+its own tree's ``perfbench/out/``.
 """
 
 from __future__ import annotations
@@ -37,11 +42,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class RunFailed(Exception):
-    """A benchmark run exited non-zero, printed no summary or was incorrect."""
+    """A benchmark run exited non-zero, printed no summary, was incorrect or
+    left no pass count."""
+
+
+PASSES = "passes"  # the key of a run's pass count beside its metrics
+RETAINED = "peak_rss_mb"  # the metric that grows with the passes the harness keeps
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """Metric name -> value of one untraced run of tree's benchmark."""
+    """Metric name -> value of one untraced run of tree's benchmark, and
+    PASSES -> the number of passes it timed."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -55,7 +66,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
         raise RunFailed(f"{tree} {workload} seed {seed}: exit {proc.returncode}, "
                         f"last line {lines[-1] if lines else '(none)'!r}; "
                         f"stderr {proc.stderr.strip()[-300:]!r}")
-    return {name: m["value"] for name, m in summary["metrics"].items()}
+    detail = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    try:
+        passes = len(json.loads(detail.read_text(encoding="utf-8"))["summary"]["job_samples_s"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise RunFailed(f"{tree} {workload} seed {seed}: no pass count in {detail}: "
+                        f"{exc!r}") from None
+    return {**{name: m["value"] for name, m in summary["metrics"].items()}, PASSES: passes}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -75,6 +92,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     Each row holds the metric's name, both sides' (q1, median, q3), the
     change's relative change of the median (positive is better), its wins
     and the pair count, and its flags: "worse", "unresolved", both or none.
+    The RETAINED row also holds both sides' median pass counts when every
+    run carries one.
     """
     rows = []
     for metric in metrics:
@@ -89,15 +108,20 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         rows.append({"metric": name, "parent": before, "change": after, "gain": gain,
                      "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                      "pairs": len(pairs), "flags": flags})
+        if name == RETAINED and all(PASSES in run for pair in pairs for run in pair):
+            rows[-1][PASSES] = tuple(float(np.median([pair[i][PASSES] for pair in pairs]))
+                                     for i in (0, 1))
     return rows
 
 
 def format_row(workload: str, row: dict) -> str:
     def side(q):
         return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+    passes = (f"passes {row[PASSES][0]:.0f} -> {row[PASSES][1]:.0f} "
+              if PASSES in row else "")
     return (f"{workload:7s} {row['metric']:15s} parent {side(row['parent']):34s} "
             f"change {side(row['change']):34s} {row['gain']:+8.1%} better, "
-            f"won {row['wins']}/{row['pairs']} {' '.join(row['flags'])}").rstrip()
+            f"won {row['wins']}/{row['pairs']} {passes}{' '.join(row['flags'])}").rstrip()
 
 
 def main(argv=None) -> int:
