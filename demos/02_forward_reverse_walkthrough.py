@@ -49,10 +49,11 @@ print("\nisotropic reduction, max |diff| =", float(np.abs(ours - classic).max())
 
 # One full reverse chain (an untrained denoiser, so the endpoint is
 # driven by the prior): a 1-row batch at the level of the class the prior
-# ranks first. The trace records every intermediate state.
+# ranks first. The chain starts at the prior and takes no sigma z term,
+# so it draws nothing. The trace records every intermediate state.
 params = DenoiserParams.draw((3, 16, 8, 8), np.random.default_rng(1))
-res = sample(sched, params, prior[None, :], [int(np.argmax(prior))],
-             [np.random.default_rng(2)], steps=12, trace=True)[0]
+res = sample(sched, params, prior[None, :], [int(np.argmax(prior))], steps=12,
+             trace=True)[0]
 print(f"\nreverse chain with {len(res.trace) - 1} strided steps, "
       f"lambda = {res.lam:.2f} (the predicted class's level)")
 for t_label, y in res.trace[::3]:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: schedule, train, eval, sample, sweep, bound. Every
-subcommand takes --out, and every one but schedule, which draws nothing,
-takes --seed. schedule, train, sweep and bound also take --config, a
+subcommand takes --out; only train, sweep and bound, which draw, take
+--seed. schedule, train, sweep and bound also take --config, a
 JSON object of TrainConfig fields with an optional "synthetic" section
 of LongTailSpec fields. Each setting is its field's default, overridden
 by the config file, overridden in turn by its flag when the flag is
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="classify a test set and report metrics")
-    common(p, config=False)
+    common(p, config=False, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="CSV test set")
     p.add_argument("--steps", type=int, default=None, help="reverse steps (default from config)")
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="run the reverse chain on inputs")
-    common(p, config=False)
+    common(p, config=False, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="CSV inputs")
     p.add_argument("--steps", type=int, default=None)
@@ -294,14 +294,11 @@ def cmd_train(args) -> int:
 
 def _classify(args):
     """Test table, sampler output and resolved settings of eval and sample:
-    the checkpoint and data paths, and the step count and seed used."""
+    the checkpoint and data paths, and the step count used."""
     ckpt = load_checkpoint(args.checkpoint)
     table = load_csv(args.data, k=len(ckpt.counts))
-    output = classify_dataset(ckpt, table, steps=args.steps, seed=args.seed,
-                              trace=getattr(args, "trace", False))
-    resolved = {"checkpoint": args.checkpoint, "data": args.data,
-                "steps": ckpt.config.sample_steps if args.steps is None else args.steps,
-                "seed": ckpt.config.seed if args.seed is None else args.seed}
+    output = classify_dataset(ckpt, table, steps=args.steps, trace=getattr(args, "trace", False))
+    resolved = {"checkpoint": args.checkpoint, "data": args.data, "steps": output.steps}
     return table, output, resolved
 
 

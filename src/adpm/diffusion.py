@@ -7,7 +7,7 @@ The forward kernel (CARD's prior-shifted kernel, Han et al. 2022) is
 so a zero prior recovers the plain corruption kernel. forward_kernel is
 its one implementation: forward_sample corrupts one label with it, and
 trainer.batch_loss corrupts a batch's three branches with one broadcast
-call. The reverse chain starts at y^T ~ N(y_f, I) and iterates
+call. One stochastic reverse step (reverse_step) is
 
     y^{t-1} = ( y^t - (xi - zeta)/xi * y_f - lam*beta^t/sqrt(xi) * eps_hat ) / zeta
               + sigma^t z,
@@ -17,30 +17,36 @@ sigma^t = sqrt(lam*beta^t (1 - gamma^{t-1}) / (1 - gamma^t)); gamma^0 = 1
 makes the final step deterministic. lam = 1 and y_f = 0 reduce the
 update to the isotropic chain exactly.
 
+sample runs the deterministic chain: it starts at y^T = y_f and applies
+the same update with no sigma z term, so it draws nothing and its
+endpoints are a pure function of the schedule, the denoiser, the priors,
+the classes and the step count.
+
 Every noise level is addressed by a class index into the schedule, as
 in forward_sample: class j runs at schedule.lam[j] with the gamma row
 schedule.gamma[j], and no level is recomputed here. The sampler steps
 the chains of n inputs together as one (n, k) matrix: each row keeps its
-own class and random stream, and one forward-only denoiser pass per step
-serves every row. What depends only on the schedule, the step count and
-the time embedding width is memoized as a SamplerPlan (sampler_plan): the
+own class, and one forward-only denoiser pass per step serves every
+row. What depends only on the schedule, the step count and the time
+embedding width is memoized as a SamplerPlan (sampler_plan): the
 visited steps, a table of the four coefficients c_f = (xi - zeta)/xi,
 c_eps = lam*beta^t/sqrt(xi), zeta and sigma for every class at those
 steps, and the time embeddings of those steps only. Each call then
 projects the plan's time rows, looks each row's class up in the table
-once, and computes c_f y_f and sigma z of every step in one array
-operation each. Each step copies the states into the label half of an
-(n, 2k) input whose prior half is written once, runs the denoiser trunk
-on it once, and applies one in-place update
+once, and computes c_f y_f of every step in one array operation. Each
+step copies the states into the label half of an (n, 2k) input whose
+prior half is written once, runs the denoiser trunk on it once, and
+applies one in-place update
 
-    y <- (y - c_f y_f - c_eps eps_hat) / zeta + sigma z.
+    y <- (y - c_f y_f - c_eps eps_hat) / zeta.
 
 reverse_step is the one-step case of the same table and the same
-update (_update), so the formula lives in one place. One input is a
-1-row batch. An n-row pass runs its matmuls as one BLAS matrix product,
-not n single-row ones, so a row's y0 can differ from that of the same
-input sampled alone in its last bits (by up to about 2e-12 on the desk
-runs); the predicted classes did not change there.
+update (_update), followed by + sigma z, so the formula lives in one
+place. One input is a 1-row batch. An n-row pass runs its matmuls as one
+BLAS matrix product, not n single-row ones, so a row's y0 can differ
+from that of the same input sampled alone in its last bits (by up to
+about 2e-12 on the desk runs); the predicted classes did not change
+there.
 """
 
 from __future__ import annotations
@@ -144,7 +150,8 @@ def reverse_step(schedule: NoiseSchedule, class_j, t: int, y_t, y_f, eps_hat,
     classes = _class_index(schedule, class_j)
     c_f, c_eps, zeta, sigma = _step_table(schedule, np.array([t]))[0][:, classes, None]
     y, y_f, eps, z = (np.array(a, dtype=np.float64) for a in (y_t, y_f, eps_hat, z))
-    _update(y, c_f * y_f, c_eps, eps, zeta, sigma * z)
+    _update(y, c_f * y_f, c_eps, eps, zeta)
+    y += sigma * z
     return y
 
 
@@ -176,15 +183,14 @@ def _step_table(schedule: NoiseSchedule, ts: np.ndarray) -> np.ndarray:
     return np.stack([(xi - zeta) / xi, lam * beta_t / np.sqrt(xi), zeta, sigma], axis=1)
 
 
-def _update(y, shift, c_eps, eps_hat, zeta, kick) -> None:
-    """The reverse update y <- (y - shift - c_eps eps_hat) / zeta + kick,
-    in place, with one step's coefficients from _step_table, shift =
-    c_f y_f and kick = sigma z. eps_hat is overwritten."""
+def _update(y, shift, c_eps, eps_hat, zeta) -> None:
+    """The noise-free reverse update y <- (y - shift - c_eps eps_hat) / zeta,
+    in place, with one step's coefficients from _step_table and shift =
+    c_f y_f. eps_hat is overwritten."""
     y -= shift
     eps_hat *= c_eps
     y -= eps_hat
     y /= zeta
-    y += kick
 
 
 def sample_timesteps(T: int, steps: int) -> np.ndarray:
@@ -220,27 +226,25 @@ def sampler_plan(schedule: NoiseSchedule, steps: int, t_dim: int) -> SamplerPlan
     return plan
 
 
-def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, rngs,
-           steps: int, trace: bool = False) -> SampleBatch:
-    """Run the reverse chains of n inputs together and keep their endpoints.
+def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps: int,
+           trace: bool = False) -> SampleBatch:
+    """Run the deterministic reverse chains of n inputs together and keep
+    their endpoints.
 
-    y_f is the (n, k) matrix of the inputs' fused priors; row r runs at
-    the noise level of class classes[r] of the schedule and draws from
-    rngs[r]. The chains step together, one denoiser pass per step for all
-    rows. The classes, the shapes, the generator count and every visited
-    step's gamma^t < 1 are checked before any generator advances. With
-    steps < T the chains visit an evenly strided timestep subsequence and
-    use the stored gamma values at those indices. Each row draws from its
-    own generator in a fixed layout: k values for y^T, then k values of z
-    per step, even where sigma = 0. The returned y0 and every trace
-    snapshot are arrays of their own.
+    y_f is the (n, k) matrix of the inputs' fused priors; row r starts at
+    y^T = y_f[r] and runs at the noise level of class classes[r] of the
+    schedule, with no sigma z term, so nothing is drawn. The chains step
+    together, one denoiser pass per step for all rows. The classes, the
+    shapes and every visited step's gamma^t < 1 are checked before the
+    loop. With steps < T the chains visit an evenly strided timestep
+    subsequence and use the stored gamma values at those indices. The
+    returned y0 and every trace snapshot are arrays of their own.
     """
     y_f = np.asarray(y_f, dtype=np.float64)
     classes = _class_index(schedule, classes)
-    rngs = list(rngs)
-    if y_f.ndim != 2 or classes.shape != y_f.shape[:1] or len(rngs) != len(y_f):
-        raise ShapeError(f"need an (n, k) y_f, one class and one generator per row: y_f has "
-                         f"shape {y_f.shape}, {classes.size} classes, {len(rngs)} generators")
+    if y_f.ndim != 2 or classes.shape != y_f.shape[:1]:
+        raise ShapeError(f"need an (n, k) y_f and one class per row: y_f has shape "
+                         f"{y_f.shape}, {classes.size} classes")
     n, k = y_f.shape
     if k != params.k:
         raise ShapeError(f"the denoiser predicts k={params.k} classes, y_f has k={k}")
@@ -250,26 +254,21 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, rngs,
     # product would round differently); the blocks may change between
     # calls, so this is not memoized
     tembs = params.project_time(plan.t_rows[:, None, :])
-    # noise[0] starts each chain, noise[i] is the z of the i-th step
-    noise = np.empty((plan.ts.size + 1, n, k))
-    for r, g in enumerate(rngs):
-        noise[:, r] = g.standard_normal((plan.ts.size + 1, k))
-    # each row's coefficients at every step, (S, n, 1) each, and the two
-    # terms of the update that do not depend on the state, (S, n, k) each:
-    # shift = c_f y_f, and kick = sigma z written over the z's
-    c_f, c_eps, zeta, sigma = np.moveaxis(plan.coef[:, :, classes, None], 1, 0)
+    # each row's coefficients at every step, (S, n, 1) each, and the
+    # term of the update that does not depend on the state, shift = c_f
+    # y_f, (S, n, k)
+    c_f, c_eps, zeta = np.moveaxis(plan.coef[:, :3, classes, None], 1, 0)
     shift = c_f * y_f
-    kick = np.multiply(sigma, noise[1:], out=noise[1:])
     # the trunk's input, the labels beside the priors; y stays a
     # contiguous array of its own, since in-place updates of a strided
     # view run row by row
     x = np.empty((n, 2 * k))
     x[:, k:] = y_f
-    y = y_f + noise[0]
+    y = y_f.copy()
     snapshots = [(schedule.T, y.copy())] if trace else None
     for i, t in enumerate(plan.ts):
         x[:, :k] = y
-        _update(y, shift[i], c_eps[i], params.trunk(x, tembs[i])[-1], zeta[i], kick[i])
+        _update(y, shift[i], c_eps[i], params.trunk(x, tembs[i])[-1], zeta[i])
         if trace:
             snapshots.append((int(t) - 1, y.copy()))
     return SampleBatch(y0=y, lam=schedule.lam[classes], trace=snapshots)

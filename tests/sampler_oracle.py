@@ -1,9 +1,12 @@
-"""The reverse sampler written out step by step, as a test oracle.
+"""The deterministic reverse sampler written out step by step, as a test
+oracle.
 
-At every step it computes the time embedding, runs the denoiser's whole
-forward pass and recomputes the update's coefficients from the gamma
-rows, the way the library's sampler did before it built its coefficient
-table once per call. Tests pin the library's sample to it bitwise.
+Each chain starts at its prior y_f and takes the reverse update with no
+sigma z term. At every step it computes the time embedding, runs the
+denoiser's whole forward pass and recomputes the update's coefficients
+from the gamma rows, the way the library's sampler did before it built
+its coefficient table once per call. Tests pin the library's sample to
+it bitwise.
 """
 
 import numpy as np
@@ -25,35 +28,30 @@ def predict_noise(params, y_noisy, y_prior, t, T):
     return h1 @ params.dec2_w + params.dec2_b
 
 
-def reverse_step(schedule, lam, t, y_t, y_f, eps_hat, z, gamma_rows):
-    """One update of (n, k) states, lam (n,) and gamma_rows (n, T+1)."""
+def reverse_step(schedule, lam, t, y_t, y_f, eps_hat, gamma_rows):
+    """One noise-free update of (n, k) states, lam (n,) and gamma_rows
+    (n, T+1)."""
     lam = lam[:, None]
     beta_t = schedule.beta[t - 1]
     xi = 1.0 - gamma_rows[:, t, None]
     assert not (xi == 0.0).any()
     zeta = np.sqrt(1.0 - lam * beta_t)
-    sigma = np.sqrt(lam * beta_t * (1.0 - gamma_rows[:, t - 1, None]) / xi)
     drift = y_t - ((xi - zeta) / xi) * y_f - (lam * beta_t / np.sqrt(xi)) * eps_hat
-    return drift / zeta + sigma * z
+    return drift / zeta
 
 
-def sample(schedule, params, y_f, lam, rngs, steps):
+def sample(schedule, params, y_f, lam, steps):
     """Endpoints (n, k) and trace [(t, (n, k) states)] of the chains that
-    start at the rows of y_f, row r at level lam[r] on generator rngs[r]
-    (one k-vector for y^T, then one per step)."""
+    start at the rows of y_f, row r at level lam[r]."""
     y_f = np.atleast_2d(np.asarray(y_f, dtype=np.float64))
-    n, k = y_f.shape
+    n = y_f.shape[0]
     T = schedule.T
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (n,))
     gamma_rows = np.array([schedule.gamma_for(v) for v in lam]).reshape(n, T + 1)
-    ts = sample_timesteps(T, steps)
-    noise = np.empty((ts.size + 1, n, k))
-    for r, g in enumerate(rngs):
-        noise[:, r] = g.standard_normal((ts.size + 1, k))
-    y = y_f + noise[0]
+    y = y_f
     trace = [(T, y)]
-    for i, t in enumerate(ts, start=1):
+    for t in sample_timesteps(T, steps):
         eps_hat = predict_noise(params, y, y_f, int(t), T)
-        y = reverse_step(schedule, lam, int(t), y, y_f, eps_hat, noise[i], gamma_rows)
+        y = reverse_step(schedule, lam, int(t), y, y_f, eps_hat, gamma_rows)
         trace.append((int(t) - 1, y))
     return y, trace

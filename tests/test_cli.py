@@ -310,16 +310,17 @@ def test_sample_deterministic(tmp_path, capsys):
 
 
 def test_sample_records_the_steps_and_seed_it_used(tmp_path, capsys):
-    # the run trained with --sample-steps 5 and --seed 1
+    # the run trained with --sample-steps 5; sampling draws nothing, so
+    # no seed is recorded
     ckpt, test_csv, _ = _trained_run(tmp_path, capsys)
-    for flags, steps, seed in (([], 5, 1), (["--steps", "3", "--seed", "9"], 3, 9)):
+    for flags, steps in (([], 5), (["--steps", "3"], 3)):
         out = tmp_path / f"sample{steps}"
         code, _, err = run(["sample", "--checkpoint", str(ckpt), "--data", str(test_csv),
                             *flags, "--out", str(out)], capsys)
         assert code == 0, err
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved == {"checkpoint": str(ckpt), "data": str(test_csv), "steps": steps,
-                            "seed": seed, "trace": False}
+                            "trace": False}
 
 
 def test_train_records_its_data_source(tmp_path, capsys):
@@ -504,14 +505,15 @@ def test_each_subcommand_keeps_its_option_strings():
     train = {"--T", "--sample-steps", "--beta1", "--betaT",
              "--epochs", "--batch-size", "--learning-rate", "--warmup-epochs",
              "--hidden", "--checkpoint-every"}
-    # schedule draws nothing, so it has no --seed; sweep takes alpha and c
-    # from --alphas and --cs only
+    # schedule, eval and sample draw nothing, so they have no --seed;
+    # sweep takes alpha and c from --alphas and --cs only
     expected = {
         "schedule": common - {"--seed"} | {"--config", "--counts", "--data", "--alpha", "--c",
                                            "--T", "--beta1", "--betaT"},
         "train": common | data | train | {"--alpha", "--c", "--config", "--resume"},
-        "eval": common | {"--checkpoint", "--data", "--steps", "--dump-embeddings"},
-        "sample": common | {"--checkpoint", "--data", "--steps", "--trace"},
+        "eval": common - {"--seed"} | {"--checkpoint", "--data", "--steps",
+                                       "--dump-embeddings"},
+        "sample": common - {"--seed"} | {"--checkpoint", "--data", "--steps", "--trace"},
         "sweep": common | data | train | {"--config", "--alphas", "--cs", "--test-fraction"},
         "bound": common | {"--config", "--n0", "--n1", "--dim", "--separation", "--draws",
                            "--pop-size", "--delta", "--mc-draws", "--grid-directions",
@@ -563,10 +565,15 @@ CLI_FAILURES = {
     "bound-pop-size-negative": (None, [*_BOUND, "--pop-size", "-5"], 2),
     "bound-pop-size-below-draw": (None, [*_BOUND, "--pop-size", "59"], 2),
     "bound-n1-above-n0": (None, [*_BOUND, "--n0", "20", "--n1", "40"], 2),
-    # flags these subcommands do not have: schedule draws nothing, and
-    # sweep's cells take alpha and c from --alphas and --cs (sweep reads no
-    # flag as the prefix of another)
+    # flags these subcommands do not have: schedule, eval and sample draw
+    # nothing, so any --seed is an unknown flag, and sweep's cells take
+    # alpha and c from --alphas and --cs (sweep reads no flag as the prefix
+    # of another)
     "schedule-seed": (None, ["schedule", "--counts", "5,3", "--seed", "1"], 2),
+    "eval-seed-negative": (None, ["eval", "--checkpoint", "ckpt.json", "--data", "test.csv",
+                                  "--seed", "-1"], 2),
+    "sample-seed-negative": (None, ["sample", "--checkpoint", "ckpt.json",
+                                    "--data", "test.csv", "--seed", "-1"], 2),
     # the class shares are n_j^-alpha over their sum, with no weight knobs
     "schedule-a": (None, ["schedule", "--counts", "845,52", "--a", "1"], 2),
     "schedule-b": (None, ["schedule", "--counts", "845,52", "--b", "1"], 2),
@@ -609,10 +616,6 @@ CLI_FAILURES = {
     "sweep-seed-negative": (None, ["sweep", *_SMALL, "--seed", "-1"], 1),
     "bound-seed-negative": (None, [*_BOUND, "--seed", "-1"], 1),
     # {checkpoint} and {test} are a trained checkpoint and its test split
-    "eval-seed-negative": (None, ["eval", "--checkpoint", "{checkpoint}", "--data", "{test}",
-                                  "--seed", "-1"], 1),
-    "sample-seed-negative": (None, ["sample", "--checkpoint", "{checkpoint}",
-                                    "--data", "{test}", "--seed", "-1"], 1),
     "eval-version-1-checkpoint": (lambda ckpt: {**ckpt, "version": 1},
                                   ["eval", "--checkpoint", "{file}", "--data", "{test}"], 1),
     # config values of settings this code no longer runs

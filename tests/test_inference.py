@@ -44,9 +44,9 @@ def test_classify_deterministic_and_ordered(trained):
 
 
 def test_per_input_streams_independent_of_subset(trained, desk_shaped):
-    # input i's chain is keyed by its index, so evaluating a prefix gives
-    # the same results as evaluating everything; a 1-row table is padded
-    # to two rows, so it too matches bitwise
+    # a row's chain draws nothing and depends on no other row, so
+    # evaluating a prefix gives the same results as evaluating everything;
+    # a 1-row table is padded to two rows, so it too matches bitwise
     for ckpt, test in (trained, desk_shaped):
         full = classify_dataset(ckpt, test)
         for m in (4, 2, 1):
@@ -62,6 +62,8 @@ def test_steps_override_and_trace(trained):
     ckpt, test = trained
     out = classify_dataset(ckpt, test.take([0]), steps=5, trace=True)
     assert len(out.results[0].trace) == 6
+    assert out.steps == 5
+    assert classify_dataset(ckpt, test.take([0])).steps == ckpt.config.sample_steps
 
 
 def test_lambda_comes_from_frozen_prior_census(trained):
@@ -72,12 +74,6 @@ def test_lambda_comes_from_frozen_prior_census(trained):
     # the one prior network picks each row's level: its global prior's argmax
     y_g = prior_bundle(ckpt.model.prior, test.features).y_g
     assert np.array_equal(out.results.lam, lam_table[np.argmax(y_g, axis=1)])
-
-
-def test_negative_seed_rejected(trained):
-    ckpt, test = trained
-    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
-        classify_dataset(ckpt, test, seed=-1)
 
 
 def test_k_mismatch_rejected(trained):
@@ -150,8 +146,8 @@ def test_empty_table(trained):
 
 
 def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped):
-    # a 1-row table runs as two copies of the row; the real row draws the
-    # first values of stream (seed, 3, 0), as row 0 of the oracle does
+    # a 1-row table runs as two copies of the row, as the oracle's two
+    # rows do
     for ckpt, test in (trained, desk_shaped):
         cfg = ckpt.config
         out = classify_dataset(ckpt, test.take([1]), trace=True)
@@ -159,9 +155,9 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
         lam = inference_lambda(mlp_forward(ckpt.model.prior, x)[1], ClassCensus(ckpt.counts),
                                NoiseLevelConfig(alpha=cfg.alpha, c=cfg.c))
         bundle = prior_bundle(ckpt.model.prior, x)
-        y0, trace = sampler_oracle.sample(
-            noise_schedule(ckpt.counts, cfg), ckpt.model.denoiser, bundle.y_f, lam,
-            [np.random.default_rng([cfg.seed, 3, 0]) for _ in range(2)], cfg.sample_steps)
+        y0, trace = sampler_oracle.sample(noise_schedule(ckpt.counts, cfg),
+                                          ckpt.model.denoiser, bundle.y_f, lam,
+                                          cfg.sample_steps)
         assert out.results.y0.tobytes() == y0[:1].tobytes()
         assert out.predictions.tolist() == [int(np.argmax(y0[0]))]
         assert [t for t, _ in out.results[0].trace] == [t for t, _ in trace]
@@ -169,13 +165,14 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
             assert a.tobytes() == b[0].tobytes()
 
 
-def test_one_row_table_builds_one_generator(trained, monkeypatch):
-    # the pad row draws after the real row from the same generator
+def test_classify_builds_no_generator(trained, monkeypatch):
+    # classification draws nothing, for a whole table or a padded 1-row one
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_dataset built a random generator")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     ckpt, test = trained
-    seeds, build = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or build(seed))
-    classify_dataset(ckpt, test.take([1]), seed=4)
-    assert seeds == [[4, 3, 0]]
+    for rows in (test, test.take([1])):
+        assert classify_dataset(ckpt, rows, trace=True).predictions.shape == (rows.n,)
 
 
 def _clear_caches():
@@ -250,7 +247,7 @@ def test_caches_stay_within_their_bounds():
     params = DenoiserParams.draw((2, 4, 2, 4), np.random.default_rng(0))
     assert T > adpm.diffusion.PLAN_CACHE_SIZE
     for steps in range(1, T + 1):
-        sample(sched, params, np.full((1, 2), 0.5), [0], [np.random.default_rng(0)], steps)
+        sample(sched, params, np.full((1, 2), 0.5), [0], steps)
     assert sampler_plan.cache_info().currsize == adpm.diffusion.PLAN_CACHE_SIZE
 
 
@@ -270,8 +267,7 @@ def test_outputs_are_arrays_of_their_own(trained):
 
 
 @pytest.mark.parametrize("name,value", [("steps", 2.5), ("steps", True), ("steps", "3"),
-                                        ("steps", np.float64(3.0)), ("seed", 1.5),
-                                        ("seed", False), ("seed", "0")])
+                                        ("steps", np.float64(3.0))])
 def test_classify_rejects_a_step_count_or_seed_that_is_not_an_integer(trained, monkeypatch,
                                                                       name, value):
     import adpm.diffusion
@@ -289,6 +285,7 @@ def test_classify_rejects_a_step_count_or_seed_that_is_not_an_integer(trained, m
 
 def test_classify_accepts_numpy_integers(trained):
     ckpt, test = trained
-    a = classify_dataset(ckpt, test, steps=5, seed=3)
-    b = classify_dataset(ckpt, test, steps=np.int64(5), seed=np.int32(3))
+    a = classify_dataset(ckpt, test, steps=5)
+    b = classify_dataset(ckpt, test, steps=np.int64(5))
     assert a.results.y0.tobytes() == b.results.y0.tobytes()
+    assert type(b.steps) is int and b.steps == 5

@@ -28,6 +28,11 @@ The groups (all by default, or the ones --groups names):
 - ``bound``: the benchmark's bound passes at seeds 1-3, and
   ``bound_report.json`` of ``adpm bound`` at its defaults.
 
+A group that classifies also prints a ``<group>.pred <digest>`` line
+(``desk.pred`` and ``sample.pred``) that hashes only the predictions and
+prior predictions of its classify calls, so a change that moves ``y0``
+but no predicted class keeps that line.
+
 The recipes come from ``perfbench/workloads.py`` of this checkout; the
 library comes from --src (default: this checkout's ``src``). Run it as
 a script, from any directory.
@@ -61,10 +66,13 @@ C08_SWEEP = ["sweep", "--synthetic", "--k", "3", "--head-count", "10", "--decay"
 
 
 class Digest:
-    """SHA-256 over a sequence of arrays, byte strings, files and scalars."""
+    """SHA-256 over a sequence of arrays, byte strings, files and scalars.
+    pred is the digest of the predictions alone, once add_classified has
+    fed one."""
 
     def __init__(self):
         self._h = hashlib.sha256()
+        self.pred: Digest | None = None
 
     def add(self, *items) -> None:
         for item in items:
@@ -109,7 +117,13 @@ def add_checkpoint(d: Digest, ckpt) -> None:
 
 
 def add_classified(d: Digest, out) -> None:
-    d.add(out.predictions, out.prior_predictions, *(r.y0 for r in out.results))
+    """Feed the predictions and prior predictions of out to d and to
+    d.pred, and the endpoints y0 to d only."""
+    if d.pred is None:
+        d.pred = Digest()
+    for digest in (d, d.pred):
+        digest.add(out.predictions, out.prior_predictions)
+    d.add(*(r.y0 for r in out.results))
 
 
 def group_schedule(wl, d: Digest, tmp: Path) -> None:
@@ -223,6 +237,8 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             GROUPS[name](wl, d, Path(tmp))
         print(f"{name} {d.hex()}", flush=True)
+        if d.pred is not None:
+            print(f"{name}.pred {d.pred.hex()}", flush=True)
     return 0
 
 
