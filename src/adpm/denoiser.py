@@ -93,17 +93,29 @@ class DenoiserParams(optim.BlockTable):
         return (self.dec2_w.shape[-1], self.fuse_w.shape[-1], self.wv.shape[-1],
                 self.time_w.shape[0])
 
-    def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray,
-                t_rows: np.ndarray) -> "Activations":
+    def forward(self, y_noisy: np.ndarray, y_prior: np.ndarray, t_rows: np.ndarray,
+                repeats: int = 1) -> "Activations":
         """Forward pass on (n, k) rows, keeping what backward reads: the
-        noisy rows beside their priors and the time projection of t_rows,
+        noisy rows beside their priors and the time rows, one per input,
         then the trunk.
 
-        t_rows holds the rows' time embeddings, one row per input or a
-        single row shared by all of them.
+        t_rows holds the rows' time embeddings: one row per input, a
+        single row shared by all of them, or, with repeats > 1, one row
+        per input of the first n / repeats, the inputs being repeats
+        blocks that share their time rows. Such rows are projected once
+        and the projection repeated, except where BLAS rounds a row by how
+        many rows share its product: a block of one row, or a projection
+        to at most 3 columns, projects every repeated row.
         """
         x = np.concatenate([y_noisy, y_prior], axis=1)
-        return Activations(t_rows, x, *self.trunk(x, self.project_time(t_rows)))
+        if repeats == 1:
+            return Activations(t_rows, x, *self.trunk(x, self.project_time(t_rows)))
+        every = np.concatenate([t_rows] * repeats)
+        if t_rows.shape[0] == 1 or self.time_w.shape[1] <= 3:
+            temb = self.project_time(every)
+        else:
+            temb = np.concatenate([self.project_time(t_rows)] * repeats)
+        return Activations(every, x, *self.trunk(x, temb))
 
     def project_time(self, t_rows: np.ndarray) -> np.ndarray:
         """Learned projection of time embeddings, t_rows @ time_w + time_b."""
@@ -124,9 +136,11 @@ class DenoiserParams(optim.BlockTable):
         h1 = np.tanh(u @ self.dec1_w + self.dec1_b + temb)
         return fused, kv, kv_v, u, h1, h1 @ self.dec2_w + self.dec2_b
 
-    def backward(self, acts: "Activations", g_out: np.ndarray) -> np.ndarray:
+    def backward(self, acts: "Activations", g_out: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of a scalar loss whose gradient in forward's output is
-        g_out, as one vector holding the blocks in blocks() order.
+        g_out, as one vector holding the blocks in blocks() order: out, a
+        float64 vector of that length, when given, else a new one.
 
         t_rows must hold one row per input. Each adjoint is the expression,
         in the order, that a reverse-mode tape over forward's ops computes:
@@ -135,8 +149,9 @@ class DenoiserParams(optim.BlockTable):
         """
         n = g_out.shape[0]
         ones_t = np.ones((n, 1)).T
-        flat = np.empty(sum(arr.size for arr in self.blocks().values()))
-        grads = self.views(flat)
+        if out is None:
+            out = np.empty(sum(arr.size for arr in self.blocks().values()))
+        grads = self.views(out)
 
         def affine(g, x, name):
             np.matmul(x.T, g, out=grads[f"{name}_w"])
@@ -153,7 +168,7 @@ class DenoiserParams(optim.BlockTable):
         g_enc = (g_kv_v @ self.wv.T) * (1.0 - acts.kv ** 2)
         affine(g_enc, acts.fused, "enc")
         affine(g_enc @ self.enc_w.T, acts.x, "fuse")
-        return flat
+        return out
 
 
 @dataclass

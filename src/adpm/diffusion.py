@@ -29,9 +29,9 @@ the chains of n inputs together as one (n, k) matrix: each row keeps its
 own class, and one forward-only denoiser pass per step serves every
 row. What depends only on the schedule, the step count and the time
 embedding width is memoized as a SamplerPlan (sampler_plan): the
-visited steps, a table of the four coefficients c_f = (xi - zeta)/xi,
-c_eps = lam*beta^t/sqrt(xi), zeta and sigma for every class at those
-steps, and the time embeddings of those steps only. Each call then
+visited steps, a table of the three coefficients c_f = (xi - zeta)/xi,
+c_eps = lam*beta^t/sqrt(xi) and zeta for every class at those steps,
+and the time embeddings of those steps only. Each call then
 projects the plan's time rows, looks each row's class up in the table
 once, and computes c_f y_f of every step in one array operation. Each
 step copies the states into the label half of an (n, 2k) input whose
@@ -42,7 +42,8 @@ applies one in-place update
 
 reverse_step is the one-step case of the same table and the same
 update (_update), followed by + sigma z, so the formula lives in one
-place. One input is a 1-row batch. An n-row pass runs its matmuls as one
+place; sigma is computed there alone, since sample has no sigma z term.
+One input is a 1-row batch. An n-row pass runs its matmuls as one
 BLAS matrix product, not n single-row ones, so a row's y0 can differ
 from that of the same input sampled alone in its last bits (by up to
 about 2e-12 on the desk runs); the predicted classes did not change
@@ -148,7 +149,10 @@ def reverse_step(schedule: NoiseSchedule, class_j, t: int, y_t, y_f, eps_hat,
     if not (1 <= t <= schedule.T):
         raise UsageError(f"t must lie in [1, {schedule.T}], got {t}")
     classes = _class_index(schedule, class_j)
-    c_f, c_eps, zeta, sigma = _step_table(schedule, np.array([t]))[0][:, classes, None]
+    c_f, c_eps, zeta = _step_table(schedule, np.array([t]))[0][:, classes, None]
+    gamma = schedule.gamma[classes]
+    sigma = np.sqrt(schedule.lam[classes] * schedule.beta[t - 1] * (1.0 - gamma[..., t - 1])
+                    / (1.0 - gamma[..., t]))[..., None]
     y, y_f, eps, z = (np.array(a, dtype=np.float64) for a in (y_t, y_f, eps_hat, z))
     _update(y, c_f * y_f, c_eps, eps, zeta)
     y += sigma * z
@@ -164,9 +168,9 @@ def _class_index(schedule: NoiseSchedule, classes) -> np.ndarray:
 
 
 def _step_table(schedule: NoiseSchedule, ts: np.ndarray) -> np.ndarray:
-    """Reverse-step coefficients of every class of the schedule at the
-    visited steps ts, as an (len(ts), 4, k) array whose entry [i, :, j]
-    holds ((xi - zeta)/xi, lam*beta^t/sqrt(xi), zeta, sigma) of class j
+    """Noise-free reverse-step coefficients of every class of the schedule
+    at the visited steps ts, as an (len(ts), 3, k) array whose entry
+    [i, :, j] holds ((xi - zeta)/xi, lam*beta^t/sqrt(xi), zeta) of class j
     at step ts[i], built from schedule.lam and schedule.gamma.
 
     gamma^t = 1 at a visited step, where the update would divide by zero,
@@ -179,8 +183,7 @@ def _step_table(schedule: NoiseSchedule, ts: np.ndarray) -> np.ndarray:
     if singular.any():
         raise UsageError(f"reverse step singular at t={ts[np.argmax(singular)]}: gamma^t = 1")
     zeta = np.sqrt(1.0 - lam * beta_t)
-    sigma = np.sqrt(lam * beta_t * (1.0 - schedule.gamma[:, ts - 1].T) / xi)
-    return np.stack([(xi - zeta) / xi, lam * beta_t / np.sqrt(xi), zeta, sigma], axis=1)
+    return np.stack([(xi - zeta) / xi, lam * beta_t / np.sqrt(xi), zeta], axis=1)
 
 
 def _update(y, shift, c_eps, eps_hat, zeta) -> None:
@@ -204,7 +207,7 @@ def sample_timesteps(T: int, steps: int) -> np.ndarray:
 class SamplerPlan:
     """What a reverse chain needs of its schedule, step count and time
     embedding width, whatever the rows: the visited steps ts, their
-    _step_table coefficients (S, 4, k) and their time embeddings
+    _step_table coefficients (S, 3, k) and their time embeddings
     (S, t_dim), all read-only."""
 
     ts: np.ndarray
@@ -257,7 +260,7 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps:
     # each row's coefficients at every step, (S, n, 1) each, and the
     # term of the update that does not depend on the state, shift = c_f
     # y_f, (S, n, k)
-    c_f, c_eps, zeta = np.moveaxis(plan.coef[:, :3, classes, None], 1, 0)
+    c_f, c_eps, zeta = np.moveaxis(plan.coef[:, :, classes, None], 1, 0)
     shift = c_f * y_f
     # the trunk's input, the labels beside the priors; y stays a
     # contiguous array of its own, since in-place updates of a strided

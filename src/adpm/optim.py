@@ -91,7 +91,9 @@ class Adam:
     """Adam with bias correction over one float64 vector.
 
     A zero gradient applied to zero moments leaves parameters bitwise
-    unchanged. The moments start as zeros at the first step.
+    unchanged. The moments start as zeros at the first step. The update's
+    intermediate vectors are written into two work vectors the
+    optimizer keeps, one op at a time in the order of the formula.
     """
 
     def __init__(self, lr: float = 1e-3):
@@ -99,6 +101,7 @@ class Adam:
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self._work: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float | None = None) -> None:
         """Update params in place from grads, an array of the same shape."""
@@ -109,12 +112,20 @@ class Adam:
         c2 = 1.0 - BETA2 ** self.step_count
         if self.m is None:
             self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        if self._work is None or self._work[0].shape != params.shape:
+            self._work = (np.empty_like(params), np.empty_like(params))
         m, v = self.m, self.v
+        a, b = self._work
+        # m = BETA1 m + (1 - BETA1) g and v = BETA2 v + ((1 - BETA2) g) g
         m *= BETA1
-        m += (1.0 - BETA1) * grads
+        m += np.multiply(grads, 1.0 - BETA1, out=a)
         v *= BETA2
-        v += (1.0 - BETA2) * grads * grads
-        params -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        np.multiply(grads, 1.0 - BETA2, out=a)
+        v += np.multiply(a, grads, out=a)
+        # params -= lr (m / c1) / (sqrt(v / c2) + EPS)
+        np.multiply(np.divide(m, c1, out=a), lr, out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
+        params -= np.divide(a, b, out=a)
 
     def state_dict(self) -> dict:
         """Step count, plus copies of the moments "m" and "v" once they exist."""

@@ -5,15 +5,18 @@ fit first pretrains the prior network with cross entropy
 freezes it, as CARD does with its prior f_phi. fit then computes two
 tables once (fit_tables): the global, local and fused priors of every
 training row, stacked as (3, n, k), and the time embedding of every
-step 0..T; each batch gathers its rows from them. Every batch draws one timestep per
-sample and one (3, nb, k) Gaussian noise stack, one (nb, k) block per
-branch (global, local, fused). One broadcast call of
+step 0..T; each batch gathers its rows from them. Every batch draws one
+timestep per sample and one (3, nb, k) Gaussian noise stack, one (nb, k)
+block per branch (global, local, fused). One broadcast call of
 diffusion.forward_kernel corrupts every branch with the true class's
-noise level and the branch's own prior. The stack is pushed through the
-shared denoiser as one batch of three times the rows, and its output is
-reshaped back into the branches and scored: MMD against the true noise
-for the global and local branches, mean squared error for the fused
-branch.
+noise level and the branch's own prior; the one-hot labels are rows of
+an identity built once per class count. The stack is pushed through the
+shared denoiser as one batch of three times the rows, whose nb time rows
+are projected once and shared by the three branches (forward's
+repeats). Its output is reshaped back into the branches and scored: one
+stacked losses.mmd_loss call gives the MMD against the true noise of the
+global and the local branch, and the fused branch gets the mean squared
+error.
 
 batch_loss runs as plain numpy: the denoiser's forward pass keeps its
 activations, and a hand-derived backward pass through the losses and
@@ -21,8 +24,11 @@ the denoiser gives the gradient of the 12 denoiser blocks. No library
 path builds an autodiff tape. The denoiser's blocks, their gradient and
 Adam's moments are each one float64 vector (BlockTable.flat makes the
 blocks views into theirs, and views names the others), so one optimizer
-pass updates them all. A step whose loss is not finite stops training
-with a ConfigError. Adam is the only optimizer: it runs at the config's
+pass updates them all; fit allocates the gradient vector once, and
+every step's backward pass writes into it. The epoch loop runs inside
+one np.errstate that silences overflow and invalid-value warnings, and
+a step whose loss is not finite stops training with a ConfigError
+instead. Adam is the only optimizer: it runs at the config's
 learning_rate with optim's constant betas and eps, and optim.lr_at's
 constant warmup fraction shapes the learning rate. The MMD kernel's
 bandwidth is the constant KERNEL_BANDWIDTH, and the MMD terms' weight w
@@ -273,11 +279,11 @@ def fit_tables(prior: PriorNetParams, table: DatasetTable, T: int,
 
 
 def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
-               model: ModelParams, schedule: NoiseSchedule,
-               draws: BatchDraws) -> tuple[LossReport, np.ndarray]:
+               model: ModelParams, schedule: NoiseSchedule, draws: BatchDraws,
+               out: np.ndarray | None = None) -> tuple[LossReport, np.ndarray]:
     """Evaluate the three-branch objective on one batch, and its gradient
     in the denoiser blocks as one vector in model.denoiser_blocks() order
-    (named_views names its blocks).
+    (named_views names its blocks): out, when given, else a new vector.
 
     labels holds the batch's (nb,) class labels, priors its rows of
     fit_tables' priors, (3, nb, k), and t_table is fit_tables' time
@@ -285,19 +291,29 @@ def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
     """
     n_branches, nb, k = priors.shape
     gamma = schedule.gamma[labels, draws.t][:, None]
-    y_t = forward_kernel(gamma, np.eye(k)[labels], draws.eps, priors)
+    y_t = forward_kernel(gamma, _one_hot(k)[labels], draws.eps, priors)
     # the branches run as one stacked batch: row block i, rows i * nb to
     # (i + 1) * nb - 1, holds branch BRANCHES[i]
     acts = model.denoiser.forward(y_t.reshape(-1, k), priors.reshape(-1, k),
-                                  t_table[np.tile(draws.t, n_branches)])
+                                  t_table[draws.t], n_branches)
     eps_hat = acts.out.reshape(n_branches, nb, k)
 
-    l_g, g_g = mmd_loss(draws.eps[0], eps_hat[0], KERNEL_BANDWIDTH, MMD_WEIGHT)
-    l_l, g_l = mmd_loss(draws.eps[1], eps_hat[1], KERNEL_BANDWIDTH, MMD_WEIGHT)
+    # the global and local branches are scored by one stacked MMD call
+    values, g_gl = mmd_loss(draws.eps[:2], eps_hat[:2], KERNEL_BANDWIDTH, MMD_WEIGHT)
+    l_g, l_l = values.tolist()
     l_eps, g_f = eps_loss(draws.eps[2], eps_hat[2])
     report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
                         L_total=total_loss(l_g, l_l, l_eps, MMD_WEIGHT))
-    return report, model.denoiser.backward(acts, np.concatenate([g_g, g_l, g_f]))
+    return report, model.denoiser.backward(acts, np.concatenate([*g_gl, g_f]), out)
+
+
+@functools.cache
+def _one_hot(k: int) -> np.ndarray:
+    """The read-only (k, k) identity, whose row j is class j's one-hot
+    label, built once per k."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 def named_views(model: ModelParams, vec: np.ndarray) -> dict[str, np.ndarray]:
@@ -356,44 +372,44 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     if resume is not None:
         opt.load_state_dict(resume.opt_state)
     total_steps = cfg.epochs * -(-table.n // cfg.batch_size)
-
-    for epoch in range(start_epoch, cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, 2, epoch])
-        order = rng.permutation(table.n)
-        sums = np.zeros(5)
-        batches = 0
-        for start in range(0, table.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
-            with np.errstate(over="ignore", invalid="ignore"):
-                # a non-finite loss is reported below, with its epoch and batch
+    grad = np.empty_like(params)  # every step writes its gradient here
+    # a non-finite loss is reported in the loop, with its epoch and batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(start_epoch, cfg.epochs):
+            rng = np.random.default_rng([cfg.seed, 2, epoch])
+            order = rng.permutation(table.n)
+            sums = np.zeros(5)
+            batches = 0
+            for start in range(0, table.n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
                 report, grad = batch_loss(table.labels[idx], priors[:, idx], t_table,
-                                          model, schedule, draws)
-            if not np.isfinite(report.L_total):
-                bad = [name for name, g in named_views(model, grad).items()
-                       if not np.isfinite(g).all()]
-                raise ConfigError(
-                    f"training diverged at epoch {epoch}, batch {batches}: L_total is "
-                    f"{report.L_total}; first non-finite gradient block: "
-                    f"{bad[0] if bad else 'none'}")
-            lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate)
-            opt.step(params, grad, lr=lr)
-            sums[:4] += (report.L_g, report.L_l, report.L_eps, report.L_total)
+                                          model, schedule, draws, grad)
+                if not np.isfinite(report.L_total):
+                    bad = [name for name, g in named_views(model, grad).items()
+                           if not np.isfinite(g).all()]
+                    raise ConfigError(
+                        f"training diverged at epoch {epoch}, batch {batches}: L_total is "
+                        f"{report.L_total}; first non-finite gradient block: "
+                        f"{bad[0] if bad else 'none'}")
+                lr = optim.lr_at(opt.step_count, total_steps, cfg.learning_rate)
+                opt.step(params, grad, lr=lr)
+                sums[:4] += (report.L_g, report.L_l, report.L_eps, report.L_total)
+                if log_path is not None:
+                    sums[4] += np.sqrt(grad @ grad)
+                batches += 1
             if log_path is not None:
-                sums[4] += np.sqrt(grad @ grad)
-            batches += 1
-        if log_path is not None:
-            record = {"epoch": epoch, "L_g": sums[0] / batches, "L_l": sums[1] / batches,
-                      "L_eps": sums[2] / batches, "L_total": sums[3] / batches,
-                      "lr": lr, "grad_norm": sums[4] / batches}
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record) + "\n")
-        done = epoch + 1
-        if checkpoint_path is not None and cfg.checkpoint_every > 0 \
-                and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
-            stem, ext = os.path.splitext(os.fspath(checkpoint_path))
-            save_checkpoint(Checkpoint(model, opt.state_dict(), cfg, done, counts),
-                            f"{stem}.epoch{done}{ext}")
+                record = {"epoch": epoch, "L_g": sums[0] / batches, "L_l": sums[1] / batches,
+                          "L_eps": sums[2] / batches, "L_total": sums[3] / batches,
+                          "lr": lr, "grad_norm": sums[4] / batches}
+                with open(log_path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(record) + "\n")
+            done = epoch + 1
+            if checkpoint_path is not None and cfg.checkpoint_every > 0 \
+                    and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
+                stem, ext = os.path.splitext(os.fspath(checkpoint_path))
+                save_checkpoint(Checkpoint(model, opt.state_dict(), cfg, done, counts),
+                                f"{stem}.epoch{done}{ext}")
 
     ckpt = Checkpoint(model=model, opt_state=opt.state_dict(), config=cfg,
                       epoch=cfg.epochs, counts=counts)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from adpm.autodiff import Tape, scalar
-from adpm.denoiser import DenoiserParams, predict_noise, time_embed, time_embed_batch
+from adpm.denoiser import (Activations, DenoiserParams, predict_noise, time_embed,
+                           time_embed_batch)
 from adpm.errors import ConfigError, ShapeError
 
 from gradcheck import finite_diff, rel_err
@@ -154,6 +156,33 @@ def test_backward_matches_the_tape_bitwise():
     ref = tape.backward(tape.sum_sq(out))
     for name, var in graph.vars.items():
         assert grads[name].tobytes() == ref[var].tobytes(), name
+
+
+def test_backward_writes_into_out_and_returns_it():
+    params, yn, yp, t_rows = _sum_sq_case(seed=11)
+    acts = params.forward(yn, yp, t_rows)
+    fresh = params.backward(acts, 2.0 * acts.out)
+    out = np.full(fresh.size, np.nan)
+    assert params.backward(acts, 2.0 * acts.out, out) is out
+    assert out.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 64])
+@pytest.mark.parametrize("nb", [1, 2, 29, 32])
+def test_repeated_time_rows_give_the_bits_of_every_row_given(nb, h):
+    # a block of nb time rows shared by three blocks of inputs, as
+    # batch_loss passes them, against the rows written out three times;
+    # one row, or at most 3 hidden units, takes BLAS paths whose bits
+    # depend on the row count
+    params = make_params(k=6, h=h, d_att=4, t_dim=32, seed=nb + h)
+    rng = np.random.default_rng(nb * h)
+    rows = time_embed_batch(rng.integers(1, 101, size=nb), 100, 32)
+    yn, yp = rng.standard_normal((2, 3 * nb, 6))
+    shared = params.forward(yn, yp, rows, 3)
+    written = params.forward(yn, yp, np.concatenate([rows] * 3))
+    for field in dataclasses.fields(Activations):
+        assert getattr(shared, field.name).tobytes() == \
+            getattr(written, field.name).tobytes(), field.name
 
 
 def test_predict_noise_permutation_equivariance():

@@ -3,7 +3,8 @@ import pytest
 
 from adpm.data import LongTailSpec, generate_longtail, split_fractions
 from adpm.denoiser import DenoiserParams, predict_noise
-from adpm.diffusion import (forward_sample, reverse_step, sample, sample_timesteps)
+from adpm.diffusion import (_step_table, forward_sample, reverse_step, sample, sample_timesteps,
+                            sampler_plan)
 from adpm.errors import ShapeError, UsageError
 from adpm.priors import PriorNetParams, mlp_forward, prior_bundle
 from adpm.schedule import (ClassCensus, NoiseLevelConfig, NoiseSchedule, build_schedule,
@@ -143,6 +144,21 @@ def _batch_fixture(n=6, k=3, seed=12):
     rng = np.random.default_rng(seed)
     y_f = rng.dirichlet(np.ones(k), size=n)
     return y_f, rng.permutation(np.arange(n) % k)
+
+
+def test_sampler_plan_keeps_the_three_noise_free_coefficients():
+    # sample reads c_f, c_eps and zeta; sigma is reverse_step's alone
+    sched = small_schedule(T=30, lam=(1.0, 3.0, 7.5))
+    plan = sampler_plan(sched, 7, 4)
+    assert plan.coef.shape == (7, 3, 3) and not plan.coef.flags.writeable
+    for i, t in enumerate(plan.ts):
+        assert plan.coef[i].tobytes() == _step_table(sched, np.array([t]))[0].tobytes()
+        # with z = 0, reverse_step is the plan's noise-free update
+        y, y_f, eps_hat = np.random.default_rng(i).standard_normal((3, 3))
+        c_f, c_eps, zeta = plan.coef[i]
+        got = reverse_step(sched, np.arange(3), int(t), y[:, None], y_f[:, None],
+                           eps_hat[:, None], np.zeros((3, 1)))
+        assert got[:, 0].tobytes() == ((y - c_f * y_f - c_eps * eps_hat) / zeta).tobytes()
 
 
 def test_sample_batched_matches_single_rows():

@@ -195,3 +195,36 @@ def test_losses_match_the_tape_bitwise(sigma, weight):
         tape = Tape()
         assert total_loss(l_g, l_l, l_eps, weight) == scalar(total_loss_graph(
             tape, *(tape.const([[v]]) for v in (l_g, l_l, l_eps)), weight))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("nb", [1, 2, 29, 32])
+def test_stacked_mmd_equals_one_call_per_batch_bitwise(nb, k):
+    # the global and local branches' slices of a (3, nb, k) stack, as
+    # batch_loss passes them, scored in one call and one call each
+    rng = np.random.default_rng(10 * nb + k)
+    eps_true = rng.standard_normal((3, nb, k))[:2]
+    eps_pred = rng.standard_normal((3, nb, k))[:2]
+    values, grad = mmd_loss(eps_true, eps_pred, 1.0, 0.5)
+    assert values.shape == (2,) and grad.shape == eps_pred.shape
+    for i in range(2):
+        value, g = mmd_loss(eps_true[i], eps_pred[i], 1.0, 0.5)
+        assert type(value) is float
+        assert values[i] == value and grad[i].tobytes() == g.tobytes()
+    # a deeper stack scores each batch the same way
+    deep_values, deep_grad = mmd_loss(eps_true[None], eps_pred[None], 1.0, 0.5)
+    assert deep_values.shape == (1, 2) and deep_values.tobytes() == values.tobytes()
+    assert deep_grad.tobytes() == grad.tobytes()
+
+
+def test_stacked_kernel_equals_one_kernel_per_batch_bitwise():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 5, 3))
+    b = rng.standard_normal((2, 4, 3))
+    stacked = rbf_kernel(a, b, 0.8)
+    assert stacked.shape == (2, 5, 4)
+    for i in range(2):
+        assert stacked[i].tobytes() == rbf_kernel(a[i], b[i], 0.8).tobytes()
+    with pytest.raises(ShapeError):
+        rbf_kernel(a, b[..., :2], 1.0)
+

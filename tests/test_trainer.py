@@ -23,6 +23,7 @@ from adpm.trainer import (_CHECKPOINT_FIELDS, BRANCHES, KERNEL_BANDWIDTH, MMD_WE
                           load_checkpoint, model_shapes, named_views, noise_schedule,
                           save_checkpoint)
 
+import batch_loss_oracle
 from tape_oracle import (DenoiserGraph, eps_loss_graph, mmd_loss_graph, tape_batch_loss,
                          total_loss_graph)
 
@@ -160,6 +161,37 @@ def test_batch_loss_matches_the_tape_bitwise(k, rows):
     assert list(grads) == list(ref_grads) and len(grads) == 12
     for name, ref in ref_grads.items():
         assert grads[name].tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("hidden", [2, 3, 64])
+@pytest.mark.parametrize("k", [3, 6])
+def test_batch_loss_matches_the_three_call_oracle_bitwise(k, hidden):
+    # every batch of two epochs of a 33-row table at batch size 32, so the
+    # second batch of each epoch holds one row; the gradient is written
+    # into one vector, as fit writes it
+    table, _, cfg = _desk_batch(k)
+    per_class = [33 // k + (j < 33 % k) for j in range(k)]
+    table = table.take(np.concatenate([np.flatnonzero(table.labels == j)[:n]
+                                       for j, n in enumerate(per_class)]))
+    cfg = dataclasses.replace(cfg, hidden=hidden)
+    model = init_model(table.d, table.k, cfg)
+    schedule = noise_schedule(table.class_counts(), cfg)
+    priors, t_table = fit_tables(model.prior, table, cfg.T, cfg.time_dim)
+    grad = np.full(sum(arr.size for arr in model.denoiser.blocks().values()), np.nan)
+    sizes = []
+    for epoch in range(2):
+        rng = np.random.default_rng([cfg.seed, 2, epoch])
+        order = rng.permutation(table.n)
+        for start in range(0, table.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
+            args = (table.labels[idx], priors[:, idx], t_table, model, schedule, draws)
+            report, got = batch_loss(*args, grad)
+            ref_report, ref_grad = batch_loss_oracle.batch_loss(*args)
+            assert got is grad
+            assert report == ref_report and got.tobytes() == ref_grad.tobytes()
+            sizes.append(idx.size)
+    assert sizes == [32, 1, 32, 1]
 
 
 @pytest.mark.parametrize("nb, k", [(32, 6), (29, 3), (1, 1), (5, 7)])
