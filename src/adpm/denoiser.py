@@ -18,8 +18,10 @@ the gradient with the hand-derived backward pass
 (DenoiserParams.backward). The reverse sampler projects the time rows
 of its visited steps once per call and runs only the trunk at each
 step, on one (n, 2k) input whose prior half it writes once and whose
-label half it overwrites with the chains' states. No autodiff tape is
-built.
+label half it overwrites with the chains' states; the trunk then writes
+its activations into buffers sized once per call (trunk_buffers), with
+the biases tiled to n rows, and gives the bits it gives when it
+allocates. No autodiff tape is built.
 """
 
 from __future__ import annotations
@@ -121,26 +123,55 @@ class DenoiserParams(optim.BlockTable):
         """Learned projection of time embeddings, t_rows @ time_w + time_b."""
         return t_rows @ self.time_w + self.time_b
 
-    def trunk(self, x: np.ndarray, temb: np.ndarray) -> tuple:
+    def trunk(self, x: np.ndarray, temb: np.ndarray,
+              buffers: "TrunkBuffers | None" = None) -> tuple:
         """The network after the time projection: x, the (n, 2k) rows of
         noisy labels beside their priors, and their projected time rows
         temb (n rows, or one shared row) give (fused, kv, kv_v, u, h1,
         out), out being the predicted noise.
 
-        The shapes are not checked; predict_noise and sample check them.
+        Each activation is one product, then its adds and tanh in place.
+        With buffers (trunk_buffers(n)) the products write into its
+        arrays, which are returned, and the bias adds read its tiled rows;
+        without, each product allocates and the bias rows broadcast. Both
+        run the same operations in the same order, so they give the same
+        bits. The shapes are not checked; predict_noise and sample check
+        them.
         """
-        fused = x @ self.fuse_w + self.fuse_b
-        kv = np.tanh(fused @ self.enc_w + self.enc_b)
-        kv_v = kv @ self.wv
-        u = kv_v @ self.wo + temb
-        h1 = np.tanh(u @ self.dec1_w + self.dec1_b + temb)
-        return fused, kv, kv_v, u, h1, h1 @ self.dec2_w + self.dec2_b
+        acts, biases = ((None,) * 6, (self.fuse_b, self.enc_b, self.dec1_b, self.dec2_b)) \
+            if buffers is None else (buffers.acts, buffers.biases)
+        fused = np.matmul(x, self.fuse_w, out=acts[0])
+        fused += biases[0]
+        kv = np.matmul(fused, self.enc_w, out=acts[1])
+        kv += biases[1]
+        np.tanh(kv, out=kv)
+        kv_v = np.matmul(kv, self.wv, out=acts[2])
+        u = np.matmul(kv_v, self.wo, out=acts[3])
+        u += temb
+        h1 = np.matmul(u, self.dec1_w, out=acts[4])
+        h1 += biases[2]
+        h1 += temb
+        np.tanh(h1, out=h1)
+        out = np.matmul(h1, self.dec2_w, out=acts[5])
+        out += biases[3]
+        return fused, kv, kv_v, u, h1, out
+
+    def trunk_buffers(self, n: int) -> "TrunkBuffers":
+        """Arrays for trunk passes over n rows: the six activations, and
+        fuse_b, enc_b, dec1_b and dec2_b tiled to n rows as they are now."""
+        k, h, d_att, _ = self.dims()
+        return TrunkBuffers(acts=tuple(np.empty((n, w)) for w in (h, h, d_att, h, h, k)),
+                            biases=tuple(np.tile(b, (n, 1)) for b in
+                                         (self.fuse_b, self.enc_b, self.dec1_b, self.dec2_b)))
 
     def backward(self, acts: "Activations", g_out: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None,
+                 grads: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Gradient of a scalar loss whose gradient in forward's output is
         g_out, as one vector holding the blocks in blocks() order: out, a
-        float64 vector of that length, when given, else a new one.
+        float64 vector of that length, when given, else a new one. grads
+        is out's blocks as views(out) names them, for a caller that keeps
+        them with out; they are built here when not given.
 
         t_rows must hold one row per input. Each adjoint is the expression,
         in the order, that a reverse-mode tape over forward's ops computes:
@@ -151,7 +182,8 @@ class DenoiserParams(optim.BlockTable):
         ones_t = np.ones((n, 1)).T
         if out is None:
             out = np.empty(sum(arr.size for arr in self.blocks().values()))
-        grads = self.views(out)
+        if grads is None:
+            grads = self.views(out)
 
         def affine(g, x, name):
             np.matmul(x.T, g, out=grads[f"{name}_w"])
@@ -169,6 +201,14 @@ class DenoiserParams(optim.BlockTable):
         affine(g_enc, acts.fused, "enc")
         affine(g_enc @ self.enc_w.T, acts.x, "fuse")
         return out
+
+
+@dataclass(frozen=True)
+class TrunkBuffers:
+    """What trunk writes an n-row pass into and reads its biases from."""
+
+    acts: tuple[np.ndarray, ...]    # (n, h), (n, h), (n, d_att), (n, h), (n, h), (n, k)
+    biases: tuple[np.ndarray, ...]  # fuse_b, enc_b, dec1_b, dec2_b, each tiled to n rows
 
 
 @dataclass

@@ -33,12 +33,19 @@ visited steps, a table of the three coefficients c_f = (xi - zeta)/xi,
 c_eps = lam*beta^t/sqrt(xi) and zeta for every class at those steps,
 and the time embeddings of those steps only. Each call then
 projects the plan's time rows, looks each row's class up in the table
-once, and computes c_f y_f of every step in one array operation. Each
-step copies the states into the label half of an (n, 2k) input whose
-prior half is written once, runs the denoiser trunk on it once, and
-applies one in-place update
+once, and sizes what the steps write into for its n rows: the trunk's
+activations and its four bias rows tiled to n rows
+(DenoiserParams.trunk_buffers), one (n, k) array for c_f y_f and an
+(n, 2k) trunk input whose prior half is written once. Each step copies
+the states into the input's label half, forms c_f y_f of that step in
+its array (no (S, n, k) table of every step's is built), runs the
+denoiser trunk once, every product, add and tanh in place, and applies
+one in-place update
 
-    y <- (y - c_f y_f - c_eps eps_hat) / zeta.
+    y <- (y - c_f y_f - c_eps eps_hat) / zeta,
+
+so a step allocates no array. The operations and their order are those
+of the allocating trunk, so the buffers change no bit.
 
 reverse_step is the one-step case of the same table and the same
 update (_update), followed by + sigma z, so the formula lives in one
@@ -237,9 +244,10 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps:
     y_f is the (n, k) matrix of the inputs' fused priors; row r starts at
     y^T = y_f[r] and runs at the noise level of class classes[r] of the
     schedule, with no sigma z term, so nothing is drawn. The chains step
-    together, one denoiser pass per step for all rows. The classes, the
-    shapes and every visited step's gamma^t < 1 are checked before the
-    loop. With steps < T the chains visit an evenly strided timestep
+    together, one denoiser pass per step for all rows, each step writing
+    into arrays sized once per call: the trunk's buffers, its input and
+    the step's c_f y_f. The classes, the shapes and every visited step's
+    gamma^t < 1 are checked before the loop. With steps < T the chains visit an evenly strided timestep
     subsequence and use the stored gamma values at those indices. The
     returned y0 and every trace snapshot are arrays of their own.
     """
@@ -257,21 +265,23 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps:
     # product would round differently); the blocks may change between
     # calls, so this is not memoized
     tembs = params.project_time(plan.t_rows[:, None, :])
-    # each row's coefficients at every step, (S, n, 1) each, and the
-    # term of the update that does not depend on the state, shift = c_f
-    # y_f, (S, n, k)
+    # each row's coefficients at every step, (S, n, 1) each
     c_f, c_eps, zeta = np.moveaxis(plan.coef[:, :, classes, None], 1, 0)
-    shift = c_f * y_f
-    # the trunk's input, the labels beside the priors; y stays a
-    # contiguous array of its own, since in-place updates of a strided
-    # view run row by row
+    # what every step writes into, sized once: the trunk's activations and
+    # tiled biases, and the term of the update that does not depend on
+    # the state, shift = c_f y_f; the trunk's input holds the labels
+    # beside the priors, and y stays a contiguous array of its own, since
+    # in-place updates of a strided view run row by row
+    buffers = params.trunk_buffers(n)
+    shift = np.empty((n, k))
     x = np.empty((n, 2 * k))
     x[:, k:] = y_f
     y = y_f.copy()
     snapshots = [(schedule.T, y.copy())] if trace else None
     for i, t in enumerate(plan.ts):
         x[:, :k] = y
-        _update(y, shift[i], c_eps[i], params.trunk(x, tembs[i])[-1], zeta[i])
+        np.multiply(c_f[i], y_f, out=shift)
+        _update(y, shift, c_eps[i], params.trunk(x, tembs[i], buffers)[-1], zeta[i])
         if trace:
             snapshots.append((int(t) - 1, y.copy()))
     return SampleBatch(y0=y, lam=schedule.lam[classes], trace=snapshots)

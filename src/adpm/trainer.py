@@ -24,8 +24,9 @@ the denoiser gives the gradient of the 12 denoiser blocks. No library
 path builds an autodiff tape. The denoiser's blocks, their gradient and
 Adam's moments are each one float64 vector (BlockTable.flat makes the
 blocks views into theirs, and views names the others), so one optimizer
-pass updates them all; fit allocates the gradient vector once, and
-every step's backward pass writes into it. The epoch loop runs inside
+pass updates them all; fit allocates the gradient vector and its
+named block views once, and every step's backward pass writes into it
+through them. The epoch loop runs inside
 one np.errstate that silences overflow and invalid-value warnings, and
 a step whose loss is not finite stops training with a ConfigError
 instead. Adam is the only optimizer: it runs at the config's
@@ -280,10 +281,13 @@ def fit_tables(prior: PriorNetParams, table: DatasetTable, T: int,
 
 def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
                model: ModelParams, schedule: NoiseSchedule, draws: BatchDraws,
-               out: np.ndarray | None = None) -> tuple[LossReport, np.ndarray]:
+               out: np.ndarray | None = None,
+               grads: dict[str, np.ndarray] | None = None) -> tuple[LossReport, np.ndarray]:
     """Evaluate the three-branch objective on one batch, and its gradient
     in the denoiser blocks as one vector in model.denoiser_blocks() order
     (named_views names its blocks): out, when given, else a new vector.
+    grads, out's block views as DenoiserParams.views gives them, spares
+    the backward pass building them.
 
     labels holds the batch's (nb,) class labels, priors its rows of
     fit_tables' priors, (3, nb, k), and t_table is fit_tables' time
@@ -304,7 +308,7 @@ def batch_loss(labels: np.ndarray, priors: np.ndarray, t_table: np.ndarray,
     l_eps, g_f = eps_loss(draws.eps[2], eps_hat[2])
     report = LossReport(L_g=l_g, L_l=l_l, L_eps=l_eps,
                         L_total=total_loss(l_g, l_l, l_eps, MMD_WEIGHT))
-    return report, model.denoiser.backward(acts, np.concatenate([*g_gl, g_f]), out)
+    return report, model.denoiser.backward(acts, np.concatenate([*g_gl, g_f]), out, grads)
 
 
 @functools.cache
@@ -372,7 +376,9 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
     if resume is not None:
         opt.load_state_dict(resume.opt_state)
     total_steps = cfg.epochs * -(-table.n // cfg.batch_size)
-    grad = np.empty_like(params)  # every step writes its gradient here
+    # every step writes its gradient here, through views built once
+    grad = np.empty_like(params)
+    grad_views = model.denoiser.views(grad)
     # a non-finite loss is reported in the loop, with its epoch and batch
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(start_epoch, cfg.epochs):
@@ -384,7 +390,7 @@ def fit(table: DatasetTable, cfg: TrainConfig, *, log_path=None,
                 idx = order[start:start + cfg.batch_size]
                 draws = draw_batch_noise(rng, idx.size, table.k, cfg.T)
                 report, grad = batch_loss(table.labels[idx], priors[:, idx], t_table,
-                                          model, schedule, draws, grad)
+                                          model, schedule, draws, grad, grad_views)
                 if not np.isfinite(report.L_total):
                     bad = [name for name, g in named_views(model, grad).items()
                            if not np.isfinite(g).all()]

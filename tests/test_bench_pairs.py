@@ -206,3 +206,105 @@ def test_aa_runs_a_copy_of_the_parent_in_every_pair(tmp_path, monkeypatch, capsy
     lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
     assert lines["job_s"].endswith("+20.0% better, won 3/3 a/a +0.0% [+0.0%, +0.0%]")
     assert lines["setup_s"].endswith("+0.0% better, won 0/3 a/a +0.0% [+0.0%, +0.0%]")
+
+
+_STUB_RUN = '''
+def import_library():
+    pass
+'''
+_STUB_WORKLOADS = '''
+import pathlib
+from types import SimpleNamespace
+
+OUT_DIR = pathlib.Path(__file__).resolve().parent / "out"
+JOB_S = {job_s!r}
+LOG = {log!r}
+
+
+class Stub:
+    def __init__(self, seed):
+        self.seed = seed
+
+    def setup(self):
+        with open(LOG, "a") as fh:
+            fh.write(f"{{OUT_DIR.parent.parent.name}} {{self.seed}} setup\\n")
+        return {{"passes": 0}}
+
+    def run_pass(self, state):
+        state["passes"] += 1
+        with open(LOG, "a") as fh:
+            fh.write(f"{{OUT_DIR.parent.parent.name}} {{self.seed}} pass\\n")
+        return SimpleNamespace(job_s=JOB_S[state["passes"] % len(JOB_S)],
+                               request_s=[0.001 * state["passes"]],
+                               fingerprint=b"same" if {same!r} else bytes(state["passes"]))
+
+
+WORKLOADS = {{"stub": Stub}}
+'''
+
+
+def _stub_trees(tmp_path, monkeypatch, job_s, same=True):
+    # a parent and a change tree whose stub workload reports the job times
+    # job_s gives it, and logs every set-up and pass with its tree and seed
+    log = tmp_path / "log.txt"
+    trees = {}
+    for name in ("parent", "change"):
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(_STUB_RUN)
+        (tree / "perfbench" / "workloads.py").write_text(_STUB_WORKLOADS.format(
+            job_s=job_s[name], log=str(log), same=same))
+        trees[name] = tree
+    (trees["change"] / "BENCHMARK.json").write_bytes(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_bytes())
+    monkeypatch.setattr(bench_pairs, "ROOT", trees["change"])
+    return trees, log
+
+
+def test_inproc_times_calls_passes_in_one_fresh_process_per_tree(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the parent's passes take 10 ms, the change's 8 ms but its first 1 s
+    trees, log = _stub_trees(tmp_path, monkeypatch,
+                             {"parent": [0.01], "change": [0.008, 1.0, 0.008]})
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--pairs", "2",
+                             "--workloads", "stub", "--inproc", "3"]) == 0
+    # one set-up and then 3 passes per tree and pair, the change first in
+    # pair 1 and the parent first in pair 2; a fresh process each time
+    # runs the tree's own workloads.py
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert runs == [[tree, seed, step] for tree, seed in
+                    (("change", "1"), ("parent", "1"), ("parent", "2"), ("change", "2"))
+                    for step in ("setup", "pass", "pass", "pass")]
+    assert (trees["change"] / "perfbench" / "out").is_dir()
+    # the median pass is read, and the requests 1-3 ms give a p90 of 2.8 ms
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+    assert set(lines) == {"job_s", "request_ms_p90"}
+    assert "ratio 0.800 " in lines["job_s"] and "won 2/2" in lines["job_s"]
+    assert "parent 2.8 [2.8, 2.8]" in lines["request_ms_p90"]
+    assert "ratio 1.000 " in lines["request_ms_p90"] and "won 0/2" in lines["request_ms_p90"]
+
+
+def test_inproc_passes_that_differ_stop_with_exit_1(tmp_path, monkeypatch, capsys):
+    trees, _ = _stub_trees(tmp_path, monkeypatch, {"parent": [0.01], "change": [0.01]},
+                           same=False)
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--pairs", "1",
+                             "--workloads", "stub", "--inproc", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "in-process" in err and "differ bitwise" in err
+
+
+def test_inproc_needs_one_call_at_least(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path), "--inproc", "0"])
+
+
+def test_the_paired_ratio_is_the_median_of_the_per_pair_ratios():
+    rows = {row["metric"]: row for row in bench_pairs.summarize(_pairs(), METRICS)}
+    # job_s ratios 0.8, 0.9, 1.1 and 0.7 have the median 0.85
+    assert rows["job_s"]["ratio"] == pytest.approx(0.85)
+    assert "ratio 0.850 " in bench_pairs.format_row("desk", rows["job_s"])
+    zero = [({"job_s": 0.0}, {"job_s": 1.0}), ({"job_s": 1.0}, {"job_s": 1.0})]
+    row = bench_pairs.summarize(zero, METRICS[:1])[0]
+    assert row["ratio"] is None and "ratio" not in bench_pairs.format_row("desk", row)

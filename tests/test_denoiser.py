@@ -167,6 +167,39 @@ def test_backward_writes_into_out_and_returns_it():
     assert out.tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("h", [2, 3, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 269])
+def test_trunk_into_buffers_gives_the_bits_of_the_allocating_trunk(n, h, k):
+    # one row takes BLAS's gemv path, and h or k <= 3 gives products with
+    # at most 3 columns; the buffers are written in place, twice over, and
+    # what the first pass left in them does not reach the second
+    params = make_params(k=k, h=h, d_att=4, t_dim=8, seed=n + h + k)
+    params = DenoiserParams(**{name: arr + 0.1 if "_b" in name else arr
+                               for name, arr in params.blocks().items()})
+    rng = np.random.default_rng(n * h * k)
+    temb = params.project_time(time_embed_batch(np.array([37]), 100, 8))
+    buffers = params.trunk_buffers(n)
+    assert all(b.shape == (n, params.blocks()[name].shape[1]) for b, name in
+               zip(buffers.biases, ("fuse_b", "enc_b", "dec1_b", "dec2_b")))
+    for _ in range(2):
+        x = rng.standard_normal((n, 2 * k))
+        fresh = params.trunk(x, temb)
+        into = params.trunk(x, temb, buffers)
+        assert all(a is b for a, b in zip(into, buffers.acts))
+        for a, b in zip(fresh, into):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_backward_through_kept_views_writes_out():
+    params, yn, yp, t_rows = _sum_sq_case(seed=11)
+    acts = params.forward(yn, yp, t_rows)
+    fresh = params.backward(acts, 2.0 * acts.out)
+    out = np.full(fresh.size, np.nan)
+    assert params.backward(acts, 2.0 * acts.out, out, params.views(out)) is out
+    assert out.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("h", [2, 3, 4, 64])
 @pytest.mark.parametrize("nb", [1, 2, 29, 32])
 def test_repeated_time_rows_give_the_bits_of_every_row_given(nb, h):

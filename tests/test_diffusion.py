@@ -224,6 +224,41 @@ def test_signal_coefficient_ordering_across_classes():
     assert (root[0] >= root[1]).all() and (root[1] >= root[2]).all()
 
 
+def test_sample_steps_in_buffers_sized_once_per_call(monkeypatch):
+    # every step hands the trunk the same input and the same buffers, and
+    # gets its predicted noise in the same array; and the call's peak
+    # traced memory stays below one (S, n, k) array, the size of a table
+    # of c_f y_f at every step
+    import tracemalloc
+
+    k, T, n = 8, 40, 3000
+    census = ClassCensus((80, 70, 60, 50, 40, 30, 20, 10))
+    sched = build_schedule(linear_beta(T, 0.001, 0.02),
+                           lambda_vector(census, NoiseLevelConfig(alpha=0.25, c=2.0)))
+    rng = np.random.default_rng(3)
+    params = DenoiserParams.draw((k, 6, 4, 4), rng)
+    y_f, classes = rng.dirichlet(np.ones(k), size=n), rng.integers(0, k, size=n)
+    seen = []
+    trunk = DenoiserParams.trunk
+
+    def recording(self, x, temb, *buffers):
+        acts = trunk(self, x, temb, *buffers)
+        seen.append((x, buffers, acts[-1]))
+        return acts
+    monkeypatch.setattr(DenoiserParams, "trunk", recording)
+    sampler_plan(sched, T, params.t_emb_dim)  # the plan is not part of the call's cost
+    tracemalloc.start()
+    try:
+        sample(sched, params, y_f, classes, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x, (buffers,), _ = seen[0]
+    assert len(seen) == T
+    assert all(a is x and b == (buffers,) and eps is buffers.acts[-1] for a, b, eps in seen)
+    assert peak < T * n * k * 8
+
+
 def _refuse_the_loop(monkeypatch):
     import adpm.denoiser
 

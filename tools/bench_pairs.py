@@ -2,7 +2,7 @@
 summarize the end-to-end metrics.
 
     python tools/bench_pairs.py --parent DIR [--pairs 10] [--seconds 35] \\
-        [--workloads desk,sample,bound] [--aa]
+        [--workloads desk,sample,bound] [--aa] [--inproc CALLS]
 
 DIR is a checkout of the parent commit (for example a ``git archive`` of
 it unpacked into a scratch directory). Pair i, for i = 1..N, runs
@@ -13,8 +13,9 @@ line of standard output is its JSON summary.
 
 For each workload and each end-to-end metric of this checkout's
 ``BENCHMARK.json`` the script prints the parent's and the change's
-medians and quartiles, the change of the median relative to the
-parent's, and the pairs the change won (ties count for neither). A row
+medians and quartiles, the paired ratio (the median over pairs of the
+change's value over the parent's), the change of the median relative to
+the parent's, and the pairs the change won (ties count for neither). A row
 is flagged ``worse`` when the change's median is worse than the
 parent's by more than the metric's bound, and ``unresolved`` when the
 parent's own interquartile range, relative to its median, is wider than
@@ -36,10 +37,21 @@ comparison: two trees that do the same work. Each row then also shows
 the A/A change of the median and the range of the A/A per-pair changes,
 and a real change (not 0) inside that range is flagged ``unresolved``.
 
+With ``--inproc CALLS`` no harness run starts. Instead each tree of a
+pair gets one fresh process, which imports the library through the
+tree's own ``perfbench/run.py``, sets the workload of the tree's own
+``perfbench/workloads.py`` up with the pair's seed and then times CALLS
+passes, each checked bitwise against the first. The order of the trees
+alternates as above. Each side's reading of a pair is the median
+``job_s`` of its passes and the 90th percentile of all its requests
+(``request_ms_p90``), and the rows of those two metrics are printed as
+above. This reading does not depend on the harness's run length or
+pass count.
+
 A run that fails, reports ``correct: false`` or leaves no readable
-detail file stops the script with exit status 1. Nothing under
-``perfbench/`` is edited; each run writes its details to its own
-tree's ``perfbench/out/``.
+detail file stops the script with exit status 1, as does an in-process
+run that fails or whose passes differ. Nothing under ``perfbench/`` is
+edited; each run writes its details to its own tree's ``perfbench/out/``.
 """
 
 from __future__ import annotations
@@ -91,6 +103,43 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     return {**{name: m["value"] for name, m in summary["metrics"].items()}, PASSES: passes}
 
 
+# what an --inproc process runs, given the tree, workload, seed and pass
+# count: its last line of output is {"job_s": [...], "request_s": [...]}
+INPROC = """
+import json, sys
+tree, workload, seed, calls = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path.insert(0, tree + "/perfbench")
+import run
+run.import_library()
+import workloads
+bench = workloads.WORKLOADS[workload](seed)
+workloads.OUT_DIR.mkdir(exist_ok=True)
+state = bench.setup()
+passes = [bench.run_pass(state) for _ in range(calls)]
+if any(p.fingerprint != passes[0].fingerprint for p in passes):
+    sys.exit("a pass's outputs differ bitwise from the first pass's")
+print(json.dumps({"job_s": [p.job_s for p in passes],
+                  "request_s": [r for p in passes for r in p.request_s]}))
+"""
+INPROC_METRICS = ("job_s", "request_ms_p90")
+
+
+def inproc_once(tree: Path, workload: str, seed: int, calls: int) -> dict[str, float]:
+    """job_s, the median of calls passes timed in one fresh process of
+    tree, and request_ms_p90, the 90th percentile of their requests."""
+    argv = [sys.executable, "-c", INPROC, str(tree), workload, str(seed), str(calls)]
+    proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        got = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+        return {"job_s": float(np.median(got["job_s"])),
+                "request_ms_p90": float(np.percentile(got["request_s"], 90)) * 1e3}
+    except (ValueError, TypeError, KeyError, IndexError):
+        raise RunFailed(f"{tree} {workload} seed {seed} in-process: exit {proc.returncode}, "
+                        f"stderr {proc.stderr.strip()[-300:]!r}") from None
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(float(q) for q in np.percentile(values, [25, 50, 75]))
 
@@ -113,8 +162,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
     of (parent, change) metric dicts of one workload.
 
     Each row holds the metric's name, both sides' (q1, median, q3), the
-    change's relative change of the median (positive is better), its wins
-    and the pair count, and its flags: "worse", "unresolved", both or none.
+    change's relative change of the median (positive is better), the
+    paired ratio (None when a parent value is 0), its wins and the pair
+    count, and its flags: "worse", "unresolved", both or none.
     The RETAINED row also holds both sides' median pass counts, the MB per
     pass and the change's RSS at the parent's median pass count when
     every run carries a pass count. With aa_pairs, (parent, copy) metric
@@ -140,7 +190,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
                                                   and aa[1] <= gain <= aa[2])
         flags = [flag for flag, raised in (("worse", -gain > metric["bound"]),
                                            ("unresolved", unresolved)) if raised]
+        ratio = float(np.median([c / p for p, c in zip(parent, change)])) \
+            if all(parent) else None
         rows.append({"metric": name, "parent": before, "change": after, "gain": gain,
+                     "ratio": ratio,
                      "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                      "pairs": len(pairs), "flags": flags})
         if aa is not None:
@@ -180,8 +233,9 @@ def format_row(workload: str, row: dict) -> str:
                       f"passes {row['rss_at_parent_passes']:.6g} ")
     if "aa" in row:
         extra += f"a/a {row['aa'][0]:+.1%} [{row['aa'][1]:+.1%}, {row['aa'][2]:+.1%}] "
+    ratio = "" if row.get("ratio") is None else f"ratio {row['ratio']:.3f} "
     return (f"{workload:7s} {row['metric']:15s} parent {side(row['parent']):34s} "
-            f"change {side(row['change']):34s} {row['gain']:+8.1%} better, "
+            f"change {side(row['change']):34s} {ratio}{row['gain']:+8.1%} better, "
             f"won {row['wins']}/{row['pairs']} {extra}{' '.join(row['flags'])}").rstrip()
 
 
@@ -194,18 +248,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     parser.add_argument("--aa", action="store_true",
                         help="also run a copy of the parent as an A/A control")
+    parser.add_argument("--inproc", type=int, metavar="CALLS",
+                        help="time CALLS passes in one process per tree and pair instead")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     if not (trees["parent"] / "perfbench" / "run.py").is_file():
         parser.error(f"--parent: no perfbench/run.py under {args.parent}")
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1 or args.seconds <= 0 or (args.inproc is not None and args.inproc < 1):
+        parser.error("--pairs and --inproc must be >= 1 and --seconds > 0")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_aa_") as tmp:
         if args.aa:
             trees["copy"] = Path(tmp) / "parent"
             shutil.copytree(trees["parent"], trees["copy"],
                             ignore=shutil.ignore_patterns("out", "__pycache__", ".git"))
-        return _run(args, trees, bench["end_to_end"])
+        metrics = bench["end_to_end"]
+        if args.inproc is not None:
+            metrics = [m for m in metrics if m["name"] in INPROC_METRICS]
+        return _run(args, trees, metrics)
 
 
 def _run(args, trees: dict[str, Path], metrics: list[dict]) -> int:
@@ -217,6 +276,8 @@ def _run(args, trees: dict[str, Path], metrics: list[dict]) -> int:
                 order.insert(seed % 3, "copy")
             try:
                 got = {side: run_once(trees[side], workload, seed, args.seconds)
+                       if args.inproc is None
+                       else inproc_once(trees[side], workload, seed, args.inproc)
                        for side in order}
             except RunFailed as exc:
                 print(f"bench_pairs: run failed: {exc}", file=sys.stderr)
