@@ -15,13 +15,26 @@ forward pass (DenoiserParams.forward) concatenates the noisy labels with
 their priors and projects the time rows (project_time), then runs the
 trunk on both. Training runs forward, keeps the activations and takes
 the gradient with the hand-derived backward pass
-(DenoiserParams.backward). The reverse sampler projects the time rows
-of its visited steps once per call and runs only the trunk at each
-step, on one (n, 2k) input whose prior half it writes once and whose
-label half it overwrites with the chains' states; the trunk then writes
-its activations into buffers sized once per call (trunk_buffers), with
-the biases tiled to n rows, and gives the bits it gives when it
-allocates. No autodiff tape is built.
+(DenoiserParams.backward). No autodiff tape is built.
+
+Two chains of the trunk have no nonlinearity inside them, fuse -> enc
+and wv -> wo -> dec1, so at inference each runs as one product of
+weights. DenoiserParams.fold multiplies them out once per sampler call,
+and FoldedTrunk.step then predicts the noise of x at the i-th visited
+step with three products:
+
+    kv = tanh(x @ W_in + b_in),  h1 = tanh(kv @ W_mid + r_i),
+    eps = h1 @ dec2_w + dec2_b,
+
+where W_in = fuse_w @ enc_w, b_in = fuse_b @ enc_w + enc_b,
+W_mid = wv @ wo @ dec1_w, and r_i = temb_i @ dec1_w + dec1_b + temb_i is
+a step's row of one (S, h) table of the visited steps' time biases. The
+step writes its three activations into arrays sized once per call, with
+b_in and dec2_b tiled to the rows, so it allocates nothing. It is the
+same function rounded in another order: on the desk and sample runs its
+endpoints moved by at most about 1e-12 relative and no prediction
+changed. Training keeps the unfolded trunk, since backward reads every
+activation.
 """
 
 from __future__ import annotations
@@ -123,46 +136,51 @@ class DenoiserParams(optim.BlockTable):
         """Learned projection of time embeddings, t_rows @ time_w + time_b."""
         return t_rows @ self.time_w + self.time_b
 
-    def trunk(self, x: np.ndarray, temb: np.ndarray,
-              buffers: "TrunkBuffers | None" = None) -> tuple:
+    def trunk(self, x: np.ndarray, temb: np.ndarray) -> tuple:
         """The network after the time projection: x, the (n, 2k) rows of
         noisy labels beside their priors, and their projected time rows
         temb (n rows, or one shared row) give (fused, kv, kv_v, u, h1,
-        out), out being the predicted noise.
+        out), out being the predicted noise; backward reads them all.
 
         Each activation is one product, then its adds and tanh in place.
-        With buffers (trunk_buffers(n)) the products write into its
-        arrays, which are returned, and the bias adds read its tiled rows;
-        without, each product allocates and the bias rows broadcast. Both
-        run the same operations in the same order, so they give the same
-        bits. The shapes are not checked; predict_noise and sample check
-        them.
+        The shapes are not checked; predict_noise checks them.
         """
-        acts, biases = ((None,) * 6, (self.fuse_b, self.enc_b, self.dec1_b, self.dec2_b)) \
-            if buffers is None else (buffers.acts, buffers.biases)
-        fused = np.matmul(x, self.fuse_w, out=acts[0])
-        fused += biases[0]
-        kv = np.matmul(fused, self.enc_w, out=acts[1])
-        kv += biases[1]
+        fused = x @ self.fuse_w
+        fused += self.fuse_b
+        kv = fused @ self.enc_w
+        kv += self.enc_b
         np.tanh(kv, out=kv)
-        kv_v = np.matmul(kv, self.wv, out=acts[2])
-        u = np.matmul(kv_v, self.wo, out=acts[3])
+        kv_v = kv @ self.wv
+        u = kv_v @ self.wo
         u += temb
-        h1 = np.matmul(u, self.dec1_w, out=acts[4])
-        h1 += biases[2]
+        h1 = u @ self.dec1_w
+        h1 += self.dec1_b
         h1 += temb
         np.tanh(h1, out=h1)
-        out = np.matmul(h1, self.dec2_w, out=acts[5])
-        out += biases[3]
+        out = h1 @ self.dec2_w
+        out += self.dec2_b
         return fused, kv, kv_v, u, h1, out
 
-    def trunk_buffers(self, n: int) -> "TrunkBuffers":
-        """Arrays for trunk passes over n rows: the six activations, and
-        fuse_b, enc_b, dec1_b and dec2_b tiled to n rows as they are now."""
-        k, h, d_att, _ = self.dims()
-        return TrunkBuffers(acts=tuple(np.empty((n, w)) for w in (h, h, d_att, h, h, k)),
-                            biases=tuple(np.tile(b, (n, 1)) for b in
-                                         (self.fuse_b, self.enc_b, self.dec1_b, self.dec2_b)))
+    def fold(self, t_rows: np.ndarray, n: int) -> "FoldedTrunk":
+        """The trunk at inference on n rows at the S steps whose time
+        embeddings are the rows of t_rows (S, t_dim), with its two linear
+        chains multiplied out once: fuse -> enc becomes one (2k, h) map
+        and wv -> wo -> dec1 one (h, h) map, whose time bias is one row
+        per step, temb @ dec1_w + dec1_b + temb. Each time row is
+        projected and multiplied by dec1_w as a 1-row product, as
+        predict_noise projects its step's row.
+        """
+        temb = self.project_time(t_rows[:, None, :])
+        r = temb @ self.dec1_w
+        r += self.dec1_b
+        r += temb
+        b_in = self.fuse_b @ self.enc_w
+        b_in += self.enc_b
+        k, h, _, _ = self.dims()
+        return FoldedTrunk(w_in=self.fuse_w @ self.enc_w, b_in=np.tile(b_in, (n, 1)),
+                           w_mid=self.wv @ self.wo @ self.dec1_w, r=r[:, 0, :],
+                           w_out=self.dec2_w, b_out=np.tile(self.dec2_b, (n, 1)),
+                           acts=(np.empty((n, h)), np.empty((n, h)), np.empty((n, k))))
 
     def backward(self, acts: "Activations", g_out: np.ndarray,
                  out: np.ndarray | None = None,
@@ -204,11 +222,35 @@ class DenoiserParams(optim.BlockTable):
 
 
 @dataclass(frozen=True)
-class TrunkBuffers:
-    """What trunk writes an n-row pass into and reads its biases from."""
+class FoldedTrunk:
+    """The trunk at inference on n rows at S visited steps, as
+    DenoiserParams.fold builds it: the folded maps, the biases tiled to n
+    rows and the activations every step writes into."""
 
-    acts: tuple[np.ndarray, ...]    # (n, h), (n, h), (n, d_att), (n, h), (n, h), (n, k)
-    biases: tuple[np.ndarray, ...]  # fuse_b, enc_b, dec1_b, dec2_b, each tiled to n rows
+    w_in: np.ndarray    # (2k, h)  fuse_w @ enc_w
+    b_in: np.ndarray    # (n, h)   fuse_b @ enc_w + enc_b, tiled
+    w_mid: np.ndarray   # (h, h)   wv @ wo @ dec1_w
+    r: np.ndarray       # (S, h)   temb @ dec1_w + dec1_b + temb, one row per step
+    w_out: np.ndarray   # (h, k)   dec2_w
+    b_out: np.ndarray   # (n, k)   dec2_b, tiled
+    acts: tuple[np.ndarray, ...]  # kv (n, h), h1 (n, h), eps (n, k)
+
+    def step(self, x: np.ndarray, i: int) -> np.ndarray:
+        """The predicted noise of the (n, 2k) rows x at the i-th step, as
+        three products, kv = tanh(x @ w_in + b_in), h1 = tanh(kv @ w_mid
+        + r[i]) and h1 @ w_out + b_out, each written with its adds and
+        tanh into acts; the returned array is acts' last, overwritten by
+        the next step."""
+        kv, h1, eps = self.acts
+        np.matmul(x, self.w_in, out=kv)
+        kv += self.b_in
+        np.tanh(kv, out=kv)
+        np.matmul(kv, self.w_mid, out=h1)
+        h1 += self.r[i]
+        np.tanh(h1, out=h1)
+        np.matmul(h1, self.w_out, out=eps)
+        eps += self.b_out
+        return eps
 
 
 @dataclass

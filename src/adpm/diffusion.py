@@ -31,21 +31,21 @@ row. What depends only on the schedule, the step count and the time
 embedding width is memoized as a SamplerPlan (sampler_plan): the
 visited steps, a table of the three coefficients c_f = (xi - zeta)/xi,
 c_eps = lam*beta^t/sqrt(xi) and zeta for every class at those steps,
-and the time embeddings of those steps only. Each call then
-projects the plan's time rows, looks each row's class up in the table
-once, and sizes what the steps write into for its n rows: the trunk's
-activations and its four bias rows tiled to n rows
-(DenoiserParams.trunk_buffers), one (n, k) array for c_f y_f and an
+and the time embeddings of those steps only. Each call then folds the
+denoiser for the plan's steps and its n rows (DenoiserParams.fold: the
+trunk's linear chains multiplied out, one time-bias row per visited step
+and the activations a step writes into) and sizes one (3, n) array for
+a step's coefficients of every row, one (n, k) array for c_f y_f and an
 (n, 2k) trunk input whose prior half is written once. Each step copies
-the states into the input's label half, forms c_f y_f of that step in
-its array (no (S, n, k) table of every step's is built), runs the
-denoiser trunk once, every product, add and tanh in place, and applies
-one in-place update
+the states into the input's label half, gathers its own (3, k) row of
+the table by class into the coefficient array, so the call's memory
+does not grow with the step count, forms c_f y_f in its array, runs the
+folded trunk once (FoldedTrunk.step: three products, each with its adds
+and tanh in place) and applies one in-place update
 
     y <- (y - c_f y_f - c_eps eps_hat) / zeta,
 
-so a step allocates no array. The operations and their order are those
-of the allocating trunk, so the buffers change no bit.
+so a step allocates no array.
 
 reverse_step is the one-step case of the same table and the same
 update (_update), followed by + sigma z, so the formula lives in one
@@ -244,12 +244,14 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps:
     y_f is the (n, k) matrix of the inputs' fused priors; row r starts at
     y^T = y_f[r] and runs at the noise level of class classes[r] of the
     schedule, with no sigma z term, so nothing is drawn. The chains step
-    together, one denoiser pass per step for all rows, each step writing
-    into arrays sized once per call: the trunk's buffers, its input and
-    the step's c_f y_f. The classes, the shapes and every visited step's
-    gamma^t < 1 are checked before the loop. With steps < T the chains visit an evenly strided timestep
-    subsequence and use the stored gamma values at those indices. The
-    returned y0 and every trace snapshot are arrays of their own.
+    together, one pass of the folded denoiser per step for all rows, each
+    step writing into arrays sized once per call: the folded trunk's
+    activations, its input, the step's coefficients and its c_f y_f. The
+    classes, the shapes and every visited step's gamma^t < 1 are checked
+    before the loop. With steps < T the chains visit an evenly strided
+    timestep subsequence and use the stored gamma values at those
+    indices. The returned y0 and every trace snapshot are arrays of their
+    own.
     """
     y_f = np.asarray(y_f, dtype=np.float64)
     classes = _class_index(schedule, classes)
@@ -260,19 +262,15 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps:
     if k != params.k:
         raise ShapeError(f"the denoiser predicts k={params.k} classes, y_f has k={k}")
     plan = sampler_plan(schedule, steps, params.t_emb_dim)
-    # the visited time rows projected as an (S, 1, .) stack: one 1-row
-    # product per step, the product predict_noise runs (a single (S, .)
-    # product would round differently); the blocks may change between
-    # calls, so this is not memoized
-    tembs = params.project_time(plan.t_rows[:, None, :])
-    # each row's coefficients at every step, (S, n, 1) each
-    c_f, c_eps, zeta = np.moveaxis(plan.coef[:, :, classes, None], 1, 0)
-    # what every step writes into, sized once: the trunk's activations and
-    # tiled biases, and the term of the update that does not depend on
-    # the state, shift = c_f y_f; the trunk's input holds the labels
-    # beside the priors, and y stays a contiguous array of its own, since
-    # in-place updates of a strided view run row by row
-    buffers = params.trunk_buffers(n)
+    # the blocks may change between calls, so the fold is not memoized
+    trunk = params.fold(plan.t_rows, n)
+    # what every step writes into, sized once: one step's coefficients of
+    # every row, gathered by class, and the term of the update that does
+    # not depend on the state, shift = c_f y_f; the trunk's input holds
+    # the labels beside the priors, and y stays a contiguous array of its
+    # own, since in-place updates of a strided view run row by row
+    coef = np.empty((3, n))
+    c_f, c_eps, zeta = coef[:, :, None]
     shift = np.empty((n, k))
     x = np.empty((n, 2 * k))
     x[:, k:] = y_f
@@ -280,8 +278,10 @@ def sample(schedule: NoiseSchedule, params: DenoiserParams, y_f, classes, steps:
     snapshots = [(schedule.T, y.copy())] if trace else None
     for i, t in enumerate(plan.ts):
         x[:, :k] = y
-        np.multiply(c_f[i], y_f, out=shift)
-        _update(y, shift, c_eps[i], params.trunk(x, tembs[i], buffers)[-1], zeta[i])
+        # the classes are checked above; mode "raise" would buffer out
+        np.take(plan.coef[i], classes, axis=1, out=coef, mode="clip")
+        np.multiply(c_f, y_f, out=shift)
+        _update(y, shift, c_eps, trunk.step(x, i), zeta)
         if trace:
             snapshots.append((int(t) - 1, y.copy()))
     return SampleBatch(y0=y, lam=schedule.lam[classes], trace=snapshots)

@@ -11,10 +11,10 @@ four blocks are the whole network.
 The network is trained once, by warmup_train's cross entropy, and then
 frozen. Warmup runs on the network's flat form (BlockTable.flat): the
 blocks and the gradient are each one vector, and _cross_entropy_grads
-writes its gradient into the blocks' views of it. Once trained, fit
-computes the priors of every training row once and the diffusion
-training loop takes them as constants, and inference reads the same
-network. Every pass runs as plain numpy (mlp_forward,
+writes its gradient into the blocks' views of it, built once per run.
+Once trained, fit computes the priors of every training row once and
+the diffusion training loop takes them as constants, and inference reads
+the same network. Every pass runs as plain numpy (mlp_forward,
 prior_bundle); PriorGraph only copies prior_bundle's values onto a
 caller's tape as constants, so importing the library loads no tape.
 """
@@ -124,11 +124,11 @@ class PriorGraph:
 
 
 def _cross_entropy_grads(params: PriorNetParams, x: np.ndarray, onehot: np.ndarray,
-                         out: np.ndarray) -> float:
+                         grads: dict[str, np.ndarray]) -> float:
     """Loss of the softmax cross entropy; its analytic gradient is written
-    into out, a vector laid out like params' blocks (views)."""
+    into grads, arrays named and shaped like params' blocks (the views of
+    a gradient vector, views(out), which the caller keeps with it)."""
     n = x.shape[0]
-    grads = params.views(out)
     hidden, logits = mlp_forward(params, x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -156,15 +156,16 @@ def warmup_train(params: PriorNetParams, table: DatasetTable, epochs: int, opt, 
     if epochs == 0:
         return params.copy()
     # the blocks and the gradient are each one vector, so each step is
-    # one optimizer pass
+    # one optimizer pass; the gradient's block views are built once
     out, flat = params.flat()
     grad = np.empty_like(flat)
+    grads = out.views(grad)
     onehot = table.onehot
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, 1, epoch])
         order = rng.permutation(table.n)
         for start in range(0, table.n, batch_size):
             idx = order[start:start + batch_size]
-            _cross_entropy_grads(out, table.features[idx], onehot[idx], grad)
+            _cross_entropy_grads(out, table.features[idx], onehot[idx], grads)
             opt.step(flat, grad)
     return out

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 from pathlib import Path
 
@@ -214,10 +215,12 @@ def import_library():
 '''
 _STUB_WORKLOADS = '''
 import pathlib
+import time
 from types import SimpleNamespace
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent / "out"
 JOB_S = {job_s!r}
+WALL = {wall!r}
 LOG = {log!r}
 
 
@@ -231,6 +234,7 @@ class Stub:
         return {{"passes": 0}}
 
     def run_pass(self, state):
+        time.sleep(WALL)
         state["passes"] += 1
         with open(LOG, "a") as fh:
             fh.write(f"{{OUT_DIR.parent.parent.name}} {{self.seed}} pass\\n")
@@ -243,9 +247,10 @@ WORKLOADS = {{"stub": Stub}}
 '''
 
 
-def _stub_trees(tmp_path, monkeypatch, job_s, same=True):
+def _stub_trees(tmp_path, monkeypatch, job_s, same=True, wall=None):
     # a parent and a change tree whose stub workload reports the job times
-    # job_s gives it, and logs every set-up and pass with its tree and seed
+    # job_s gives it, sleeps wall's seconds in every pass (none by default)
+    # and logs every set-up and pass with its tree and seed
     log = tmp_path / "log.txt"
     trees = {}
     for name in ("parent", "change"):
@@ -253,7 +258,7 @@ def _stub_trees(tmp_path, monkeypatch, job_s, same=True):
         (tree / "perfbench").mkdir(parents=True)
         (tree / "perfbench" / "run.py").write_text(_STUB_RUN)
         (tree / "perfbench" / "workloads.py").write_text(_STUB_WORKLOADS.format(
-            job_s=job_s[name], log=str(log), same=same))
+            job_s=job_s[name], wall=(wall or {}).get(name, 0.0), log=str(log), same=same))
         trees[name] = tree
     (trees["change"] / "BENCHMARK.json").write_bytes(
         (bench_pairs.ROOT / "BENCHMARK.json").read_bytes())
@@ -308,3 +313,29 @@ def test_the_paired_ratio_is_the_median_of_the_per_pair_ratios():
     zero = [({"job_s": 0.0}, {"job_s": 1.0}), ({"job_s": 1.0}, {"job_s": 1.0})]
     row = bench_pairs.summarize(zero, METRICS[:1])[0]
     assert row["ratio"] is None and "ratio" not in bench_pairs.format_row("desk", row)
+
+
+def test_inproc_prints_the_pass_wall_times_and_the_pass_count_ratio(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a parent pass sleeps 60 ms and a change pass 30 ms, so a harness run
+    # of fixed length would keep about twice as many of the change's passes
+    trees, _ = _stub_trees(tmp_path, monkeypatch, {"parent": [0.01], "change": [0.01]},
+                           wall={"parent": 0.06, "change": 0.03})
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--pairs", "2",
+                             "--workloads", "stub", "--inproc", "3"]) == 0
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+    got = re.search(r"pass (\S+) -> (\S+) ms, passes x(\S+)$", lines["job_s"])
+    parent, change, ratio = (float(v) for v in got.groups())
+    assert 60 <= parent < 90 and 30 <= change < 60 and 1.4 < ratio < 2.1
+    assert "pass " not in lines["request_ms_p90"]
+
+
+def test_the_pass_count_ratio_is_the_parent_pass_over_the_change_pass():
+    pairs = [({"job_s": 1.0, bench_pairs.PASS_WALL: p}, {"job_s": 0.5, bench_pairs.PASS_WALL: c})
+             for p, c in ((0.10, 0.05), (0.12, 0.04), (0.08, 0.06))]
+    row = bench_pairs.summarize(pairs, METRICS[:1])[0]
+    # the medians over pairs are 0.10 and 0.05 s
+    assert row[bench_pairs.PASS_WALL] == (0.10, 0.05) and row["pass_ratio"] == 2.0
+    assert bench_pairs.format_row("desk", row).endswith("won 3/3 pass 100 -> 50 ms, passes x2.000")
+    # a harness run carries no pass wall time, so its row shows none
+    assert bench_pairs.PASS_WALL not in bench_pairs.summarize(_pairs(), METRICS[:1])[0]

@@ -9,6 +9,7 @@ from adpm.denoiser import (Activations, DenoiserParams, predict_noise, time_embe
                            time_embed_batch)
 from adpm.errors import ConfigError, ShapeError
 
+import sampler_oracle
 from gradcheck import finite_diff, rel_err
 from tape_oracle import DenoiserGraph
 
@@ -167,28 +168,63 @@ def test_backward_writes_into_out_and_returns_it():
     assert out.tobytes() == fresh.tobytes()
 
 
+def _biased_params(n, h, k):
+    # biases drawn as zeros would hide a bias add that went missing
+    params = make_params(k=k, h=h, d_att=4, t_dim=8, seed=n + h + k)
+    return DenoiserParams(**{name: arr + 0.1 if "_b" in name else arr
+                             for name, arr in params.blocks().items()})
+
+
 @pytest.mark.parametrize("k", [3, 6])
 @pytest.mark.parametrize("h", [2, 3, 64])
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 269])
 def test_trunk_into_buffers_gives_the_bits_of_the_allocating_trunk(n, h, k):
-    # one row takes BLAS's gemv path, and h or k <= 3 gives products with
-    # at most 3 columns; the buffers are written in place, twice over, and
-    # what the first pass left in them does not reach the second
-    params = make_params(k=k, h=h, d_att=4, t_dim=8, seed=n + h + k)
-    params = DenoiserParams(**{name: arr + 0.1 if "_b" in name else arr
-                               for name, arr in params.blocks().items()})
+    # the sampler's folded trunk writes every step into the buffers fold
+    # sized, and gives the bits of the folded network written out with
+    # allocating operations, the oracle's; one row takes BLAS's gemv path,
+    # and h or k <= 3 gives products with at most 3 columns; the buffers
+    # are written in place, twice over, and what the first pass left in
+    # them does not reach the second
+    params = _biased_params(n, h, k)
     rng = np.random.default_rng(n * h * k)
-    temb = params.project_time(time_embed_batch(np.array([37]), 100, 8))
-    buffers = params.trunk_buffers(n)
-    assert all(b.shape == (n, params.blocks()[name].shape[1]) for b, name in
-               zip(buffers.biases, ("fuse_b", "enc_b", "dec1_b", "dec2_b")))
+    ts = np.array([37, 5])
+    folded = params.fold(time_embed_batch(ts, 100, 8), n)
+    assert folded.b_in.shape == (n, h) and folded.b_out.shape == (n, k)
+    assert [a.shape for a in folded.acts] == [(n, h), (n, h), (n, k)]
     for _ in range(2):
-        x = rng.standard_normal((n, 2 * k))
-        fresh = params.trunk(x, temb)
-        into = params.trunk(x, temb, buffers)
-        assert all(a is b for a, b in zip(into, buffers.acts))
-        for a, b in zip(fresh, into):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for i, t in enumerate(ts):
+            x = rng.standard_normal((n, 2 * k))
+            want = sampler_oracle.predict_noise(params, x[:, :k], x[:, k:], int(t), 100)
+            eps = folded.step(x, i)
+            assert eps is folded.acts[-1]
+            assert eps.shape == want.shape and eps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("h", [2, 64])
+@pytest.mark.parametrize("n", [1, 3, 269])
+def test_trunk_and_forward_give_the_bits_of_the_network_written_out(n, h, k):
+    # training's forward pass, with every activation backward reads, is
+    # the unfolded network written as allocating expressions, bitwise
+    params = _biased_params(n, h, k)
+    rng = np.random.default_rng(n * h * k)
+    yn, yp = rng.standard_normal((2, n, k))
+    t_rows = time_embed_batch(rng.integers(1, 101, size=n), 100, 8)
+    x = np.concatenate([yn, yp], axis=1)
+    temb = t_rows @ params.time_w + params.time_b
+    fused = x @ params.fuse_w + params.fuse_b
+    kv = np.tanh(fused @ params.enc_w + params.enc_b)
+    kv_v = kv @ params.wv
+    u = kv_v @ params.wo + temb
+    h1 = np.tanh(u @ params.dec1_w + params.dec1_b + temb)
+    out = h1 @ params.dec2_w + params.dec2_b
+    got = params.forward(yn, yp, t_rows)
+    want = Activations(t_rows=t_rows, x=x, fused=fused, kv=kv, kv_v=kv_v, u=u, h1=h1, out=out)
+    for field in dataclasses.fields(Activations):
+        assert getattr(got, field.name).tobytes() == \
+            getattr(want, field.name).tobytes(), field.name
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(params.trunk(x, temb), (fused, kv, kv_v, u, h1, out)))
 
 
 def test_backward_through_kept_views_writes_out():

@@ -225,11 +225,13 @@ def test_signal_coefficient_ordering_across_classes():
 
 
 def test_sample_steps_in_buffers_sized_once_per_call(monkeypatch):
-    # every step hands the trunk the same input and the same buffers, and
-    # gets its predicted noise in the same array; and the call's peak
-    # traced memory stays below one (S, n, k) array, the size of a table
-    # of c_f y_f at every step
+    # the weights fold once per call; every step hands the folded trunk
+    # the same input and gets its predicted noise in the same array; and
+    # the call's peak traced memory does not grow with the step count:
+    # each step gathers only its own coefficients
     import tracemalloc
+
+    from adpm.denoiser import FoldedTrunk
 
     k, T, n = 8, 40, 3000
     census = ClassCensus((80, 70, 60, 50, 40, 30, 20, 10))
@@ -238,25 +240,38 @@ def test_sample_steps_in_buffers_sized_once_per_call(monkeypatch):
     rng = np.random.default_rng(3)
     params = DenoiserParams.draw((k, 6, 4, 4), rng)
     y_f, classes = rng.dirichlet(np.ones(k), size=n), rng.integers(0, k, size=n)
-    seen = []
-    trunk = DenoiserParams.trunk
+    folds, seen = [], []
+    fold, step = DenoiserParams.fold, FoldedTrunk.step
 
-    def recording(self, x, temb, *buffers):
-        acts = trunk(self, x, temb, *buffers)
-        seen.append((x, buffers, acts[-1]))
-        return acts
-    monkeypatch.setattr(DenoiserParams, "trunk", recording)
-    sampler_plan(sched, T, params.t_emb_dim)  # the plan is not part of the call's cost
-    tracemalloc.start()
-    try:
-        sample(sched, params, y_f, classes, T)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    x, (buffers,), _ = seen[0]
-    assert len(seen) == T
-    assert all(a is x and b == (buffers,) and eps is buffers.acts[-1] for a, b, eps in seen)
-    assert peak < T * n * k * 8
+    def folding(self, t_rows, rows):
+        folds.append(fold(self, t_rows, rows))
+        return folds[-1]
+
+    def recording(self, x, i):
+        seen.append((self, x, i, step(self, x, i)))
+        return seen[-1][-1]
+    monkeypatch.setattr(DenoiserParams, "fold", folding)
+    monkeypatch.setattr(FoldedTrunk, "step", recording)
+
+    def peak(steps):
+        sampler_plan(sched, steps, params.t_emb_dim)  # the plan is not part of the call's cost
+        folds.clear()
+        seen.clear()
+        tracemalloc.start()
+        try:
+            sample(sched, params, y_f, classes, steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short = peak(4)
+    long = peak(T)
+    (folded,) = folds
+    x = seen[0][1]
+    assert [i for _, _, i, _ in seen] == list(range(T))
+    assert all(f is folded and a is x and eps is folded.acts[-1] for f, a, _, eps in seen)
+    # less than one float per row more for ten times the steps
+    assert long - short < n * 8, (short, long)
 
 
 def _refuse_the_loop(monkeypatch):
@@ -264,7 +279,7 @@ def _refuse_the_loop(monkeypatch):
 
     def no_step(*args, **kwargs):
         raise AssertionError("the loop started")
-    monkeypatch.setattr(adpm.denoiser.DenoiserParams, "trunk", no_step)
+    monkeypatch.setattr(adpm.denoiser.FoldedTrunk, "step", no_step)
 
 
 def _fails_before_the_loop(sched, params, y_f, classes, steps, error, match):
@@ -335,6 +350,19 @@ def test_sample_matches_the_per_step_oracle_bitwise(case, steps):
     untraced = sample(sched, params, y_f, classes, steps)
     assert untraced.trace is None
     assert untraced.y0.tobytes() == got.y0.tobytes()
+
+
+@pytest.mark.parametrize("steps", [40, 13], ids=["steps=T", "steps<T"])
+@pytest.mark.parametrize("case", ["single", "batch", "iso"])
+def test_folded_chains_track_the_unfolded_network(case, steps):
+    # the sampler multiplies the denoiser's linear chains out, which moves
+    # y0's last bits but no prediction, against the chains run through the
+    # network as it is trained
+    sched, params, y_f, classes = _oracle_case(case)
+    got = sample(sched, params, y_f, classes, steps).y0
+    want, _ = sampler_oracle.sample(sched, params, y_f, sched.lam[classes], steps,
+                                    predict=predict_noise)
+    sampler_oracle.assert_tracks(got, want)
 
 
 def _adversarial_logits(rng, n, k):

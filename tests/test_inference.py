@@ -165,6 +165,23 @@ def test_one_row_table_matches_the_per_step_oracle_bitwise(trained, desk_shaped)
             assert a.tobytes() == b[0].tobytes()
 
 
+def test_folded_chains_track_the_unfolded_network(trained, desk_shaped):
+    # classify's chains, on the folded trunk, against the same chains run
+    # step by step through the network as it is trained
+    from adpm.denoiser import predict_noise
+
+    for ckpt, test in (trained, desk_shaped):
+        cfg = ckpt.config
+        out = classify_dataset(ckpt, test)
+        lam = inference_lambda(mlp_forward(ckpt.model.prior, test.features)[1],
+                               ClassCensus(ckpt.counts), NoiseLevelConfig(alpha=cfg.alpha, c=cfg.c))
+        y0, _ = sampler_oracle.sample(noise_schedule(ckpt.counts, cfg), ckpt.model.denoiser,
+                                      prior_bundle(ckpt.model.prior, test.features).y_f, lam,
+                                      cfg.sample_steps, predict=predict_noise)
+        sampler_oracle.assert_tracks(out.results.y0, y0)
+        assert out.predictions.tolist() == np.argmax(y0, axis=1).tolist()
+
+
 def test_classify_builds_no_generator(trained, monkeypatch):
     # classification draws nothing, for a whole table or a padded 1-row one
     def refuse(*args, **kwargs):
@@ -184,13 +201,15 @@ def _clear_caches():
 
 def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained, monkeypatch):
     # structural guard on the sampler's cost, with no timing in it: work
-    # that does not depend on the chains' states (the time projection)
-    # stays out of the loop; the gamma rows are the k rows of the one
-    # schedule build, indexed by class, and the step table is built once
-    # per plan; a second call on the same checkpoint builds neither
+    # that does not depend on the chains' states (the time projection and
+    # the folding of the weights) stays out of the loop, which runs the
+    # folded trunk once per step and training's trunk never; the gamma
+    # rows are the k rows of the one schedule build, indexed by class, and
+    # the step table is built once per plan; a second call on the same
+    # checkpoint builds neither
     import adpm.diffusion
     import adpm.schedule
-    from adpm.denoiser import DenoiserParams
+    from adpm.denoiser import DenoiserParams, FoldedTrunk
     from adpm.schedule import NoiseSchedule
 
     calls = {}
@@ -203,6 +222,8 @@ def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained,
             return method(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
     count(DenoiserParams, "trunk")
+    count(DenoiserParams, "fold")
+    count(FoldedTrunk, "step")
     count(DenoiserParams, "project_time")
     count(NoiseSchedule, "gamma_for")
     count(adpm.schedule, "_gamma_row")
@@ -210,15 +231,16 @@ def test_classify_runs_the_trunk_once_per_step_and_gamma_once_per_level(trained,
     ckpt, test = trained
     k = len(ckpt.counts)
     steps = ckpt.config.sample_steps
+    once = {"fold": 1, "project_time": 1}
     _clear_caches()
     assert np.unique(classify_dataset(ckpt, test).results.lam).size > 1
-    assert calls == {"trunk": steps, "project_time": 1, "_gamma_row": k, "_step_table": 1}
+    assert calls == {"step": steps, **once, "_gamma_row": k, "_step_table": 1}
     calls.clear()
     classify_dataset(ckpt, test)
-    assert calls == {"trunk": steps, "project_time": 1}
+    assert calls == {"step": steps, **once}
     calls.clear()
     classify_dataset(ckpt, test.take([0]), steps=5)  # two rows at one level, a new plan
-    assert calls == {"trunk": 5, "project_time": 1, "_step_table": 1}
+    assert calls == {"step": 5, **once, "_step_table": 1}
     assert adpm.diffusion.sampler_plan.cache_info().misses == 2
 
 

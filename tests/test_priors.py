@@ -193,11 +193,12 @@ def test_cross_entropy_flat_gradient_matches_finite_differences():
                                            separation=1.0, spread=1.0, seed=2))
     params, vec = random_params(3, 4, 3, seed=7).flat()
     grad = np.full_like(vec, np.nan)
-    loss = _cross_entropy_grads(params, table.features, table.onehot, grad)
+    loss = _cross_entropy_grads(params, table.features, table.onehot, params.views(grad))
     assert loss == pytest.approx(cross_entropy(params, table), abs=1e-12)
 
     def f():
-        return _cross_entropy_grads(params, table.features, table.onehot, np.empty_like(vec))
+        return _cross_entropy_grads(params, table.features, table.onehot,
+                                    params.views(np.empty_like(vec)))
     # the blocks are views into vec, so each perturbation of vec moves one weight
     assert rel_err(grad, finite_diff(f, vec)).max() < 1e-6
 

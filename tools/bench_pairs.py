@@ -46,7 +46,13 @@ alternates as above. Each side's reading of a pair is the median
 ``job_s`` of its passes and the 90th percentile of all its requests
 (``request_ms_p90``), and the rows of those two metrics are printed as
 above. This reading does not depend on the harness's run length or
-pass count.
+pass count. The process also times each whole pass, and the ``job_s``
+row shows each side's median pass wall time (the median over pairs of
+each run's median) and the pass-count ratio it implies, the parent's
+pass time over the change's: a harness run of fixed length keeps about
+that many of the change's passes per parent pass, so the ratio times
+the MB per pass of an earlier harness run prices the change's
+``peak_rss_mb`` rise before a harness run.
 
 A run that fails, reports ``correct: false`` or leaves no readable
 detail file stops the script with exit status 1, as does an in-process
@@ -75,6 +81,7 @@ class RunFailed(Exception):
 
 
 PASSES = "passes"  # the key of a run's pass count beside its metrics
+PASS_WALL = "pass_s"  # the key of an in-process run's median pass wall time
 RETAINED = "peak_rss_mb"  # the metric that grows with the passes the harness keeps
 
 
@@ -104,9 +111,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
 
 
 # what an --inproc process runs, given the tree, workload, seed and pass
-# count: its last line of output is {"job_s": [...], "request_s": [...]}
+# count: its last line of output is {"job_s": [...], "request_s": [...],
+# "pass_s": [...]}, pass_s holding each whole pass's wall time
 INPROC = """
-import json, sys
+import json, sys, time
 tree, workload, seed, calls = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 sys.path.insert(0, tree + "/perfbench")
 import run
@@ -115,18 +123,23 @@ import workloads
 bench = workloads.WORKLOADS[workload](seed)
 workloads.OUT_DIR.mkdir(exist_ok=True)
 state = bench.setup()
-passes = [bench.run_pass(state) for _ in range(calls)]
+passes, walls = [], []
+for _ in range(calls):
+    start = time.perf_counter()
+    passes.append(bench.run_pass(state))
+    walls.append(time.perf_counter() - start)
 if any(p.fingerprint != passes[0].fingerprint for p in passes):
     sys.exit("a pass's outputs differ bitwise from the first pass's")
 print(json.dumps({"job_s": [p.job_s for p in passes],
-                  "request_s": [r for p in passes for r in p.request_s]}))
+                  "request_s": [r for p in passes for r in p.request_s], "pass_s": walls}))
 """
 INPROC_METRICS = ("job_s", "request_ms_p90")
 
 
 def inproc_once(tree: Path, workload: str, seed: int, calls: int) -> dict[str, float]:
     """job_s, the median of calls passes timed in one fresh process of
-    tree, and request_ms_p90, the 90th percentile of their requests."""
+    tree, request_ms_p90, the 90th percentile of their requests, and
+    PASS_WALL, the median wall time of a whole pass."""
     argv = [sys.executable, "-c", INPROC, str(tree), workload, str(seed), str(calls)]
     proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, check=False)
@@ -134,7 +147,8 @@ def inproc_once(tree: Path, workload: str, seed: int, calls: int) -> dict[str, f
     try:
         got = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
         return {"job_s": float(np.median(got["job_s"])),
-                "request_ms_p90": float(np.percentile(got["request_s"], 90)) * 1e3}
+                "request_ms_p90": float(np.percentile(got["request_s"], 90)) * 1e3,
+                PASS_WALL: float(np.median(got["pass_s"]))}
     except (ValueError, TypeError, KeyError, IndexError):
         raise RunFailed(f"{tree} {workload} seed {seed} in-process: exit {proc.returncode}, "
                         f"stderr {proc.stderr.strip()[-300:]!r}") from None
@@ -167,7 +181,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
     count, and its flags: "worse", "unresolved", both or none.
     The RETAINED row also holds both sides' median pass counts, the MB per
     pass and the change's RSS at the parent's median pass count when
-    every run carries a pass count. With aa_pairs, (parent, copy) metric
+    every run carries a pass count, and the job_s row both sides' median
+    pass wall times and the pass-count ratio when every pair carries a
+    PASS_WALL (an in-process reading). With aa_pairs, (parent, copy) metric
     dicts of the same pairs whose parent runs are those of pairs, each
     row also holds "aa": the A/A change of the median and the lowest and
     highest A/A per-pair change; a change other than 0 within that range
@@ -202,6 +218,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
         runs = [run for pair in pairs for run in pair] + [c for _, c in aa_pairs or []]
         if name == RETAINED and all(PASSES in run for run in runs):
             rows[-1].update(_retained(pairs, runs))
+        if name == "job_s" and all(PASS_WALL in run for pair in pairs for run in pair):
+            walls = tuple(float(np.median([pair[i][PASS_WALL] for pair in pairs]))
+                          for i in (0, 1))
+            rows[-1].update({PASS_WALL: walls, "pass_ratio": walls[0] / walls[1]})
     return rows
 
 
@@ -231,6 +251,9 @@ def format_row(workload: str, row: dict) -> str:
         if row["mb_per_pass"] is not None:
             extra += (f"{row['mb_per_pass']:.3g} MB/pass, change at {row[PASSES][0]:.0f} "
                       f"passes {row['rss_at_parent_passes']:.6g} ")
+    if PASS_WALL in row:
+        extra += (f"pass {row[PASS_WALL][0] * 1e3:.4g} -> {row[PASS_WALL][1] * 1e3:.4g} ms, "
+                  f"passes x{row['pass_ratio']:.3f} ")
     if "aa" in row:
         extra += f"a/a {row['aa'][0]:+.1%} [{row['aa'][1]:+.1%}, {row['aa'][2]:+.1%}] "
     ratio = "" if row.get("ratio") is None else f"ratio {row['ratio']:.3f} "
