@@ -3,12 +3,11 @@ oracle.
 
 Each chain starts at its prior y_f and takes the reverse update with no
 sigma z term. At every step it computes the time embedding, folds the
-denoiser's linear chains and runs the folded network, and recomputes the
-update's coefficients from the gamma rows, the way the library's sampler
-did before it built its coefficient table and its folded maps once per
-call. Tests pin the library's sample to it bitwise. Passing the
-unfolded network (adpm.denoiser.predict_noise) as predict runs the same
-chains through the network as it is trained.
+denoiser's linear chains fuse -> enc and wv -> wo -> dec1 into single
+maps, runs the folded network with allocating operations, and recomputes
+the update's coefficients from the gamma rows. Tests pin the library's
+sample to it bitwise. Passing predict=adpm.denoiser.predict_noise runs
+the same chains through the unfolded network, as it is trained.
 """
 
 import numpy as np

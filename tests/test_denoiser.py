@@ -179,12 +179,13 @@ def _biased_params(n, h, k):
 @pytest.mark.parametrize("h", [2, 3, 64])
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 269])
 def test_trunk_into_buffers_gives_the_bits_of_the_allocating_trunk(n, h, k):
-    # the sampler's folded trunk writes every step into the buffers fold
-    # sized, and gives the bits of the folded network written out with
-    # allocating operations, the oracle's; one row takes BLAS's gemv path,
-    # and h or k <= 3 gives products with at most 3 columns; the buffers
-    # are written in place, twice over, and what the first pass left in
-    # them does not reach the second
+    # the trunk into buffers is FoldedTrunk.step, which writes every step
+    # into the buffers fold sized; the allocating trunk is the oracle's
+    # folded network (tests/sampler_oracle.py), written out with
+    # allocating operations; the two agree bitwise; one row takes BLAS's
+    # gemv path, and h or k <= 3 gives products with at most 3 columns;
+    # the buffers are written in place, twice over, and what the first
+    # pass left in them does not reach the second
     params = _biased_params(n, h, k)
     rng = np.random.default_rng(n * h * k)
     ts = np.array([37, 5])

@@ -226,9 +226,10 @@ def test_signal_coefficient_ordering_across_classes():
 
 def test_sample_steps_in_buffers_sized_once_per_call(monkeypatch):
     # the weights fold once per call; every step hands the folded trunk
-    # the same input and gets its predicted noise in the same array; and
-    # the call's peak traced memory does not grow with the step count:
-    # each step gathers only its own coefficients
+    # the same input and gets its predicted noise in the same array; the
+    # call's peak traced memory stays below one (S, n, k) array and does
+    # not grow with the step count: each step gathers only its own
+    # coefficients
     import tracemalloc
 
     from adpm.denoiser import FoldedTrunk
@@ -270,6 +271,7 @@ def test_sample_steps_in_buffers_sized_once_per_call(monkeypatch):
     x = seen[0][1]
     assert [i for _, _, i, _ in seen] == list(range(T))
     assert all(f is folded and a is x and eps is folded.acts[-1] for f, a, _, eps in seen)
+    assert long < T * n * k * 8, long
     # less than one float per row more for ten times the steps
     assert long - short < n * 8, (short, long)
 
